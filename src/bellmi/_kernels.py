@@ -1,36 +1,18 @@
-"""Hot Monte Carlo kernels, in numba and pure-numpy variants.
+"""Hot Monte Carlo kernels in numpy.
 
-The backend is chosen once at import time from the ``BELLMI_BACKEND``
-environment variable: "numba" (default when numba imports) or "numpy".
-Both variants perform the same IEEE-754 operations per element in the same
-order, and every floating-point *reduction* lives in the callers (shared
-numpy code), so the two backends produce bit-identical results.  The only
-things computed here are element-wise outcome maps and integer tallies.
-
-``benchmarks/bench_backends.py`` times the two paths side by side.
+Four element-wise outcome maps and integer tallies: the one-bit protocol's
+and the detection model's per-round outcomes, the finite-settings message
+agreement probabilities, and the per-cell outcome counts.  Every
+floating-point reduction over rounds lives in the callers, which reduce in
+a fixed chunk order, so results do not depend on the parallelism degree.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-BACKEND_ENV = "BELLMI_BACKEND"
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-
-# ----------------------------------------------------------------------
-# pure-numpy variants
-# ----------------------------------------------------------------------
-
-def tb_outcomes_numpy(xs, ys, l1, l2):
+def tb_outcomes(xs, ys, l1, l2):
     """One-bit communication round outcomes.
 
     a = -sgn(x.l1); message m = sgn(x.l1) * sgn(x.l2);
@@ -52,7 +34,7 @@ def tb_outcomes_numpy(xs, ys, l1, l2):
     return a, b, m.astype(np.int8), bad
 
 
-def gg_outcomes_numpy(xs, ys, lam, u):
+def gg_outcomes(xs, ys, lam, u):
     """Detection-model round outcomes.
 
     a = sgn(x.lam), detected with probability |x.lam| (u is the per-round
@@ -66,12 +48,13 @@ def gg_outcomes_numpy(xs, ys, lam, u):
     return a, b, click_a
 
 
-def agreement_probs_numpy(settings, p_x, l1, l2):
+def agreement_probs(settings, p_x, l1, l2):
     """P(message = +1 | mu) for finite Alice settings.
 
     For each hidden pair (l1, l2): sum of p_x[j] over settings j whose dots
-    with l1 and l2 share a sign.  Accumulation runs in j order to match the
-    numba loop bit for bit.
+    with l1 and l2 share a sign.  Accumulation runs in j order; a different
+    summation order would change the low bits of the result and so the
+    bytes ``mutual-info --target tb-finite`` prints for a given seed.
     """
     n = l1.shape[0]
     p = np.zeros(n, dtype=np.float64)
@@ -83,7 +66,7 @@ def agreement_probs_numpy(settings, p_x, l1, l2):
     return p
 
 
-def tally_numpy(x_idx, y_idx, a, b, n_a, n_b):
+def tally(x_idx, y_idx, a, b, n_a, n_b):
     """Counts[x, y, a_bin, b_bin] with bin 0 = +1 and bin 1 = -1."""
     ai = (1 - a.astype(np.int64)) // 2
     bi = (1 - b.astype(np.int64)) // 2
@@ -92,114 +75,6 @@ def tally_numpy(x_idx, y_idx, a, b, n_a, n_b):
     return counts.reshape(n_a, n_b, 2, 2)
 
 
-# ----------------------------------------------------------------------
-# numba variants (same arithmetic, explicit loops)
-# ----------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def tb_outcomes_numba(xs, ys, l1, l2):
-        n = xs.shape[0]
-        a = np.empty(n, dtype=np.int8)
-        b = np.empty(n, dtype=np.int8)
-        m = np.empty(n, dtype=np.int8)
-        bad = np.zeros(n, dtype=np.bool_)
-        for i in range(n):
-            d1 = xs[i, 0] * l1[i, 0] + xs[i, 1] * l1[i, 1] + xs[i, 2] * l1[i, 2]
-            d2 = xs[i, 0] * l2[i, 0] + xs[i, 1] * l2[i, 1] + xs[i, 2] * l2[i, 2]
-            s1 = 1.0 if d1 >= 0.0 else -1.0
-            s2 = 1.0 if d2 >= 0.0 else -1.0
-            mm = s1 * s2
-            v0 = l1[i, 0] + mm * l2[i, 0]
-            v1 = l1[i, 1] + mm * l2[i, 1]
-            v2 = l1[i, 2] + mm * l2[i, 2]
-            db = ys[i, 0] * v0 + ys[i, 1] * v1 + ys[i, 2] * v2
-            a[i] = -1 if d1 >= 0.0 else 1
-            b[i] = 1 if db >= 0.0 else -1
-            m[i] = np.int8(mm)
-            if v0 == 0.0 and v1 == 0.0 and v2 == 0.0:
-                bad[i] = True
-        return a, b, m, bad
-
-    @njit(cache=True, nogil=True)
-    def gg_outcomes_numba(xs, ys, lam, u):
-        n = xs.shape[0]
-        a = np.empty(n, dtype=np.int8)
-        b = np.empty(n, dtype=np.int8)
-        click_a = np.empty(n, dtype=np.bool_)
-        for i in range(n):
-            da = xs[i, 0] * lam[i, 0] + xs[i, 1] * lam[i, 1] + xs[i, 2] * lam[i, 2]
-            db = ys[i, 0] * lam[i, 0] + ys[i, 1] * lam[i, 1] + ys[i, 2] * lam[i, 2]
-            a[i] = 1 if da >= 0.0 else -1
-            b[i] = -1 if db >= 0.0 else 1
-            click_a[i] = u[i] < abs(da)
-        return a, b, click_a
-
-    @njit(cache=True, nogil=True)
-    def agreement_probs_numba(settings, p_x, l1, l2):
-        n = l1.shape[0]
-        k = settings.shape[0]
-        p = np.zeros(n, dtype=np.float64)
-        for j in range(k):
-            s0 = settings[j, 0]
-            s1c = settings[j, 1]
-            s2c = settings[j, 2]
-            pj = p_x[j]
-            for i in range(n):
-                d1 = s0 * l1[i, 0] + s1c * l1[i, 1] + s2c * l1[i, 2]
-                d2 = s0 * l2[i, 0] + s1c * l2[i, 1] + s2c * l2[i, 2]
-                if (d1 >= 0.0) == (d2 >= 0.0):
-                    p[i] = p[i] + pj
-        return p
-
-    @njit(cache=True, nogil=True)
-    def tally_numba(x_idx, y_idx, a, b, n_a, n_b):
-        counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
-        for i in range(x_idx.shape[0]):
-            ai = (1 - np.int64(a[i])) // 2
-            bi = (1 - np.int64(b[i])) // 2
-            counts[x_idx[i], y_idx[i], ai, bi] += 1
-        return counts
-
-else:  # pragma: no cover
-    tb_outcomes_numba = None
-    gg_outcomes_numba = None
-    agreement_probs_numba = None
-    tally_numba = None
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-
-def _resolve_backend() -> str:
-    choice = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError(f"{BACKEND_ENV}=numba requested but numba is not importable")
-        return "numba"
-    if choice:
-        raise ValueError(f"{BACKEND_ENV} must be 'numba' or 'numpy', got {choice!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _resolve_backend()
-
-if BACKEND == "numba":
-    tb_outcomes = tb_outcomes_numba
-    gg_outcomes = gg_outcomes_numba
-    agreement_probs = agreement_probs_numba
-    tally = tally_numba
-else:
-    tb_outcomes = tb_outcomes_numpy
-    gg_outcomes = gg_outcomes_numpy
-    agreement_probs = agreement_probs_numpy
-    tally = tally_numpy
-
-
 def active_backend() -> str:
-    """Name of the kernel backend selected at import ("numba" or "numpy")."""
-    return BACKEND
+    """Name of the kernel implementation; always "numpy"."""
+    return "numpy"

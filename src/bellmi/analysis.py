@@ -33,6 +33,7 @@ from .models import (
     ConditionalTable,
     ExactCSModel,
     SettingsSpec,
+    factorization_deviation,
 )
 from .sphere import RandomSource, angle_between, require_unit, sample_uniform_sphere
 from .table import FiniteDistribution, InfoBits, binary_entropy
@@ -59,24 +60,11 @@ def singlet_correlation(x, y) -> float:
     return -float(np.dot(x, y))
 
 
-def singlet_cell(x, y) -> np.ndarray:
-    """Exact P(a,b|x,y) = (1 - ab x.y)/4 as a (2, 2) block (index 0 = +1)."""
-    e = singlet_correlation(x, y)
-    cell = np.empty((2, 2))
-    for i, sa in enumerate(OUTCOME_LABELS):
-        for j, sb in enumerate(OUTCOME_LABELS):
-            cell[i, j] = (1.0 + sa * sb * e) / 4.0
-    return cell
-
-
 def exact_singlet_conditional(spec: SettingsSpec) -> ConditionalTable:
-    """Exact singlet conditional table over a finite spec."""
+    """Exact singlet conditional P(a,b|x,y) = (1 - ab x.y)/4 over a finite spec."""
     spec._require_finite()
-    probs = np.empty((spec.n_alice, spec.n_bob, 2, 2))
-    for x in range(spec.n_alice):
-        for y in range(spec.n_bob):
-            probs[x, y] = singlet_cell(spec.alice_settings[x], spec.bob_settings[y])
-    return ConditionalTable(probs)
+    e = [[-float(np.dot(x, y)) for y in spec.bob_settings] for x in spec.alice_settings]
+    return ConditionalTable.from_correlators(e)
 
 
 # ----------------------------------------------------------------------
@@ -292,36 +280,23 @@ def verify_bell_local(model: ExactCSModel, tol: float = 1e-9) -> LocalityReport:
     the remote setting fails here even though its conditionals factorize
     trivially once both settings are fixed.
     """
-    groups = [("a",), ("b",), ("x",), ("y",), model.hidden_vars]
-    j = model.table._grouped(groups)
-    na, nb, nx, ny = j.shape[:4]
-    j = j.reshape(na, nb, nx, ny, -1)
-    p_xyl = j.sum(axis=(0, 1))  # (x, y, lam)
-    p_axl = j.sum(axis=(1, 3))  # (a, x, lam)
-    p_xl = j.sum(axis=(0, 1, 3))  # (x, lam)
-    p_byl = j.sum(axis=(0, 2))  # (b, y, lam)
-    p_yl = j.sum(axis=(0, 1, 2))  # (y, lam)
+    j = model.joint()
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = j / p_xyl[None, None, :, :, :]
-        resp_a = p_axl / p_xl[None, :, :]
-        resp_b = p_byl / p_yl[None, :, :]
-        product = resp_a[:, None, :, None, :] * resp_b[None, :, None, :, :]
-        dev = np.where(p_xyl[None, None, :, :, :] > 0.0, np.abs(cond - product), 0.0)
+        resp_a = j.sum(axis=(1, 3)) / j.sum(axis=(0, 1, 3))[None, :, :]  # P(a|x,lam)
+        resp_b = j.sum(axis=(0, 2)) / j.sum(axis=(0, 1, 2))[None, :, :]  # P(b|y,lam)
+    dev = factorization_deviation(j, resp_a, resp_b)
     max_dev = float(dev.max())
     ok = max_dev <= tol
     witness = None
     if not ok:
         ia, ib, ix, iy, il = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        hidden_shape = tuple(len(model.table.labels(h)) for h in model.hidden_vars)
-        hidden_idx = np.unravel_index(il, hidden_shape)
         witness = {
             "a": model.table.labels("a")[ia],
             "b": model.table.labels("b")[ib],
             "x": model.table.labels("x")[ix],
             "y": model.table.labels("y")[iy],
         }
-        for name, pos in zip(model.hidden_vars, hidden_idx):
-            witness[name] = model.table.labels(name)[pos]
+        witness.update(zip(model.hidden_vars, model.hidden_label(il)))
     return LocalityReport(ok=ok, max_deviation=max_dev, tol=tol, witness=witness)
 
 

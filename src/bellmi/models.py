@@ -233,13 +233,25 @@ class ConditionalTable:
         if np.any(p < 0.0):
             raise ValidationError("negative probability in conditional table")
         sums = p.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > CONDITIONAL_ATOL):
+        if not np.all(np.abs(sums - 1.0) <= CONDITIONAL_ATOL):  # NaN fails too
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValidationError(
                 f"conditional blocks must sum to 1 within {CONDITIONAL_ATOL}, "
                 f"worst deviation {worst:.3e}"
             )
         object.__setattr__(self, "probs", _frozen_array(p))
+
+    @classmethod
+    def from_correlators(cls, e) -> "ConditionalTable":
+        """P(a,b|x,y) = (1 + ab E(x,y))/4 from an (nA, nB) correlator array.
+
+        These are the tables with uniform outcome marginals.  E is clamped
+        into [-1, 1] first, so a setting dotted with itself that rounds to
+        1 + 2.2e-16 gives a zero cell instead of a negative one.
+        """
+        e = np.clip(np.asarray(e, dtype=np.float64), -1.0, 1.0)
+        ab = np.multiply.outer(OUTCOME_LABELS, OUTCOME_LABELS)
+        return cls((1.0 + e[:, :, None, None] * ab) / 4.0)
 
     @property
     def n_alice(self) -> int:
@@ -435,17 +447,6 @@ class GisinGisinModel:
         a, b, click_a = _kernels.gg_outcomes(xs, ys, lam, u)
         return GGRounds(a=a, b=b, click_a=click_a, lam=lam)
 
-    # -- pure replay helpers --------------------------------------------
-
-    def alice_part(self, x, lam, u: float) -> tuple[int, bool]:
-        """(a, D_A) from (x, lambda) and the detection draw u."""
-        d = float(np.dot(np.asarray(x, float), np.asarray(lam, float)))
-        return (1 if d >= 0.0 else -1), bool(u < abs(d))
-
-    def bob_part(self, y, lam) -> tuple[int, bool]:
-        """(b, D_B); Bob always clicks."""
-        return -sgn_dot(y, lam), True
-
     def target_correlator(self, x, y) -> float:
         """Post-selected quantum prediction: E = -x.y."""
         return -float(np.dot(x, y))
@@ -512,7 +513,7 @@ class FiniteCommModel:
             raise ConfigError("mu_weights must be one weight per mu label")
         if np.any(w < 0.0):
             raise ValidationError("negative shared-randomness weight")
-        if abs(float(w.sum()) - 1.0) > NORM_ATOL:
+        if not abs(float(w.sum()) - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValidationError(f"mu weights sum to {float(w.sum())!r}, not 1")
         object.__setattr__(self, "mu_labels", tuple(self.mu_labels))
         object.__setattr__(self, "mu_weights", _frozen_array(w))
@@ -664,6 +665,19 @@ class ExactCSModel:
         cond = np.transpose(joint, (2, 3, 0, 1)) / p_xy[:, :, None, None]
         return ConditionalTable(cond)
 
+    def joint(self) -> np.ndarray:
+        """P(a, b, x, y, lambda) with the hidden variables flattened into one
+        last axis, in ``hidden_vars`` order (see :meth:`hidden_label`)."""
+        j = self.table._grouped([("a",), ("b",), ("x",), ("y",), self.hidden_vars])
+        return j.reshape(j.shape[:4] + (-1,))
+
+    def hidden_label(self, flat: int) -> tuple:
+        """Hidden-variable labels, one per ``hidden_vars`` name, at a flat
+        index of the last axis of :meth:`joint`."""
+        labels = [self.table.labels(h) for h in self.hidden_vars]
+        pos = np.unravel_index(flat, tuple(len(labs) for labs in labels))
+        return tuple(labs[k] for labs, k in zip(labels, pos))
+
     def certificate_deviation(self) -> float:
         """Max |P(a,b|x,y,hidden) - declared alice*bob response product|.
 
@@ -672,33 +686,40 @@ class ExactCSModel:
         """
         if self.certificate is None:
             raise ConfigError("model carries no locality certificate")
-        groups = [("a",), ("b",), ("x",), ("y",)] + [(h,) for h in self.hidden_vars]
-        p = self.table._grouped(groups)
-        p = p.reshape(p.shape[0], p.shape[1], p.shape[2], p.shape[3], -1)
-        p_cond = p.sum(axis=(0, 1))  # (x, y, hidden)
-        a_labels = self.table.labels("a")
-        b_labels = self.table.labels("b")
-        x_labels = self.table.labels("x")
-        y_labels = self.table.labels("y")
-        hidden_shape = tuple(len(self.table.labels(h)) for h in self.hidden_vars)
-        hidden_labels = [self.table.labels(h) for h in self.hidden_vars]
-        worst = 0.0
-        for ix, iy, ih in np.ndindex(p_cond.shape):
-            mass = p_cond[ix, iy, ih]
-            if mass <= 0.0:
-                continue
-            hid = tuple(
-                hidden_labels[k][pos]
-                for k, pos in enumerate(np.unravel_index(ih, hidden_shape))
-            )
-            for ia, a_lab in enumerate(a_labels):
-                pa = self.certificate.alice_response(a_lab, x_labels[ix], hid)
-                for ib, b_lab in enumerate(b_labels):
-                    pb = self.certificate.bob_response(b_lab, y_labels[iy], hid)
-                    dev = abs(p[ia, ib, ix, iy, ih] / mass - pa * pb)
-                    if dev > worst:
-                        worst = dev
-        return worst
+        j = self.joint()
+        resp_a = self._declared(self.certificate.alice_response, "a", "x", j.sum(axis=(0, 1, 3)))
+        resp_b = self._declared(self.certificate.bob_response, "b", "y", j.sum(axis=(0, 1, 2)))
+        return float(factorization_deviation(j, resp_a, resp_b).max())
+
+    def _declared(self, response, out_var: str, in_var: str, p_in_hidden) -> np.ndarray:
+        """(out, in, hidden) array of ``response(out, in, hidden)``, evaluated
+        once per support cell of p(in, hidden) and 0 off it."""
+        outs = self.table.labels(out_var)
+        ins = self.table.labels(in_var)
+        resp = np.zeros((len(outs),) + p_in_hidden.shape)
+        for i, ih in zip(*np.nonzero(p_in_hidden > 0.0)):
+            hidden = self.hidden_label(ih)
+            for k, out in enumerate(outs):
+                resp[k, i, ih] = response(out, ins[i], hidden)
+        return resp
+
+
+def factorization_deviation(joint, resp_a, resp_b) -> np.ndarray:
+    """|P(a,b|x,y,lambda) - P(a|x,lambda) P(b|y,lambda)| per cell.
+
+    ``joint`` is P(a, b, x, y, lambda) as from :meth:`ExactCSModel.joint`,
+    ``resp_a`` is P(a|x,lambda) with axes (a, x, lambda) and ``resp_b`` is
+    P(b|y,lambda) with axes (b, y, lambda).  Cells off the support of
+    p(x, y, lambda) read 0.  Apart from the response product, the only
+    joint-sized array allocated is the returned one.
+    """
+    p_xyl = joint.sum(axis=(0, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = joint / p_xyl[None, None, :, :, :]
+        dev -= resp_a[:, None, :, None, :] * resp_b[None, :, None, :, :]
+    np.abs(dev, out=dev)
+    dev[:, :, ~(p_xyl > 0.0)] = 0.0
+    return dev
 
 
 @dataclass(frozen=True, eq=False)

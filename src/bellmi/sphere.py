@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 UNIT_ATOL = 1e-12
 
@@ -38,12 +38,11 @@ class RandomSource:
         if isinstance(seed, np.random.SeedSequence):
             self._ss = seed
         else:
-            self._ss = np.random.SeedSequence(int(seed))
+            seed = int(seed)
+            if seed < 0:
+                raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+            self._ss = np.random.SeedSequence(seed)
         self._gen: Optional[np.random.Generator] = None
-
-    @property
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return self._ss
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:
@@ -81,7 +80,7 @@ def require_unit(v, atol: float = UNIT_ATOL) -> np.ndarray:
     if arr.shape[-1] != 3:
         raise ValidationError(f"expected 3-vectors, got shape {arr.shape}")
     norms2 = (arr * arr).sum(axis=-1)
-    if np.any(np.abs(norms2 - 1.0) > 3.0 * atol):
+    if not np.all(np.abs(norms2 - 1.0) <= 3.0 * atol):  # NaN fails too
         worst = float(np.max(np.abs(np.sqrt(norms2) - 1.0)))
         raise ValidationError(f"vector not on the unit sphere (|norm - 1| = {worst:.3e})")
     return arr

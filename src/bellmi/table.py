@@ -25,7 +25,6 @@ needs no coordination.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,21 +61,6 @@ def binary_entropy(p):
     return out
 
 
-@dataclass(frozen=True)
-class ProductCheck:
-    """Result of a conditional-factorization test.
-
-    ``max_deviation`` is the max-norm distance between P(A,B|c) and
-    P(A|c)P(B|c) over all conditioning assignments c with P(c) > 0;
-    ``witness`` locates the worst cell (assignment dict) when the check fails.
-    """
-
-    ok: bool
-    max_deviation: float
-    witness: Optional[dict] = None
-    tol: float = 1e-9
-
-
 class FiniteDistribution:
     """Joint probability table over named discrete variables.
 
@@ -109,7 +93,7 @@ class FiniteDistribution:
         if np.any(w < 0.0):
             raise ValidationError("negative weight in distribution")
         total = float(w.sum())
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValidationError(
                 f"weights sum to {total!r}, off by more than {NORM_ATOL}; "
                 "normalize upstream instead of passing unnormalized tables"
@@ -197,11 +181,6 @@ class FiniteDistribution:
             if nonzero and p == 0.0:
                 continue
             yield tuple(self._labels[i][j] for i, j in enumerate(idx)), p
-
-    def allclose(self, other: "FiniteDistribution", atol: float = 1e-12) -> bool:
-        if self._names != other._names or self._labels != other._labels:
-            return False
-        return bool(np.allclose(self._weights, other._weights, rtol=0.0, atol=atol))
 
     def __repr__(self):
         dims = ", ".join(f"{n}[{len(l)}]" for n, l in zip(self._names, self._labels))
@@ -317,49 +296,6 @@ class FiniteDistribution:
         if value < -MI_CLAMP:
             raise InternalConsistencyError(f"{what} = {value!r} < -{MI_CLAMP}")
         return 0.0 if value < 0.0 else value
-
-    # ------------------------------------------------------------------
-    # factorization test
-    # ------------------------------------------------------------------
-
-    def is_product(
-        self,
-        a: Sequence[str],
-        b: Sequence[str],
-        given: Sequence[str] = (),
-        tol: float = 1e-9,
-    ) -> ProductCheck:
-        """Test P(A,B|c) = P(A|c) P(B|c) for every c with P(c) > 0.
-
-        Returns the max-norm deviation and, on failure, a witness assignment
-        for the worst cell.
-        """
-        a, b, given = tuple(a), tuple(b), tuple(given)
-        p = self._grouped([a, b, given])
-        sa = int(np.prod(p.shape[: len(a)]))
-        sb = int(np.prod(p.shape[len(a): len(a) + len(b)]))
-        p = p.reshape(sa, sb, -1)
-        pc = p.sum(axis=(0, 1))
-        live = pc > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = p / pc[None, None, :]
-            prod = (p.sum(axis=1) / pc)[:, None, :] * (p.sum(axis=0) / pc)[None, :, :]
-            dev = np.where(live[None, None, :], np.abs(cond - prod), 0.0)
-        max_dev = float(dev.max()) if dev.size else 0.0
-        ok = max_dev <= tol
-        witness = None
-        if not ok:
-            flat = int(np.argmax(dev))
-            ia, ib, ic = np.unravel_index(flat, dev.shape)
-            names = list(a) + list(b) + list(given)
-            shape = tuple(len(self.labels(n)) for n in names)
-            idx = (
-                list(np.unravel_index(ia, shape[: len(a)]))
-                + list(np.unravel_index(ib, shape[len(a): len(a) + len(b)]))
-                + (list(np.unravel_index(ic, shape[len(a) + len(b):])) if given else [])
-            )
-            witness = {n: self.labels(n)[j] for n, j in zip(names, idx)}
-        return ProductCheck(ok=ok, max_deviation=max_dev, witness=witness, tol=tol)
 
 
 def product_table(

@@ -17,7 +17,6 @@ reproduction deviations and the information bound where available.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -44,8 +43,6 @@ from .models import (
 )
 from .sphere import RandomSource, sample_uniform_sphere
 from .table import FiniteDistribution
-
-log = logging.getLogger(__name__)
 
 # Default Monte Carlo effort for the report's reproduction checks.
 REPORT_ROUNDS = 200_000
@@ -185,15 +182,12 @@ def _target_from_correlator(model, spec: SettingsSpec) -> ConditionalTable:
     Assumes uniform outcome marginals, P(a,b|x,y) = (1 + ab E)/4, which
     holds for both shipped targets (the singlet prediction E = -x.y).
     """
-    n_a, n_b = spec.n_alice, spec.n_bob
-    probs = np.empty((n_a, n_b, 2, 2))
-    for x in range(n_a):
-        for y in range(n_b):
-            e = model.target_correlator(spec.alice_settings[x], spec.bob_settings[y])
-            for i, sa in enumerate(OUTCOME_LABELS):
-                for j, sb in enumerate(OUTCOME_LABELS):
-                    probs[x, y, i, j] = (1.0 + sa * sb * e) / 4.0
-    return ConditionalTable(probs)
+    return ConditionalTable.from_correlators(
+        [
+            [model.target_correlator(x, y) for y in spec.bob_settings]
+            for x in spec.alice_settings
+        ]
+    )
 
 
 def _comm_to_cs_sampled(

@@ -1,41 +1,21 @@
-"""Shared fixtures: kernel warm-up and a subprocess CLI runner."""
+"""Shared fixtures: a subprocess CLI runner."""
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
-import numpy as np
-import pytest
-
-from bellmi import _kernels
-from bellmi.sphere import RandomSource, sample_uniform_sphere
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Trigger one-time JIT compilation so timed sections measure steady state."""
-    gen = RandomSource(0).generator()
-    xs = sample_uniform_sphere(gen, 8)
-    ys = sample_uniform_sphere(gen, 8)
-    l1 = sample_uniform_sphere(gen, 8)
-    l2 = sample_uniform_sphere(gen, 8)
-    _kernels.tb_outcomes(xs, ys, l1, l2)
-    _kernels.gg_outcomes(xs, ys, l1, gen.random(8))
-    _kernels.agreement_probs(xs, np.full(8, 0.125), l1, l2)
-    _kernels.tally(
-        np.zeros(8, dtype=np.int64),
-        np.zeros(8, dtype=np.int64),
-        np.ones(8, dtype=np.int8),
-        np.ones(8, dtype=np.int8),
-        1,
-        1,
-    )
-    return _kernels.active_backend()
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args, env_extra=None, cwd=None):
-    """Run the CLI in a subprocess; returns (exit_code, stdout_bytes, stderr)."""
+    """Run the CLI in a subprocess; returns (exit_code, stdout_bytes, stderr).
+
+    The repository's ``src`` leads the subprocess ``PYTHONPATH``, so the
+    suite runs from a clean checkout without installing the package.
+    """
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(

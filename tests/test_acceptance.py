@@ -2,8 +2,7 @@
 
 Each test prints exactly one pass/fail line (through captured-output
 bypass, so the verdicts appear in the normal pytest run) and asserts the
-same verdict.  Timed sections exclude one-time JIT compilation, which the
-session-scoped warm-up fixture performs beforehand.
+same verdict.
 """
 
 import json
@@ -59,7 +58,7 @@ def _verdict(capsys, number, name, checks, elapsed, budget):
     assert ok, f"criterion {number} failed: {failed}"
 
 
-def test_criterion_1_singlet_reproduction(warm_kernels, capsys):
+def test_criterion_1_singlet_reproduction(capsys):
     t0 = time.perf_counter()
     checks = []
     spec = preset("chsh")
@@ -87,7 +86,7 @@ def test_criterion_1_singlet_reproduction(warm_kernels, capsys):
     _verdict(capsys, 1, "singlet reproduction", checks, time.perf_counter() - t0, 30.0)
 
 
-def test_criterion_2_headline_mi_communication(warm_kernels, capsys):
+def test_criterion_2_headline_mi_communication(capsys):
     t0 = time.perf_counter()
     quad = mi_tb_quadrature()
     mc = mi_tb_montecarlo(200_000, RandomSource(104))
@@ -100,7 +99,7 @@ def test_criterion_2_headline_mi_communication(warm_kernels, capsys):
              time.perf_counter() - t0, 5.0)
 
 
-def test_criterion_3_headline_mi_detection(warm_kernels, capsys):
+def test_criterion_3_headline_mi_detection(capsys):
     t0 = time.perf_counter()
     closed = mi_gg_uniform()
     quad = mi_gg_quadrature()
@@ -123,7 +122,7 @@ def test_criterion_3_headline_mi_detection(warm_kernels, capsys):
              time.perf_counter() - t0, 5.0)
 
 
-def test_criterion_4_exact_bound_pr_box(warm_kernels, capsys):
+def test_criterion_4_exact_bound_pr_box(capsys):
     t0 = time.perf_counter()
     spec = preset("chsh")
     comm = input_broadcast_build(pr_box_conditional(), spec)
@@ -142,7 +141,7 @@ def test_criterion_4_exact_bound_pr_box(warm_kernels, capsys):
              time.perf_counter() - t0, 1.0)
 
 
-def test_criterion_5_chain_identities(warm_kernels, capsys):
+def test_criterion_5_chain_identities(capsys):
     t0 = time.perf_counter()
     spec = preset("chsh")
     cs, _ = comm_to_cs(input_broadcast_build(pr_box_conditional(), spec), spec)
@@ -167,7 +166,7 @@ def test_criterion_5_chain_identities(warm_kernels, capsys):
     _verdict(capsys, 5, "chain identities", checks, time.perf_counter() - t0, 1.0)
 
 
-def test_criterion_6_detection_efficiencies(warm_kernels, capsys):
+def test_criterion_6_detection_efficiencies(capsys):
     t0 = time.perf_counter()
     checks = []
     gen = RandomSource(106).generator()
@@ -216,7 +215,7 @@ def test_criterion_6_detection_efficiencies(warm_kernels, capsys):
     _verdict(capsys, 6, "detection efficiencies", checks, time.perf_counter() - t0, 30.0)
 
 
-def test_criterion_7_chsh_paradox(warm_kernels, capsys):
+def test_criterion_7_chsh_paradox(capsys):
     t0 = time.perf_counter()
     spec = preset("chsh")
     corr = exact_singlet_conditional(spec)
@@ -242,7 +241,7 @@ def test_criterion_7_chsh_paradox(warm_kernels, capsys):
              time.perf_counter() - t0, 1.0)
 
 
-def test_criterion_8_finite_settings_bound(warm_kernels, capsys):
+def test_criterion_8_finite_settings_bound(capsys):
     t0 = time.perf_counter()
     est = mi_finite_settings_tb(preset("chsh"), 100_000, RandomSource(108))
     checks = [
@@ -267,7 +266,7 @@ def test_criterion_8_finite_settings_bound(warm_kernels, capsys):
     _verdict(capsys, 8, "finite-settings bound", checks, time.perf_counter() - t0, 60.0)
 
 
-def test_criterion_9_cli_determinism(warm_kernels, capsys, tmp_path):
+def test_criterion_9_cli_determinism(capsys, tmp_path):
     t0 = time.perf_counter()
     checks = []
 

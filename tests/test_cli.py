@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from bellmi.sphere import fibonacci_sphere
 from conftest import run_cli
 
 
@@ -18,13 +19,6 @@ def test_simulate_bytes_identical_across_parallelism():
     code4, out4, _ = run_cli(base + ["--parallelism", "4"])
     assert code1 == code4 == 0
     assert out1 == out4
-
-
-def test_simulate_bytes_identical_across_backends():
-    base = ["simulate", "--model", "gg", "--rounds", "20000", "--seed", "6"]
-    _, out_numba, _ = run_cli(base, env_extra={"BELLMI_BACKEND": "numba"})
-    _, out_numpy, _ = run_cli(base, env_extra={"BELLMI_BACKEND": "numpy"})
-    assert out_numba == out_numpy
 
 
 def test_repeated_commands_are_byte_identical():
@@ -225,6 +219,60 @@ def test_verify_bundled_signaling_counterexample():
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["witness"] is not None
+
+
+def test_parallel_settings_round_past_one(tmp_path):
+    # both sides share fibonacci_sphere(4); one setting's self-dot rounds
+    # to 1 + 2.2e-16, which must not make a singlet cell negative
+    settings = fibonacci_sphere(4).tolist()
+    settings_file = tmp_path / "settings.json"
+    settings_file.write_text(
+        json.dumps({"alice_settings": settings, "bob_settings": settings})
+    )
+    brans_file = tmp_path / "brans.json"
+    for args in (
+        ["simulate", "--model", "tb", "--rounds", "2000"],
+        ["transform", "--model", "brans", "--out-file", str(brans_file)],
+        ["transform", "--model", "tb", "--rounds", "2000",
+         "--out-file", str(tmp_path / "tb.json")],
+    ):
+        code, _, err = run_cli(args + ["--settings-file", str(settings_file)])
+        assert code == 0, (args, err)
+    code, out, err = run_cli(["verify", str(brans_file)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert payload["max_deviation"] == 0.0
+
+
+BAD_INPUTS = {
+    "nan-settings": (
+        "--settings-file",
+        {"alice_settings": [[float("nan")] * 3], "bob_settings": [[0.0, 0.0, 1.0]]},
+    ),
+    "nan-p-xy": (
+        "--input-dist-file",
+        {"p_xy": [[float("nan"), 0.5], [0.25, 0.25]]},
+    ),
+    "negative-seed": ("--seed", -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
+    flag, value = BAD_INPUTS[case]
+    if isinstance(value, dict):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(value))  # writes NaN, which json.loads accepts
+        value = path
+    code, out, err = run_cli(
+        ["simulate", "--model", "tb", "--rounds", "100", flag, str(value)]
+    )
+    assert code == 2, err
+    assert out == b""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -10,6 +10,8 @@ from scipy import stats
 from bellmi.errors import ConfigError, ValidationError
 from bellmi.models import (
     ConditionalTable,
+    ExactCSModel,
+    LocalityCertificate,
     SettingsSpec,
     GisinGisinModel,
     TonerBaconModel,
@@ -237,6 +239,50 @@ def test_brans_build_pins_settings_in_hidden_variable():
     del w
     # conditional matches the target bitwise
     assert model.conditional().max_deviation(corr) == 0.0
+
+
+def loop_certificate_deviation(model):
+    """Reference: the declared responses checked cell by cell in Python."""
+    j = model.joint()
+    t = model.table
+    worst = 0.0
+    for ia, ib, ix, iy, il in np.ndindex(j.shape):
+        mass = j[:, :, ix, iy, il].sum()
+        if mass <= 0.0:
+            continue
+        hidden = model.hidden_label(il)
+        pa = model.certificate.alice_response(t.labels("a")[ia], t.labels("x")[ix], hidden)
+        pb = model.certificate.bob_response(t.labels("b")[ib], t.labels("y")[iy], hidden)
+        worst = max(worst, abs(j[ia, ib, ix, iy, il] / mass - pa * pb))
+    return worst
+
+
+def test_certificate_deviation_matches_cell_loop():
+    from bellmi.transforms import comm_to_cs
+
+    spec = preset("chsh")
+    corr = exact_singlet_conditional(spec)
+    models = [
+        brans_build(corr, spec),
+        comm_to_cs(input_broadcast_build(pr_box_conditional(), spec), spec)[0],
+    ]
+    for model in models:
+        cert = model.certificate
+        variants = {
+            "declared": (cert.alice_response, cert.bob_response, 0.0),
+            "flipped a": (lambda a, x, h: 1.0 - cert.alice_response(a, x, h),
+                          cert.bob_response, 1.0),
+            "coin b": (cert.alice_response, lambda b, y, h: 0.5, 0.5),
+        }
+        for name, (alice, bob, want) in variants.items():
+            altered = ExactCSModel(
+                table=model.table,
+                hidden_vars=model.hidden_vars,
+                certificate=LocalityCertificate(alice, bob, name),
+            )
+            got = altered.certificate_deviation()
+            assert got == want, name
+            assert got == loop_certificate_deviation(altered), name
 
 
 def test_brans_mi_equals_input_entropy_property():

@@ -125,23 +125,6 @@ def test_conditional_mi_with_empty_conditioner_is_mi():
     )
 
 
-def test_is_product_detects_correlation():
-    gen = np.random.default_rng(5)
-    pa = gen.random(2)
-    pa /= pa.sum()
-    pb = gen.random(3)
-    pb /= pb.sum()
-    prod = FiniteDistribution([("x", (0, 1)), ("y", (0, 1, 2))], np.outer(pa, pb))
-    assert prod.is_product(("x",), ("y",)).ok
-    corr = FiniteDistribution(
-        [("x", (0, 1)), ("y", (0, 1))], np.array([[0.5, 0.0], [0.0, 0.5]])
-    )
-    check = corr.is_product(("x",), ("y",))
-    assert not check.ok
-    assert check.witness is not None
-    assert check.max_deviation == pytest.approx(0.25, abs=1e-12)
-
-
 def test_product_table_builds_independent_joint():
     a = FiniteDistribution([("x", (0, 1))], np.array([0.25, 0.75]))
     b = FiniteDistribution([("y", (0, 1))], np.array([0.5, 0.5]))
