@@ -151,15 +151,13 @@ def estimate_correlations(
     rounds: int,
     source: RandomSource,
     parallelism: int = 1,
-    cycle_settings: bool = False,
 ) -> CorrelationTable:
     """Run ``rounds`` model rounds and tally per-cell outcome counts.
 
-    Settings are drawn from the spec's P(x,y), or swept deterministically
-    over cells in row-major order when ``cycle_settings`` is set.  Rounds
-    are processed in :data:`CHUNK_ROUNDS`-sized chunks, each on its own
-    split random sub-stream; chunk results are reduced in chunk order, so
-    the outcome is bit-identical for a given seed at any ``parallelism``.
+    Settings are drawn from the spec's P(x,y).  Rounds are processed in
+    :data:`CHUNK_ROUNDS`-sized chunks, each on its own split random
+    sub-stream; chunk results are reduced in chunk order, so the outcome is
+    bit-identical for a given seed at any ``parallelism``.
     """
     spec._require_finite()
     if rounds < 1:
@@ -176,10 +174,7 @@ def estimate_correlations(
         k = min(CHUNK_ROUNDS, rounds - start)
         s_set, s_mod = children[i].split(2)
         gen = s_set.generator()
-        if cycle_settings:
-            x_idx, y_idx = spec.cycle_indices(start, k)
-        else:
-            x_idx, y_idx = spec.sample_indices(gen, k)
+        x_idx, y_idx = spec.sample_indices(gen, k)
         xs, ys = spec.vectors_for(x_idx, y_idx)
         batch = model.sample_rounds(xs, ys, s_mod)
         code = x_idx * n_b + y_idx
@@ -278,8 +273,11 @@ def verify_bell_local(model: ExactCSModel, tol: float = 1e-9) -> LocalityReport:
     Alice's, and the conditional P(a,b|x,y,lambda) must equal their product
     at every support point.  A model whose outcome leaks information about
     the remote setting fails here even though its conditionals factorize
-    trivially once both settings are fixed.
+    trivially once both settings are fixed.  ``tol`` must be finite and
+    nonnegative.
     """
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise ConfigError(f"verify tolerance must be finite and >= 0, got {tol!r}")
     j = model.joint()
     with np.errstate(divide="ignore", invalid="ignore"):
         resp_a = j.sum(axis=(1, 3)) / j.sum(axis=(0, 1, 3))[None, :, :]  # P(a|x,lam)

@@ -18,8 +18,6 @@ import argparse
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import analysis, serialize, transforms
 from .errors import (
     AcceptanceFloorError,
@@ -33,13 +31,11 @@ from .models import (
     GisinGisinModel,
     SettingsSpec,
     TonerBaconModel,
-    brans_build,
     input_broadcast_build,
     pr_box_conditional,
     preset,
 )
 from .sphere import RandomSource
-from .transforms import TransformReport
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -179,42 +175,26 @@ def cmd_transform(args) -> int:
     if not args.out_file:
         raise ConfigError("transform needs --out-file for the model file")
     source = RandomSource(args.seed)
-    if args.model == "brans":
+    if args.model in ("brans", "input-broadcast"):
         spec, corr = _resolve_corr_and_spec(args)
-        cs = brans_build(corr, spec)
-        report = TransformReport(
-            source="brans",
-            corr_deviation=cs.conditional().max_deviation(corr),
-            inputs_deviation=float(np.max(np.abs(cs.input_marginal() - spec.p_xy))),
-            mi_value=analysis.mi_exact_finite(cs).value,
-            mi_bound=None,
-            extras={"exact": True, "lambda_support": len(cs.table.labels("lam"))},
-        )
-        model_text = serialize.json_text(serialize.model_payload(cs))
-    elif args.model == "input-broadcast":
-        spec, corr = _resolve_corr_and_spec(args)
-        comm = input_broadcast_build(corr, spec)
-        cs, report = transforms.comm_to_cs(comm, spec)
-        model_text = serialize.json_text(serialize.model_payload(cs))
-    elif args.model == "tb":
+        if args.model == "brans":
+            cs, report = transforms.brans_to_cs(corr, spec)
+        else:
+            cs, report = transforms.comm_to_cs(input_broadcast_build(corr, spec), spec)
+        model_payload = serialize.model_payload(cs)
+    else:
         spec = _build_spec(args)
-        cs, report = transforms.comm_to_cs(
-            TonerBaconModel(), spec, source=source, rounds=args.rounds
-        )
-        model_text = serialize.json_text(serialize.sampler_payload(cs, seed=args.seed))
-    elif args.model == "gg":
-        spec = _build_spec(args)
-        cs, report = transforms.det_to_cs(
-            GisinGisinModel(),
-            spec,
-            source=source,
-            rounds=args.rounds,
-            floor=args.floor,
-        )
-        model_text = serialize.json_text(serialize.sampler_payload(cs, seed=args.seed))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown model {args.model!r}")
-    _emit(model_text, args.out_file)
+        if args.model == "tb":
+            cs, report = transforms.comm_to_cs(
+                TonerBaconModel(), spec, source=source, rounds=args.rounds
+            )
+        else:
+            cs, report = transforms.det_to_cs(
+                GisinGisinModel(), spec, source=source, rounds=args.rounds,
+                floor=args.floor,
+            )
+        model_payload = serialize.sampler_payload(cs, seed=args.seed)
+    _emit(serialize.json_text(model_payload), args.out_file)
     _emit(serialize.json_text(serialize.transform_payload(report)), None)
     return EXIT_OK
 
@@ -292,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=transforms.REPORT_ROUNDS,
                    help="Monte Carlo rounds for sampled-path report checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--floor", type=float, default=1e-6,
+    p.add_argument("--floor", type=float, default=transforms.DEFAULT_FLOOR,
                    help="abort when the double-click acceptance rate sits below this")
     p.add_argument("--out-file", default=None, help="model file destination (required)")
     p.set_defaults(func=cmd_transform)

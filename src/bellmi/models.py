@@ -167,12 +167,6 @@ class SettingsSpec:
         codes = gen.choice(flat.size, size=n, p=flat)
         return codes // self.n_bob, codes % self.n_bob
 
-    def cycle_indices(self, start: int, n: int):
-        """Deterministic row-major sweep over cells, offset by ``start``."""
-        self._require_finite()
-        codes = (start + np.arange(n, dtype=np.int64)) % (self.n_alice * self.n_bob)
-        return codes // self.n_bob, codes % self.n_bob
-
     def vectors_for(self, x_idx, y_idx):
         """Setting vectors for index arrays; returns (xs, ys) of shape (n, 3)."""
         self._require_finite()
@@ -329,6 +323,7 @@ class TonerBaconModel:
     """
 
     name = "tb"
+    hidden_names = ("l1", "l2", "m")  # fields of TBRounds that form lambda
     message_entropy_bound = 1.0  # H(m) for a single bit
 
     def sample_rounds(self, xs, ys, source: RandomSource) -> TBRounds:
@@ -376,6 +371,27 @@ class TonerBaconModel:
     def target_correlator(self, x, y) -> float:
         """Quantum prediction this model reproduces: E = -x.y."""
         return -float(np.dot(x, y))
+
+    def response_certificate(self) -> "LocalityCertificate":
+        """Deterministic replay of the protocol given lambda = (lambda1,
+        lambda2, m)."""
+
+        def alice_response(a, x, hidden) -> float:
+            l1, l2, m = hidden
+            return 1.0 if a == self.alice_output(x, l1, l2, int(m)) else 0.0
+
+        def bob_response(b, y, hidden) -> float:
+            l1, l2, m = hidden
+            return 1.0 if b == self.bob_output(y, l1, l2, int(m)) else 0.0
+
+        return LocalityCertificate(
+            alice_response=alice_response,
+            bob_response=bob_response,
+            description=(
+                "deterministic replay of the one-bit protocol with "
+                "lambda = (lambda1, lambda2, m)"
+            ),
+        )
 
 
 def tb_round(x, y, source: RandomSource) -> TBRound:
@@ -436,6 +452,7 @@ class GisinGisinModel:
     """
 
     name = "gg"
+    hidden_names = ("lam",)  # fields of GGRounds that form lambda
 
     def sample_rounds(self, xs, ys, source: RandomSource) -> GGRounds:
         xs = np.ascontiguousarray(xs, dtype=np.float64)

@@ -18,8 +18,8 @@ Conventions fixed for the whole package:
   factorizes exactly in floating point (independent variables built from
   dyadic weights come out at literal zero, not 1e-16).
 
-Tables are immutable; every operation returns a new table, so concurrent use
-needs no coordination.
+Tables are immutable; every operation returns a new table (or the table
+itself when it changes nothing), so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -201,8 +201,9 @@ class FiniteDistribution:
         if not kept:
             raise ConfigError("marginal() needs at least one variable to keep")
         drop = tuple(i for i, n in enumerate(self._names) if n not in keep_set)
-        w = self._weights.sum(axis=drop) if drop else self._weights
-        return FiniteDistribution(kept, w)
+        if not drop:
+            return self  # immutable, so nothing to copy
+        return FiniteDistribution(kept, self._weights.sum(axis=drop))
 
     def condition(self, evidence: Mapping[str, Hashable]) -> "FiniteDistribution":
         """Renormalized restriction to ``{name: label}`` evidence.

@@ -1,6 +1,6 @@
 """Constructions turning other model classes into correlated-settings models.
 
-Two directions are supported:
+Three conversions are supported:
 
 - :func:`comm_to_cs` absorbs a communication model's conversation into the
   hidden variable, lambda = (mu, m).  For finite models this is an exact
@@ -10,9 +10,14 @@ Two directions are supported:
 - :func:`det_to_cs` turns a detection model into a post-selected sampler by
   rejecting rounds until both detectors click, which realizes conditioning
   on the double-click event exactly (no density reweighting).
+- :func:`brans_to_cs` builds the settings-fixing model of a target table,
+  whose hidden variable determines settings and outcomes (I = H(x,y)).
 
-Both return the model together with a :class:`TransformReport` recording
-reproduction deviations and the information bound where available.
+The two sampled conversions share one sampler and one Monte Carlo report
+(:func:`_sampled_cs`); the two exact ones share one exact report
+(:func:`_exact_report`).  Each returns the model together with a
+:class:`TransformReport` recording reproduction deviations and the
+information bound where available.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .models import (
     SampledCSModel,
     SettingsSpec,
     TonerBaconModel,
+    brans_build,
 )
 from .sphere import RandomSource, sample_uniform_sphere
 from .table import FiniteDistribution
@@ -47,8 +53,11 @@ from .table import FiniteDistribution
 # Default Monte Carlo effort for the report's reproduction checks.
 REPORT_ROUNDS = 200_000
 
-# det_to_cs gives up when the observed acceptance rate sits below the floor
-# after at least this many attempted rounds.
+# Default acceptance floor of det_to_cs and of ``transform --floor``.
+DEFAULT_FLOOR = 1e-6
+
+# A sampled draw gives up when the observed acceptance rate sits below the
+# floor after at least this many attempted rounds.
 FLOOR_EVIDENCE_ROUNDS = 65_536
 
 # Hard cap on attempted rounds per draw call, so a zero-acceptance model
@@ -108,6 +117,24 @@ def comm_conditional(model: FiniteCommModel, spec: SettingsSpec) -> ConditionalT
     return ConditionalTable(out)
 
 
+def _exact_report(
+    cs: ExactCSModel,
+    target: ConditionalTable,
+    source: str,
+    mi_bound: Optional[float],
+    **extras,
+) -> TransformReport:
+    """Exact reproduction deviations and I(x,y:lambda) of a finite model."""
+    return TransformReport(
+        source=source,
+        corr_deviation=cs.conditional().max_deviation(target),
+        inputs_deviation=float(np.max(np.abs(cs.input_marginal() - cs.spec.p_xy))),
+        mi_value=analysis.mi_exact_finite(cs).value,
+        mi_bound=mi_bound,
+        extras={"exact": True, **extras},
+    )
+
+
 def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
     spec._require_finite()
     n_a, n_b = spec.n_alice, spec.n_bob
@@ -156,15 +183,21 @@ def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
         table=table, hidden_vars=("mu", "m"), spec=spec, certificate=certificate
     )
     target = model.target if model.target is not None else comm_conditional(model, spec)
-    report = TransformReport(
-        source=model.name,
-        corr_deviation=cs.conditional().max_deviation(target),
-        inputs_deviation=float(np.max(np.abs(cs.input_marginal() - p_xy))),
-        mi_value=table.mutual_information(("x", "y"), ("mu", "m")),
-        mi_bound=table.entropy(("m",)),
-        extras={"exact": True, "mu_support": len(model.mu_labels)},
+    report = _exact_report(
+        cs, target, model.name, table.entropy(("m",)), mu_support=len(model.mu_labels)
     )
     return cs, report
+
+
+def brans_to_cs(corr: ConditionalTable, spec: SettingsSpec):
+    """The settings-fixing model of :func:`brans_build` with its exact report.
+
+    Returns ``(cs_model, report)``; the report has no message-entropy bound.
+    """
+    cs = brans_build(corr, spec)
+    return cs, _exact_report(
+        cs, corr, "brans", None, lambda_support=len(cs.table.labels("lam"))
+    )
 
 
 def _random_pair_spec(gen: np.random.Generator, pairs: int) -> SettingsSpec:
@@ -190,51 +223,78 @@ def _target_from_correlator(model, spec: SettingsSpec) -> ConditionalTable:
     )
 
 
-def _comm_to_cs_sampled(
-    model: TonerBaconModel, spec: SettingsSpec, source: RandomSource, rounds: int
+def _draw_settings(spec: SettingsSpec, gen: np.random.Generator, n: int):
+    """``(xs, ys, x_idx, y_idx)`` for n rounds: index pairs from P(x,y) on a
+    finite spec, independent uniform sphere vectors (indices None) otherwise."""
+    if spec.is_finite:
+        x_idx, y_idx = spec.sample_indices(gen, n)
+        return (*spec.vectors_for(x_idx, y_idx), x_idx, y_idx)
+    return sample_uniform_sphere(gen, n), sample_uniform_sphere(gen, n), None, None
+
+
+def _sampled_cs(
+    model: Union[TonerBaconModel, GisinGisinModel],
+    spec: SettingsSpec,
+    source: RandomSource,
+    rounds: int,
+    floor: float,
+    *,
+    kind: str,
+    mi_bound: Optional[float],
 ):
+    """Seeded round sampler of ``model`` plus its Monte Carlo report.
+
+    ``draw`` keeps the rounds whose batch ``kept`` mask is set (every round
+    when ``kept`` is None) and exposes the model's ``hidden_names`` fields.
+    The report checks ``rounds`` rounds on the spec's own cells, or on
+    eight random setting pairs for the continuous spec.
+    """
+    if not 0.0 < floor <= 1.0:  # NaN fails too
+        raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
+
     def draw(src: RandomSource, n: int) -> CSRounds:
         s_set, s_mod = src.split(2)
         gen = s_set.generator()
-        if spec.is_finite:
-            x_idx, y_idx = spec.sample_indices(gen, n)
-            xs, ys = spec.vectors_for(x_idx, y_idx)
-        else:
-            x_idx = y_idx = None
-            xs = sample_uniform_sphere(gen, n)
-            ys = sample_uniform_sphere(gen, n)
-        batch = model.sample_rounds(xs, ys, s_mod)
-        return CSRounds(
-            a=batch.a,
-            b=batch.b,
-            xs=xs,
-            ys=ys,
-            x_idx=x_idx,
-            y_idx=y_idx,
-            hidden={"l1": batch.l1, "l2": batch.l2, "m": batch.m},
-        )
-
-    def alice_response(a, x, hidden) -> float:
-        l1, l2, m = hidden
-        return 1.0 if a == model.alice_output(x, l1, l2, int(m)) else 0.0
-
-    def bob_response(b, y, hidden) -> float:
-        l1, l2, m = hidden
-        return 1.0 if b == model.bob_output(y, l1, l2, int(m)) else 0.0
+        pieces = []
+        attempted = 0
+        accepted = 0
+        while not pieces or accepted < n:
+            k = min(65536, max(4096, n))
+            xs, ys, x_idx, y_idx = _draw_settings(spec, gen, k)
+            batch = model.sample_rounds(xs, ys, s_mod)
+            piece = {"a": batch.a, "b": batch.b, "xs": xs, "ys": ys,
+                     "x_idx": x_idx, "y_idx": y_idx}
+            piece.update((h, getattr(batch, h)) for h in model.hidden_names)
+            keep = batch.kept
+            if keep is not None:
+                piece = {f: None if v is None else v[keep] for f, v in piece.items()}
+            attempted += k
+            accepted += piece["a"].shape[0]
+            pieces.append(piece)
+            if attempted >= FLOOR_EVIDENCE_ROUNDS and accepted < floor * attempted:
+                raise AcceptanceFloorError(
+                    f"double-click acceptance rate {accepted / attempted:.3e} "
+                    f"fell below the floor {floor:.3e} after {attempted} rounds"
+                )
+            if attempted > MAX_ATTEMPT_FACTOR * max(n, 1) and accepted == 0:
+                raise AcceptanceFloorError(
+                    f"no double clicks in {attempted} rounds; acceptance "
+                    "appears to be zero"
+                )
+        out = {
+            f: None if pieces[0][f] is None
+            else np.concatenate([p[f] for p in pieces])[:n]
+            for f in pieces[0]
+        }
+        hidden = {h: out.pop(h) for h in model.hidden_names}
+        return CSRounds(**out, hidden=hidden)
 
     cs = SampledCSModel(
-        kind="tb-comm",
+        kind=kind,
         spec=spec,
-        hidden_names=("l1", "l2", "m"),
+        hidden_names=model.hidden_names,
         draw=draw,
-        certificate=LocalityCertificate(
-            alice_response=alice_response,
-            bob_response=bob_response,
-            description=(
-                "deterministic replay of the one-bit protocol with "
-                "lambda = (lambda1, lambda2, m)"
-            ),
-        ),
+        certificate=model.response_certificate(),
     )
 
     s_spec, s_est = source.split(2)
@@ -243,25 +303,36 @@ def _comm_to_cs_sampled(
     else:
         check_spec = _random_pair_spec(s_spec.generator(), 8)
     est = analysis.estimate_correlations(model, check_spec, rounds, s_est)
-    target = _target_from_correlator(model, check_spec)
+    kept = est.kept_per_cell.sum()
+    if kept < floor * rounds:
+        raise AcceptanceFloorError(
+            f"double-click acceptance rate {kept / rounds:.3e} fell below the "
+            f"floor {floor:.3e} in the report run ({rounds} rounds)"
+        )
+    extras = {"exact": False, "check_rounds": rounds}
+    if est.has_detection:
+        extras["acceptance_rate"] = float(kept / rounds)
+        extras["alice_efficiency"] = [float(v) for v in est.alice_efficiency()]
+        extras["bob_efficiency"] = est.bob_efficiency()
     report = TransformReport(
         source=model.name,
-        corr_deviation=_estimated_corr_deviation(est, target),
+        corr_deviation=_estimated_corr_deviation(
+            est, _target_from_correlator(model, check_spec)
+        ),
         inputs_deviation=_estimated_inputs_deviation(est),
         mi_value=None,
-        mi_bound=model.message_entropy_bound,
-        extras={"exact": False, "check_rounds": rounds},
+        mi_bound=mi_bound,
+        extras=extras,
     )
     return cs, report
 
 
 def _estimated_corr_deviation(est, target: ConditionalTable) -> float:
-    worst = 0.0
-    for x, y in np.ndindex(est.spec.n_alice, est.spec.n_bob):
-        if (x, y) in est.empty_cells:
-            continue
-        worst = max(worst, float(np.max(np.abs(est.cell_probs(x, y) - target.probs[x, y]))))
-    return worst
+    """Max |estimated - target| P(a,b|x,y) over the cells that kept rounds."""
+    kept = est.kept_per_cell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.abs(est.counts / kept[:, :, None, None] - target.probs)
+    return float(np.max(dev.max(axis=(2, 3)), initial=0.0, where=kept > 0))
 
 
 def _estimated_inputs_deviation(est) -> float:
@@ -294,17 +365,20 @@ def comm_to_cs(
     if isinstance(model, TonerBaconModel):
         if source is None:
             raise ConfigError("comm_to_cs needs a RandomSource for sampled models")
-        return _comm_to_cs_sampled(model, spec, source, rounds)
+        return _sampled_cs(
+            model, spec, source, rounds, DEFAULT_FLOOR,
+            kind="tb-comm", mi_bound=model.message_entropy_bound,
+        )
     raise ConfigError(f"comm_to_cs cannot handle {type(model).__name__}")
 
 
 def det_to_cs(
-    dmodel,
+    dmodel: GisinGisinModel,
     spec: SettingsSpec,
     *,
     source: RandomSource,
     rounds: int = REPORT_ROUNDS,
-    floor: float = 1e-6,
+    floor: float = DEFAULT_FLOOR,
 ):
     """Post-select a detection model on both detectors clicking.
 
@@ -317,102 +391,7 @@ def det_to_cs(
 
     Returns ``(cs_model, report)``.
     """
-    if floor <= 0.0 or floor > 1.0:
-        raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
-
-    def draw(src: RandomSource, n: int) -> CSRounds:
-        s_set, s_mod = src.split(2)
-        gen = s_set.generator()
-        pieces = []
-        attempted = 0
-        accepted = 0
-        while accepted < n:
-            k = min(65536, max(4096, n))
-            if spec.is_finite:
-                x_idx, y_idx = spec.sample_indices(gen, k)
-                xs, ys = spec.vectors_for(x_idx, y_idx)
-            else:
-                x_idx = y_idx = None
-                xs = sample_uniform_sphere(gen, k)
-                ys = sample_uniform_sphere(gen, k)
-            batch = dmodel.sample_rounds(xs, ys, s_mod)
-            keep = batch.kept
-            attempted += k
-            accepted += int(keep.sum())
-            pieces.append((xs, ys, x_idx, y_idx, batch, keep))
-            if attempted >= FLOOR_EVIDENCE_ROUNDS and accepted < floor * attempted:
-                raise AcceptanceFloorError(
-                    f"double-click acceptance rate {accepted / attempted:.3e} "
-                    f"fell below the floor {floor:.3e} after {attempted} rounds"
-                )
-            if attempted > MAX_ATTEMPT_FACTOR * max(n, 1) and accepted == 0:
-                raise AcceptanceFloorError(
-                    f"no double clicks in {attempted} rounds; acceptance "
-                    "appears to be zero"
-                )
-
-        def gather(parts):
-            return np.concatenate(parts)[:n]
-
-        xs = gather([p[0][p[5]] for p in pieces])
-        ys = gather([p[1][p[5]] for p in pieces])
-        if spec.is_finite:
-            x_idx = gather([p[2][p[5]] for p in pieces])
-            y_idx = gather([p[3][p[5]] for p in pieces])
-        else:
-            x_idx = y_idx = None
-        return CSRounds(
-            a=gather([p[4].a[p[5]] for p in pieces]),
-            b=gather([p[4].b[p[5]] for p in pieces]),
-            xs=xs,
-            ys=ys,
-            x_idx=x_idx,
-            y_idx=y_idx,
-            hidden={"lam": gather([p[4].lam[p[5]] for p in pieces])},
-        )
-
-    certificate = None
-    make_cert = getattr(dmodel, "response_certificate", None)
-    if make_cert is not None:
-        certificate = make_cert()
-    cs = SampledCSModel(
-        kind=f"{getattr(dmodel, 'name', type(dmodel).__name__)}-postselected",
-        spec=spec,
-        hidden_names=("lam",),
-        draw=draw,
-        certificate=certificate,
+    return _sampled_cs(
+        dmodel, spec, source, rounds, floor,
+        kind=f"{dmodel.name}-postselected", mi_bound=None,
     )
-
-    s_spec, s_est = source.split(2)
-    if spec.is_finite:
-        check_spec = spec
-    else:
-        check_spec = _random_pair_spec(s_spec.generator(), 8)
-    est = analysis.estimate_correlations(dmodel, check_spec, rounds, s_est)
-    if est.kept_per_cell.sum() < floor * rounds:
-        raise AcceptanceFloorError(
-            f"double-click acceptance rate "
-            f"{est.kept_per_cell.sum() / rounds:.3e} fell below the floor "
-            f"{floor:.3e} in the report run ({rounds} rounds)"
-        )
-    corr_dev = None
-    if getattr(dmodel, "target_correlator", None) is not None:
-        target = _target_from_correlator(dmodel, check_spec)
-        corr_dev = _estimated_corr_deviation(est, target)
-    report = TransformReport(
-        source=getattr(dmodel, "name", type(dmodel).__name__),
-        corr_deviation=corr_dev,
-        inputs_deviation=_estimated_inputs_deviation(est),
-        mi_value=None,
-        mi_bound=None,
-        extras={
-            "exact": False,
-            "check_rounds": rounds,
-            "acceptance_rate": float(est.kept_per_cell.sum() / rounds),
-            "alice_efficiency": [float(v) for v in est.alice_efficiency()]
-            if est.has_detection
-            else None,
-            "bob_efficiency": est.bob_efficiency() if est.has_detection else None,
-        },
-    )
-    return cs, report

@@ -85,14 +85,6 @@ def test_estimate_correlator_tracks_target():
     assert abs(e - singlet_correlation(x, y)) < 4 * se
 
 
-def test_estimate_cycle_settings_visits_cells_equally():
-    spec = preset("chsh")
-    est = estimate_correlations(
-        TonerBaconModel(), spec, 80_000, RandomSource(62), cycle_settings=True
-    )
-    np.testing.assert_array_equal(est.attempts, 20_000)
-
-
 def test_estimate_rejects_bad_args():
     spec = preset("chsh")
     with pytest.raises(ConfigError):

@@ -245,29 +245,39 @@ def test_parallel_settings_round_past_one(tmp_path):
     assert payload["max_deviation"] == 0.0
 
 
+SIMULATE = ["simulate", "--model", "tb", "--rounds", "100"]
+SIGNALING = str(resources.files("bellmi").joinpath("data/signaling_counterexample.json"))
+
+# case -> (argv, payload); the payload, if any, is written to input.json in
+# the working directory of the run.
 BAD_INPUTS = {
     "nan-settings": (
-        "--settings-file",
+        SIMULATE + ["--settings-file", "input.json"],
         {"alice_settings": [[float("nan")] * 3], "bob_settings": [[0.0, 0.0, 1.0]]},
     ),
     "nan-p-xy": (
-        "--input-dist-file",
+        SIMULATE + ["--input-dist-file", "input.json"],
         {"p_xy": [[float("nan"), 0.5], [0.25, 0.25]]},
     ),
-    "negative-seed": ("--seed", -1),
+    "negative-seed": (SIMULATE + ["--seed", "-1"], None),
+    "verify-tol-nan": (["verify", SIGNALING, "--tol", "nan"], None),
+    "verify-tol-negative": (["verify", SIGNALING, "--tol", "-1"], None),
+    "verify-tol-inf": (["verify", SIGNALING, "--tol", "inf"], None),
+    "floor-nan": (
+        ["transform", "--model", "gg", "--rounds", "1000", "--floor", "nan",
+         "--out-file", "model.json"],
+        None,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
-    flag, value = BAD_INPUTS[case]
-    if isinstance(value, dict):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(value))  # writes NaN, which json.loads accepts
-        value = path
-    code, out, err = run_cli(
-        ["simulate", "--model", "tb", "--rounds", "100", flag, str(value)]
-    )
+    argv, payload = BAD_INPUTS[case]
+    if payload is not None:
+        # writes NaN, which json.loads accepts
+        (tmp_path / "input.json").write_text(json.dumps(payload))
+    code, out, err = run_cli(argv, cwd=tmp_path)
     assert code == 2, err
     assert out == b""
     assert "Traceback" not in err

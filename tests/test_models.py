@@ -73,18 +73,6 @@ def test_sample_indices_follow_input_dist():
     assert stats.chi2.sf(chi2, live.sum() - 1) > 1e-4
 
 
-def test_cycle_indices_sweep_cells_evenly():
-    spec = SettingsSpec.finite(np.eye(3)[:2], np.eye(3))
-    x_idx, y_idx = spec.cycle_indices(0, 12)
-    counts = np.zeros((2, 3), dtype=int)
-    np.add.at(counts, (x_idx, y_idx), 1)
-    assert np.all(counts == 2)
-    # a later chunk continues the sweep where the previous one stopped
-    x2, y2 = spec.cycle_indices(12, 6)
-    np.testing.assert_array_equal(x2, x_idx[:6])
-    np.testing.assert_array_equal(y2, y_idx[:6])
-
-
 # ----------------------------------------------------------------------
 # conditional tables
 # ----------------------------------------------------------------------

@@ -38,6 +38,12 @@ def test_prob_and_marginal():
     assert myx.prob({"y": "v", "x": 0}) == 0.2
 
 
+def test_marginal_over_every_variable_is_the_table_itself():
+    t = random_table(np.random.default_rng(3), (2, 3, 4), ("a", "b", "c"))
+    assert t.marginal(t.variables) is t
+    assert t.marginal(("c", "a", "b")) is t
+
+
 def test_condition_renormalizes_with_point_mass_evidence():
     t = FiniteDistribution(
         [("x", (0, 1)), ("y", (0, 1))],

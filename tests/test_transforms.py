@@ -22,11 +22,12 @@ from bellmi.models import (
 from bellmi.sphere import RandomSource
 from bellmi.transforms import (
     TransformReport,
+    _estimated_corr_deviation,
     comm_conditional,
     comm_to_cs,
     det_to_cs,
 )
-from bellmi.analysis import exact_singlet_conditional
+from bellmi.analysis import CorrelationTable, exact_singlet_conditional
 
 
 def test_report_rejects_negative_deviations():
@@ -43,6 +44,22 @@ def test_report_rejects_mi_above_bound():
             mi_value=1.5,
             mi_bound=1.0,
         )
+
+
+def test_estimated_corr_deviation_matches_cell_loop():
+    spec = SettingsSpec.finite(np.eye(3), np.eye(3)[:2])
+    counts = np.random.default_rng(5).integers(0, 50, size=(3, 2, 2, 2))
+    counts[1, 0] = 0  # an empty cell is skipped, not read as P = 0 or NaN
+    est = CorrelationTable(spec=spec, counts=counts, attempts=counts.sum(axis=(2, 3)))
+    target = exact_singlet_conditional(spec)
+    worst = 0.0
+    for x, y in np.ndindex(3, 2):
+        if (x, y) not in est.empty_cells:
+            dev = np.abs(est.cell_probs(x, y) - target.probs[x, y])
+            worst = max(worst, float(np.max(dev)))
+    assert _estimated_corr_deviation(est, target) == worst
+    empty = CorrelationTable(spec=spec, counts=0 * counts, attempts=0 * est.attempts)
+    assert _estimated_corr_deviation(empty, target) == 0.0
 
 
 def test_comm_conditional_reproduces_pr_box():
@@ -131,16 +148,40 @@ def test_det_to_cs_report_fields():
     assert cs.certificate is not None
 
 
-def test_det_to_cs_draw_returns_exactly_n_kept_rounds():
-    spec = preset("chsh")
-    cs, _ = det_to_cs(GisinGisinModel(), spec, source=RandomSource(51), rounds=50_000)
+SAMPLED = {
+    "tb": lambda spec: comm_to_cs(
+        TonerBaconModel(), spec, source=RandomSource(51), rounds=50_000
+    ),
+    "gg": lambda spec: det_to_cs(
+        GisinGisinModel(), spec, source=RandomSource(51), rounds=50_000
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SAMPLED))
+def test_det_to_cs_draw_returns_exactly_n_kept_rounds(model):
+    cs, _ = SAMPLED[model](preset("chsh"))
     d = cs.draw(RandomSource(1), 777)
-    assert d.a.shape == (777,)
-    assert d.hidden["lam"].shape == (777, 3)
+    assert d.a.shape == d.b.shape == d.x_idx.shape == (777,)
+    assert d.xs.shape == d.ys.shape == (777, 3)
+    assert set(d.hidden) == set(cs.hidden_names)
+    for h in cs.hidden_names:
+        assert d.hidden[h].shape[0] == 777
+    if model == "gg":
+        assert d.hidden["lam"].shape == (777, 3)
     # post-selection keeps only double-click rounds, so outcomes are definite
     assert set(np.unique(d.a)) <= {-1, 1}
     d2 = cs.draw(RandomSource(1), 777)
     np.testing.assert_array_equal(d.b, d2.b)
+    for h in cs.hidden_names:
+        np.testing.assert_array_equal(d.hidden[h], d2.hidden[h])
+    # the declared responses reproduce every drawn outcome from its hidden
+    # variables, so the gathered fields line up round by round
+    cert = cs.certificate
+    for i in range(777):
+        hidden = tuple(d.hidden[h][i] for h in cs.hidden_names)
+        assert cert.alice_response(d.a[i], d.xs[i], hidden) == 1.0
+        assert cert.bob_response(d.b[i], d.ys[i], hidden) == 1.0
 
 
 def test_det_to_cs_floor_validation_and_breach():
@@ -149,6 +190,8 @@ def test_det_to_cs_floor_validation_and_breach():
         det_to_cs(GisinGisinModel(), spec, source=RandomSource(1), floor=0.0)
     with pytest.raises(ConfigError):
         det_to_cs(GisinGisinModel(), spec, source=RandomSource(1), floor=1.5)
+    with pytest.raises(ConfigError):
+        det_to_cs(GisinGisinModel(), spec, source=RandomSource(1), floor=float("nan"))
     # acceptance sits near 0.5, so a 0.9 floor must abort
     with pytest.raises(AcceptanceFloorError):
         det_to_cs(
