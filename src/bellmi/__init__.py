@@ -54,11 +54,9 @@ from .models import (
     SettingsSpec,
     TonerBaconModel,
     brans_build,
-    gg_round,
     input_broadcast_build,
     pr_box_conditional,
     preset,
-    tb_round,
 )
 from .sphere import RandomSource, angle_between, sample_uniform_sphere, sgn_dot
 from .table import FiniteDistribution, binary_entropy, product_table
@@ -96,7 +94,6 @@ __all__ = [
     "det_to_cs",
     "estimate_correlations",
     "exact_singlet_conditional",
-    "gg_round",
     "input_broadcast_build",
     "make_signaling_example",
     "mi_exact_finite",
@@ -112,6 +109,5 @@ __all__ = [
     "sample_uniform_sphere",
     "sgn_dot",
     "singlet_correlation",
-    "tb_round",
     "verify_bell_local",
 ]

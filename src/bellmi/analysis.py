@@ -1,10 +1,12 @@
 """Correlation estimation, CHSH, locality verification, and mutual information.
 
 The quantum oracle throughout is the singlet correlator E = -x.y for
-projective measurements along unit vectors x and y.  Monte Carlo estimation
-is chunked over split random sub-streams and reduced in fixed chunk order,
-so results are bit-identical for a given seed regardless of the parallelism
-degree.
+projective measurements along unit vectors x and y.  Every Monte Carlo
+estimator (correlation tables and the three mutual-information oracles)
+runs through one chunk loop: :data:`CHUNK_ROUNDS`-sample chunks, each on its
+own split random sub-stream, reduced in fixed chunk order.  Memory stays one
+chunk deep, and results are bit-identical for a given seed regardless of the
+parallelism degree.
 
 The two headline information numbers:
 
@@ -145,6 +147,26 @@ class CorrelationTable:
         return float(self.clicks_b.sum() / self.attempts.sum())
 
 
+def _chunks(source: RandomSource, total: int, run, parallelism: int = 1) -> list:
+    """``run(sub_source, k)`` over ``total`` items cut into chunks, in chunk order.
+
+    Chunk i covers ``k = min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS)`` items
+    and draws only from the i-th of ``source.split(n_chunks)``, so the
+    results do not depend on ``parallelism``.  Callers reduce each chunk to
+    a small summary, which keeps memory one chunk deep.
+    """
+    n_chunks = (total + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
+    children = source.split(n_chunks)
+
+    def one(i: int):
+        return run(children[i], min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS))
+
+    if parallelism == 1:
+        return [one(i) for i in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(one, range(n_chunks)))
+
+
 def estimate_correlations(
     model,
     spec: SettingsSpec,
@@ -166,13 +188,9 @@ def estimate_correlations(
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     n_a, n_b = spec.n_alice, spec.n_bob
     n_cells = n_a * n_b
-    n_chunks = (rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
-    children = source.split(n_chunks)
 
-    def run_chunk(i: int):
-        start = i * CHUNK_ROUNDS
-        k = min(CHUNK_ROUNDS, rounds - start)
-        s_set, s_mod = children[i].split(2)
+    def run_chunk(sub: RandomSource, k: int):
+        s_set, s_mod = sub.split(2)
         gen = s_set.generator()
         x_idx, y_idx = spec.sample_indices(gen, k)
         xs, ys = spec.vectors_for(x_idx, y_idx)
@@ -194,16 +212,10 @@ def estimate_correlations(
         ).reshape(n_a, n_b)
         return counts, attempts, clicks_a, clicks_b
 
-    if parallelism == 1:
-        results = [run_chunk(i) for i in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
-
     counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
     attempts = np.zeros((n_a, n_b), dtype=np.int64)
     clicks_a = clicks_b = None
-    for c, att, ca, cb in results:  # fixed chunk order
+    for c, att, ca, cb in _chunks(source, rounds, run_chunk, parallelism):
         counts += c
         attempts += att
         if ca is not None:
@@ -360,6 +372,42 @@ def _simpson(f, a: float, b: float, panels: int) -> float:
     return float((b - a) / (3.0 * panels) * np.dot(w, f(xs)))
 
 
+def _quadrature(f, a: float, b: float, panels: int) -> MIEstimate:
+    """Simpson value of f on [a, b] with its half-resolution difference."""
+    if panels < 16:
+        raise ConfigError(f"panels must be >= 16, got {panels}")
+    if panels % 2:
+        raise ConfigError(f"panels must be even, got {panels}")
+    value = _simpson(f, a, b, panels)
+    coarse = _simpson(f, a, b, 2 * (panels // 4))
+    return MIEstimate(value=value, method="quadrature", uncertainty=abs(value - coarse))
+
+
+def _mc_mean(source: RandomSource, samples: int, draw) -> MIEstimate:
+    """Monte Carlo mean of ``draw(gen, k)`` over ``samples`` draws.
+
+    Every chunk of :func:`_chunks` draws its values from its own generator
+    and reduces them to (count, sum, sum of squares); the mean and its
+    standard error come from the totals, so memory stays one chunk deep.
+    ``draw`` may return fewer than ``k`` values (rejection sampling).
+    """
+
+    def moments(sub: RandomSource, k: int):
+        v = draw(sub.generator(), k)
+        return v.size, float(v.sum()), float(np.square(v).sum())
+
+    n, total, squares = 0, 0.0, 0.0
+    for c, s, ss in _chunks(source, samples, moments):
+        n += c
+        total += s
+        squares += ss
+    if n < 2:
+        raise ConfigError("too few accepted samples; increase the sample count")
+    mean = total / n
+    var = max(0.0, (squares - total * mean) / (n - 1))
+    return MIEstimate(value=mean, method="monte-carlo", uncertainty=math.sqrt(var / n))
+
+
 def tb_mi_integrand(theta: np.ndarray) -> np.ndarray:
     """(sin(theta)/2) h(theta/pi): the density of the angle between the two
     shared vectors times the message entropy given that angle.
@@ -385,16 +433,7 @@ def mi_tb_quadrature(panels: int = 1024) -> MIEstimate:
     rule below its nominal fourth order, and the raw difference stays a
     sound bound (doubling the panels moves the value by less than it).
     """
-    if panels < 16:
-        raise ConfigError(f"panels must be >= 16, got {panels}")
-    if panels % 2:
-        raise ConfigError(f"panels must be even, got {panels}")
-    value = _simpson(tb_mi_integrand, 0.0, np.pi, panels)
-    half = 2 * (panels // 4)
-    coarse = _simpson(tb_mi_integrand, 0.0, np.pi, half)
-    return MIEstimate(
-        value=value, method="quadrature", uncertainty=abs(value - coarse)
-    )
+    return _quadrature(tb_mi_integrand, 0.0, np.pi, panels)
 
 
 def mi_tb_montecarlo(samples: int, source: RandomSource) -> MIEstimate:
@@ -405,15 +444,14 @@ def mi_tb_montecarlo(samples: int, source: RandomSource) -> MIEstimate:
     """
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
-    gen = source.generator()
-    l1 = sample_uniform_sphere(gen, samples)
-    l2 = sample_uniform_sphere(gen, samples)
-    cosang = np.clip(np.einsum("ij,ij->i", l1, l2), -1.0, 1.0)
-    p = 1.0 - np.arccos(cosang) / np.pi
-    h = binary_entropy(p)
-    value = float(h.mean())
-    se = float(h.std(ddof=1) / math.sqrt(samples))
-    return MIEstimate(value=value, method="monte-carlo", uncertainty=se)
+
+    def draw(gen, k):
+        l1 = sample_uniform_sphere(gen, k)
+        l2 = sample_uniform_sphere(gen, k)
+        cosang = np.clip(np.einsum("ij,ij->i", l1, l2), -1.0, 1.0)
+        return binary_entropy(1.0 - np.arccos(cosang) / np.pi)
+
+    return _mc_mean(source, samples, draw)
 
 
 GG_MI_CLOSED_FORM = 1.0 - 1.0 / (2.0 * math.log(2.0))
@@ -432,14 +470,7 @@ def gg_mi_integrand(u: np.ndarray) -> np.ndarray:
 
 def mi_gg_quadrature(panels: int = GG_CHECK_PANELS) -> MIEstimate:
     """Quadrature form of the detection-model mutual information."""
-    if panels < 16:
-        raise ConfigError(f"panels must be >= 16, got {panels}")
-    if panels % 2:
-        raise ConfigError(f"panels must be even, got {panels}")
-    value = _simpson(gg_mi_integrand, 0.0, 1.0, panels)
-    half = 2 * (panels // 4)
-    coarse = _simpson(gg_mi_integrand, 0.0, 1.0, half)
-    return MIEstimate(value=value, method="quadrature", uncertainty=abs(value - coarse))
+    return _quadrature(gg_mi_integrand, 0.0, 1.0, panels)
 
 
 def mi_gg_uniform() -> MIEstimate:
@@ -467,17 +498,14 @@ def mi_gg_montecarlo(samples: int, source: RandomSource) -> MIEstimate:
     """
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
-    gen = source.generator()
-    lam = sample_uniform_sphere(gen, samples)
-    u = gen.random(samples)
-    d = np.abs(lam[:, 2])  # measurement axis fixed to z by symmetry
-    kept = d[u < d]
-    if kept.size < 2:
-        raise ConfigError("too few accepted samples; increase the sample count")
-    vals = np.log2(2.0 * kept)
-    value = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(kept.size))
-    return MIEstimate(value=value, method="monte-carlo", uncertainty=se)
+
+    def draw(gen, k):
+        lam = sample_uniform_sphere(gen, k)
+        u = gen.random(k)
+        d = np.abs(lam[:, 2])  # measurement axis fixed to z by symmetry
+        return np.log2(2.0 * d[u < d])
+
+    return _mc_mean(source, samples, draw)
 
 
 def mi_finite_settings_tb(
@@ -493,16 +521,16 @@ def mi_finite_settings_tb(
     spec._require_finite()
     if mu_samples < 1000:
         raise ConfigError(f"mu_samples must be >= 1000, got {mu_samples}")
-    gen = source.generator()
-    l1 = sample_uniform_sphere(gen, mu_samples)
-    l2 = sample_uniform_sphere(gen, mu_samples)
     settings = np.ascontiguousarray(spec.alice_settings)
     p_x = np.ascontiguousarray(spec.p_x)
-    p = _kernels.agreement_probs(settings, p_x, l1, l2)
-    h = binary_entropy(np.clip(p, 0.0, 1.0))
-    value = float(h.mean())
-    se = float(h.std(ddof=1) / math.sqrt(mu_samples))
-    return MIEstimate(value=value, method="monte-carlo", uncertainty=se)
+
+    def draw(gen, k):
+        l1 = sample_uniform_sphere(gen, k)
+        l2 = sample_uniform_sphere(gen, k)
+        p = _kernels.agreement_probs(settings, p_x, l1, l2)
+        return binary_entropy(np.clip(p, 0.0, 1.0))
+
+    return _mc_mean(source, mu_samples, draw)
 
 
 def mi_exact_finite(

@@ -174,6 +174,7 @@ def _resolve_corr_and_spec(args):
 def cmd_transform(args) -> int:
     if not args.out_file:
         raise ConfigError("transform needs --out-file for the model file")
+    transforms.check_floor(args.floor)  # checked for every model; only gg reads it
     source = RandomSource(args.seed)
     if args.model in ("brans", "input-broadcast"):
         spec, corr = _resolve_corr_and_spec(args)

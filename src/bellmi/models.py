@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -289,13 +289,6 @@ def pr_box_conditional() -> ConditionalTable:
 # Toner-Bacon one-bit communication model
 # ----------------------------------------------------------------------
 
-class TBRound(NamedTuple):
-    a: int
-    b: int
-    m: int
-    mu: tuple[np.ndarray, np.ndarray]
-
-
 @dataclass(frozen=True, eq=False)
 class TBRounds:
     """A batch of one-bit-communication rounds."""
@@ -394,34 +387,9 @@ class TonerBaconModel:
         )
 
 
-def tb_round(x, y, source: RandomSource) -> TBRound:
-    """One round of the one-bit communication protocol.
-
-    Returns outcomes (a, b), the transmitted bit m, and the shared
-    randomness mu = (lambda1, lambda2).
-    """
-    x = require_unit(x)
-    y = require_unit(y)
-    batch = TonerBaconModel().sample_rounds(x[None, :], y[None, :], source)
-    return TBRound(
-        a=int(batch.a[0]),
-        b=int(batch.b[0]),
-        m=int(batch.m[0]),
-        mu=(batch.l1[0], batch.l2[0]),
-    )
-
-
 # ----------------------------------------------------------------------
 # Gisin-Gisin detection model
 # ----------------------------------------------------------------------
-
-class GGRound(NamedTuple):
-    a: int
-    b: int
-    click_a: bool
-    click_b: bool
-    lam: np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class GGRounds:
@@ -486,20 +454,6 @@ class GisinGisinModel:
                 "double-click post-selection reweights lambda only"
             ),
         )
-
-
-def gg_round(x, y, source: RandomSource) -> GGRound:
-    """One detection-model round: (a, b, D_A, D_B, lambda)."""
-    x = require_unit(x)
-    y = require_unit(y)
-    batch = GisinGisinModel().sample_rounds(x[None, :], y[None, :], source)
-    return GGRound(
-        a=int(batch.a[0]),
-        b=int(batch.b[0]),
-        click_a=bool(batch.click_a[0]),
-        click_b=True,
-        lam=batch.lam[0],
-    )
 
 
 # ----------------------------------------------------------------------

@@ -220,6 +220,10 @@ def load_correlation(text: str):
     for cell in payload.get("cells", ()):
         try:
             x, y = int(cell["x"]), int(cell["y"])
+            if not (0 <= x < spec.n_alice and 0 <= y < spec.n_bob):
+                raise IndexError(
+                    f"cell index outside [0, {spec.n_alice}) x [0, {spec.n_bob})"
+                )
             probs[x, y, 0, 0] = float(cell["pp"])
             probs[x, y, 0, 1] = float(cell["pm"])
             probs[x, y, 1, 0] = float(cell["mp"])
@@ -244,7 +248,7 @@ def model_payload(model: ExactCSModel) -> dict:
     ]
     weights = [
         {"assignment": list(assignment), "p": p}
-        for assignment, p in table.entries(nonzero=True)
+        for assignment, p in table.entries()
     ]
     return {
         "variables": variables,

@@ -174,13 +174,12 @@ class FiniteDistribution:
             w[idx] += p
         return cls(variables, w)
 
-    def entries(self, *, nonzero: bool = True):
-        """Iterate ``(assignment_tuple, weight)`` in row-major order."""
-        for idx in np.ndindex(*self._weights.shape):
-            p = float(self._weights[idx])
-            if nonzero and p == 0.0:
-                continue
-            yield tuple(self._labels[i][j] for i, j in enumerate(idx)), p
+    def entries(self):
+        """Iterate ``(assignment_tuple, weight)`` over the nonzero cells in
+        row-major order."""
+        for idx in np.argwhere(self._weights).tolist():
+            p = float(self._weights[tuple(idx)])
+            yield tuple(labs[j] for labs, j in zip(self._labels, idx)), p
 
     def __repr__(self):
         dims = ", ".join(f"{n}[{len(l)}]" for n, l in zip(self._names, self._labels))

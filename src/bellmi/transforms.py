@@ -232,6 +232,12 @@ def _draw_settings(spec: SettingsSpec, gen: np.random.Generator, n: int):
     return sample_uniform_sphere(gen, n), sample_uniform_sphere(gen, n), None, None
 
 
+def check_floor(floor: float) -> None:
+    """Raise :class:`ConfigError` unless the acceptance floor lies in (0, 1]."""
+    if not 0.0 < floor <= 1.0:  # NaN fails too
+        raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
+
+
 def _sampled_cs(
     model: Union[TonerBaconModel, GisinGisinModel],
     spec: SettingsSpec,
@@ -249,8 +255,7 @@ def _sampled_cs(
     The report checks ``rounds`` rounds on the spec's own cells, or on
     eight random setting pairs for the continuous spec.
     """
-    if not 0.0 < floor <= 1.0:  # NaN fails too
-        raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
+    check_floor(floor)
 
     def draw(src: RandomSource, n: int) -> CSRounds:
         s_set, s_mod = src.split(2)
@@ -259,7 +264,7 @@ def _sampled_cs(
         attempted = 0
         accepted = 0
         while not pieces or accepted < n:
-            k = min(65536, max(4096, n))
+            k = min(analysis.CHUNK_ROUNDS, max(4096, n))
             xs, ys, x_idx, y_idx = _draw_settings(spec, gen, k)
             batch = model.sample_rounds(xs, ys, s_mod)
             piece = {"a": batch.a, "b": batch.b, "xs": xs, "ys": ys,

@@ -1,6 +1,7 @@
 """Estimators, the locality verifier, and the mutual-information numerics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,25 @@ def test_mi_finite_single_alice_setting_is_zero():
 def test_mi_finite_chsh_stays_below_one_bit():
     est = mi_finite_settings_tb(preset("chsh"), 20_000, RandomSource(73))
     assert est.value <= 1.0 + 3 * est.uncertainty
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda: mi_tb_montecarlo(1_000_000, RandomSource(74)),
+        lambda: mi_finite_settings_tb(preset("chsh"), 1_000_000, RandomSource(75)),
+    ],
+    ids=["mi_tb_montecarlo", "mi_finite_settings_tb"],
+)
+def test_mi_montecarlo_memory_stays_one_chunk_deep(estimate):
+    # a million samples drawn at once hold two 24 MB vector arrays
+    tracemalloc.start()
+    try:
+        estimate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_mi_exact_finite_brans_default_vars():

@@ -268,6 +268,28 @@ BAD_INPUTS = {
          "--out-file", "model.json"],
         None,
     ),
+    "floor-nan-tb": (
+        ["transform", "--model", "tb", "--rounds", "1000", "--floor", "nan",
+         "--out-file", "model.json"],
+        None,
+    ),
+    "floor-negative-brans": (
+        ["transform", "--model", "brans", "--floor", "-3", "--out-file", "model.json"],
+        None,
+    ),
+    # x = -1 would index the last Alice setting and fill the missing x = 1 cell
+    "corr-negative-cell": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {
+            "alice_settings": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            "bob_settings": [[0.0, 0.0, 1.0]],
+            "cells": [
+                {"x": x, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}
+                for x in (-1, 0)
+            ],
+        },
+    ),
 }
 
 

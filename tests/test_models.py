@@ -16,11 +16,9 @@ from bellmi.models import (
     GisinGisinModel,
     TonerBaconModel,
     brans_build,
-    gg_round,
     input_broadcast_build,
     pr_box_conditional,
     preset,
-    tb_round,
 )
 from bellmi.sphere import RandomSource, sgn_dot
 from bellmi.analysis import exact_singlet_conditional
@@ -127,17 +125,7 @@ def test_tb_alice_marginal_is_unbiased():
     batch = model.sample_rounds(x, y, RandomSource(9))
     p_plus = np.mean(batch.a == 1)
     assert abs(p_plus - 0.5) < 4 * math.sqrt(0.25 / 100_000)
-
-
-def test_tb_single_round_and_correlator_sign():
-    r = tb_round(
-        np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]), RandomSource(4)
-    )
-    assert r.a in (-1, 1) and r.b in (-1, 1) and r.m in (-1, 1)
-    model = TonerBaconModel()
-    assert model.target_correlator(
-        np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])
-    ) == -1.0
+    assert model.target_correlator(x[0], x[0]) == -1.0
 
 
 # ----------------------------------------------------------------------
@@ -171,12 +159,6 @@ def test_gg_click_probability_tracks_overlap():
     # clicks concentrate where |lam_z| is large
     overlap = np.abs(batch.lam[:, 2])
     assert overlap[batch.click_a].mean() > overlap.mean() + 0.05
-
-
-def test_gg_single_round():
-    r = gg_round(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), RandomSource(5))
-    assert r.click_b
-    assert r.b == -sgn_dot(np.array([1.0, 0.0, 0.0]), r.lam)
 
 
 # ----------------------------------------------------------------------
