@@ -58,7 +58,7 @@ from .models import (
     pr_box_conditional,
     preset,
 )
-from .sphere import RandomSource, angle_between, sample_uniform_sphere, sgn_dot
+from .sphere import RandomSource, sample_uniform_sphere
 from .table import FiniteDistribution, binary_entropy, product_table
 from .transforms import TransformReport, comm_to_cs, det_to_cs
 
@@ -86,7 +86,6 @@ __all__ = [
     "TonerBaconModel",
     "TransformReport",
     "ValidationError",
-    "angle_between",
     "binary_entropy",
     "brans_build",
     "chsh",
@@ -107,7 +106,6 @@ __all__ = [
     "preset",
     "product_table",
     "sample_uniform_sphere",
-    "sgn_dot",
     "singlet_correlation",
     "verify_bell_local",
 ]

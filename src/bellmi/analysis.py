@@ -30,14 +30,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, InternalConsistencyError
-from .models import (
-    OUTCOME_LABELS,
-    ConditionalTable,
-    ExactCSModel,
-    SettingsSpec,
-    factorization_deviation,
-)
-from .sphere import RandomSource, angle_between, require_unit, sample_uniform_sphere
+from .models import OUTCOME_LABELS, ConditionalTable, ExactCSModel, SettingsSpec
+from .sphere import RandomSource, require_unit, sample_uniform_sphere
 from .table import FiniteDistribution, InfoBits, binary_entropy
 
 # Monte Carlo rounds are processed in fixed-size chunks, one split random
@@ -277,6 +271,25 @@ class LocalityReport:
     witness: Optional[dict] = None
 
 
+def factorization_deviation(joint, resp_a, resp_b) -> np.ndarray:
+    """|P(a,b|x,y,lambda) - P(a|x,lambda) P(b|y,lambda)| per cell.
+
+    The cell-wise core of :func:`verify_bell_local`.  ``joint`` is
+    P(a, b, x, y, lambda) as from :meth:`ExactCSModel.joint`, ``resp_a`` is
+    P(a|x,lambda) with axes (a, x, lambda) and ``resp_b`` is P(b|y,lambda)
+    with axes (b, y, lambda).  Cells off the support of p(x, y, lambda)
+    read 0.  Apart from the response product, the only joint-sized array
+    allocated is the returned one.
+    """
+    p_xyl = joint.sum(axis=(0, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = joint / p_xyl[None, None, :, :, :]
+        dev -= resp_a[:, None, :, None, :] * resp_b[None, :, None, :, :]
+    np.abs(dev, out=dev)
+    dev[:, :, ~(p_xyl > 0.0)] = 0.0
+    return dev
+
+
 def verify_bell_local(model: ExactCSModel, tol: float = 1e-9) -> LocalityReport:
     """Check the locality factorization on an exact finite model.
 
@@ -416,11 +429,6 @@ def tb_mi_integrand(theta: np.ndarray) -> np.ndarray:
     probability 1 - theta/pi, so H(m|mu) = h(theta/pi)."""
     theta = np.asarray(theta, dtype=np.float64)
     return np.sin(theta) / 2.0 * binary_entropy(theta / np.pi)
-
-
-def agreement_probability(l1, l2) -> float:
-    """P over uniform x that sgn(x.l1) = sgn(x.l2), which is 1 - theta/pi."""
-    return 1.0 - angle_between(l1, l2) / np.pi
 
 
 def mi_tb_quadrature(panels: int = 1024) -> MIEstimate:

@@ -156,10 +156,10 @@ def cmd_mutual_info(args) -> int:
 
 def _resolve_corr_and_spec(args):
     if args.corr_file:
-        if args.settings_file:
-            raise ConfigError(
-                "--corr-file carries its own settings; --settings-file conflicts"
-            )
+        conflicts = (("--settings-file", args.settings_file), ("--preset", args.preset))
+        for flag, value in conflicts:
+            if value:
+                raise ConfigError(f"--corr-file carries its own settings; {flag} conflicts")
         spec, corr = serialize.load_correlation(_read(args.corr_file))
         if args.input_dist_file:
             p_xy = serialize.load_input_dist(_read(args.input_dist_file))

@@ -16,8 +16,9 @@ Four models, all Bell-local in the appropriate sense:
 - :func:`brans_build`: the extreme correlated-settings model whose hidden
   variable determines the settings and outcomes outright.
 
-Sign conventions come from :mod:`bellmi.sphere` (ties at zero break to +1);
-outcome labels are +1 and -1 with array index 0 meaning +1 everywhere.
+The per-round responses live only in the :mod:`bellmi._kernels` outcome maps
+(ties at zero break to +1); outcome labels are +1 and -1 with array index 0
+meaning +1 everywhere.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, ValidationError
-from .sphere import RandomSource, require_unit, sample_uniform_sphere, sgn_dot, vec_polar
+from .sphere import RandomSource, require_unit, sample_uniform_sphere, vec_polar
 from .table import NORM_ATOL, FiniteDistribution
 
 log = logging.getLogger(__name__)
@@ -317,6 +318,11 @@ class TonerBaconModel:
 
     name = "tb"
     hidden_names = ("l1", "l2", "m")  # fields of TBRounds that form lambda
+    # model-file description of the responses that _kernels.tb_outcomes computes
+    certificate = (
+        "deterministic replay of the one-bit protocol with "
+        "lambda = (lambda1, lambda2, m)"
+    )
     message_entropy_bound = 1.0  # H(m) for a single bit
 
     def sample_rounds(self, xs, ys, source: RandomSource) -> TBRounds:
@@ -345,46 +351,9 @@ class TonerBaconModel:
             bad[idx] = rbad
         return TBRounds(a=a, b=b, m=m, l1=l1, l2=l2, resampled=resampled)
 
-    # -- pure replay helpers (for causality probes and certificates) ----
-
-    def conversation(self, x, l1, l2) -> int:
-        """The transmitted bit; a function of (x, mu) only."""
-        return sgn_dot(x, l1) * sgn_dot(x, l2)
-
-    def alice_output(self, x, l1, l2, m: int) -> int:
-        return -sgn_dot(x, l1)
-
-    def bob_output(self, y, l1, l2, m: int) -> int:
-        """Bob's outcome from (y, mu, m); the sampling path resamples the
-        degenerate lambda1 + m lambda2 = 0 case instead of applying the
-        tie-break used here."""
-        v = np.asarray(l1, dtype=np.float64) + m * np.asarray(l2, dtype=np.float64)
-        return sgn_dot(y, v)
-
     def target_correlator(self, x, y) -> float:
         """Quantum prediction this model reproduces: E = -x.y."""
         return -float(np.dot(x, y))
-
-    def response_certificate(self) -> "LocalityCertificate":
-        """Deterministic replay of the protocol given lambda = (lambda1,
-        lambda2, m)."""
-
-        def alice_response(a, x, hidden) -> float:
-            l1, l2, m = hidden
-            return 1.0 if a == self.alice_output(x, l1, l2, int(m)) else 0.0
-
-        def bob_response(b, y, hidden) -> float:
-            l1, l2, m = hidden
-            return 1.0 if b == self.bob_output(y, l1, l2, int(m)) else 0.0
-
-        return LocalityCertificate(
-            alice_response=alice_response,
-            bob_response=bob_response,
-            description=(
-                "deterministic replay of the one-bit protocol with "
-                "lambda = (lambda1, lambda2, m)"
-            ),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +390,11 @@ class GisinGisinModel:
 
     name = "gg"
     hidden_names = ("lam",)  # fields of GGRounds that form lambda
+    # model-file description of the responses that _kernels.gg_outcomes computes
+    certificate = (
+        "detection model: a = sgn(x.lambda), b = -sgn(y.lambda); "
+        "double-click post-selection reweights lambda only"
+    )
 
     def sample_rounds(self, xs, ys, source: RandomSource) -> GGRounds:
         xs = np.ascontiguousarray(xs, dtype=np.float64)
@@ -435,25 +409,6 @@ class GisinGisinModel:
     def target_correlator(self, x, y) -> float:
         """Post-selected quantum prediction: E = -x.y."""
         return -float(np.dot(x, y))
-
-    def response_certificate(self) -> "LocalityCertificate":
-        """Deterministic outcome responses given lambda; post-selection only
-        reweights the lambda distribution, never the responses."""
-
-        def alice_response(a, x, hidden) -> float:
-            return 1.0 if a == sgn_dot(x, hidden[0]) else 0.0
-
-        def bob_response(b, y, hidden) -> float:
-            return 1.0 if b == -sgn_dot(y, hidden[0]) else 0.0
-
-        return LocalityCertificate(
-            alice_response=alice_response,
-            bob_response=bob_response,
-            description=(
-                "detection model: a = sgn(x.lambda), b = -sgn(y.lambda); "
-                "double-click post-selection reweights lambda only"
-            ),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -585,33 +540,21 @@ def input_broadcast_build(corr: ConditionalTable, spec: SettingsSpec) -> FiniteC
 # correlated-settings models
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalityCertificate:
-    """Declared response functions of a correlated-settings model.
-
-    ``alice_response(a, x, hidden)`` and ``bob_response(b, y, hidden)``
-    return P(a|x,lambda) and P(b|y,lambda); ``hidden`` is a tuple of labels
-    ordered like the model's ``hidden_vars``.  Responses are only defined
-    on the support of (x, y, lambda).
-    """
-
-    alice_response: Callable
-    bob_response: Callable
-    description: str
-
-
 @dataclass(frozen=True, eq=False)
 class ExactCSModel:
     """Correlated-settings model as an exact finite table.
 
     ``table`` is the joint P(a, b, x, y, hidden...) and ``hidden_vars``
     names the hidden components (for example ("lam",) or ("mu", "m")).
+    ``certificate`` describes the deterministic responses in words for the
+    model file; :func:`bellmi.analysis.verify_bell_local` derives the
+    responses from ``table`` itself.
     """
 
     table: FiniteDistribution
     hidden_vars: tuple[str, ...]
     spec: Optional[SettingsSpec] = None
-    certificate: Optional[LocalityCertificate] = None
+    certificate: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_vars", tuple(self.hidden_vars))
@@ -649,50 +592,6 @@ class ExactCSModel:
         pos = np.unravel_index(flat, tuple(len(labs) for labs in labels))
         return tuple(labs[k] for labs, k in zip(labels, pos))
 
-    def certificate_deviation(self) -> float:
-        """Max |P(a,b|x,y,hidden) - declared alice*bob response product|.
-
-        0.0 means the table realizes its declared response functions
-        exactly; requires a certificate.
-        """
-        if self.certificate is None:
-            raise ConfigError("model carries no locality certificate")
-        j = self.joint()
-        resp_a = self._declared(self.certificate.alice_response, "a", "x", j.sum(axis=(0, 1, 3)))
-        resp_b = self._declared(self.certificate.bob_response, "b", "y", j.sum(axis=(0, 1, 2)))
-        return float(factorization_deviation(j, resp_a, resp_b).max())
-
-    def _declared(self, response, out_var: str, in_var: str, p_in_hidden) -> np.ndarray:
-        """(out, in, hidden) array of ``response(out, in, hidden)``, evaluated
-        once per support cell of p(in, hidden) and 0 off it."""
-        outs = self.table.labels(out_var)
-        ins = self.table.labels(in_var)
-        resp = np.zeros((len(outs),) + p_in_hidden.shape)
-        for i, ih in zip(*np.nonzero(p_in_hidden > 0.0)):
-            hidden = self.hidden_label(ih)
-            for k, out in enumerate(outs):
-                resp[k, i, ih] = response(out, ins[i], hidden)
-        return resp
-
-
-def factorization_deviation(joint, resp_a, resp_b) -> np.ndarray:
-    """|P(a,b|x,y,lambda) - P(a|x,lambda) P(b|y,lambda)| per cell.
-
-    ``joint`` is P(a, b, x, y, lambda) as from :meth:`ExactCSModel.joint`,
-    ``resp_a`` is P(a|x,lambda) with axes (a, x, lambda) and ``resp_b`` is
-    P(b|y,lambda) with axes (b, y, lambda).  Cells off the support of
-    p(x, y, lambda) read 0.  Apart from the response product, the only
-    joint-sized array allocated is the returned one.
-    """
-    p_xyl = joint.sum(axis=(0, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev = joint / p_xyl[None, None, :, :, :]
-        dev -= resp_a[:, None, :, None, :] * resp_b[None, :, None, :, :]
-    np.abs(dev, out=dev)
-    dev[:, :, ~(p_xyl > 0.0)] = 0.0
-    return dev
-
-
 @dataclass(frozen=True, eq=False)
 class CSRounds:
     """Sampled rounds of a correlated-settings model."""
@@ -712,14 +611,15 @@ class SampledCSModel:
 
     ``draw(source, n)`` emits a :class:`CSRounds` batch with the settings
     already drawn from the model's input distribution and the hidden
-    components exposed by name.
+    components exposed by name.  ``certificate`` is the model class's
+    description of its responses, written to the descriptor file.
     """
 
     kind: str
     spec: SettingsSpec
     hidden_names: tuple[str, ...]
     draw: Callable
-    certificate: Optional[LocalityCertificate] = None
+    certificate: Optional[str] = None
 
 
 def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
@@ -756,18 +656,7 @@ def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
         ("lam", tuple(lam_labels)),
     ]
     table = FiniteDistribution.from_entries(variables, entries)
-
-    def alice_response(a, x, hidden) -> float:
-        return 1.0 if a == hidden[0][2] else 0.0
-
-    def bob_response(b, y, hidden) -> float:
-        return 1.0 if b == hidden[0][3] else 0.0
-
-    certificate = LocalityCertificate(
-        alice_response=alice_response,
-        bob_response=bob_response,
-        description="deterministic: lambda = (x, y, a, b) fixes both outcomes",
-    )
     return ExactCSModel(
-        table=table, hidden_vars=("lam",), spec=spec, certificate=certificate
+        table=table, hidden_vars=("lam",), spec=spec,
+        certificate="deterministic: lambda = (x, y, a, b) fixes both outcomes",
     )

@@ -212,11 +212,12 @@ def load_correlation(text: str):
     """Correlation-table file; returns (SettingsSpec, ConditionalTable).
 
     Every (x, y) cell must be present with its pp/pm/mp/mm conditional
-    probabilities.
+    probabilities, and listed once.
     """
     payload = parse_json(text)
     spec = _settings_from_payload(payload, where="correlation file")
     probs = np.full((spec.n_alice, spec.n_bob, 2, 2), np.nan)
+    seen = set()
     for cell in payload.get("cells", ()):
         try:
             x, y = int(cell["x"]), int(cell["y"])
@@ -224,6 +225,9 @@ def load_correlation(text: str):
                 raise IndexError(
                     f"cell index outside [0, {spec.n_alice}) x [0, {spec.n_bob})"
                 )
+            if (x, y) in seen:
+                raise ValueError("cell listed twice")
+            seen.add((x, y))
             probs[x, y, 0, 0] = float(cell["pp"])
             probs[x, y, 0, 1] = float(cell["pm"])
             probs[x, y, 1, 0] = float(cell["mp"])
@@ -254,14 +258,15 @@ def model_payload(model: ExactCSModel) -> dict:
         "variables": variables,
         "weights": weights,
         "hidden_variables": list(model.hidden_vars),
-        "certificate": model.certificate.description if model.certificate else None,
+        "certificate": model.certificate,
     }
 
 
 def load_model(text: str) -> ExactCSModel:
     """Parse an exact-model file back into an :class:`ExactCSModel`.
 
-    Certificates do not round-trip (they are callables); the loaded model
+    The certificate is a description only and is not read back (the
+    verifier derives the responses from the table); the loaded model
     carries ``certificate=None``.
     """
     payload = parse_json(text)
@@ -308,7 +313,7 @@ def sampler_payload(model, *, seed: int) -> dict:
         "seed": seed,
         "settings": settings,
         "hidden_variables": list(model.hidden_names),
-        "certificate": model.certificate.description if model.certificate else None,
+        "certificate": model.certificate,
     }
 
 

@@ -5,7 +5,8 @@ for batches.  Sphere sampling uses the (z, phi) method: z uniform on
 [-1, 1], azimuth uniform on [0, 2pi), which is rotation-invariant in
 distribution and needs no rejection loop.
 
-The sign convention sgn(0) := +1 is fixed here and used by every model.
+The sign convention sgn(0) := +1 lives in the outcome maps of
+:mod:`bellmi._kernels`, the only place that takes signs of dot products.
 
 :class:`RandomSource` wraps numpy's SeedSequence/PCG64.  ``split(n)``
 derives n disjoint child streams purely from (entropy, spawn_key), so the
@@ -17,7 +18,6 @@ thread count.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import Optional, Union
 
 import numpy as np
@@ -86,31 +86,10 @@ def require_unit(v, atol: float = UNIT_ATOL) -> np.ndarray:
     return arr
 
 
-def sgn_dot(v, w) -> int:
-    """Sign of v.w with the tie at exactly 0 broken to +1."""
-    d = float(np.dot(np.asarray(v, dtype=np.float64), np.asarray(w, dtype=np.float64)))
-    return 1 if d >= 0.0 else -1
-
-
-def angle_between(v, w) -> float:
-    """Angle in [0, pi] between two unit vectors (dot clamped into [-1, 1])."""
-    d = float(np.dot(np.asarray(v, dtype=np.float64), np.asarray(w, dtype=np.float64)))
-    return float(np.arccos(min(1.0, max(-1.0, d))))
-
-
 def vec_polar(theta: float, phi: float = 0.0) -> np.ndarray:
     """Unit vector at polar angle theta from +z, azimuth phi."""
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis (test helper)."""
-    k = require_unit(axis)
-    kx = np.array(
-        [[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]]
-    )
-    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -121,10 +100,3 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     phi = golden * i
     s = np.sqrt(1.0 - z * z)
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-
-
-def random_setting_pairs(gen: np.random.Generator, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """n independent uniform (x, y) setting pairs."""
-    xs = sample_uniform_sphere(gen, n)
-    ys = sample_uniform_sphere(gen, n)
-    return [(xs[i], ys[i]) for i in range(n)]

@@ -41,7 +41,6 @@ from .models import (
     ExactCSModel,
     FiniteCommModel,
     GisinGisinModel,
-    LocalityCertificate,
     SampledCSModel,
     SettingsSpec,
     TonerBaconModel,
@@ -161,30 +160,18 @@ def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
         ("mu", model.mu_labels),
         ("m", tuple(messages)),
     ]
-    table = FiniteDistribution.from_entries(variables, entries)
-
-    def alice_response(a, x, hidden) -> float:
-        mu, m = hidden
-        return 1.0 if a == model.alice(x, mu, m) else 0.0
-
-    def bob_response(b, y, hidden) -> float:
-        mu, m = hidden
-        return 1.0 if b == model.bob(y, mu, m) else 0.0
-
-    certificate = LocalityCertificate(
-        alice_response=alice_response,
-        bob_response=bob_response,
-        description=(
+    cs = ExactCSModel(
+        table=FiniteDistribution.from_entries(variables, entries),
+        hidden_vars=("mu", "m"),
+        spec=spec,
+        certificate=(
             "deterministic communication replay: lambda = (mu, m) fixes "
             "a through (x, mu, m) and b through (y, mu, m)"
         ),
     )
-    cs = ExactCSModel(
-        table=table, hidden_vars=("mu", "m"), spec=spec, certificate=certificate
-    )
     target = model.target if model.target is not None else comm_conditional(model, spec)
     report = _exact_report(
-        cs, target, model.name, table.entropy(("m",)), mu_support=len(model.mu_labels)
+        cs, target, model.name, cs.table.entropy(("m",)), mu_support=len(model.mu_labels)
     )
     return cs, report
 
@@ -299,7 +286,7 @@ def _sampled_cs(
         spec=spec,
         hidden_names=model.hidden_names,
         draw=draw,
-        certificate=model.response_certificate(),
+        certificate=model.certificate,
     )
 
     s_spec, s_est = source.split(2)

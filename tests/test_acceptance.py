@@ -37,7 +37,7 @@ from bellmi.models import (
     pr_box_conditional,
     preset,
 )
-from bellmi.sphere import RandomSource, fibonacci_sphere, random_setting_pairs
+from bellmi.sphere import RandomSource, fibonacci_sphere, sample_uniform_sphere
 from bellmi.transforms import comm_to_cs
 from conftest import run_cli
 
@@ -70,7 +70,8 @@ def test_criterion_1_singlet_reproduction(capsys):
             z = abs(est.correlator(x, y) - target) / est.correlator_se(x, y)
             worst = max(worst, z)
     checks.append((worst <= 4.0, f"chsh preset worst |E - (-x.y)| = {worst:.2f} se <= 4 se"))
-    pairs = random_setting_pairs(RandomSource(102).generator(), 12)
+    gen = RandomSource(102).generator()
+    pairs = zip(sample_uniform_sphere(gen, 12), sample_uniform_sphere(gen, 12))
     worst = 0.0
     for (x, y), src in zip(pairs, RandomSource(103).split(12)):
         pair_est = estimate_correlations(

@@ -11,10 +11,10 @@ from bellmi.analysis import (
     GG_MI_CLOSED_FORM,
     MIEstimate,
     _simpson,
-    agreement_probability,
     chsh,
     estimate_correlations,
     exact_singlet_conditional,
+    factorization_deviation,
     make_signaling_example,
     mi_exact_finite,
     mi_finite_settings_tb,
@@ -33,9 +33,12 @@ from bellmi.models import (
     SettingsSpec,
     TonerBaconModel,
     brans_build,
+    input_broadcast_build,
+    pr_box_conditional,
     preset,
 )
-from bellmi.sphere import RandomSource, angle_between, vec_polar
+from bellmi.sphere import RandomSource, vec_polar
+from bellmi.transforms import comm_to_cs
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +135,39 @@ def test_verifier_passes_brans_and_fails_signaling():
     assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
 
 
+def loop_factorization_deviation(j, resp_a, resp_b):
+    """Reference: the factorization check cell by cell in Python."""
+    worst = 0.0
+    for ia, ib, ix, iy, il in np.ndindex(j.shape):
+        mass = j[:, :, ix, iy, il].sum()
+        if mass > 0.0:
+            pa, pb = resp_a[ia, ix, il], resp_b[ib, iy, il]
+            worst = max(worst, abs(j[ia, ib, ix, iy, il] / mass - pa * pb))
+    return worst
+
+
+def test_factorization_deviation_matches_cell_loop():
+    spec = preset("chsh")
+    models = [
+        brans_build(exact_singlet_conditional(spec), spec),
+        comm_to_cs(input_broadcast_build(pr_box_conditional(), spec), spec)[0],
+    ]
+    for model in models:
+        j = model.joint()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            resp_a = j.sum(axis=(1, 3)) / j.sum(axis=(0, 1, 3))  # P(a|x,lam)
+            resp_b = j.sum(axis=(0, 2)) / j.sum(axis=(0, 1, 2))  # P(b|y,lam)
+        variants = {
+            "derived": (resp_a, resp_b, 0.0),
+            "flipped a": (1.0 - resp_a, resp_b, 1.0),
+            "coin b": (resp_a, np.full_like(resp_b, 0.5), 0.5),
+        }
+        for name, (ra, rb, want) in variants.items():
+            got = float(factorization_deviation(j, ra, rb).max())
+            assert got == want, name
+            assert got == loop_factorization_deviation(j, ra, rb), name
+
+
 def test_signaling_example_is_a_valid_table():
     t = make_signaling_example().table
     assert abs(sum(p for _, p in t.entries()) - 1.0) < 1e-12
@@ -165,14 +201,6 @@ def test_tb_integrand_shape():
     assert vals[0] == 0.0
     assert vals[-1] == pytest.approx(0.0, abs=1e-15)
     assert np.all(vals >= 0.0)
-
-
-def test_agreement_probability_is_angle_fraction():
-    v = vec_polar(0.4, 0.0)
-    w = vec_polar(1.3, 0.0)
-    assert agreement_probability(v, w) == pytest.approx(
-        1.0 - angle_between(v, w) / math.pi, abs=1e-14
-    )
 
 
 def test_mi_tb_quadrature_stability():

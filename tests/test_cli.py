@@ -290,6 +290,29 @@ BAD_INPUTS = {
             ],
         },
     ),
+    # a repeated cell would let its later values win silently
+    "corr-duplicate-cell": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {
+            "alice_settings": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            "bob_settings": [[0.0, 0.0, 1.0]],
+            "cells": [
+                {"x": x, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}
+                for x in (0, 1, 0)
+            ],
+        },
+    ),
+    # the file fixes the settings, so a preset would be ignored silently
+    "corr-file-with-preset": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--preset", "parallel", "--out-file", "model.json"],
+        {
+            "alice_settings": [[0.0, 0.0, 1.0]],
+            "bob_settings": [[0.0, 0.0, 1.0]],
+            "cells": [{"x": 0, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}],
+        },
+    ),
 }
 
 

@@ -8,13 +8,9 @@ import pytest
 from bellmi.errors import ValidationError
 from bellmi.sphere import (
     RandomSource,
-    angle_between,
     fibonacci_sphere,
-    random_setting_pairs,
     require_unit,
-    rotation_matrix,
     sample_uniform_sphere,
-    sgn_dot,
     vec_polar,
 )
 
@@ -75,29 +71,10 @@ def test_require_unit_rejects_non_unit():
         require_unit(np.array([0.0, 0.0, 1.1]))
 
 
-def test_sgn_dot_tie_breaks_positive():
-    x = np.array([1.0, 0.0, 0.0])
-    z = np.array([0.0, 0.0, 1.0])
-    assert sgn_dot(x, z) == 1
-    assert sgn_dot(x, x) == 1
-    assert sgn_dot(x, -x) == -1
-
-
-def test_angle_between_is_clamped():
-    v = sample_uniform_sphere(RandomSource(5).generator())
-    assert angle_between(v, v) == 0.0
-    assert angle_between(v, -v) == pytest.approx(math.pi, abs=1e-12)
-    w = vec_polar(1.0, 0.3)
-    u = vec_polar(1.4, 0.3)
-    assert angle_between(w, u) == pytest.approx(0.4, abs=1e-12)
-
-
-def test_vec_polar_and_rotation_matrix():
+def test_vec_polar_axes():
     assert np.allclose(vec_polar(0.0), [0.0, 0.0, 1.0])
     assert np.allclose(vec_polar(math.pi / 2), [1.0, 0.0, 0.0], atol=1e-15)
-    r = rotation_matrix(np.array([0.0, 0.0, 1.0]), math.pi / 2)
-    assert np.allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
-    assert np.allclose(r @ r.T, np.eye(3), atol=1e-15)
+    assert np.allclose(vec_polar(math.pi / 2, math.pi / 2), [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_fibonacci_sphere_spread():
@@ -106,11 +83,3 @@ def test_fibonacci_sphere_spread():
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     # spread points average close to the centroid of the sphere
     assert np.all(np.abs(pts.mean(axis=0)) < 0.02)
-
-
-def test_random_setting_pairs():
-    pairs = random_setting_pairs(RandomSource(8).generator(), 12)
-    assert len(pairs) == 12
-    for x, y in pairs:
-        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bellmi import _kernels
 from bellmi.errors import (
     AcceptanceFloorError,
     ConfigError,
@@ -10,6 +12,7 @@ from bellmi.errors import (
     ValidationError,
 )
 from bellmi.models import (
+    ConditionalTable,
     ExactCSModel,
     GisinGisinModel,
     SampledCSModel,
@@ -19,15 +22,17 @@ from bellmi.models import (
     pr_box_conditional,
     preset,
 )
-from bellmi.sphere import RandomSource
+from bellmi.serialize import json_text, load_model, model_payload
+from bellmi.sphere import RandomSource, vec_polar
 from bellmi.transforms import (
     TransformReport,
     _estimated_corr_deviation,
+    brans_to_cs,
     comm_conditional,
     comm_to_cs,
     det_to_cs,
 )
-from bellmi.analysis import CorrelationTable, exact_singlet_conditional
+from bellmi.analysis import CorrelationTable, exact_singlet_conditional, verify_bell_local
 
 
 def test_report_rejects_negative_deviations():
@@ -78,9 +83,9 @@ def test_comm_to_cs_exact_on_pr_box():
     assert report.inputs_deviation == 0.0
     assert report.mi_value <= report.mi_bound
     assert report.extras["exact"] is True
-    # hidden variable is (mu, m) and the certificate replays the protocol
+    # hidden variable is (mu, m), and it fixes both responses
     assert cs.hidden_vars == ("mu", "m")
-    assert cs.certificate_deviation() == 0.0
+    assert verify_bell_local(cs).max_deviation == 0.0
 
 
 def test_comm_to_cs_exact_singlet_table():
@@ -89,6 +94,35 @@ def test_comm_to_cs_exact_singlet_table():
     cs, report = comm_to_cs(input_broadcast_build(corr, spec), spec)
     assert report.corr_deviation <= 1e-15
     assert report.mi_value <= report.mi_bound + 1e-12
+
+
+@st.composite
+def small_targets(draw):
+    """(spec, target): at most 3x3 random settings, a random positive p_xy
+    and random correlators in [-1, 1]."""
+    n_a, n_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi))
+    alice = [vec_polar(*draw(angles)) for _ in range(n_a)]
+    bob = [vec_polar(*draw(angles)) for _ in range(n_b)]
+    cells = n_a * n_b
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cells, max_size=cells)))
+    e = draw(st.lists(st.floats(-1.0, 1.0), min_size=cells, max_size=cells))
+    spec = SettingsSpec.finite(alice, bob, (p / p.sum()).reshape(n_a, n_b))
+    return spec, ConditionalTable.from_correlators(np.reshape(e, (n_a, n_b)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(small_targets())
+def test_built_models_are_local_after_a_file_round_trip(target):
+    spec, corr = target
+    built = [
+        brans_to_cs(corr, spec)[0],
+        comm_to_cs(input_broadcast_build(corr, spec), spec)[0],
+    ]
+    for cs in built:
+        loaded = load_model(json_text(model_payload(cs)))
+        assert list(loaded.table.entries()) == list(cs.table.entries())
+        assert verify_bell_local(loaded).max_deviation == 0.0
 
 
 def test_comm_to_cs_sampled_requires_source():
@@ -145,7 +179,7 @@ def test_det_to_cs_report_fields():
         assert abs(eff - 0.5) < 0.02
     assert report.corr_deviation < 0.05
     assert cs.hidden_names == ("lam",)
-    assert cs.certificate is not None
+    assert cs.certificate == GisinGisinModel.certificate
 
 
 SAMPLED = {
@@ -175,13 +209,15 @@ def test_det_to_cs_draw_returns_exactly_n_kept_rounds(model):
     np.testing.assert_array_equal(d.b, d2.b)
     for h in cs.hidden_names:
         np.testing.assert_array_equal(d.hidden[h], d2.hidden[h])
-    # the declared responses reproduce every drawn outcome from its hidden
-    # variables, so the gathered fields line up round by round
-    cert = cs.certificate
-    for i in range(777):
-        hidden = tuple(d.hidden[h][i] for h in cs.hidden_names)
-        assert cert.alice_response(d.a[i], d.xs[i], hidden) == 1.0
-        assert cert.bob_response(d.b[i], d.ys[i], hidden) == 1.0
+    # the kernels replayed on the drawn hidden fields reproduce every drawn
+    # outcome, so the gathered fields line up round by round
+    if model == "tb":
+        a, b, m, _ = _kernels.tb_outcomes(d.xs, d.ys, d.hidden["l1"], d.hidden["l2"])
+        np.testing.assert_array_equal(m, d.hidden["m"])
+    else:
+        a, b, _ = _kernels.gg_outcomes(d.xs, d.ys, d.hidden["lam"], np.zeros(777))
+    np.testing.assert_array_equal(a, d.a)
+    np.testing.assert_array_equal(b, d.b)
 
 
 def test_det_to_cs_floor_validation_and_breach():
