@@ -40,7 +40,6 @@ from .analysis import (
 from .errors import (
     AcceptanceFloorError,
     BellError,
-    ConditioningError,
     ConfigError,
     InternalConsistencyError,
     ValidationError,
@@ -59,7 +58,7 @@ from .models import (
     preset,
 )
 from .sphere import RandomSource, sample_uniform_sphere
-from .table import FiniteDistribution, binary_entropy, product_table
+from .table import FiniteDistribution, binary_entropy
 from .transforms import TransformReport, comm_to_cs, det_to_cs
 
 __version__ = "1.0.0"
@@ -69,7 +68,6 @@ __all__ = [
     "BellError",
     "CHSHResult",
     "ConditionalTable",
-    "ConditioningError",
     "ConfigError",
     "CorrelationTable",
     "ExactCSModel",
@@ -104,7 +102,6 @@ __all__ = [
     "mi_tb_quadrature",
     "pr_box_conditional",
     "preset",
-    "product_table",
     "sample_uniform_sphere",
     "singlet_correlation",
     "verify_bell_local",

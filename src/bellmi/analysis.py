@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,8 +74,9 @@ class CorrelationTable:
 
     ``counts[x, y, i, j]`` tallies kept rounds (post-selected where the
     model has detectors); ``attempts`` counts every round routed to the
-    cell.  Cells that ended up with no kept rounds are listed in
-    ``empty_cells`` rather than silently zeroed.
+    cell.  Cells that ended up with no kept rounds have
+    ``kept_per_cell == 0``, and their estimates raise rather than read as
+    zero.
     """
 
     spec: SettingsSpec
@@ -90,14 +92,12 @@ class CorrelationTable:
         if tuple(self.attempts.shape) != want[:2]:
             raise ConfigError(f"attempts shape {self.attempts.shape} != {want[:2]}")
 
-    @property
+    @cached_property
     def kept_per_cell(self) -> np.ndarray:
-        return self.counts.sum(axis=(2, 3))
-
-    @property
-    def empty_cells(self) -> list:
-        kept = self.kept_per_cell
-        return [(int(x), int(y)) for x, y in zip(*np.nonzero(kept == 0))]
+        """Kept rounds per (x, y) cell, summed once and shared read-only."""
+        kept = self.counts.sum(axis=(2, 3))
+        kept.setflags(write=False)
+        return kept
 
     @property
     def has_detection(self) -> bool:

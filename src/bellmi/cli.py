@@ -21,7 +21,6 @@ from typing import Optional
 from . import analysis, serialize, transforms
 from .errors import (
     AcceptanceFloorError,
-    ConditioningError,
     ConfigError,
     InternalConsistencyError,
     ValidationError,
@@ -298,7 +297,7 @@ def main(argv: Optional[list] = None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ConfigError, ValidationError, ConditioningError, OSError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

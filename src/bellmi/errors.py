@@ -13,10 +13,6 @@ class ValidationError(BellError, ValueError):
     """Input data violates a numerical contract (normalization, negativity, domain)."""
 
 
-class ConditioningError(BellError, ValueError):
-    """Conditioning on an event of probability zero."""
-
-
 class InternalConsistencyError(BellError, RuntimeError):
     """A computed quantity violated an invariant it satisfies by construction."""
 

@@ -121,11 +121,6 @@ class SettingsSpec:
         """Both settings independent and uniform on the sphere."""
         return cls(None, None, None)
 
-    @classmethod
-    def single_pair(cls, x, y) -> "SettingsSpec":
-        """Finite spec with exactly one (x, y) cell."""
-        return cls.finite([x], [y])
-
     # -- accessors ------------------------------------------------------
 
     @property
@@ -154,10 +149,6 @@ class SettingsSpec:
     @property
     def p_x(self) -> np.ndarray:
         return self.p_xy.sum(axis=1)
-
-    @property
-    def p_y(self) -> np.ndarray:
-        return self.p_xy.sum(axis=0)
 
     # -- sampling -------------------------------------------------------
 
@@ -351,10 +342,6 @@ class TonerBaconModel:
             bad[idx] = rbad
         return TBRounds(a=a, b=b, m=m, l1=l1, l2=l2, resampled=resampled)
 
-    def target_correlator(self, x, y) -> float:
-        """Quantum prediction this model reproduces: E = -x.y."""
-        return -float(np.dot(x, y))
-
 
 # ----------------------------------------------------------------------
 # Gisin-Gisin detection model
@@ -405,10 +392,6 @@ class GisinGisinModel:
         u = gen.random(n)
         a, b, click_a = _kernels.gg_outcomes(xs, ys, lam, u)
         return GGRounds(a=a, b=b, click_a=click_a, lam=lam)
-
-    def target_correlator(self, x, y) -> float:
-        """Post-selected quantum prediction: E = -x.y."""
-        return -float(np.dot(x, y))
 
 
 # ----------------------------------------------------------------------

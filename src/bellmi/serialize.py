@@ -72,10 +72,16 @@ def parse_json(text: str):
 
 
 def _as_label(value):
-    """JSON arrays become tuples so labels hash again after a round trip."""
+    """JSON arrays become tuples so labels hash again after a round trip.
+
+    Labels are strings, numbers or arrays of these; anything else raises
+    :class:`ValueError`.
+    """
     if isinstance(value, list):
         return tuple(_as_label(v) for v in value)
-    return value
+    if type(value) in (str, int, float):  # not bool, null or an object
+        return value
+    raise ValueError(f"label {value!r} is not a string, number or array of these")
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +218,7 @@ def load_correlation(text: str):
     """Correlation-table file; returns (SettingsSpec, ConditionalTable).
 
     Every (x, y) cell must be present with its pp/pm/mp/mm conditional
-    probabilities, and listed once.
+    probabilities, listed once, and indexed by JSON integers.
     """
     payload = parse_json(text)
     spec = _settings_from_payload(payload, where="correlation file")
@@ -220,7 +226,9 @@ def load_correlation(text: str):
     seen = set()
     for cell in payload.get("cells", ()):
         try:
-            x, y = int(cell["x"]), int(cell["y"])
+            x, y = cell["x"], cell["y"]
+            if not all(type(v) is int for v in (x, y)):
+                raise TypeError("cell indices must be JSON integers")
             if not (0 <= x < spec.n_alice and 0 <= y < spec.n_bob):
                 raise IndexError(
                     f"cell index outside [0, {spec.n_alice}) x [0, {spec.n_bob})"

@@ -90,13 +90,3 @@ def vec_polar(theta: float, phi: float = 0.0) -> np.ndarray:
     """Unit vector at polar angle theta from +z, azimuth phi."""
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n roughly evenly spread points on the sphere (golden-angle spiral)."""
-    i = np.arange(n, dtype=np.float64)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    phi = golden * i
-    s = np.sqrt(1.0 - z * z)
-    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])

@@ -24,17 +24,12 @@ itself when it changes nothing), so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    InternalConsistencyError,
-    ValidationError,
-)
+from .errors import ConfigError, InternalConsistencyError, ValidationError
 
 # Bits; InfoBits in the package's vocabulary is a plain float carrying bits.
 InfoBits = float
@@ -132,22 +127,6 @@ class FiniteDistribution:
     def _axes_of(self, names: Iterable[str]) -> tuple[int, ...]:
         return tuple(self._axis_of(n) for n in names)
 
-    def prob(self, assignment: Mapping[str, Hashable]) -> float:
-        """Probability of a full joint assignment ``{name: label}``."""
-        if set(assignment) != set(self._names):
-            raise ConfigError("prob() needs a full assignment of every variable")
-        idx = tuple(
-            self._label_pos(name, assignment[name]) for name in self._names
-        )
-        return float(self._weights[idx])
-
-    def _label_pos(self, name: str, label: Hashable) -> int:
-        labs = self._labels[self._axis_of(name)]
-        try:
-            return labs.index(label)
-        except ValueError:
-            raise ConfigError(f"unknown label {label!r} for variable {name!r}") from None
-
     @classmethod
     def from_entries(
         cls,
@@ -203,32 +182,6 @@ class FiniteDistribution:
         if not drop:
             return self  # immutable, so nothing to copy
         return FiniteDistribution(kept, self._weights.sum(axis=drop))
-
-    def condition(self, evidence: Mapping[str, Hashable]) -> "FiniteDistribution":
-        """Renormalized restriction to ``{name: label}`` evidence.
-
-        All variables are retained (the conditioned ones become point
-        masses).  Zero-probability evidence raises
-        :class:`ConditioningError`, never a silent NaN.
-        """
-        if not evidence:
-            return self
-        mask = np.ones_like(self._weights, dtype=bool)
-        for name, label in evidence.items():
-            ax = self._axis_of(name)
-            pos = self._label_pos(name, label)
-            sel = np.zeros(self._weights.shape[ax], dtype=bool)
-            sel[pos] = True
-            mask &= sel.reshape(
-                tuple(-1 if i == ax else 1 for i in range(self._weights.ndim))
-            )
-        restricted = np.where(mask, self._weights, 0.0)
-        total = float(restricted.sum())
-        if total <= 0.0:
-            raise ConditioningError(f"evidence {dict(evidence)!r} has probability zero")
-        return FiniteDistribution(
-            list(zip(self._names, self._labels)), restricted / total
-        )
 
     # ------------------------------------------------------------------
     # information measures (bits)
@@ -296,17 +249,3 @@ class FiniteDistribution:
         if value < -MI_CLAMP:
             raise InternalConsistencyError(f"{what} = {value!r} < -{MI_CLAMP}")
         return 0.0 if value < 0.0 else value
-
-
-def product_table(
-    first: FiniteDistribution, second: FiniteDistribution
-) -> FiniteDistribution:
-    """Independent product of two tables over disjoint variable sets."""
-    overlap = set(first.variables) & set(second.variables)
-    if overlap:
-        raise ConfigError(f"variables {sorted(overlap)} appear in both factors")
-    w = np.multiply.outer(first.weights, second.weights)
-    variables = [(n, first.labels(n)) for n in first.variables] + [
-        (n, second.labels(n)) for n in second.variables
-    ]
-    return FiniteDistribution(variables, w)

@@ -196,20 +196,6 @@ def _random_pair_spec(gen: np.random.Generator, pairs: int) -> SettingsSpec:
     return SettingsSpec.finite(xs, ys, p)
 
 
-def _target_from_correlator(model, spec: SettingsSpec) -> ConditionalTable:
-    """Target P(a,b|x,y) from the model's declared correlator.
-
-    Assumes uniform outcome marginals, P(a,b|x,y) = (1 + ab E)/4, which
-    holds for both shipped targets (the singlet prediction E = -x.y).
-    """
-    return ConditionalTable.from_correlators(
-        [
-            [model.target_correlator(x, y) for y in spec.bob_settings]
-            for x in spec.alice_settings
-        ]
-    )
-
-
 def _draw_settings(spec: SettingsSpec, gen: np.random.Generator, n: int):
     """``(xs, ys, x_idx, y_idx)`` for n rounds: index pairs from P(x,y) on a
     finite spec, independent uniform sphere vectors (indices None) otherwise."""
@@ -239,8 +225,9 @@ def _sampled_cs(
 
     ``draw`` keeps the rounds whose batch ``kept`` mask is set (every round
     when ``kept`` is None) and exposes the model's ``hidden_names`` fields.
-    The report checks ``rounds`` rounds on the spec's own cells, or on
-    eight random setting pairs for the continuous spec.
+    The report checks ``rounds`` rounds against the singlet prediction on
+    the spec's own cells, or on eight random setting pairs for the
+    continuous spec.
     """
     check_floor(floor)
 
@@ -309,7 +296,7 @@ def _sampled_cs(
     report = TransformReport(
         source=model.name,
         corr_deviation=_estimated_corr_deviation(
-            est, _target_from_correlator(model, check_spec)
+            est, analysis.exact_singlet_conditional(check_spec)
         ),
         inputs_deviation=_estimated_inputs_deviation(est),
         mi_value=None,

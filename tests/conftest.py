@@ -1,9 +1,11 @@
-"""Shared fixtures: a subprocess CLI runner."""
+"""Shared helpers: a subprocess CLI runner and spread sphere points."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -25,3 +27,13 @@ def run_cli(args, env_extra=None, cwd=None):
         cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n roughly evenly spread points on the sphere (golden-angle spiral)."""
+    i = np.arange(n, dtype=np.float64)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    phi = golden * i
+    s = np.sqrt(1.0 - z * z)
+    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])

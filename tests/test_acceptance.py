@@ -37,9 +37,9 @@ from bellmi.models import (
     pr_box_conditional,
     preset,
 )
-from bellmi.sphere import RandomSource, fibonacci_sphere, sample_uniform_sphere
+from bellmi.sphere import RandomSource, sample_uniform_sphere
 from bellmi.transforms import comm_to_cs
-from conftest import run_cli
+from conftest import fibonacci_sphere, run_cli
 
 ROOT_TWO = math.sqrt(2.0)
 
@@ -75,7 +75,7 @@ def test_criterion_1_singlet_reproduction(capsys):
     worst = 0.0
     for (x, y), src in zip(pairs, RandomSource(103).split(12)):
         pair_est = estimate_correlations(
-            TonerBaconModel(), SettingsSpec.single_pair(x, y), 1_000_000, src
+            TonerBaconModel(), SettingsSpec.finite([x], [y]), 1_000_000, src
         )
         z = abs(
             pair_est.correlator(0, 0) - singlet_correlation(x, y)

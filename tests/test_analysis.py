@@ -82,7 +82,7 @@ def test_estimate_is_independent_of_parallelism():
 def test_estimate_correlator_tracks_target():
     x = vec_polar(0.3, 1.1)
     y = vec_polar(1.9, -0.4)
-    spec = SettingsSpec.single_pair(x, y)
+    spec = SettingsSpec.finite([x], [y])
     est = estimate_correlations(TonerBaconModel(), spec, 100_000, RandomSource(61))
     e = est.correlator(0, 0)
     se = est.correlator_se(0, 0)
@@ -104,7 +104,7 @@ def test_empty_cell_reports_config_error():
     spec = SettingsSpec.finite(preset("chsh").alice_settings,
                                preset("chsh").bob_settings, p)
     est = estimate_correlations(TonerBaconModel(), spec, 5_000, RandomSource(63))
-    assert (0, 1) in est.empty_cells
+    assert est.kept_per_cell[0, 1] == 0
     with pytest.raises(ConfigError):
         est.correlator(0, 1)
 
@@ -249,9 +249,7 @@ def test_mi_finite_settings_validation():
 
 def test_mi_finite_single_alice_setting_is_zero():
     # with one Alice setting the message is a function of mu alone
-    spec = SettingsSpec.single_pair(
-        np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
-    )
+    spec = SettingsSpec.finite([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
     est = mi_finite_settings_tb(spec, 2_000, RandomSource(72))
     assert est.value == 0.0
     assert est.uncertainty == 0.0

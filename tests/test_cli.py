@@ -5,8 +5,7 @@ from importlib import resources
 
 import pytest
 
-from bellmi.sphere import fibonacci_sphere
-from conftest import run_cli
+from conftest import fibonacci_sphere, run_cli
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +310,33 @@ BAD_INPUTS = {
             "alice_settings": [[0.0, 0.0, 1.0]],
             "bob_settings": [[0.0, 0.0, 1.0]],
             "cells": [{"x": 0, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}],
+        },
+    ),
+    # int() would truncate x = 1.5 to 1 and accept the file as complete
+    "corr-fractional-index": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {
+            "alice_settings": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            "bob_settings": [[0.0, 0.0, 1.0]],
+            "cells": [
+                {"x": x, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}
+                for x in (0, 1.5)
+            ],
+        },
+    ),
+    # an object label is unhashable, so it would reach the table as a TypeError
+    "model-object-label": (
+        ["verify", "input.json"],
+        {
+            "variables": [
+                {"name": "a", "labels": [{"k": 1}, -1]},
+                {"name": "b", "labels": [1, -1]},
+                {"name": "x", "labels": [0]},
+                {"name": "y", "labels": [0]},
+                {"name": "lam", "labels": [0]},
+            ],
+            "weights": [{"assignment": [-1, 1, 0, 0, 0], "p": 1.0}],
         },
     ),
 }

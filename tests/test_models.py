@@ -9,6 +9,7 @@ from scipy import stats
 
 from bellmi.errors import ConfigError, ValidationError
 from bellmi.models import (
+    OUTCOME_LABELS,
     ConditionalTable,
     SettingsSpec,
     GisinGisinModel,
@@ -51,7 +52,7 @@ def test_settings_default_input_dist_is_uniform():
     assert spec.p_xy.shape == (3, 2)
     np.testing.assert_allclose(spec.p_xy, 1 / 6)
     np.testing.assert_allclose(spec.p_x, 1 / 3)
-    np.testing.assert_allclose(spec.p_y, 1 / 2)
+    np.testing.assert_allclose(spec.p_xy.sum(axis=0), 1 / 2)
 
 
 def test_preset_chsh_geometry():
@@ -136,7 +137,6 @@ def test_tb_alice_marginal_is_unbiased():
     batch = model.sample_rounds(x, y, RandomSource(9))
     p_plus = np.mean(batch.a == 1)
     assert abs(p_plus - 0.5) < 4 * math.sqrt(0.25 / 100_000)
-    assert model.target_correlator(x[0], x[0]) == -1.0
 
 
 # ----------------------------------------------------------------------
@@ -212,12 +212,10 @@ def test_brans_build_pins_settings_in_hidden_variable():
     assert verify_bell_local(model).max_deviation == 0.0
     # lambda determines the settings outright
     t = model.table
-    for (lam,), w in zip(
-        [(l,) for l in t.labels("lam")], np.ones(len(t.labels("lam")))
-    ):
-        x, y, a, b = lam
-        assert t.prob({"x": x, "y": y, "a": a, "b": b, "lam": lam}) > 0.0
-    del w
+    assert t.variables == ("a", "b", "x", "y", "lam")
+    for k, (x, y, a, b) in enumerate(t.labels("lam")):
+        i, j = OUTCOME_LABELS.index(a), OUTCOME_LABELS.index(b)
+        assert t.weights[i, j, x, y, k] > 0.0
     # conditional matches the target bitwise
     assert model.conditional().max_deviation(corr) == 0.0
 

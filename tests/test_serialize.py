@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bellmi.analysis import estimate_correlations, exact_singlet_conditional
+from bellmi.analysis import (
+    CorrelationTable,
+    estimate_correlations,
+    exact_singlet_conditional,
+)
 from bellmi.errors import ConfigError
 from bellmi.models import SettingsSpec, TonerBaconModel, brans_build, preset
 from bellmi.serialize import (
@@ -22,7 +27,7 @@ from bellmi.serialize import (
     parse_json,
     sampler_payload,
 )
-from bellmi.sphere import RandomSource
+from bellmi.sphere import RandomSource, vec_polar
 
 
 def test_format_float_round_trips_float64():
@@ -87,6 +92,35 @@ def test_correlation_payload_round_trip():
     # quantum comparison fields present and within-4-sigma flags set
     cell = payload["cells"][0]
     assert {"pp", "pm", "mp", "mm", "n", "e", "se_e", "quantum_e", "ok"} <= set(cell)
+
+
+@st.composite
+def estimated_tables(draw):
+    """A CorrelationTable on at most 4x4 random settings with a random
+    positive p_xy and random counts, at least one kept round per cell."""
+    n_a, n_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi))
+    alice = [vec_polar(*draw(angles)) for _ in range(n_a)]
+    bob = [vec_polar(*draw(angles)) for _ in range(n_b)]
+    cells = n_a * n_b
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cells, max_size=cells)))
+    spec = SettingsSpec.finite(alice, bob, (p / p.sum()).reshape(n_a, n_b))
+    counts = np.array(
+        draw(st.lists(st.integers(0, 10**6), min_size=4 * cells, max_size=4 * cells))
+    ).reshape(n_a, n_b, 2, 2)
+    counts[:, :, 0, 0] += 1
+    return CorrelationTable(spec=spec, counts=counts, attempts=counts.sum(axis=(2, 3)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(estimated_tables())
+def test_correlation_file_round_trip_is_bitwise(est):
+    spec, corr = load_correlation(json_text(correlation_payload(est, model="tb", seed=0)))
+    np.testing.assert_array_equal(spec.alice_settings, est.spec.alice_settings)
+    np.testing.assert_array_equal(spec.bob_settings, est.spec.bob_settings)
+    np.testing.assert_array_equal(spec.p_xy, est.spec.p_xy)
+    kept = est.counts.sum(axis=(2, 3))
+    np.testing.assert_array_equal(corr.probs, est.counts / kept[:, :, None, None])
 
 
 def test_correlation_csv_shape():

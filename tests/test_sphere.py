@@ -8,11 +8,11 @@ import pytest
 from bellmi.errors import ValidationError
 from bellmi.sphere import (
     RandomSource,
-    fibonacci_sphere,
     require_unit,
     sample_uniform_sphere,
     vec_polar,
 )
+from conftest import fibonacci_sphere
 
 
 def test_random_source_is_reproducible():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bellmi.errors import ConditioningError, ValidationError
-from bellmi.table import FiniteDistribution, binary_entropy, product_table
+from bellmi.errors import ValidationError
+from bellmi.table import FiniteDistribution, binary_entropy
 
 
 def random_table(gen, shape, names):
@@ -28,36 +28,20 @@ def test_prob_and_marginal():
         [("x", (0, 1)), ("y", ("u", "v"))],
         np.array([[0.1, 0.2], [0.3, 0.4]]),
     )
-    assert t.prob({"x": 1, "y": "u"}) == 0.3
+    assert t.weights[1, 0] == 0.3
     mx = t.marginal(["x"])
     assert mx.variables == ("x",)
     assert np.allclose(mx.weights, [0.3, 0.7])
     # marginal keeps canonical variable order regardless of request order
     myx = t.marginal(["y", "x"])
     assert myx.variables == ("x", "y")
-    assert myx.prob({"y": "v", "x": 0}) == 0.2
+    assert myx.weights[0, 1] == 0.2
 
 
 def test_marginal_over_every_variable_is_the_table_itself():
     t = random_table(np.random.default_rng(3), (2, 3, 4), ("a", "b", "c"))
     assert t.marginal(t.variables) is t
     assert t.marginal(("c", "a", "b")) is t
-
-
-def test_condition_renormalizes_with_point_mass_evidence():
-    t = FiniteDistribution(
-        [("x", (0, 1)), ("y", (0, 1))],
-        np.array([[0.5, 0.25], [0.25, 0.0]]),
-    )
-    c = t.condition({"x": 0})
-    assert c.variables == ("x", "y")
-    assert c.prob({"x": 0, "y": 0}) == pytest.approx(2 / 3, abs=1e-15)
-    assert c.prob({"x": 1, "y": 0}) == 0.0
-    with pytest.raises(ConditioningError):
-        FiniteDistribution(
-            [("x", (0, 1)), ("y", (0, 1))],
-            np.array([[0.5, 0.5], [0.0, 0.0]]),
-        ).condition({"x": 1})
 
 
 def test_entropy_uniform_is_log2():
@@ -129,14 +113,6 @@ def test_conditional_mi_with_empty_conditioner_is_mi():
     assert t.conditional_mutual_information(("x",), ("y",), ()) == pytest.approx(
         t.mutual_information(("x",), ("y",)), abs=1e-12
     )
-
-
-def test_product_table_builds_independent_joint():
-    a = FiniteDistribution([("x", (0, 1))], np.array([0.25, 0.75]))
-    b = FiniteDistribution([("y", (0, 1))], np.array([0.5, 0.5]))
-    j = product_table(a, b)
-    assert j.variables == ("x", "y")
-    assert j.mutual_information(("x",), ("y",)) == 0.0
 
 
 def test_from_entries_round_trip():

@@ -14,6 +14,7 @@ from bellmi.errors import (
 from bellmi.models import (
     ConditionalTable,
     ExactCSModel,
+    FiniteCommModel,
     GisinGisinModel,
     SampledCSModel,
     SettingsSpec,
@@ -59,7 +60,7 @@ def test_estimated_corr_deviation_matches_cell_loop():
     target = exact_singlet_conditional(spec)
     worst = 0.0
     for x, y in np.ndindex(3, 2):
-        if (x, y) not in est.empty_cells:
+        if est.kept_per_cell[x, y] > 0:
             dev = np.abs(est.cell_probs(x, y) - target.probs[x, y])
             worst = max(worst, float(np.max(dev)))
     assert _estimated_corr_deviation(est, target) == worst
@@ -123,6 +124,60 @@ def test_built_models_are_local_after_a_file_round_trip(target):
         loaded = load_model(json_text(model_payload(cs)))
         assert list(loaded.table.entries()) == list(cs.table.entries())
         assert verify_bell_local(loaded).max_deviation == 0.0
+
+
+@st.composite
+def deterministic_comm_models(draw):
+    """(model, spec): a random finite one-round protocol with up to 3x3
+    settings, 4 shared-randomness labels and 3 messages, no declared target.
+
+    The message is a table over (x, y, mu); Alice answers from (x, mu, m)
+    and Bob from (y, mu, m), both deterministically.
+    """
+    n_a, n_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_mu, n_m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi))
+    alice = [vec_polar(*draw(angles)) for _ in range(n_a)]
+    bob = [vec_polar(*draw(angles)) for _ in range(n_b)]
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_a * n_b, max_size=n_a * n_b)))
+    spec = SettingsSpec.finite(alice, bob, (p / p.sum()).reshape(n_a, n_b))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_mu, max_size=n_mu)))
+
+    def table(shape, values):
+        size = int(np.prod(shape))
+        return np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)
+
+    msg = table((n_a, n_b, n_mu), st.integers(0, n_m - 1))
+    out_a = table((n_a, n_mu, n_m), st.sampled_from((1, -1)))
+    out_b = table((n_b, n_mu, n_m), st.sampled_from((1, -1)))
+    model = FiniteCommModel(
+        mu_labels=tuple(range(n_mu)),
+        mu_weights=w / w.sum(),
+        conversation=lambda x, y, mu: (int(msg[x, y, mu]),),
+        alice=lambda x, mu, m: int(out_a[x, mu, m[0]]),
+        bob=lambda y, mu, m: int(out_b[y, mu, m[0]]),
+    )
+    return model, spec
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(deterministic_comm_models())
+def test_comm_to_cs_chain_identity_on_random_protocols(case):
+    model, spec = case
+    cs, report = comm_to_cs(model, spec)
+    t = cs.table
+    i_lam = t.mutual_information(("x", "y"), ("mu", "m"))
+    i_mu = t.mutual_information(("mu",), ("x", "y"))
+    i_m_given_mu = t.conditional_mutual_information(("m",), ("x", "y"), ("mu",))
+    h_m_given_mu = t.entropy(("mu", "m")) - t.entropy(("mu",))
+    assert i_lam == pytest.approx(i_mu + i_m_given_mu, abs=1e-12)
+    assert i_m_given_mu == pytest.approx(h_m_given_mu, abs=1e-12)
+    assert i_mu == pytest.approx(0.0, abs=1e-12)
+    assert report.mi_value == i_lam
+    assert report.corr_deviation == pytest.approx(0.0, abs=1e-12)
+    assert report.inputs_deviation == pytest.approx(0.0, abs=1e-12)
+    assert i_lam <= t.entropy(("m",)) + 1e-12
+    assert verify_bell_local(cs).max_deviation == 0.0
 
 
 def test_comm_to_cs_sampled_requires_source():
