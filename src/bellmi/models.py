@@ -575,33 +575,20 @@ class ExactCSModel:
         pos = np.unravel_index(flat, tuple(len(labs) for labs in labels))
         return tuple(labs[k] for labs, k in zip(labels, pos))
 
-@dataclass(frozen=True, eq=False)
-class CSRounds:
-    """Sampled rounds of a correlated-settings model."""
-
-    a: np.ndarray
-    b: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    x_idx: Optional[np.ndarray]
-    y_idx: Optional[np.ndarray]
-    hidden: dict
-
 
 @dataclass(frozen=True, eq=False)
 class SampledCSModel:
-    """Correlated-settings model realized as a seeded round sampler.
+    """Correlated-settings model whose hidden variable is continuous.
 
-    ``draw(source, n)`` emits a :class:`CSRounds` batch with the settings
-    already drawn from the model's input distribution and the hidden
-    components exposed by name.  ``certificate`` is the model class's
-    description of its responses, written to the descriptor file.
+    It has no finite weight table: ``kind`` names the construction,
+    ``spec`` its input distribution and ``hidden_names`` the hidden
+    components.  ``certificate`` is the model class's description of its
+    responses, written to the descriptor file.
     """
 
     kind: str
     spec: SettingsSpec
     hidden_names: tuple[str, ...]
-    draw: Callable
     certificate: Optional[str] = None
 
 

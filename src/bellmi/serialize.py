@@ -192,11 +192,11 @@ def _settings_from_payload(payload: dict, *, where: str) -> SettingsSpec:
     try:
         alice = np.asarray(payload["alice_settings"], dtype=np.float64)
         bob = np.asarray(payload["bob_settings"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad or missing settings arrays ({exc})") from None
-    p_xy = payload.get("p_xy")
-    if p_xy is not None:
-        p_xy = np.asarray(p_xy, dtype=np.float64)
+        p_xy = payload.get("p_xy")
+        if p_xy is not None:
+            p_xy = np.asarray(p_xy, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: bad or missing settings or p_xy ({exc})") from None
     return SettingsSpec.finite(alice, bob, p_xy)
 
 
@@ -210,7 +210,7 @@ def load_input_dist(text: str) -> np.ndarray:
     payload = parse_json(text)
     try:
         return np.asarray(payload["p_xy"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"input-dist file: bad or missing p_xy ({exc})") from None
 
 
@@ -224,7 +224,10 @@ def load_correlation(text: str):
     spec = _settings_from_payload(payload, where="correlation file")
     probs = np.full((spec.n_alice, spec.n_bob, 2, 2), np.nan)
     seen = set()
-    for cell in payload.get("cells", ()):
+    cells = payload.get("cells", ())
+    if not isinstance(cells, list):
+        raise ConfigError(f"correlation file: cells must be a list, got {cells!r}")
+    for cell in cells:
         try:
             x, y = cell["x"], cell["y"]
             if not all(type(v) is int for v in (x, y)):
@@ -240,7 +243,7 @@ def load_correlation(text: str):
             probs[x, y, 0, 1] = float(cell["pm"])
             probs[x, y, 1, 0] = float(cell["mp"])
             probs[x, y, 1, 1] = float(cell["mm"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, IndexError) as exc:
             raise ConfigError(f"correlation file: bad cell {cell!r} ({exc})") from None
     if np.any(np.isnan(probs)):
         raise ConfigError("correlation file: some (x, y) cells are missing")
@@ -287,24 +290,24 @@ def load_model(text: str) -> ExactCSModel:
             (tuple(_as_label(lab) for lab in w["assignment"]), float(w["p"]))
             for w in payload["weights"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+        hidden = payload.get("hidden_variables")
+        if hidden is not None:
+            hidden = tuple(str(h) for h in hidden)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"model file: bad structure ({exc})") from None
     table = FiniteDistribution.from_entries(variables, entries)
-    hidden = payload.get("hidden_variables")
     if hidden is None:
-        hidden = [n for n in table.variables if n not in ("a", "b", "x", "y")]
-    return ExactCSModel(
-        table=table, hidden_vars=tuple(str(h) for h in hidden),
-        spec=None, certificate=None,
-    )
+        hidden = tuple(n for n in table.variables if n not in ("a", "b", "x", "y"))
+    return ExactCSModel(table=table, hidden_vars=hidden, spec=None, certificate=None)
 
 
 def sampler_payload(model, *, seed: int) -> dict:
     """Descriptor for a sampled correlated-settings model.
 
-    Sampled models have continuous hidden variables, so the file records
-    how to regenerate the rounds (kind, settings, seed) rather than a
-    weight table.  These descriptors are not accepted by ``load_model``.
+    Sampled models have continuous hidden variables and no weight table, so
+    the file records the construction's kind, the seed and the settings.
+    The package does not read these descriptors back; ``load_model``
+    rejects them.
     """
     spec = model.spec
     if spec.is_finite:

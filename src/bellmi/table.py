@@ -214,6 +214,8 @@ class FiniteDistribution:
         independent tables return exactly 0.0.
         """
         a, b = tuple(a), tuple(b)
+        if not a or not b:
+            raise ConfigError(f"mutual information needs nonempty sets, got {a} and {b}")
         pj = self._grouped([a, b])
         pj = pj.reshape(
             int(np.prod(pj.shape[: len(a)])), int(np.prod(pj.shape[len(a):]))

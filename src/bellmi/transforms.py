@@ -5,17 +5,17 @@ Three conversions are supported:
 - :func:`comm_to_cs` absorbs a communication model's conversation into the
   hidden variable, lambda = (mu, m).  For finite models this is an exact
   table construction with exact mutual-information accounting; for the
-  one-bit singlet model it yields a seeded sampler plus Monte Carlo checks.
+  one-bit singlet model it yields a sampled model plus Monte Carlo checks.
   Either way I(x,y:lambda) is bounded by the message entropy H(m).
-- :func:`det_to_cs` turns a detection model into a post-selected sampler by
-  rejecting rounds until both detectors click, which realizes conditioning
-  on the double-click event exactly (no density reweighting).
+- :func:`det_to_cs` post-selects a detection model on both detectors
+  clicking; its Monte Carlo report keeps only the double-click rounds,
+  which conditions on that event exactly (no density reweighting).
 - :func:`brans_to_cs` builds the settings-fixing model of a target table,
   whose hidden variable determines settings and outcomes (I = H(x,y)).
 
-The two sampled conversions share one sampler and one Monte Carlo report
-(:func:`_sampled_cs`); the two exact ones share one exact report
-(:func:`_exact_report`).  Each returns the model together with a
+The two sampled conversions share one Monte Carlo report (:func:`_sampled_cs`,
+one :func:`analysis.estimate_correlations` run); the two exact ones share one
+exact report (:func:`_exact_report`).  Each returns the model together with a
 :class:`TransformReport` recording reproduction deviations and the
 information bound where available.
 """
@@ -37,7 +37,6 @@ from .errors import (
 from .models import (
     OUTCOME_LABELS,
     ConditionalTable,
-    CSRounds,
     ExactCSModel,
     FiniteCommModel,
     GisinGisinModel,
@@ -54,14 +53,6 @@ REPORT_ROUNDS = 200_000
 
 # Default acceptance floor of det_to_cs and of ``transform --floor``.
 DEFAULT_FLOOR = 1e-6
-
-# A sampled draw gives up when the observed acceptance rate sits below the
-# floor after at least this many attempted rounds.
-FLOOR_EVIDENCE_ROUNDS = 65_536
-
-# Hard cap on attempted rounds per draw call, so a zero-acceptance model
-# cannot spin forever even with a tiny floor.
-MAX_ATTEMPT_FACTOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -196,15 +187,6 @@ def _random_pair_spec(gen: np.random.Generator, pairs: int) -> SettingsSpec:
     return SettingsSpec.finite(xs, ys, p)
 
 
-def _draw_settings(spec: SettingsSpec, gen: np.random.Generator, n: int):
-    """``(xs, ys, x_idx, y_idx)`` for n rounds: index pairs from P(x,y) on a
-    finite spec, independent uniform sphere vectors (indices None) otherwise."""
-    if spec.is_finite:
-        x_idx, y_idx = spec.sample_indices(gen, n)
-        return (*spec.vectors_for(x_idx, y_idx), x_idx, y_idx)
-    return sample_uniform_sphere(gen, n), sample_uniform_sphere(gen, n), None, None
-
-
 def check_floor(floor: float) -> None:
     """Raise :class:`ConfigError` unless the acceptance floor lies in (0, 1]."""
     if not 0.0 < floor <= 1.0:  # NaN fails too
@@ -221,58 +203,19 @@ def _sampled_cs(
     kind: str,
     mi_bound: Optional[float],
 ):
-    """Seeded round sampler of ``model`` plus its Monte Carlo report.
+    """Sampled model of ``model`` plus its Monte Carlo report.
 
-    ``draw`` keeps the rounds whose batch ``kept`` mask is set (every round
-    when ``kept`` is None) and exposes the model's ``hidden_names`` fields.
-    The report checks ``rounds`` rounds against the singlet prediction on
-    the spec's own cells, or on eight random setting pairs for the
-    continuous spec.
+    The report is one :func:`analysis.estimate_correlations` run of
+    ``rounds`` rounds, which keeps the rounds whose batch ``kept`` mask is
+    set; it checks them against the singlet prediction on the spec's own
+    cells, or on eight random setting pairs for the continuous spec.  Fewer
+    than ``floor * rounds`` kept rounds raise :class:`AcceptanceFloorError`.
     """
     check_floor(floor)
-
-    def draw(src: RandomSource, n: int) -> CSRounds:
-        s_set, s_mod = src.split(2)
-        gen = s_set.generator()
-        pieces = []
-        attempted = 0
-        accepted = 0
-        while not pieces or accepted < n:
-            k = min(analysis.CHUNK_ROUNDS, max(4096, n))
-            xs, ys, x_idx, y_idx = _draw_settings(spec, gen, k)
-            batch = model.sample_rounds(xs, ys, s_mod)
-            piece = {"a": batch.a, "b": batch.b, "xs": xs, "ys": ys,
-                     "x_idx": x_idx, "y_idx": y_idx}
-            piece.update((h, getattr(batch, h)) for h in model.hidden_names)
-            keep = batch.kept
-            if keep is not None:
-                piece = {f: None if v is None else v[keep] for f, v in piece.items()}
-            attempted += k
-            accepted += piece["a"].shape[0]
-            pieces.append(piece)
-            if attempted >= FLOOR_EVIDENCE_ROUNDS and accepted < floor * attempted:
-                raise AcceptanceFloorError(
-                    f"double-click acceptance rate {accepted / attempted:.3e} "
-                    f"fell below the floor {floor:.3e} after {attempted} rounds"
-                )
-            if attempted > MAX_ATTEMPT_FACTOR * max(n, 1) and accepted == 0:
-                raise AcceptanceFloorError(
-                    f"no double clicks in {attempted} rounds; acceptance "
-                    "appears to be zero"
-                )
-        out = {
-            f: None if pieces[0][f] is None
-            else np.concatenate([p[f] for p in pieces])[:n]
-            for f in pieces[0]
-        }
-        hidden = {h: out.pop(h) for h in model.hidden_names}
-        return CSRounds(**out, hidden=hidden)
-
     cs = SampledCSModel(
         kind=kind,
         spec=spec,
         hidden_names=model.hidden_names,
-        draw=draw,
         certificate=model.certificate,
     )
 
@@ -361,12 +304,12 @@ def det_to_cs(
 ):
     """Post-select a detection model on both detectors clicking.
 
-    The sampler draws (x, y) from the input distribution, runs detection
-    rounds, and rejects until both detectors click, which conditions on the
-    double-click event exactly.  If the observed acceptance rate falls below
-    ``floor`` (checked once at least ``FLOOR_EVIDENCE_ROUNDS`` rounds were
-    attempted), :class:`AcceptanceFloorError` aborts the run with the rate
-    in the message.
+    The report run draws (x, y) from the input distribution, runs detection
+    rounds, and keeps those where both detectors click, which conditions on
+    the double-click event exactly.  If the acceptance rate over the
+    ``rounds`` report rounds falls below ``floor``,
+    :class:`AcceptanceFloorError` aborts the run with the rate in the
+    message.
 
     Returns ``(cs_model, report)``.
     """

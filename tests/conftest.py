@@ -1,4 +1,5 @@
-"""Shared helpers: a subprocess CLI runner and spread sphere points."""
+"""Shared helpers: a subprocess CLI runner, spread sphere points and a
+small valid model file."""
 
 import os
 import subprocess
@@ -37,3 +38,19 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     phi = golden * i
     s = np.sqrt(1.0 - z * z)
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+# model-file payload of a one-setting local model: lam = +-1 fixes a = b = lam
+LOCAL_MODEL = {
+    "variables": [
+        {"name": "a", "labels": [1, -1]},
+        {"name": "b", "labels": [1, -1]},
+        {"name": "x", "labels": [0]},
+        {"name": "y", "labels": [0]},
+        {"name": "lam", "labels": [1, -1]},
+    ],
+    "weights": [
+        {"assignment": [lam, lam, 0, 0, lam], "p": 0.5} for lam in (1, -1)
+    ],
+    "hidden_variables": ["lam"],
+}

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import fibonacci_sphere, run_cli
+from conftest import LOCAL_MODEL, fibonacci_sphere, run_cli
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +246,14 @@ def test_parallel_settings_round_past_one(tmp_path):
 
 SIMULATE = ["simulate", "--model", "tb", "--rounds", "100"]
 SIGNALING = str(resources.files("bellmi").joinpath("data/signaling_counterexample.json"))
+MI_MODEL_FILE = [
+    "mutual-info", "--target", "exact-model-file", "--model-file", "input.json",
+]
+ONE_CELL = {
+    "alice_settings": [[0.0, 0.0, 1.0]],
+    "bob_settings": [[0.0, 0.0, 1.0]],
+    "cells": [{"x": 0, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}],
+}
 
 # case -> (argv, payload); the payload, if any, is written to input.json in
 # the working directory of the run.
@@ -325,6 +333,23 @@ BAD_INPUTS = {
             ],
         },
     ),
+    # malformed fields must fail the loaders' checks, not end in a TypeError
+    # or ValueError traceback with exit 1
+    "corr-cells-not-list": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {**ONE_CELL, "cells": 5},
+    ),
+    "settings-pxy-not-numeric": (
+        SIMULATE + ["--settings-file", "input.json"],
+        {**ONE_CELL, "p_xy": "abc"},
+    ),
+    "model-hidden-not-list": (
+        ["verify", "input.json"], {**LOCAL_MODEL, "hidden_variables": 5}
+    ),
+    # an empty side would report I = 0 under a label that names other variables
+    "mi-empty-vars-a": (MI_MODEL_FILE + ["--vars-a", ""], LOCAL_MODEL),
+    "mi-empty-vars-b": (MI_MODEL_FILE + ["--vars-b", ","], LOCAL_MODEL),
     # an object label is unhashable, so it would reach the table as a TypeError
     "model-object-label": (
         ["verify", "input.json"],

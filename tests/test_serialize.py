@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellmi.analysis import (
     CorrelationTable,
     estimate_correlations,
     exact_singlet_conditional,
 )
-from bellmi.errors import ConfigError
+from bellmi.errors import ConfigError, ValidationError
 from bellmi.models import SettingsSpec, TonerBaconModel, brans_build, preset
 from bellmi.serialize import (
     correlation_csv,
@@ -28,6 +28,7 @@ from bellmi.serialize import (
     sampler_payload,
 )
 from bellmi.sphere import RandomSource, vec_polar
+from conftest import LOCAL_MODEL
 
 
 def test_format_float_round_trips_float64():
@@ -151,6 +152,61 @@ def test_model_payload_round_trip_preserves_tuple_labels():
 def test_load_model_rejects_bad_structure():
     with pytest.raises(ConfigError):
         load_model('{"variables": "x"}')
+
+
+SETTINGS_FILE = {
+    "alice_settings": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+    "bob_settings": [[0.0, 0.0, 1.0]],
+    "p_xy": [[0.5], [0.5]],
+}
+VALID_FILES = {
+    load_settings: SETTINGS_FILE,
+    load_input_dist: {"p_xy": [[0.25, 0.25], [0.25, 0.25]]},
+    load_correlation: {
+        **SETTINGS_FILE,
+        "cells": [
+            {"x": x, "y": 0, "pp": 0.5, "pm": 0.0, "mp": 0.0, "mm": 0.5}
+            for x in (0, 1)
+        ],
+    },
+    load_model: LOCAL_MODEL,
+}
+# (loader, path): a top-level field, or one field of one list entry
+FIELDS = [
+    (loader, path)
+    for loader, payload in VALID_FILES.items()
+    for key, value in payload.items()
+    for path in [(key,)] + [
+        (key, i, field)
+        for i, entry in enumerate(value) if isinstance(entry, dict)
+        for field in entry
+    ]
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FIELDS), JSON_VALUES)
+@example((load_settings, ("p_xy",)), "abc")
+@example((load_correlation, ("cells",)), 5)
+@example((load_model, ("hidden_variables",)), 5)
+@example((load_model, ("weights", 0, "p")), 10**400)  # no float64 holds it
+def test_loaders_reject_any_malformed_field_with_a_package_error(field, value):
+    loader, path = field
+    payload = json.loads(json.dumps(VALID_FILES[loader]))  # deep copy
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        loader(json.dumps(payload))
+    except (ConfigError, ValidationError):
+        pass
 
 
 def test_sampler_payload_records_regeneration_recipe():
