@@ -63,10 +63,22 @@ def _build_spec(args) -> SettingsSpec:
         spec = serialize.load_settings(_read(args.settings_file))
     else:
         spec = preset(args.preset or "chsh")
-    if getattr(args, "input_dist_file", None):
-        p_xy = serialize.load_input_dist(_read(args.input_dist_file))
-        spec = SettingsSpec.finite(spec.alice_settings, spec.bob_settings, p_xy)
-    return spec
+    return _with_input_dist(spec, args)
+
+
+def _with_input_dist(spec: SettingsSpec, args) -> SettingsSpec:
+    """``spec`` with its p_xy replaced by ``--input-dist-file``, if given."""
+    if not args.input_dist_file:
+        return spec
+    p_xy = serialize.load_input_dist(_read(args.input_dist_file))
+    return SettingsSpec.finite(spec.alice_settings, spec.bob_settings, p_xy)
+
+
+def _reject_set(args, flags, why: str) -> None:
+    """Raise :class:`ConfigError` naming the first of ``flags`` that is set."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")):
+            raise ConfigError(f"{why}; {flag} conflicts")
 
 
 def _model_for(name: str):
@@ -155,15 +167,10 @@ def cmd_mutual_info(args) -> int:
 
 def _resolve_corr_and_spec(args):
     if args.corr_file:
-        conflicts = (("--settings-file", args.settings_file), ("--preset", args.preset))
-        for flag, value in conflicts:
-            if value:
-                raise ConfigError(f"--corr-file carries its own settings; {flag} conflicts")
+        _reject_set(args, ("--settings-file", "--preset", "--corr"),
+                    "--corr-file carries its own settings and target")
         spec, corr = serialize.load_correlation(_read(args.corr_file))
-        if args.input_dist_file:
-            p_xy = serialize.load_input_dist(_read(args.input_dist_file))
-            spec = SettingsSpec.finite(spec.alice_settings, spec.bob_settings, p_xy)
-        return spec, corr
+        return _with_input_dist(spec, args), corr
     spec = _build_spec(args)
     if args.corr == "pr-box":
         return spec, pr_box_conditional()
@@ -183,6 +190,8 @@ def cmd_transform(args) -> int:
             cs, report = transforms.comm_to_cs(input_broadcast_build(corr, spec), spec)
         model_payload = serialize.model_payload(cs)
     else:
+        _reject_set(args, ("--corr", "--corr-file"),
+                    f"--model {args.model} always reproduces the singlet")
         spec = _build_spec(args)
         if args.model == "tb":
             cs, report = transforms.comm_to_cs(
@@ -265,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", required=True, choices=("tb", "gg", "brans", "input-broadcast")
     )
     _add_settings_flags(p)
-    p.add_argument("--corr", choices=("quantum", "pr-box"), default="quantum",
-                   help="target correlations for brans/input-broadcast")
+    p.add_argument("--corr", choices=("quantum", "pr-box"), default=None,
+                   help="target correlations for brans/input-broadcast (default: quantum)")
     p.add_argument("--corr-file", default=None,
                    help="correlation-table JSON fixing settings and target")
     p.add_argument("--rounds", type=int, default=transforms.REPORT_ROUNDS,

@@ -47,8 +47,8 @@ CONDITIONAL_ATOL = 1e-9
 MU_SUPPORT_CAP = 65536
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, order="C")
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -144,7 +144,7 @@ class SettingsSpec:
     @property
     def p_xy(self) -> np.ndarray:
         self._require_finite()
-        return self.input_dist.weights
+        return self.input_dist.marginal(("x", "y"))
 
     @property
     def p_x(self) -> np.ndarray:
@@ -405,7 +405,9 @@ class FiniteCommModel:
     All randomness lives in the shared variable mu (labels plus weights);
     ``conversation(x, y, mu)`` returns the message as a tuple of symbols,
     and ``alice(x, mu, m)`` / ``bob(y, mu, m)`` return outcomes in {+1, -1}.
-    One-way protocols simply ignore y in ``conversation``.
+    One-way protocols simply ignore y in ``conversation``.  ``target`` is
+    the P(a,b|x,y) the protocol was built to reproduce; the exact report
+    measures the reproduced table against it.
     """
 
     mu_labels: tuple
@@ -413,7 +415,7 @@ class FiniteCommModel:
     conversation: Callable
     alice: Callable
     bob: Callable
-    target: Optional[ConditionalTable] = None
+    target: ConditionalTable
     name: str = "finite-comm"
 
     def __post_init__(self):
@@ -549,23 +551,18 @@ class ExactCSModel:
                 f"outcome/setting/hidden names {sorted(want)}"
             )
 
-    def input_marginal(self) -> np.ndarray:
-        """Reproduced P(x,y) as an (nA, nB) array."""
-        return self.table.marginal(("x", "y")).weights
-
     def conditional(self) -> ConditionalTable:
         """Reproduced P(a,b|x,y); every input cell must have mass."""
-        joint = self.table.marginal(("a", "b", "x", "y")).weights  # axes a,b,x,y
-        p_xy = joint.sum(axis=(0, 1))
+        joint = self.table.marginal(("x", "y", "a", "b"))
+        p_xy = joint.sum(axis=(2, 3))
         if np.any(p_xy <= 0.0):
             raise ConfigError("cannot form P(a,b|x,y): an input cell has zero mass")
-        cond = np.transpose(joint, (2, 3, 0, 1)) / p_xy[:, :, None, None]
-        return ConditionalTable(cond)
+        return ConditionalTable(joint / p_xy[:, :, None, None])
 
     def joint(self) -> np.ndarray:
         """P(a, b, x, y, lambda) with the hidden variables flattened into one
         last axis, in ``hidden_vars`` order (see :meth:`hidden_label`)."""
-        j = self.table._grouped([("a",), ("b",), ("x",), ("y",), self.hidden_vars])
+        j = self.table.marginal(("a", "b", "x", "y") + self.hidden_vars)
         return j.reshape(j.shape[:4] + (-1,))
 
     def hidden_label(self, flat: int) -> tuple:

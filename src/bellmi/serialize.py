@@ -88,6 +88,10 @@ def _as_label(value):
 # correlation tables
 # ----------------------------------------------------------------------
 
+# A cell's ``ok`` flag allows this many standard errors of |e - quantum_e|.
+FLAG_SIGMAS = 4.0
+
+
 def _vec_rows(arr: np.ndarray) -> list:
     return [[float(v) for v in row] for row in arr]
 
@@ -97,16 +101,15 @@ def correlation_payload(
     *,
     model: str,
     seed: Optional[int],
-    quantum: Optional[ConditionalTable] = None,
-    flag_sigmas: float = 4.0,
+    quantum: ConditionalTable,
 ) -> dict:
     """Payload for an estimated correlation table.
 
     Each cell carries the estimated conditional probabilities, the kept
-    count ``n``, standard errors, the correlator with error, and, when a
-    quantum target is supplied, the predicted correlator and an ``ok`` flag
-    (deviation within ``flag_sigmas`` standard errors).  Empty cells are
-    flagged with ``"empty": true`` and null estimates.
+    count ``n``, standard errors, the correlator with error, the
+    ``quantum`` correlator and an ``ok`` flag (deviation within
+    :data:`FLAG_SIGMAS` standard errors).  Empty cells are flagged with
+    ``"empty": true``, null estimates and ``"ok": false``.
     """
     spec = est.spec
     cells = []
@@ -134,16 +137,10 @@ def correlation_payload(
                     se_pp=None, se_pm=None, se_mp=None, se_mm=None,
                     e=None, se_e=None,
                 )
-                all_ok = False
-            if quantum is not None:
-                q = quantum.correlator(x, y)
-                cell["quantum_e"] = q
-                if n > 0:
-                    ok = abs(cell["e"] - q) <= flag_sigmas * max(cell["se_e"], 1e-300)
-                    cell["ok"] = bool(ok)
-                    all_ok = all_ok and ok
-                else:
-                    cell["ok"] = False
+            q = quantum.correlator(x, y)
+            ok = n > 0 and abs(cell["e"] - q) <= FLAG_SIGMAS * max(cell["se_e"], 1e-300)
+            cell.update(quantum_e=q, ok=bool(ok))
+            all_ok = all_ok and ok
             cells.append(cell)
     payload = {
         "model": model,
@@ -161,8 +158,7 @@ def correlation_payload(
         }
     else:
         payload["efficiency"] = None
-    if quantum is not None:
-        payload["deviations_ok"] = bool(all_ok)
+    payload["deviations_ok"] = bool(all_ok)
     return payload
 
 

@@ -74,13 +74,13 @@ def sample_uniform_sphere(gen: np.random.Generator, n: Optional[int] = None) -> 
     return out[0] if n is None else out
 
 
-def require_unit(v, atol: float = UNIT_ATOL) -> np.ndarray:
-    """Validate unit norm (within atol); returns the array as float64."""
+def require_unit(v) -> np.ndarray:
+    """Validate unit norm (within UNIT_ATOL); returns the array as float64."""
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape[-1] != 3:
         raise ValidationError(f"expected 3-vectors, got shape {arr.shape}")
     norms2 = (arr * arr).sum(axis=-1)
-    if not np.all(np.abs(norms2 - 1.0) <= 3.0 * atol):  # NaN fails too
+    if not np.all(np.abs(norms2 - 1.0) <= 3.0 * UNIT_ATOL):  # NaN fails too
         worst = float(np.max(np.abs(np.sqrt(norms2) - 1.0)))
         raise ValidationError(f"vector not on the unit sphere (|norm - 1| = {worst:.3e})")
     return arr

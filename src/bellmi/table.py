@@ -18,8 +18,10 @@ Conventions fixed for the whole package:
   factorizes exactly in floating point (independent variables built from
   dyadic weights come out at literal zero, not 1e-16).
 
-Tables are immutable; every operation returns a new table (or the table
-itself when it changes nothing), so concurrent use needs no coordination.
+Tables are immutable and are read by variable name only:
+:meth:`FiniteDistribution.marginal` returns a read-only array with one axis
+per requested name, in the order asked, so no caller depends on the order in
+which the table stores its axes.  Concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -124,9 +126,6 @@ class FiniteDistribution:
         except KeyError:
             raise ConfigError(f"unknown variable {name!r}; have {self._names}") from None
 
-    def _axes_of(self, names: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self._axis_of(n) for n in names)
-
     @classmethod
     def from_entries(
         cls,
@@ -168,20 +167,26 @@ class FiniteDistribution:
     # table operations
     # ------------------------------------------------------------------
 
-    def marginal(self, keep: Iterable[str]) -> "FiniteDistribution":
-        """Sum out every variable not in ``keep`` (kept in canonical order)."""
-        keep_set = set(keep)
-        axes = self._axes_of(keep_set)  # validates names
-        del axes
-        kept = [
-            (n, self._labels[i]) for i, n in enumerate(self._names) if n in keep_set
-        ]
-        if not kept:
-            raise ConfigError("marginal() needs at least one variable to keep")
-        drop = tuple(i for i, n in enumerate(self._names) if n not in keep_set)
-        if not drop:
-            return self  # immutable, so nothing to copy
-        return FiniteDistribution(kept, self._weights.sum(axis=drop))
+    def marginal(self, names: Iterable[str]) -> np.ndarray:
+        """P over ``names`` as a read-only array, one axis per name in the
+        order given; every other variable is summed out.
+
+        When nothing is summed out the result is a view of the weights, not
+        a copy.  Empty, unknown and repeated names raise
+        :class:`ConfigError`.
+        """
+        names = tuple(names)
+        if not names:
+            raise ConfigError("marginal() needs at least one variable")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"variables must be distinct, got {names}")
+        axes = tuple(self._axis_of(n) for n in names)
+        drop = tuple(i for i in range(len(self._names)) if i not in axes)
+        w = self._weights.sum(axis=drop) if drop else self._weights
+        kept = sorted(axes)  # the axis order of w
+        out = np.transpose(w, [kept.index(i) for i in axes])
+        out.setflags(write=False)
+        return out
 
     # ------------------------------------------------------------------
     # information measures (bits)
@@ -189,21 +194,9 @@ class FiniteDistribution:
 
     def entropy(self, variables: Optional[Iterable[str]] = None) -> InfoBits:
         """Shannon entropy H of the marginal on ``variables`` (default: all)."""
-        if variables is None:
-            w = self._weights
-        else:
-            w = self.marginal(variables)._weights
+        w = self._weights if variables is None else self.marginal(variables)
         p = w[w > 0.0]
         return float(-(p * np.log2(p)).sum())
-
-    def _grouped(self, groups: Sequence[Sequence[str]]) -> np.ndarray:
-        """Marginal over the union of groups, axes ordered group by group."""
-        flat = [n for g in groups for n in g]
-        if len(set(flat)) != len(flat):
-            raise ConfigError(f"variable groups must be disjoint, got {groups}")
-        m = self.marginal(flat)
-        order = [m._axis_of(n) for n in flat]
-        return np.transpose(m._weights, order)
 
     def mutual_information(
         self, a: Sequence[str], b: Sequence[str]
@@ -216,7 +209,7 @@ class FiniteDistribution:
         a, b = tuple(a), tuple(b)
         if not a or not b:
             raise ConfigError(f"mutual information needs nonempty sets, got {a} and {b}")
-        pj = self._grouped([a, b])
+        pj = self.marginal(a + b)
         pj = pj.reshape(
             int(np.prod(pj.shape[: len(a)])), int(np.prod(pj.shape[len(a):]))
         )
@@ -232,7 +225,7 @@ class FiniteDistribution:
     ) -> InfoBits:
         """I(A:B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) >= 0, in bits."""
         a, b, c = tuple(a), tuple(b), tuple(c)
-        p = self._grouped([a, b, c])
+        p = self.marginal(a + b + c)
         p = p.reshape(
             int(np.prod(p.shape[: len(a)])),
             int(np.prod(p.shape[len(a): len(a) + len(b)])),

@@ -86,27 +86,6 @@ class TransformReport:
                 )
 
 
-def comm_conditional(model: FiniteCommModel, spec: SettingsSpec) -> ConditionalTable:
-    """P(a,b|x,y) of a finite communication model by direct enumeration."""
-    spec._require_finite()
-    n_a, n_b = spec.n_alice, spec.n_bob
-    out = np.zeros((n_a, n_b, 2, 2))
-    index = {lab: i for i, lab in enumerate(OUTCOME_LABELS)}
-    for x in range(n_a):
-        for y in range(n_b):
-            for mu, w in zip(model.mu_labels, model.mu_weights):
-                m = model.conversation(x, y, mu)
-                a = model.alice(x, mu, m)
-                b = model.bob(y, mu, m)
-                if a not in index or b not in index:
-                    raise ValidationError(
-                        f"communication model produced outcome ({a!r}, {b!r}); "
-                        "outcomes must be +1 or -1"
-                    )
-                out[x, y, index[a], index[b]] += w
-    return ConditionalTable(out)
-
-
 def _exact_report(
     cs: ExactCSModel,
     target: ConditionalTable,
@@ -115,10 +94,11 @@ def _exact_report(
     **extras,
 ) -> TransformReport:
     """Exact reproduction deviations and I(x,y:lambda) of a finite model."""
+    p_xy = cs.table.marginal(("x", "y"))
     return TransformReport(
         source=source,
         corr_deviation=cs.conditional().max_deviation(target),
-        inputs_deviation=float(np.max(np.abs(cs.input_marginal() - cs.spec.p_xy))),
+        inputs_deviation=float(np.max(np.abs(p_xy - cs.spec.p_xy))),
         mi_value=analysis.mi_exact_finite(cs).value,
         mi_bound=mi_bound,
         extras={"exact": True, **extras},
@@ -160,9 +140,9 @@ def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
             "a through (x, mu, m) and b through (y, mu, m)"
         ),
     )
-    target = model.target if model.target is not None else comm_conditional(model, spec)
     report = _exact_report(
-        cs, target, model.name, cs.table.entropy(("m",)), mu_support=len(model.mu_labels)
+        cs, model.target, model.name, cs.table.entropy(("m",)),
+        mu_support=len(model.mu_labels),
     )
     return cs, report
 

@@ -1,5 +1,5 @@
-"""Shared helpers: a subprocess CLI runner, spread sphere points and a
-small valid model file."""
+"""Shared helpers: a subprocess CLI runner, spread sphere points, a small
+valid model file and the enumeration oracle for finite protocols."""
 
 import os
 import subprocess
@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from bellmi.errors import ValidationError
+from bellmi.models import OUTCOME_LABELS, ConditionalTable
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -38,6 +41,31 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     phi = golden * i
     s = np.sqrt(1.0 - z * z)
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def comm_conditional(model, spec) -> ConditionalTable:
+    """P(a,b|x,y) of a finite communication model by direct enumeration.
+
+    ``model`` needs only the protocol fields of a ``FiniteCommModel``
+    (``mu_labels``, ``mu_weights``, ``conversation``, ``alice``, ``bob``).
+    """
+    spec._require_finite()
+    n_a, n_b = spec.n_alice, spec.n_bob
+    out = np.zeros((n_a, n_b, 2, 2))
+    index = {lab: i for i, lab in enumerate(OUTCOME_LABELS)}
+    for x in range(n_a):
+        for y in range(n_b):
+            for mu, w in zip(model.mu_labels, model.mu_weights):
+                m = model.conversation(x, y, mu)
+                a = model.alice(x, mu, m)
+                b = model.bob(y, mu, m)
+                if a not in index or b not in index:
+                    raise ValidationError(
+                        f"communication model produced outcome ({a!r}, {b!r}); "
+                        "outcomes must be +1 or -1"
+                    )
+                out[x, y, index[a], index[b]] += w
+    return ConditionalTable(out)
 
 
 # model-file payload of a one-setting local model: lam = +-1 fixes a = b = lam

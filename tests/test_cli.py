@@ -320,6 +320,23 @@ BAD_INPUTS = {
             "cells": [{"x": 0, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}],
         },
     ),
+    # the file fixes the target too, so --corr would be ignored silently
+    "corr-file-with-corr": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--corr", "pr-box", "--out-file", "model.json"],
+        ONE_CELL,
+    ),
+    # tb and gg always reproduce the singlet, so a target would be ignored
+    "tb-corr-file": (
+        ["transform", "--model", "tb", "--corr-file", "input.json", "--rounds", "2000",
+         "--out-file", "model.json"],
+        ONE_CELL,
+    ),
+    "gg-corr-pr-box": (
+        ["transform", "--model", "gg", "--corr", "pr-box", "--rounds", "2000",
+         "--out-file", "model.json"],
+        None,
+    ),
     # int() would truncate x = 1.5 to 1 and accept the file as complete
     "corr-fractional-index": (
         ["transform", "--model", "brans", "--corr-file", "input.json",
@@ -350,6 +367,9 @@ BAD_INPUTS = {
     # an empty side would report I = 0 under a label that names other variables
     "mi-empty-vars-a": (MI_MODEL_FILE + ["--vars-a", ""], LOCAL_MODEL),
     "mi-empty-vars-b": (MI_MODEL_FILE + ["--vars-b", ","], LOCAL_MODEL),
+    "mi-overlapping-vars": (
+        MI_MODEL_FILE + ["--vars-a", "x,y", "--vars-b", "x"], LOCAL_MODEL
+    ),
     # an object label is unhashable, so it would reach the table as a TypeError
     "model-object-label": (
         ["verify", "input.json"],

@@ -21,6 +21,7 @@ from bellmi.models import (
 )
 from bellmi.sphere import RandomSource
 from bellmi.analysis import exact_singlet_conditional, verify_bell_local
+from conftest import comm_conditional
 
 
 def sgn_dot(v, w) -> int:
@@ -191,8 +192,6 @@ def test_input_broadcast_reproduces_singlet_table_exactly():
     spec = preset("chsh")
     corr = exact_singlet_conditional(spec)
     comm = input_broadcast_build(corr, spec)
-    from bellmi.transforms import comm_conditional
-
     rebuilt = comm_conditional(comm, spec)
     assert rebuilt.max_deviation(corr) <= 1e-15
 

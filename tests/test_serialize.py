@@ -116,7 +116,10 @@ def estimated_tables(draw):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(estimated_tables())
 def test_correlation_file_round_trip_is_bitwise(est):
-    spec, corr = load_correlation(json_text(correlation_payload(est, model="tb", seed=0)))
+    payload = correlation_payload(
+        est, model="tb", seed=0, quantum=exact_singlet_conditional(est.spec)
+    )
+    spec, corr = load_correlation(json_text(payload))
     np.testing.assert_array_equal(spec.alice_settings, est.spec.alice_settings)
     np.testing.assert_array_equal(spec.bob_settings, est.spec.bob_settings)
     np.testing.assert_array_equal(spec.p_xy, est.spec.p_xy)
@@ -127,7 +130,9 @@ def test_correlation_file_round_trip_is_bitwise(est):
 def test_correlation_csv_shape():
     spec = preset("chsh")
     est = estimate_correlations(TonerBaconModel(), spec, 8_000, RandomSource(81))
-    payload = correlation_payload(est, model="tb", seed=81)
+    payload = correlation_payload(
+        est, model="tb", seed=81, quantum=exact_singlet_conditional(spec)
+    )
     csv = correlation_csv(payload)
     lines = csv.strip().split("\n")
     assert len(lines) == 1 + 4

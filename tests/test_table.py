@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bellmi.errors import ValidationError
+from bellmi.errors import ConfigError, ValidationError
 from bellmi.table import FiniteDistribution, binary_entropy
 
 
@@ -29,19 +29,28 @@ def test_prob_and_marginal():
         np.array([[0.1, 0.2], [0.3, 0.4]]),
     )
     assert t.weights[1, 0] == 0.3
-    mx = t.marginal(["x"])
-    assert mx.variables == ("x",)
-    assert np.allclose(mx.weights, [0.3, 0.7])
-    # marginal keeps canonical variable order regardless of request order
-    myx = t.marginal(["y", "x"])
-    assert myx.variables == ("x", "y")
-    assert myx.weights[0, 1] == 0.2
+    np.testing.assert_allclose(t.marginal(["x"]), [0.3, 0.7])
+    np.testing.assert_allclose(t.marginal(["y"]), [0.4, 0.6])
+    # one axis per name, in the order asked, whatever the table's own order
+    np.testing.assert_array_equal(t.marginal(["y", "x"]), [[0.1, 0.3], [0.2, 0.4]])
+    for names in ((), ("z",), ("x", "x")):
+        with pytest.raises(ConfigError):
+            t.marginal(names)
 
 
 def test_marginal_over_every_variable_is_the_table_itself():
     t = random_table(np.random.default_rng(3), (2, 3, 4), ("a", "b", "c"))
-    assert t.marginal(t.variables) is t
-    assert t.marginal(("c", "a", "b")) is t
+    for names in (t.variables, ("c", "a", "b")):
+        m = t.marginal(names)
+        # a view of the weights, not a copy, with its axes in the order asked
+        assert np.shares_memory(m, t.weights)
+        order = [t.variables.index(n) for n in names]
+        np.testing.assert_array_equal(m, np.transpose(t.weights, order))
+        assert not m.flags.writeable
+    summed = t.marginal(("c", "a"))
+    assert summed.shape == (4, 2) and not summed.flags.writeable
+    with pytest.raises(ValueError):
+        summed[0, 0] = 1.0
 
 
 def test_entropy_uniform_is_log2():

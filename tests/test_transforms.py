@@ -1,5 +1,8 @@
 """Protocol-to-model conversions and their reports."""
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,11 +31,16 @@ from bellmi.transforms import (
     TransformReport,
     _estimated_corr_deviation,
     brans_to_cs,
-    comm_conditional,
     comm_to_cs,
     det_to_cs,
 )
-from bellmi.analysis import CorrelationTable, exact_singlet_conditional, verify_bell_local
+from bellmi.analysis import (
+    CorrelationTable,
+    exact_singlet_conditional,
+    mi_exact_finite,
+    verify_bell_local,
+)
+from conftest import comm_conditional
 
 
 def test_report_rejects_negative_deviations():
@@ -125,10 +133,40 @@ def test_built_models_are_local_after_a_file_round_trip(target):
         assert verify_bell_local(loaded).max_deviation == 0.0
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(small_targets(), st.randoms(use_true_random=False))
+def test_model_files_read_by_name_in_any_variable_order(target, rnd):
+    # a model file may list its variables, and so every assignment, in any
+    # order; everything read from the loaded table must not depend on it
+    spec, corr = target
+    built = [
+        brans_to_cs(corr, spec)[0],
+        comm_to_cs(input_broadcast_build(corr, spec), spec)[0],
+    ]
+    for cs in built:
+        payload = model_payload(cs)
+        perm = list(range(len(payload["variables"])))
+        rnd.shuffle(perm)
+        payload["variables"] = [payload["variables"][i] for i in perm]
+        for w in payload["weights"]:
+            w["assignment"] = [w["assignment"][i] for i in perm]
+        loaded = load_model(json.dumps(payload))
+        assert loaded.conditional().max_deviation(corr) <= 1e-12
+        np.testing.assert_allclose(
+            loaded.table.marginal(("x", "y")), cs.table.marginal(("x", "y")),
+            rtol=0.0, atol=1e-12,
+        )
+        assert verify_bell_local(loaded).max_deviation == 0.0
+        assert mi_exact_finite(loaded).value == pytest.approx(
+            mi_exact_finite(cs).value, abs=1e-12
+        )
+
+
 @st.composite
 def deterministic_comm_models(draw):
     """(model, spec): a random finite one-round protocol with up to 3x3
-    settings, 4 shared-randomness labels and 3 messages, no declared target.
+    settings, 4 shared-randomness labels and 3 messages, whose target is
+    its own P(a,b|x,y) by enumeration.
 
     The message is a table over (x, y, mu); Alice answers from (x, mu, m)
     and Bob from (y, mu, m), both deterministically.
@@ -149,14 +187,15 @@ def deterministic_comm_models(draw):
     msg = table((n_a, n_b, n_mu), st.integers(0, n_m - 1))
     out_a = table((n_a, n_mu, n_m), st.sampled_from((1, -1)))
     out_b = table((n_b, n_mu, n_m), st.sampled_from((1, -1)))
-    model = FiniteCommModel(
+    protocol = dict(
         mu_labels=tuple(range(n_mu)),
         mu_weights=w / w.sum(),
         conversation=lambda x, y, mu: (int(msg[x, y, mu]),),
         alice=lambda x, mu, m: int(out_a[x, mu, m[0]]),
         bob=lambda y, mu, m: int(out_b[y, mu, m[0]]),
     )
-    return model, spec
+    target = comm_conditional(SimpleNamespace(**protocol), spec)
+    return FiniteCommModel(**protocol, target=target), spec
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
