@@ -39,6 +39,11 @@ from .table import FiniteDistribution, InfoBits, binary_entropy
 # sub-stream per chunk, so the parallelism degree cannot change results.
 CHUNK_ROUNDS = 65536
 
+# Upper bound on quadrature panels.  At 2**20 panels the half-resolution
+# difference is already at rounding level, and one evaluation peaks at about
+# 85 MB (0.2 s on a 2-vCPU VM); the grid arrays grow linearly beyond it.
+MAX_PANELS = 2**20
+
 # Panels for the internal quadrature cross-check of the closed form.
 GG_CHECK_PANELS = 65536
 GG_CHECK_TOL = 1e-8
@@ -271,55 +276,42 @@ class LocalityReport:
     witness: Optional[dict] = None
 
 
-def factorization_deviation(joint, resp_a, resp_b) -> np.ndarray:
-    """|P(a,b|x,y,lambda) - P(a|x,lambda) P(b|y,lambda)| per cell.
-
-    The cell-wise core of :func:`verify_bell_local`.  ``joint`` is
-    P(a, b, x, y, lambda) as from :meth:`ExactCSModel.joint`, ``resp_a`` is
-    P(a|x,lambda) with axes (a, x, lambda) and ``resp_b`` is P(b|y,lambda)
-    with axes (b, y, lambda).  Cells off the support of p(x, y, lambda)
-    read 0.  Apart from the response product, the only joint-sized array
-    allocated is the returned one.
-    """
-    p_xyl = joint.sum(axis=(0, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev = joint / p_xyl[None, None, :, :, :]
-        dev -= resp_a[:, None, :, None, :] * resp_b[None, :, None, :, :]
-    np.abs(dev, out=dev)
-    dev[:, :, ~(p_xyl > 0.0)] = 0.0
-    return dev
-
-
 def verify_bell_local(model: ExactCSModel, tol: float = 1e-9) -> LocalityReport:
     """Check the locality factorization on an exact finite model.
 
-    The response probabilities are computed from the joint itself:
-    P(a|x,lambda) marginalizes over Bob's side (and y), P(b|y,lambda) over
-    Alice's, and the conditional P(a,b|x,y,lambda) must equal their product
-    at every support point.  A model whose outcome leaks information about
-    the remote setting fails here even though its conditionals factorize
-    trivially once both settings are fixed.  ``tol`` must be finite and
-    nonnegative.
+    Reads the table's marginal over (a, b, x, y) followed by the model's
+    hidden variables, each on its own named axis.  The response
+    probabilities come from that marginal itself: P(a|x,lambda) sums out
+    Bob's side (and y), P(b|y,lambda) Alice's, and the conditional
+    P(a,b|x,y,lambda) must equal their product at every support point.  A
+    model whose outcome leaks information about the remote setting fails
+    here even though its conditionals factorize trivially once both
+    settings are fixed.  ``tol`` must be finite and nonnegative.
     """
     if not 0.0 <= tol < math.inf:  # NaN fails too
         raise ConfigError(f"verify tolerance must be finite and >= 0, got {tol!r}")
-    j = model.joint()
+    names = ("a", "b", "x", "y") + model.hidden_vars
+    j = model.table.marginal(names)
+    shape = j.shape
+    # the hidden axes merged into one, so every reduction below is 5-d
+    j = j.reshape(shape[:4] + (-1,))
     with np.errstate(divide="ignore", invalid="ignore"):
-        resp_a = j.sum(axis=(1, 3)) / j.sum(axis=(0, 1, 3))[None, :, :]  # P(a|x,lam)
-        resp_b = j.sum(axis=(0, 2)) / j.sum(axis=(0, 1, 2))[None, :, :]  # P(b|y,lam)
-    dev = factorization_deviation(j, resp_a, resp_b)
+        resp_a = j.sum(axis=(1, 3)) / j.sum(axis=(0, 1, 3))  # P(a|x,lam)
+        resp_b = j.sum(axis=(0, 2)) / j.sum(axis=(0, 1, 2))  # P(b|y,lam)
+        p_xyl = j.sum(axis=(0, 1))
+        dev = j / p_xyl
+        dev -= resp_a[:, None, :, None, :] * resp_b[None, :, None, :, :]
+    np.abs(dev, out=dev)
+    dev[:, :, ~(p_xyl > 0.0)] = 0.0  # off the support of (x, y, lambda)
     max_dev = float(dev.max())
     ok = max_dev <= tol
     witness = None
     if not ok:
-        ia, ib, ix, iy, il = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        # dev is a fresh C-ordered array, so its flat argmax indexes ``shape``
+        cell = np.unravel_index(int(np.argmax(dev)), shape)
         witness = {
-            "a": model.table.labels("a")[ia],
-            "b": model.table.labels("b")[ib],
-            "x": model.table.labels("x")[ix],
-            "y": model.table.labels("y")[iy],
+            name: model.table.labels(name)[i] for name, i in zip(names, cell)
         }
-        witness.update(zip(model.hidden_vars, model.hidden_label(il)))
     return LocalityReport(ok=ok, max_deviation=max_dev, tol=tol, witness=witness)
 
 
@@ -343,7 +335,7 @@ def make_signaling_example() -> ExactCSModel:
         ("lam", ("free",)),
     ]
     table = FiniteDistribution.from_entries(variables, entries)
-    return ExactCSModel(table=table, hidden_vars=("lam",), spec=None, certificate=None)
+    return ExactCSModel(table=table, hidden_vars=("lam",))
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +383,8 @@ def _quadrature(f, a: float, b: float, panels: int) -> MIEstimate:
         raise ConfigError(f"panels must be >= 16, got {panels}")
     if panels % 2:
         raise ConfigError(f"panels must be even, got {panels}")
+    if panels > MAX_PANELS:
+        raise ConfigError(f"panels must be <= {MAX_PANELS}, got {panels}")
     value = _simpson(f, a, b, panels)
     coarse = _simpson(f, a, b, 2 * (panels // 4))
     return MIEstimate(value=value, method="quadrature", uncertainty=abs(value - coarse))

@@ -77,7 +77,7 @@ def _with_input_dist(spec: SettingsSpec, args) -> SettingsSpec:
 def _reject_set(args, flags, why: str) -> None:
     """Raise :class:`ConfigError` naming the first of ``flags`` that is set."""
     for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")):
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ConfigError(f"{why}; {flag} conflicts")
 
 
@@ -120,6 +120,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_mutual_info(args) -> int:
     target = args.target
+    if target != "tb-finite":
+        _reject_set(args, ("--preset", "--settings-file", "--input-dist-file"),
+                    f"--target {target} reads no settings")
+    if target != "exact-model-file":
+        _reject_set(args, ("--model-file", "--vars-a", "--vars-b"),
+                    f"--target {target} reads no model file")
     if target == "tb-uniform":
         est = analysis.mi_tb_quadrature(args.panels)
         payload = serialize.mi_payload(
@@ -140,7 +146,8 @@ def cmd_mutual_info(args) -> int:
         if not args.model_file:
             raise ConfigError("--target exact-model-file needs --model-file")
         model = serialize.load_model(_read(args.model_file))
-        a_vars = tuple(v for v in args.vars_a.split(",") if v)
+        vars_a = "x,y" if args.vars_a is None else args.vars_a
+        a_vars = tuple(v for v in vars_a.split(",") if v)
         b_vars = (
             tuple(v for v in args.vars_b.split(",") if v) if args.vars_b else None
         )
@@ -260,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_settings_flags(p)
     p.add_argument("--model-file", default=None)
-    p.add_argument("--vars-a", default="x,y", help="comma-separated first variable set")
+    p.add_argument("--vars-a", default=None,
+                   help="comma-separated first variable set (default: x,y)")
     p.add_argument("--vars-b", default=None,
                    help="comma-separated second variable set (default: hidden vars)")
     p.add_argument("--samples", type=int, default=100_000)

@@ -530,15 +530,16 @@ class ExactCSModel:
     """Correlated-settings model as an exact finite table.
 
     ``table`` is the joint P(a, b, x, y, hidden...) and ``hidden_vars``
-    names the hidden components (for example ("lam",) or ("mu", "m")).
+    names the hidden components (for example ("lam",) or ("mu", "m")); the
+    model is read only through ``table`` marginals over these names.
     ``certificate`` describes the deterministic responses in words for the
     model file; :func:`bellmi.analysis.verify_bell_local` derives the
-    responses from ``table`` itself.
+    responses from ``table`` itself.  The settings spec a model was built
+    from is not kept: its input distribution is the ("x", "y") marginal.
     """
 
     table: FiniteDistribution
     hidden_vars: tuple[str, ...]
-    spec: Optional[SettingsSpec] = None
     certificate: Optional[str] = None
 
     def __post_init__(self):
@@ -558,19 +559,6 @@ class ExactCSModel:
         if np.any(p_xy <= 0.0):
             raise ConfigError("cannot form P(a,b|x,y): an input cell has zero mass")
         return ConditionalTable(joint / p_xy[:, :, None, None])
-
-    def joint(self) -> np.ndarray:
-        """P(a, b, x, y, lambda) with the hidden variables flattened into one
-        last axis, in ``hidden_vars`` order (see :meth:`hidden_label`)."""
-        j = self.table.marginal(("a", "b", "x", "y") + self.hidden_vars)
-        return j.reshape(j.shape[:4] + (-1,))
-
-    def hidden_label(self, flat: int) -> tuple:
-        """Hidden-variable labels, one per ``hidden_vars`` name, at a flat
-        index of the last axis of :meth:`joint`."""
-        labels = [self.table.labels(h) for h in self.hidden_vars]
-        pos = np.unravel_index(flat, tuple(len(labs) for labs in labels))
-        return tuple(labs[k] for labs, k in zip(labels, pos))
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,6 +612,6 @@ def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
     ]
     table = FiniteDistribution.from_entries(variables, entries)
     return ExactCSModel(
-        table=table, hidden_vars=("lam",), spec=spec,
+        table=table, hidden_vars=("lam",),
         certificate="deterministic: lambda = (x, y, a, b) fixes both outcomes",
     )

@@ -294,7 +294,7 @@ def load_model(text: str) -> ExactCSModel:
     table = FiniteDistribution.from_entries(variables, entries)
     if hidden is None:
         hidden = tuple(n for n in table.variables if n not in ("a", "b", "x", "y"))
-    return ExactCSModel(table=table, hidden_vars=hidden, spec=None, certificate=None)
+    return ExactCSModel(table=table, hidden_vars=hidden)
 
 
 def sampler_payload(model, *, seed: int) -> dict:

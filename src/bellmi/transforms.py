@@ -88,17 +88,19 @@ class TransformReport:
 
 def _exact_report(
     cs: ExactCSModel,
+    spec: SettingsSpec,
     target: ConditionalTable,
     source: str,
     mi_bound: Optional[float],
     **extras,
 ) -> TransformReport:
-    """Exact reproduction deviations and I(x,y:lambda) of a finite model."""
+    """Exact reproduction deviations and I(x,y:lambda) of a finite model
+    built from ``spec`` to reproduce ``target``."""
     p_xy = cs.table.marginal(("x", "y"))
     return TransformReport(
         source=source,
         corr_deviation=cs.conditional().max_deviation(target),
-        inputs_deviation=float(np.max(np.abs(p_xy - cs.spec.p_xy))),
+        inputs_deviation=float(np.max(np.abs(p_xy - spec.p_xy))),
         mi_value=analysis.mi_exact_finite(cs).value,
         mi_bound=mi_bound,
         extras={"exact": True, **extras},
@@ -134,14 +136,13 @@ def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
     cs = ExactCSModel(
         table=FiniteDistribution.from_entries(variables, entries),
         hidden_vars=("mu", "m"),
-        spec=spec,
         certificate=(
             "deterministic communication replay: lambda = (mu, m) fixes "
             "a through (x, mu, m) and b through (y, mu, m)"
         ),
     )
     report = _exact_report(
-        cs, model.target, model.name, cs.table.entropy(("m",)),
+        cs, spec, model.target, model.name, cs.table.entropy(("m",)),
         mu_support=len(model.mu_labels),
     )
     return cs, report
@@ -154,7 +155,7 @@ def brans_to_cs(corr: ConditionalTable, spec: SettingsSpec):
     """
     cs = brans_build(corr, spec)
     return cs, _exact_report(
-        cs, corr, "brans", None, lambda_support=len(cs.table.labels("lam"))
+        cs, spec, corr, "brans", None, lambda_support=len(cs.table.labels("lam"))
     )
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from bellmi.analysis import (
@@ -14,7 +15,6 @@ from bellmi.analysis import (
     chsh,
     estimate_correlations,
     exact_singlet_conditional,
-    factorization_deviation,
     make_signaling_example,
     mi_exact_finite,
     mi_finite_settings_tb,
@@ -29,16 +29,14 @@ from bellmi.analysis import (
 )
 from bellmi.errors import ConfigError, InternalConsistencyError, ValidationError
 from bellmi.models import (
-    GisinGisinModel,
+    ExactCSModel,
     SettingsSpec,
     TonerBaconModel,
     brans_build,
-    input_broadcast_build,
-    pr_box_conditional,
     preset,
 )
 from bellmi.sphere import RandomSource, vec_polar
-from bellmi.transforms import comm_to_cs
+from bellmi.table import FiniteDistribution
 
 
 # ----------------------------------------------------------------------
@@ -135,37 +133,73 @@ def test_verifier_passes_brans_and_fails_signaling():
     assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
 
 
-def loop_factorization_deviation(j, resp_a, resp_b):
-    """Reference: the factorization check cell by cell in Python."""
-    worst = 0.0
-    for ia, ib, ix, iy, il in np.ndindex(j.shape):
-        mass = j[:, :, ix, iy, il].sum()
-        if mass > 0.0:
-            pa, pb = resp_a[ia, ix, il], resp_b[ib, iy, il]
-            worst = max(worst, abs(j[ia, ib, ix, iy, il] / mass - pa * pb))
-    return worst
+def loop_factorization_deviation(model):
+    """Reference: the factorization check cell by cell in Python.
+
+    Returns the worst deviation and the deviation of every support cell,
+    keyed by index tuples over ("a", "b", "x", "y") + hidden variables.
+    The responses P(a|x,lam) and P(b|y,lam) are summed cell by cell too.
+    """
+    names = ("a", "b", "x", "y") + model.hidden_vars
+    j = model.table.marginal(names)
+    n_x, n_y = j.shape[2], j.shape[3]
+    cells = {}
+    for ia, ib, ix, iy, *il in np.ndindex(j.shape):
+        lam = tuple(il)
+
+        def p(a, b, x, y):
+            return j[(a, b, x, y) + lam]
+
+        mass = sum(p(a, b, ix, iy) for a in range(2) for b in range(2))
+        if mass == 0.0:
+            continue
+        x_mass = sum(p(a, b, ix, y) for a in range(2) for b in range(2) for y in range(n_y))
+        y_mass = sum(p(a, b, x, iy) for a in range(2) for b in range(2) for x in range(n_x))
+        pa = sum(p(ia, b, ix, y) for b in range(2) for y in range(n_y)) / x_mass
+        pb = sum(p(a, ib, x, iy) for a in range(2) for x in range(n_x)) / y_mass
+        cells[(ia, ib, ix, iy) + lam] = abs(p(ia, ib, ix, iy) / mass - pa * pb)
+    return max(cells.values()), cells
 
 
-def test_factorization_deviation_matches_cell_loop():
-    spec = preset("chsh")
-    models = [
-        brans_build(exact_singlet_conditional(spec), spec),
-        comm_to_cs(input_broadcast_build(pr_box_conditional(), spec), spec)[0],
+@st.composite
+def hidden_variable_tables(draw):
+    """Models with a, b in {1, -1}, 1-3 settings a side, 1-2 hidden
+    variables, some cells empty, and the table's axes in random order."""
+    hidden = [
+        (f"h{k}", tuple(range(draw(st.integers(1, 3)))))
+        for k in range(draw(st.integers(1, 2)))
     ]
-    for model in models:
-        j = model.joint()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            resp_a = j.sum(axis=(1, 3)) / j.sum(axis=(0, 1, 3))  # P(a|x,lam)
-            resp_b = j.sum(axis=(0, 2)) / j.sum(axis=(0, 1, 2))  # P(b|y,lam)
-        variants = {
-            "derived": (resp_a, resp_b, 0.0),
-            "flipped a": (1.0 - resp_a, resp_b, 1.0),
-            "coin b": (resp_a, np.full_like(resp_b, 0.5), 0.5),
-        }
-        for name, (ra, rb, want) in variants.items():
-            got = float(factorization_deviation(j, ra, rb).max())
-            assert got == want, name
-            assert got == loop_factorization_deviation(j, ra, rb), name
+    variables = draw(st.permutations(
+        [("a", (1, -1)), ("b", (1, -1)),
+         ("x", tuple(range(draw(st.integers(1, 3))))),
+         ("y", tuple(range(draw(st.integers(1, 3)))))] + hidden
+    ))
+    shape = tuple(len(labels) for _, labels in variables)
+    zeros = draw(st.integers(0, 4))
+    w = draw(st.lists(st.sampled_from([0] * zeros + [1, 2, 3]),
+                      min_size=math.prod(shape), max_size=math.prod(shape)))
+    w = np.array(w, dtype=np.float64).reshape(shape)
+    if w.sum() == 0.0:
+        w.flat[0] = 1.0
+    table = FiniteDistribution(variables, w / w.sum())
+    hidden_vars = draw(st.permutations([name for name, _ in hidden]))
+    return ExactCSModel(table=table, hidden_vars=tuple(hidden_vars))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hidden_variable_tables())
+def test_verifier_matches_cell_loop(model):
+    report = verify_bell_local(model, tol=1e-9)
+    worst, cells = loop_factorization_deviation(model)
+    assert abs(report.max_deviation - worst) <= 1e-12
+    assert report.ok == (report.max_deviation <= 1e-9)
+    if not report.ok:
+        names = ("a", "b", "x", "y") + model.hidden_vars
+        assert list(report.witness) == list(names)
+        cell = tuple(
+            model.table.labels(name).index(report.witness[name]) for name in names
+        )
+        assert abs(cells[cell] - report.max_deviation) <= 1e-12
 
 
 def test_signaling_example_is_a_valid_table():

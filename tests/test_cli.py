@@ -1,10 +1,16 @@
-"""End-to-end command-line behavior through real subprocesses."""
+"""End-to-end command-line behavior through real subprocesses, plus an
+in-process property test of flag values."""
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bellmi import cli
+from bellmi.analysis import CHUNK_ROUNDS
 from conftest import LOCAL_MODEL, fibonacci_sphere, run_cli
 
 
@@ -370,6 +376,23 @@ BAD_INPUTS = {
     "mi-overlapping-vars": (
         MI_MODEL_FILE + ["--vars-a", "x,y", "--vars-b", "x"], LOCAL_MODEL
     ),
+    # each target rejects the flags it does not read instead of ignoring them
+    "mi-tb-uniform-settings-file": (
+        ["mutual-info", "--target", "tb-uniform", "--settings-file", "nope.json"], None
+    ),
+    "mi-gg-uniform-preset": (
+        ["mutual-info", "--target", "gg-uniform", "--preset", "parallel"], None
+    ),
+    "mi-tb-finite-model-file": (
+        ["mutual-info", "--target", "tb-finite", "--samples", "1000",
+         "--model-file", "nope.json"],
+        None,
+    ),
+    "mi-exact-model-preset": (MI_MODEL_FILE + ["--preset", "parallel"], LOCAL_MODEL),
+    # numpy refuses this grid up front; a value nearer the cap would allocate it
+    "mi-panels-huge": (
+        ["mutual-info", "--target", "tb-uniform", "--panels", str(10**13)], None
+    ),
     # an object label is unhashable, so it would reach the table as a TypeError
     "model-object-label": (
         ["verify", "input.json"],
@@ -414,3 +437,49 @@ def test_config_errors_exit_2(tmp_path):
     assert "exclusive" in err
     code, _, _ = run_cli(["simulate"])  # missing required --model
     assert code == 2
+
+
+# flag -> (argv before it, small valid values); every valid run is one chunk
+# on at most one worker thread
+FLAG_RUNS = {
+    "--rounds": (["simulate", "--model", "tb"], st.integers(1, CHUNK_ROUNDS)),
+    "--parallelism": (["simulate", "--model", "tb", "--rounds", "1000"],
+                      st.integers(1, 4)),
+    "--samples": (["mutual-info", "--target", "tb-finite"], st.integers(1, 2000)),
+    "--seed": (["mutual-info", "--target", "tb-finite", "--samples", "1000"],
+               st.integers(0, 2**64)),
+    "--panels": (["mutual-info", "--target", "tb-uniform"],
+                 st.integers(1, 4096) | st.just(10**13)),
+    "--tol": (["verify", "{model}"], st.floats(0.0, 1.0)),
+    "--floor": (["transform", "--model", "brans", "--out-file", "{out}"],
+                st.floats(0.0, 1.0)),
+}
+BAD_VALUES = st.sampled_from(["-1", "-1e9", "0", "0.0", "nan", "inf", "-inf", "abc", ""])
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    work = tmp_path_factory.mktemp("flags")
+    (work / "model.json").write_text(json.dumps(LOCAL_MODEL))
+    return {"model": str(work / "model.json"), "out": str(work / "out.json")}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(FLAG_RUNS)).flatmap(
+    lambda flag: st.tuples(
+        st.just(flag), BAD_VALUES | FLAG_RUNS[flag][1].map(str)
+    )
+))
+@example(("--panels", str(10**13)))
+def test_flag_values_exit_0_or_2_without_traceback(flag_files, case):
+    flag, value = case
+    base, _ = FLAG_RUNS[flag]
+    argv = [arg.format(**flag_files) for arg in base] + [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
