@@ -5,6 +5,9 @@ and the detection model's per-round outcomes, the finite-settings message
 agreement probabilities, and the per-cell outcome counts.  Every
 floating-point reduction over rounds lives in the callers, which reduce in
 a fixed chunk order, so results do not depend on the parallelism degree.
+
+Vector batches arrive column-major (see :mod:`bellmi.sphere`), so every
+component slice ``v[:, k]`` is one contiguous run.
 """
 
 from __future__ import annotations
@@ -21,17 +24,17 @@ def tb_outcomes(xs, ys, l1, l2):
     """
     d1 = xs[:, 0] * l1[:, 0] + xs[:, 1] * l1[:, 1] + xs[:, 2] * l1[:, 2]
     d2 = xs[:, 0] * l2[:, 0] + xs[:, 1] * l2[:, 1] + xs[:, 2] * l2[:, 2]
-    s1 = np.where(d1 >= 0.0, 1.0, -1.0)
-    s2 = np.where(d2 >= 0.0, 1.0, -1.0)
-    m = s1 * s2
+    alice_plus = d1 >= 0.0
+    agree = alice_plus == (d2 >= 0.0)
+    m = np.where(agree, 1.0, -1.0)
     v0 = l1[:, 0] + m * l2[:, 0]
     v1 = l1[:, 1] + m * l2[:, 1]
     v2 = l1[:, 2] + m * l2[:, 2]
     db = ys[:, 0] * v0 + ys[:, 1] * v1 + ys[:, 2] * v2
-    a = np.where(d1 >= 0.0, -1, 1).astype(np.int8)
-    b = np.where(db >= 0.0, 1, -1).astype(np.int8)
+    a = np.where(alice_plus, np.int8(-1), np.int8(1))
+    b = np.where(db >= 0.0, np.int8(1), np.int8(-1))
     bad = (v0 == 0.0) & (v1 == 0.0) & (v2 == 0.0)
-    return a, b, m.astype(np.int8), bad
+    return a, b, np.where(agree, np.int8(1), np.int8(-1)), bad
 
 
 def gg_outcomes(xs, ys, lam, u):
@@ -42,8 +45,8 @@ def gg_outcomes(xs, ys, lam, u):
     """
     da = xs[:, 0] * lam[:, 0] + xs[:, 1] * lam[:, 1] + xs[:, 2] * lam[:, 2]
     db = ys[:, 0] * lam[:, 0] + ys[:, 1] * lam[:, 1] + ys[:, 2] * lam[:, 2]
-    a = np.where(da >= 0.0, 1, -1).astype(np.int8)
-    b = np.where(db >= 0.0, -1, 1).astype(np.int8)
+    a = np.where(da >= 0.0, np.int8(1), np.int8(-1))
+    b = np.where(db >= 0.0, np.int8(-1), np.int8(1))
     click_a = u < np.abs(da)
     return a, b, click_a
 
@@ -68,9 +71,7 @@ def agreement_probs(settings, p_x, l1, l2):
 
 def tally(x_idx, y_idx, a, b, n_a, n_b):
     """Counts[x, y, a_bin, b_bin] with bin 0 = +1 and bin 1 = -1."""
-    ai = (1 - a.astype(np.int64)) // 2
-    bi = (1 - b.astype(np.int64)) // 2
-    code = ((x_idx.astype(np.int64) * n_b + y_idx.astype(np.int64)) * 2 + ai) * 2 + bi
+    code = ((x_idx * n_b + y_idx) * 2 + (a < 0)) * 2 + (b < 0)
     counts = np.bincount(code, minlength=n_a * n_b * 4)
     return counts.reshape(n_a, n_b, 2, 2)
 

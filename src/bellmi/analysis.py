@@ -22,6 +22,7 @@ The two headline information numbers:
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +39,10 @@ from .table import FiniteDistribution, InfoBits, binary_entropy
 # Monte Carlo rounds are processed in fixed-size chunks, one split random
 # sub-stream per chunk, so the parallelism degree cannot change results.
 CHUNK_ROUNDS = 65536
+
+# Upper bound on worker threads.  A fixed number, not the machine's core
+# count, so a command line is accepted or rejected the same everywhere.
+MAX_PARALLELISM = 64
 
 # Upper bound on quadrature panels.  At 2**20 panels the half-resolution
 # difference is already at rounding level, and one evaluation peaks at about
@@ -146,24 +151,32 @@ class CorrelationTable:
         return float(self.clicks_b.sum() / self.attempts.sum())
 
 
-def _chunks(source: RandomSource, total: int, run, parallelism: int = 1) -> list:
-    """``run(sub_source, k)`` over ``total`` items cut into chunks, in chunk order.
+def _chunks(source: RandomSource, total: int, run, parallelism: int = 1):
+    """Yield ``run(sub_source, k)`` over ``total`` items cut into chunks, in chunk order.
 
     Chunk i covers ``k = min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS)`` items
-    and draws only from the i-th of ``source.split(n_chunks)``, so the
-    results do not depend on ``parallelism``.  Callers reduce each chunk to
-    a small summary, which keeps memory one chunk deep.
+    and draws only from ``source.child(i)``, so the results do not depend on
+    ``parallelism``.  Children are derived as chunks start, and at most
+    ``2 * parallelism`` chunks are in flight; callers reduce each result as
+    it arrives, which keeps memory a few chunks deep at any round count.
     """
     n_chunks = (total + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
-    children = source.split(n_chunks)
 
     def one(i: int):
-        return run(children[i], min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS))
+        return run(source.child(i), min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS))
 
     if parallelism == 1:
-        return [one(i) for i in range(n_chunks)]
+        for i in range(n_chunks):
+            yield one(i)
+        return
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, range(n_chunks)))
+        pending = deque()
+        for i in range(n_chunks):
+            if len(pending) == 2 * parallelism:
+                yield pending.popleft().result()
+            pending.append(pool.submit(one, i))
+        while pending:
+            yield pending.popleft().result()
 
 
 def estimate_correlations(
@@ -183,8 +196,10 @@ def estimate_correlations(
     spec._require_finite()
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    if parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    if not 1 <= parallelism <= MAX_PARALLELISM:
+        raise ConfigError(
+            f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}"
+        )
     n_a, n_b = spec.n_alice, spec.n_bob
     n_cells = n_a * n_b
 

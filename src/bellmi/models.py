@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Callable, Optional
 
@@ -152,19 +153,46 @@ class SettingsSpec:
 
     # -- sampling -------------------------------------------------------
 
+    @cached_property
+    def _cell_sampler(self):
+        """(cdf, guide) for :meth:`sample_indices`.
+
+        ``cdf`` is the cumulative table ``Generator.choice`` searches.
+        ``guide`` cuts [0, 1) into a power of two buckets, at least 16 per
+        cell, so a draw's bucket index is exact; it holds the cell of every
+        draw in a bucket that no cdf value splits, and -1 elsewhere.
+        """
+        cdf = np.cumsum(self.p_xy.ravel())
+        cdf /= cdf[-1]
+        buckets = 1 << (16 * cdf.size - 1).bit_length()
+        edges = np.arange(buckets + 1) / buckets
+        lo = cdf.searchsorted(edges[:-1], side="right")  # cells <= bucket start
+        hi = cdf.searchsorted(edges[1:], side="left")  # cells < bucket end
+        return cdf, np.where(lo == hi, lo, -1)
+
     def sample_indices(self, gen: np.random.Generator, n: int):
-        """Draw n (x, y) index pairs from P(x,y)."""
+        """Draw n (x, y) index pairs from P(x,y).
+
+        Draw for draw the same cells as ``gen.choice(cells, size=n,
+        p=p_xy.ravel())``: the same uniforms searched in the same cdf, with
+        most draws settled by a guide table (Chen & Asau 1974) instead of a
+        binary search.
+        """
         self._require_finite()
-        flat = self.p_xy.ravel()
-        codes = gen.choice(flat.size, size=n, p=flat)
-        return codes // self.n_bob, codes % self.n_bob
+        cdf, guide = self._cell_sampler
+        u = gen.random(n)
+        codes = guide[(u * guide.size).astype(np.intp)]
+        miss = np.flatnonzero(codes < 0)
+        codes[miss] = cdf.searchsorted(u[miss], side="right")
+        return np.divmod(codes, self.n_bob)
 
     def vectors_for(self, x_idx, y_idx):
-        """Setting vectors for index arrays; returns (xs, ys) of shape (n, 3)."""
+        """Setting vectors for index arrays; returns (xs, ys) of shape (n, 3),
+        column-major like :func:`~bellmi.sphere.sample_uniform_sphere`."""
         self._require_finite()
         return (
-            np.ascontiguousarray(self.alice_settings[x_idx]),
-            np.ascontiguousarray(self.bob_settings[y_idx]),
+            np.ascontiguousarray(self.alice_settings.T).take(x_idx, axis=1).T,
+            np.ascontiguousarray(self.bob_settings.T).take(y_idx, axis=1).T,
         )
 
 
@@ -317,8 +345,8 @@ class TonerBaconModel:
     message_entropy_bound = 1.0  # H(m) for a single bit
 
     def sample_rounds(self, xs, ys, source: RandomSource) -> TBRounds:
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
         n = xs.shape[0]
         gen = source.generator()
         l1 = sample_uniform_sphere(gen, n)
@@ -331,12 +359,7 @@ class TonerBaconModel:
             log.warning("toner-bacon: resampling %d degenerate rounds", idx.size)
             l1[idx] = sample_uniform_sphere(gen, idx.size)
             l2[idx] = sample_uniform_sphere(gen, idx.size)
-            ra, rb, rm, rbad = _kernels.tb_outcomes(
-                np.ascontiguousarray(xs[idx]),
-                np.ascontiguousarray(ys[idx]),
-                np.ascontiguousarray(l1[idx]),
-                np.ascontiguousarray(l2[idx]),
-            )
+            ra, rb, rm, rbad = _kernels.tb_outcomes(xs[idx], ys[idx], l1[idx], l2[idx])
             a[idx], b[idx], m[idx] = ra, rb, rm
             bad = np.zeros(n, dtype=bool)
             bad[idx] = rbad
@@ -384,8 +407,8 @@ class GisinGisinModel:
     )
 
     def sample_rounds(self, xs, ys, source: RandomSource) -> GGRounds:
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
         n = xs.shape[0]
         gen = source.generator()
         lam = sample_uniform_sphere(gen, n)

@@ -1,9 +1,12 @@
 """Bloch-sphere vectors and seeded, splittable randomness.
 
 Vectors are plain numpy arrays: shape (3,) for a single direction, (n, 3)
-for batches.  Sphere sampling uses the (z, phi) method: z uniform on
-[-1, 1], azimuth uniform on [0, 2pi), which is rotation-invariant in
-distribution and needs no rejection loop.
+for batches.  Batches are stored column-major, as the transpose of a C-ordered
+(3, n) array, so each component is one contiguous run for the element-wise
+kernels; callers index them as (n, 3) and never copy them back to row-major.
+Sphere sampling uses the (z, phi) method: z uniform on [-1, 1], azimuth
+uniform on [0, 2pi), which is rotation-invariant in distribution and needs
+no rejection loop.
 
 The sign convention sgn(0) := +1 lives in the outcome maps of
 :mod:`bellmi._kernels`, the only place that takes signs of dot products.
@@ -49,29 +52,38 @@ class RandomSource:
             self._gen = np.random.default_rng(self._ss)
         return self._gen
 
+    def child(self, i: int) -> "RandomSource":
+        """The i-th child source; deterministic in (seed, i), built on demand."""
+        key = tuple(self._ss.spawn_key) + (i,)
+        return RandomSource(np.random.SeedSequence(entropy=self._ss.entropy, spawn_key=key))
+
     def split(self, n: int) -> list["RandomSource"]:
-        """n disjoint child sources; deterministic in (seed, child index)."""
-        key = tuple(self._ss.spawn_key)
-        return [
-            RandomSource(np.random.SeedSequence(entropy=self._ss.entropy, spawn_key=key + (i,)))
-            for i in range(n)
-        ]
+        """n disjoint child sources: ``child(0)`` to ``child(n - 1)``."""
+        return [self.child(i) for i in range(n)]
 
     def __repr__(self):
         return f"RandomSource(entropy={self._ss.entropy}, spawn_key={self._ss.spawn_key})"
 
 
 def sample_uniform_sphere(gen: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
-    """Uniform points on the unit sphere; (3,) if n is None, else (n, 3)."""
+    """Uniform points on the unit sphere; (3,) if n is None, else (n, 3).
+
+    A batch is the transpose of a C-ordered (3, n) buffer.  Every value is
+    the same float as ``s * cos(phi)``, ``s * sin(phi)`` and ``z`` computed
+    row by row: IEEE multiplication commutes, so scaling in place keeps the
+    bits.
+    """
     size = 1 if n is None else n
+    out = np.empty((3, size), dtype=np.float64)
     z = gen.uniform(-1.0, 1.0, size)
     phi = gen.uniform(0.0, 2.0 * np.pi, size)
     s = np.sqrt(1.0 - z * z)
-    out = np.empty((size, 3), dtype=np.float64)
-    out[:, 0] = s * np.cos(phi)
-    out[:, 1] = s * np.sin(phi)
-    out[:, 2] = z
-    return out[0] if n is None else out
+    np.cos(phi, out=out[0])
+    out[0] *= s
+    np.sin(phi, out=out[1])
+    out[1] *= s
+    out[2] = z
+    return out[:, 0] if n is None else out.T
 
 
 def require_unit(v) -> np.ndarray:

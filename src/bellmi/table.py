@@ -74,6 +74,14 @@ class FiniteDistribution:
     __slots__ = ("_names", "_labels", "_axis", "_weights")
 
     def __init__(self, variables: Sequence[tuple[str, Sequence[Hashable]]], weights):
+        self._adopt(variables, np.array(weights, dtype=np.float64, order="C"))
+
+    def _adopt(self, variables, w: np.ndarray) -> None:
+        """Validate and take ``w`` as the weights, without copying it.
+
+        ``w`` must be a float64 array that nothing else writes to; it is
+        frozen here.
+        """
         names = tuple(name for name, _ in variables)
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate variable names in {names}")
@@ -83,7 +91,6 @@ class FiniteDistribution:
                 raise ConfigError(f"variable {name!r} has an empty alphabet")
             if len(set(labs)) != len(labs):
                 raise ConfigError(f"variable {name!r} has duplicate labels")
-        w = np.asarray(weights, dtype=np.float64)
         shape = tuple(len(labs) for labs in labels)
         if w.shape != shape:
             raise ConfigError(f"weights shape {w.shape} does not match alphabets {shape}")
@@ -95,7 +102,6 @@ class FiniteDistribution:
                 f"weights sum to {total!r}, off by more than {NORM_ATOL}; "
                 "normalize upstream instead of passing unnormalized tables"
             )
-        w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_labels", labels)
@@ -150,7 +156,9 @@ class FiniteDistribution:
             except KeyError:
                 raise ConfigError(f"assignment {assignment!r} uses an unknown label") from None
             w[idx] += p
-        return cls(variables, w)
+        table = cls.__new__(cls)
+        table._adopt(variables, w)  # w is ours: no second copy
+        return table
 
     def entries(self):
         """Iterate ``(assignment_tuple, weight)`` over the nonzero cells in

@@ -2,15 +2,20 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from bellmi import analysis
 from bellmi.analysis import (
+    CHUNK_ROUNDS,
     GG_MI_CLOSED_FORM,
+    MAX_PARALLELISM,
     MIEstimate,
+    _chunks,
     _simpson,
     chsh,
     estimate_correlations,
@@ -30,6 +35,7 @@ from bellmi.analysis import (
 from bellmi.errors import ConfigError, InternalConsistencyError, ValidationError
 from bellmi.models import (
     ExactCSModel,
+    GisinGisinModel,
     SettingsSpec,
     TonerBaconModel,
     brans_build,
@@ -91,10 +97,122 @@ def test_estimate_rejects_bad_args():
     spec = preset("chsh")
     with pytest.raises(ConfigError):
         estimate_correlations(TonerBaconModel(), spec, 0, RandomSource(0))
-    with pytest.raises(ConfigError):
-        estimate_correlations(
-            TonerBaconModel(), spec, 100, RandomSource(0), parallelism=0
-        )
+    for parallelism in (0, MAX_PARALLELISM + 1):
+        with pytest.raises(ConfigError):
+            estimate_correlations(
+                TonerBaconModel(), spec, 100, RandomSource(0), parallelism=parallelism
+            )
+
+
+def _row_major_sphere(gen, k):
+    z = gen.uniform(-1.0, 1.0, k)
+    phi = gen.uniform(0.0, 2.0 * np.pi, k)
+    s = np.sqrt(1.0 - z * z)
+    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def _dot(v, w):
+    return v[:, 0] * w[:, 0] + v[:, 1] * w[:, 1] + v[:, 2] * w[:, 2]
+
+
+def _reference_estimate(kind, spec, rounds, seed):
+    """(counts, attempts, clicks_a, clicks_b) drawn round for round as the
+    chunk path draws them, but with ``Generator.choice``, row-major sphere
+    draws, fancy-index gathers and the outcome formulas written out."""
+    n_a, n_b = spec.n_alice, spec.n_bob
+    counts = np.zeros((n_a * n_b * 4,), dtype=np.int64)
+    attempts = np.zeros(n_a * n_b, dtype=np.int64)
+    clicks = np.zeros(n_a * n_b, dtype=np.int64)
+    n_chunks = -(-rounds // CHUNK_ROUNDS)
+    for i, sub in enumerate(RandomSource(seed).split(n_chunks)):
+        k = min(CHUNK_ROUNDS, rounds - i * CHUNK_ROUNDS)
+        s_set, s_mod = sub.split(2)
+        p = spec.p_xy.ravel()
+        code = s_set.generator().choice(p.size, size=k, p=p)
+        xs = spec.alice_settings[code // n_b]
+        ys = spec.bob_settings[code % n_b]
+        gen = s_mod.generator()
+        if kind == "tb":
+            l1 = _row_major_sphere(gen, k)
+            l2 = _row_major_sphere(gen, k)
+            d1 = _dot(xs, l1)
+            m = np.where(d1 >= 0.0, 1.0, -1.0) * np.where(_dot(xs, l2) >= 0.0, 1.0, -1.0)
+            v = l1 + m[:, None] * l2
+            assert not (v == 0.0).all(axis=1).any()  # no degenerate round to resample
+            a = np.where(d1 >= 0.0, -1, 1)
+            b = np.where(_dot(ys, v) >= 0.0, 1, -1)
+            kept = np.ones(k, dtype=bool)
+        else:
+            lam = _row_major_sphere(gen, k)
+            u = gen.random(k)
+            da = _dot(xs, lam)
+            a = np.where(da >= 0.0, 1, -1)
+            b = np.where(_dot(ys, lam) >= 0.0, -1, 1)
+            kept = u < np.abs(da)
+        cell = code * 4 + (1 - a) // 2 * 2 + (1 - b) // 2
+        counts += np.bincount(cell[kept], minlength=counts.size)
+        attempts += np.bincount(code, minlength=attempts.size)
+        clicks += np.bincount(code[kept], minlength=clicks.size)
+    return counts.reshape(n_a, n_b, 2, 2), attempts.reshape(n_a, n_b), clicks.reshape(n_a, n_b)
+
+
+def _non_product_3x5():
+    gen = np.random.default_rng(35)
+    w = np.exp(gen.standard_normal((3, 5)))
+    w[1, 2] = 0.0
+    alice = [vec_polar(0.2 + t, 1.3 * t) for t in (0.0, 1.0, 2.0)]
+    bob = [vec_polar(0.5 + 0.6 * t, -0.7 * t) for t in range(5)]
+    return SettingsSpec.finite(alice, bob, w / w.sum())
+
+
+@pytest.mark.parametrize("kind", ["tb", "gg"])
+@pytest.mark.parametrize("spec_name", ["chsh", "3x5"])
+def test_estimate_matches_row_major_reference(kind, spec_name):
+    spec = preset("chsh") if spec_name == "chsh" else _non_product_3x5()
+    rounds = 2 * CHUNK_ROUNDS + 123
+    counts, attempts, clicks = _reference_estimate(kind, spec, rounds, 81)
+    model = TonerBaconModel() if kind == "tb" else GisinGisinModel()
+    for parallelism in (1, 2):
+        est = estimate_correlations(model, spec, rounds, RandomSource(81), parallelism)
+        np.testing.assert_array_equal(est.counts, counts)
+        np.testing.assert_array_equal(est.attempts, attempts)
+        if kind == "gg":
+            np.testing.assert_array_equal(est.clicks_a, clicks)
+            np.testing.assert_array_equal(est.clicks_b, attempts)
+        else:
+            assert est.clicks_a is None and est.clicks_b is None
+
+
+def test_chunks_start_without_building_every_child(monkeypatch):
+    # 10**13 items are about 1.5e8 chunks; their children must not be built
+    # before the first chunk runs
+    def split_all(self, n):
+        raise AssertionError(f"split({n}) builds every child up front")
+
+    source = RandomSource(5)
+    first_child = source.child(0).generator().random(4)
+    monkeypatch.setattr(RandomSource, "split", split_all)
+    chunks = _chunks(source, 10**13, lambda sub, k: (sub.generator().random(4), k))
+    draws, k = next(chunks)
+    chunks.close()
+    assert k == CHUNK_ROUNDS
+    np.testing.assert_array_equal(draws, first_child)
+
+
+def test_chunks_keep_two_per_worker_in_flight(monkeypatch):
+    submitted = []
+
+    class CountingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", CountingExecutor)
+    sizes = []
+    for k in _chunks(RandomSource(0), 40 * CHUNK_ROUNDS + 7, lambda sub, k: k, parallelism=3):
+        assert len(submitted) - len(sizes) <= 2 * 3  # this result included
+        sizes.append(k)
+    assert sizes == [CHUNK_ROUNDS] * 40 + [7]
 
 
 def test_empty_cell_reports_config_error():

@@ -273,6 +273,8 @@ BAD_INPUTS = {
         {"p_xy": [[float("nan"), 0.5], [0.25, 0.25]]},
     ),
     "negative-seed": (SIMULATE + ["--seed", "-1"], None),
+    # one chunk of rounds, so not even a missing cap could start many threads
+    "parallelism-above-cap": (SIMULATE + ["--parallelism", "1000000"], None),
     "verify-tol-nan": (["verify", SIGNALING, "--tol", "nan"], None),
     "verify-tol-negative": (["verify", SIGNALING, "--tol", "-1"], None),
     "verify-tol-inf": (["verify", SIGNALING, "--tol", "inf"], None),

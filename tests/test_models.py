@@ -21,7 +21,7 @@ from bellmi.models import (
 )
 from bellmi.sphere import RandomSource
 from bellmi.analysis import exact_singlet_conditional, verify_bell_local
-from conftest import comm_conditional
+from conftest import comm_conditional, fibonacci_sphere
 
 
 def sgn_dot(v, w) -> int:
@@ -84,6 +84,69 @@ def test_sample_indices_follow_input_dist():
     live = p > 0
     chi2 = float(((counts[live] - 40_000 * p[live]) ** 2 / (40_000 * p[live])).sum())
     assert stats.chi2.sf(chi2, live.sum() - 1) > 1e-4
+
+
+def _weighted_spec(shape, seed) -> SettingsSpec:
+    """Seeded spec with a non-product p_xy and about a fifth of its cells at 0."""
+    gen = np.random.default_rng([seed, *shape])
+    w = np.exp(gen.standard_normal(shape))
+    w[gen.random(shape) < 0.2] = 0.0
+    if not w.any():
+        w[0, 0] = 1.0
+    return SettingsSpec.finite(fibonacci_sphere(shape[0]), fibonacci_sphere(shape[1]), w / w.sum())
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 1), (2, 2), (3, 5), (32, 32)])
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_indices_match_generator_choice(shape, seed):
+    # draw for draw the cells of Generator.choice on the same stream
+    for spec in (_weighted_spec(shape, seed), SettingsSpec.finite(
+            fibonacci_sphere(shape[0]), fibonacci_sphere(shape[1]))):
+        x_idx, y_idx = spec.sample_indices(RandomSource(seed).generator(), 20_000)
+        want = RandomSource(seed).generator().choice(
+            spec.p_xy.size, size=20_000, p=spec.p_xy.ravel()
+        )
+        np.testing.assert_array_equal(x_idx * spec.n_bob + y_idx, want)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random(n)`` returns chosen values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5)])
+def test_sample_indices_on_cdf_values_and_bucket_edges(shape):
+    # uniforms on and beside every cdf value and every guide-bucket edge,
+    # where a bucket lookup and a binary search could part
+    for spec in (preset("chsh"), _weighted_spec(shape, 9)):
+        p = spec.p_xy.ravel()
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        edges = np.arange(1 << 12) / (1 << 12)
+        points = np.concatenate([cdf[:-1], edges])
+        u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        x_idx, y_idx = spec.sample_indices(_FixedUniforms(u), u.size)
+        want = cdf.searchsorted(u, side="right")
+        np.testing.assert_array_equal(x_idx * spec.n_bob + y_idx, want)
+        assert p[want].min() > 0.0  # a zero-probability cell is never drawn
+
+
+def test_vectors_for_gathers_column_major():
+    spec = _weighted_spec((3, 5), 4)
+    x_idx, y_idx = spec.sample_indices(RandomSource(4).generator(), 1000)
+    xs, ys = spec.vectors_for(x_idx, y_idx)
+    # each component is one contiguous run; a row-major copy would show here
+    assert xs.shape == ys.shape == (1000, 3)
+    assert xs.T.flags.c_contiguous and ys.T.flags.c_contiguous
+    np.testing.assert_array_equal(xs, spec.alice_settings[x_idx])
+    np.testing.assert_array_equal(ys, spec.bob_settings[y_idx])
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,25 @@ def test_split_prefix_consistency():
         )
 
 
+def test_child_is_the_split_child():
+    src = RandomSource(99)
+    for i, child in enumerate(src.split(4)):
+        np.testing.assert_array_equal(
+            src.child(i).generator().random(4), child.generator().random(4)
+        )
+
+
+def test_sample_uniform_sphere_is_column_major_with_unchanged_values():
+    pts = sample_uniform_sphere(RandomSource(8).generator(), 1000)
+    # each component is one contiguous run; a row-major copy would show here
+    assert pts.shape == (1000, 3) and pts.T.flags.c_contiguous
+    gen = RandomSource(8).generator()
+    z = gen.uniform(-1.0, 1.0, 1000)
+    phi = gen.uniform(0.0, 2.0 * np.pi, 1000)
+    s = np.sqrt(1.0 - z * z)
+    np.testing.assert_array_equal(pts, np.column_stack([s * np.cos(phi), s * np.sin(phi), z]))
+
+
 def test_sample_uniform_sphere_statistics():
     gen = RandomSource(3).generator()
     pts = sample_uniform_sphere(gen, 200_000)

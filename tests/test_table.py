@@ -1,6 +1,7 @@
 """Exact finite distributions and the information measures on them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,3 +132,24 @@ def test_from_entries_round_trip():
     )
     # nonzero cells only, in row-major order whatever the input order
     assert list(t.entries()) == [((0, "v"), 0.25), ((1, "u"), 0.25), ((1, "v"), 0.5)]
+
+
+def test_from_entries_builds_its_table_once():
+    # the dense array it fills becomes the table: no second table-sized copy
+    variables = [(n, tuple(range(48))) for n in ("x", "y", "z")]
+    entries = [((i, i, i), 1.0 / 48) for i in range(48)]
+    tracemalloc.start()
+    try:
+        t = FiniteDistribution.from_entries(variables, entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.weights.nbytes, f"peak {peak} B for a {t.weights.nbytes} B table"
+    assert not t.weights.flags.writeable
+
+
+def test_constructor_copies_the_callers_weights():
+    w = np.array([0.25, 0.75])
+    t = FiniteDistribution([("x", (0, 1))], w)
+    w[0] = 0.5
+    assert t.weights[0] == 0.25 and not t.weights.flags.writeable
