@@ -82,18 +82,18 @@ def exact_singlet_conditional(spec: SettingsSpec) -> ConditionalTable:
 class CorrelationTable:
     """Estimated P(a,b|x,y) per setting cell, with counts and standard errors.
 
-    ``counts[x, y, i, j]`` tallies kept rounds (post-selected where the
-    model has detectors); ``attempts`` counts every round routed to the
-    cell.  Cells that ended up with no kept rounds have
-    ``kept_per_cell == 0``, and their estimates raise rather than read as
-    zero.
+    ``counts[x, y, i, j]`` tallies kept rounds; ``attempts`` counts every
+    round routed to the cell.  A ``post_selected`` table kept only the
+    rounds where Alice's detector clicked (Bob's always clicks), so its kept
+    rounds are Alice's clicks.  Cells that ended up with no kept rounds
+    have ``kept_per_cell == 0``, and their estimates raise rather than read
+    as zero.
     """
 
     spec: SettingsSpec
     counts: np.ndarray
     attempts: np.ndarray
-    clicks_a: Optional[np.ndarray] = None
-    clicks_b: Optional[np.ndarray] = None
+    post_selected: bool = False
 
     def __post_init__(self):
         want = (self.spec.n_alice, self.spec.n_bob, 2, 2)
@@ -108,10 +108,6 @@ class CorrelationTable:
         kept = self.counts.sum(axis=(2, 3))
         kept.setflags(write=False)
         return kept
-
-    @property
-    def has_detection(self) -> bool:
-        return self.clicks_a is not None
 
     def _cell_n(self, x: int, y: int) -> int:
         n = int(self.kept_per_cell[x, y])
@@ -139,16 +135,20 @@ class CorrelationTable:
         return math.sqrt(max(0.0, 1.0 - e * e) / n)
 
     def alice_efficiency(self) -> np.ndarray:
-        """Empirical P(D_A) per Alice setting."""
-        if not self.has_detection:
+        """Empirical P(D_A) per Alice setting; NaN for a setting never drawn."""
+        if not self.post_selected:
             raise ConfigError("model had no detection step")
-        return self.clicks_a.sum(axis=1) / self.attempts.sum(axis=1)
+        attempts = self.attempts.sum(axis=1)
+        return np.divide(
+            self.kept_per_cell.sum(axis=1), attempts,
+            out=np.full(attempts.shape, np.nan), where=attempts > 0,
+        )
 
     def bob_efficiency(self) -> float:
-        """Empirical P(D_B) over all rounds."""
-        if not self.has_detection:
+        """P(D_B): Bob's detector clicks in every round."""
+        if not self.post_selected:
             raise ConfigError("model had no detection step")
-        return float(self.clicks_b.sum() / self.attempts.sum())
+        return 1.0
 
 
 def _chunks(source: RandomSource, total: int, run, parallelism: int = 1):
@@ -188,10 +188,12 @@ def estimate_correlations(
 ) -> CorrelationTable:
     """Run ``rounds`` model rounds and tally per-cell outcome counts.
 
-    Settings are drawn from the spec's P(x,y).  Rounds are processed in
-    :data:`CHUNK_ROUNDS`-sized chunks, each on its own split random
-    sub-stream; chunk results are reduced in chunk order, so the outcome is
-    bit-identical for a given seed at any ``parallelism``.
+    Settings are drawn from the spec's P(x,y).  A model whose
+    ``post_selects`` is set tallies only the rounds its batch's ``kept``
+    mask marks.  Rounds are processed in :data:`CHUNK_ROUNDS`-sized chunks,
+    each on its own split random sub-stream; chunk results are reduced in
+    chunk order, so the outcome is bit-identical for a given seed at any
+    ``parallelism``.
     """
     spec._require_finite()
     if rounds < 1:
@@ -209,34 +211,20 @@ def estimate_correlations(
         x_idx, y_idx = spec.sample_indices(gen, k)
         xs, ys = spec.vectors_for(x_idx, y_idx)
         batch = model.sample_rounds(xs, ys, s_mod)
-        code = x_idx * n_b + y_idx
-        attempts = np.bincount(code, minlength=n_cells).reshape(n_a, n_b)
-        kept = batch.kept
-        if kept is None:
-            counts = _kernels.tally(x_idx, y_idx, batch.a, batch.b, n_a, n_b)
-            return counts, attempts, None, None
-        counts = _kernels.tally(
-            x_idx[kept], y_idx[kept], batch.a[kept], batch.b[kept], n_a, n_b
-        )
-        clicks_a = np.bincount(
-            code[np.asarray(batch.click_a, dtype=bool)], minlength=n_cells
-        ).reshape(n_a, n_b)
-        clicks_b = np.bincount(
-            code[np.asarray(batch.click_b, dtype=bool)], minlength=n_cells
-        ).reshape(n_a, n_b)
-        return counts, attempts, clicks_a, clicks_b
+        attempts = np.bincount(x_idx * n_b + y_idx, minlength=n_cells).reshape(n_a, n_b)
+        a, b = batch.a, batch.b
+        if model.post_selects:
+            kept = batch.kept
+            x_idx, y_idx, a, b = x_idx[kept], y_idx[kept], a[kept], b[kept]
+        return _kernels.tally(x_idx, y_idx, a, b, n_a, n_b), attempts
 
     counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
     attempts = np.zeros((n_a, n_b), dtype=np.int64)
-    clicks_a = clicks_b = None
-    for c, att, ca, cb in _chunks(source, rounds, run_chunk, parallelism):
+    for c, att in _chunks(source, rounds, run_chunk, parallelism):
         counts += c
         attempts += att
-        if ca is not None:
-            clicks_a = ca if clicks_a is None else clicks_a + ca
-            clicks_b = cb if clicks_b is None else clicks_b + cb
     return CorrelationTable(
-        spec=spec, counts=counts, attempts=attempts, clicks_a=clicks_a, clicks_b=clicks_b
+        spec=spec, counts=counts, attempts=attempts, post_selected=model.post_selects
     )
 
 

@@ -126,21 +126,24 @@ def cmd_mutual_info(args) -> int:
     if target != "exact-model-file":
         _reject_set(args, ("--model-file", "--vars-a", "--vars-b"),
                     f"--target {target} reads no model file")
+    if target != "tb-finite":
+        _reject_set(args, ("--samples", "--seed"), f"--target {target} draws no samples")
+    if target != "tb-uniform":
+        _reject_set(args, ("--panels",), f"--target {target} takes no panel count")
     if target == "tb-uniform":
-        est = analysis.mi_tb_quadrature(args.panels)
-        payload = serialize.mi_payload(
-            est, target=target, bound=1.0, panels=args.panels
-        )
+        panels = 1024 if args.panels is None else args.panels
+        est = analysis.mi_tb_quadrature(panels)
+        payload = serialize.mi_payload(est, target=target, bound=1.0, panels=panels)
     elif target == "gg-uniform":
         est = analysis.mi_gg_uniform()
         payload = serialize.mi_payload(est, target=target, bound=None)
     elif target == "tb-finite":
         spec = _build_spec(args)
-        est = analysis.mi_finite_settings_tb(
-            spec, args.samples, RandomSource(args.seed)
-        )
+        samples = 100_000 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        est = analysis.mi_finite_settings_tb(spec, samples, RandomSource(seed))
         payload = serialize.mi_payload(
-            est, target=target, bound=1.0, samples=args.samples, seed=args.seed
+            est, target=target, bound=1.0, samples=samples, seed=seed
         )
     elif target == "exact-model-file":
         if not args.model_file:
@@ -187,9 +190,11 @@ def _resolve_corr_and_spec(args):
 def cmd_transform(args) -> int:
     if not args.out_file:
         raise ConfigError("transform needs --out-file for the model file")
-    transforms.check_floor(args.floor)  # checked for every model; only gg reads it
+    if args.model != "gg":
+        _reject_set(args, ("--floor",), f"--model {args.model} has no acceptance floor")
     source = RandomSource(args.seed)
     if args.model in ("brans", "input-broadcast"):
+        _reject_set(args, ("--rounds",), f"--model {args.model} runs no Monte Carlo report")
         spec, corr = _resolve_corr_and_spec(args)
         if args.model == "brans":
             cs, report = transforms.brans_to_cs(corr, spec)
@@ -200,14 +205,15 @@ def cmd_transform(args) -> int:
         _reject_set(args, ("--corr", "--corr-file"),
                     f"--model {args.model} always reproduces the singlet")
         spec = _build_spec(args)
+        rounds = transforms.REPORT_ROUNDS if args.rounds is None else args.rounds
         if args.model == "tb":
             cs, report = transforms.comm_to_cs(
-                TonerBaconModel(), spec, source=source, rounds=args.rounds
+                TonerBaconModel(), spec, source=source, rounds=rounds
             )
         else:
+            floor = transforms.DEFAULT_FLOOR if args.floor is None else args.floor
             cs, report = transforms.det_to_cs(
-                GisinGisinModel(), spec, source=source, rounds=args.rounds,
-                floor=args.floor,
+                GisinGisinModel(), spec, source=source, rounds=rounds, floor=floor
             )
         model_payload = serialize.sampler_payload(cs, seed=args.seed)
     _emit(serialize.json_text(model_payload), args.out_file)
@@ -271,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated first variable set (default: x,y)")
     p.add_argument("--vars-b", default=None,
                    help="comma-separated second variable set (default: hidden vars)")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--panels", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None,
+                   help="tb-finite only (default: 100000)")
+    p.add_argument("--panels", type=int, default=None, help="tb-uniform only (default: 1024)")
+    p.add_argument("--seed", type=int, default=None, help="tb-finite only (default: 0)")
     p.add_argument("--out-file", default=None)
     p.set_defaults(func=cmd_mutual_info)
 
@@ -286,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target correlations for brans/input-broadcast (default: quantum)")
     p.add_argument("--corr-file", default=None,
                    help="correlation-table JSON fixing settings and target")
-    p.add_argument("--rounds", type=int, default=transforms.REPORT_ROUNDS,
-                   help="Monte Carlo rounds for sampled-path report checks")
+    p.add_argument("--rounds", type=int, default=None,
+                   help=f"tb/gg only: report rounds (default: {transforms.REPORT_ROUNDS})")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--floor", type=float, default=transforms.DEFAULT_FLOOR,
-                   help="abort when the double-click acceptance rate sits below this")
+    p.add_argument("--floor", type=float, default=None,
+                   help="gg only: abort when the double-click acceptance rate sits below this")
     p.add_argument("--out-file", default=None, help="model file destination (required)")
     p.set_defaults(func=cmd_transform)
 

@@ -287,11 +287,6 @@ class ConditionalTable:
         """P(a|x,y) as an (nA, nB, 2) array."""
         return self.probs.sum(axis=3)
 
-    def max_deviation(self, other: "ConditionalTable") -> float:
-        if self.probs.shape != other.probs.shape:
-            raise ConfigError("conditional tables have different shapes")
-        return float(np.max(np.abs(self.probs - other.probs)))
-
 
 def pr_box_conditional() -> ConditionalTable:
     """The 2x2 PR box: outcomes uniform, a and b equal unless x = y = 1."""
@@ -320,10 +315,6 @@ class TBRounds:
     l2: np.ndarray
     resampled: int
 
-    @property
-    def kept(self):
-        return None  # every round counts; no detection step
-
 
 class TonerBaconModel:
     """One-bit communication model for the singlet.
@@ -337,6 +328,7 @@ class TonerBaconModel:
 
     name = "tb"
     hidden_names = ("l1", "l2", "m")  # fields of TBRounds that form lambda
+    post_selects = False  # every round counts; no detection step
     # model-file description of the responses that _kernels.tb_outcomes computes
     certificate = (
         "deterministic replay of the one-bit protocol with "
@@ -380,10 +372,6 @@ class GGRounds:
     lam: np.ndarray
 
     @property
-    def click_b(self) -> np.ndarray:
-        return np.ones(self.a.shape[0], dtype=bool)
-
-    @property
     def kept(self) -> np.ndarray:
         return self.click_a  # Bob always clicks
 
@@ -400,6 +388,7 @@ class GisinGisinModel:
 
     name = "gg"
     hidden_names = ("lam",)  # fields of GGRounds that form lambda
+    post_selects = True  # only the rounds in GGRounds.kept count
     # model-file description of the responses that _kernels.gg_outcomes computes
     certificate = (
         "detection model: a = sgn(x.lambda), b = -sgn(y.lambda); "
@@ -574,14 +563,6 @@ class ExactCSModel:
                 f"model table variables {sorted(have)} do not match "
                 f"outcome/setting/hidden names {sorted(want)}"
             )
-
-    def conditional(self) -> ConditionalTable:
-        """Reproduced P(a,b|x,y); every input cell must have mass."""
-        joint = self.table.marginal(("x", "y", "a", "b"))
-        p_xy = joint.sum(axis=(2, 3))
-        if np.any(p_xy <= 0.0):
-            raise ConfigError("cannot form P(a,b|x,y): an input cell has zero mass")
-        return ConditionalTable(joint / p_xy[:, :, None, None])
 
 
 @dataclass(frozen=True, eq=False)

@@ -151,7 +151,7 @@ def correlation_payload(
         "p_xy": _vec_rows(spec.p_xy),
         "cells": cells,
     }
-    if est.has_detection:
+    if est.post_selected:
         payload["efficiency"] = {
             "alice_per_setting": [float(v) for v in est.alice_efficiency()],
             "bob": est.bob_efficiency(),

@@ -26,6 +26,7 @@ which the table stores its axes.  Concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable, Sequence
 from typing import Optional
 
@@ -38,6 +39,12 @@ InfoBits = float
 
 NORM_ATOL = 1e-12
 MI_CLAMP = 1e-10
+
+# Cap on the cells FiniteDistribution.from_entries allocates: 2**25 float64
+# cells (256 MiB) are six times the benchmark's largest table (24x24 Brans,
+# 5.3 M cells) and admit Brans models up to 38x38, whose locality check
+# stays near 1 GB of arrays.
+TABLE_CELL_CAP = 2**25
 
 
 def binary_entropy(p):
@@ -141,11 +148,20 @@ class FiniteDistribution:
         """Build from sparse ``(assignment, probability)`` pairs.
 
         Assignments list one label per variable, in variable order.
-        Unlisted cells are zero.  Repeated assignments accumulate.
+        Unlisted cells are zero.  Repeated assignments accumulate.  A table
+        of more than :data:`TABLE_CELL_CAP` cells raises
+        :class:`ConfigError` before anything is allocated.
         """
         labels = [tuple(labs) for _, labs in variables]
+        shape = tuple(len(labs) for labs in labels)
+        cells = math.prod(shape)
+        if cells > TABLE_CELL_CAP:
+            raise ConfigError(
+                f"table over alphabets {shape} has {cells} cells, more than "
+                f"the cap of {TABLE_CELL_CAP}"
+            )
         lookup = [{lab: j for j, lab in enumerate(labs)} for labs in labels]
-        w = np.zeros(tuple(len(labs) for labs in labels), dtype=np.float64)
+        w = np.zeros(shape, dtype=np.float64)
         for assignment, p in entries:
             if len(assignment) != len(labels):
                 raise ConfigError(

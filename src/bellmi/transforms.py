@@ -95,11 +95,12 @@ def _exact_report(
     **extras,
 ) -> TransformReport:
     """Exact reproduction deviations and I(x,y:lambda) of a finite model
-    built from ``spec`` to reproduce ``target``."""
+    built from ``spec`` to reproduce ``target``.  Input cells without mass
+    reproduce nothing and are skipped."""
     p_xy = cs.table.marginal(("x", "y"))
     return TransformReport(
         source=source,
-        corr_deviation=cs.conditional().max_deviation(target),
+        corr_deviation=_corr_deviation(cs.table.marginal(("x", "y", "a", "b")), target),
         inputs_deviation=float(np.max(np.abs(p_xy - spec.p_xy))),
         mi_value=analysis.mi_exact_finite(cs).value,
         mi_bound=mi_bound,
@@ -168,12 +169,6 @@ def _random_pair_spec(gen: np.random.Generator, pairs: int) -> SettingsSpec:
     return SettingsSpec.finite(xs, ys, p)
 
 
-def check_floor(floor: float) -> None:
-    """Raise :class:`ConfigError` unless the acceptance floor lies in (0, 1]."""
-    if not 0.0 < floor <= 1.0:  # NaN fails too
-        raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
-
-
 def _sampled_cs(
     model: Union[TonerBaconModel, GisinGisinModel],
     spec: SettingsSpec,
@@ -190,9 +185,11 @@ def _sampled_cs(
     ``rounds`` rounds, which keeps the rounds whose batch ``kept`` mask is
     set; it checks them against the singlet prediction on the spec's own
     cells, or on eight random setting pairs for the continuous spec.  Fewer
-    than ``floor * rounds`` kept rounds raise :class:`AcceptanceFloorError`.
+    than ``floor * rounds`` kept rounds raise :class:`AcceptanceFloorError`;
+    a floor outside (0, 1] raises :class:`ConfigError`.
     """
-    check_floor(floor)
+    if not 0.0 < floor <= 1.0:  # NaN fails too
+        raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
     cs = SampledCSModel(
         kind=kind,
         spec=spec,
@@ -213,14 +210,14 @@ def _sampled_cs(
             f"floor {floor:.3e} in the report run ({rounds} rounds)"
         )
     extras = {"exact": False, "check_rounds": rounds}
-    if est.has_detection:
+    if est.post_selected:
         extras["acceptance_rate"] = float(kept / rounds)
         extras["alice_efficiency"] = [float(v) for v in est.alice_efficiency()]
         extras["bob_efficiency"] = est.bob_efficiency()
     report = TransformReport(
         source=model.name,
-        corr_deviation=_estimated_corr_deviation(
-            est, analysis.exact_singlet_conditional(check_spec)
+        corr_deviation=_corr_deviation(
+            est.counts, analysis.exact_singlet_conditional(check_spec)
         ),
         inputs_deviation=_estimated_inputs_deviation(est),
         mi_value=None,
@@ -230,12 +227,16 @@ def _sampled_cs(
     return cs, report
 
 
-def _estimated_corr_deviation(est, target: ConditionalTable) -> float:
-    """Max |estimated - target| P(a,b|x,y) over the cells that kept rounds."""
-    kept = est.kept_per_cell
+def _corr_deviation(block: np.ndarray, target: ConditionalTable) -> float:
+    """Max |block / mass - target| P(a,b|x,y) over the (x, y) cells with mass.
+
+    ``block[x, y, a, b]`` holds kept round counts or joint probabilities,
+    and a cell's mass is its (a, b) sum.
+    """
+    mass = block.sum(axis=(2, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.abs(est.counts / kept[:, :, None, None] - target.probs)
-    return float(np.max(dev.max(axis=(2, 3)), initial=0.0, where=kept > 0))
+        dev = np.abs(block / mass[:, :, None, None] - target.probs)
+    return float(np.max(dev.max(axis=(2, 3)), initial=0.0, where=mass > 0))
 
 
 def _estimated_inputs_deviation(est) -> float:

@@ -1,5 +1,5 @@
 """Shared helpers: a subprocess CLI runner, spread sphere points, a small
-valid model file and the enumeration oracle for finite protocols."""
+valid model file and the oracles for reproduced conditional tables."""
 
 import os
 import subprocess
@@ -19,9 +19,12 @@ def run_cli(args, env_extra=None, cwd=None):
 
     The repository's ``src`` leads the subprocess ``PYTHONPATH``, so the
     suite runs from a clean checkout without installing the package.
+    Warnings are errors in the subprocess too, as pytest makes them in
+    process.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -66,6 +69,20 @@ def comm_conditional(model, spec) -> ConditionalTable:
                     )
                 out[x, y, index[a], index[b]] += w
     return ConditionalTable(out)
+
+
+def exact_conditional(model) -> ConditionalTable:
+    """Reproduced P(a,b|x,y) of an exact model; every input cell needs mass."""
+    joint = model.table.marginal(("x", "y", "a", "b"))
+    p_xy = joint.sum(axis=(2, 3))
+    assert np.all(p_xy > 0.0), "an input cell has zero mass"
+    return ConditionalTable(joint / p_xy[:, :, None, None])
+
+
+def max_deviation(p: ConditionalTable, q: ConditionalTable) -> float:
+    """Max |p - q| over every entry of two same-shaped conditional tables."""
+    assert p.probs.shape == q.probs.shape
+    return float(np.max(np.abs(p.probs - q.probs)))
 
 
 # model-file payload of a one-setting local model: lam = +-1 fixes a = b = lam

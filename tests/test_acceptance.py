@@ -39,7 +39,7 @@ from bellmi.models import (
 )
 from bellmi.sphere import RandomSource, sample_uniform_sphere
 from bellmi.transforms import comm_to_cs
-from conftest import fibonacci_sphere, run_cli
+from conftest import exact_conditional, fibonacci_sphere, run_cli
 
 ROOT_TWO = math.sqrt(2.0)
 
@@ -223,7 +223,7 @@ def test_criterion_7_chsh_paradox(capsys):
     direct = chsh(corr)
     model = brans_build(corr, spec)
     loc = verify_bell_local(model, tol=1e-12)
-    rebuilt = chsh(model.conditional())
+    rebuilt = chsh(exact_conditional(model))
     mi = mi_exact_finite(model)
     h_xy = model.table.entropy(("x", "y"))
     checks = [

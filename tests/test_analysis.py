@@ -116,7 +116,7 @@ def _dot(v, w):
 
 
 def _reference_estimate(kind, spec, rounds, seed):
-    """(counts, attempts, clicks_a, clicks_b) drawn round for round as the
+    """(counts, attempts, alice_clicks) drawn round for round as the
     chunk path draws them, but with ``Generator.choice``, row-major sphere
     draws, fancy-index gathers and the outcome formulas written out."""
     n_a, n_b = spec.n_alice, spec.n_bob
@@ -177,10 +177,13 @@ def test_estimate_matches_row_major_reference(kind, spec_name):
         np.testing.assert_array_equal(est.counts, counts)
         np.testing.assert_array_equal(est.attempts, attempts)
         if kind == "gg":
-            np.testing.assert_array_equal(est.clicks_a, clicks)
-            np.testing.assert_array_equal(est.clicks_b, attempts)
+            np.testing.assert_array_equal(est.kept_per_cell, clicks)
+            np.testing.assert_array_equal(
+                est.alice_efficiency(), clicks.sum(axis=1) / attempts.sum(axis=1)
+            )
+            assert est.bob_efficiency() == 1.0
         else:
-            assert est.clicks_a is None and est.clicks_b is None
+            assert not est.post_selected
 
 
 def test_chunks_start_without_building_every_child(monkeypatch):

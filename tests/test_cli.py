@@ -250,6 +250,53 @@ def test_parallel_settings_round_past_one(tmp_path):
     assert payload["max_deviation"] == 0.0
 
 
+# Alice on z, x, y and Bob on z, x; Alice's y and two more cells are never drawn
+ZERO_MASS_SPEC = {
+    "alice_settings": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    "bob_settings": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+    "p_xy": [[0.5, 0.0], [0.25, 0.25], [0.0, 0.0]],
+}
+
+
+def test_gg_efficiency_of_an_undrawn_setting_is_null_without_warning(tmp_path):
+    settings_file = tmp_path / "settings.json"
+    settings_file.write_text(json.dumps(ZERO_MASS_SPEC))
+    code, out, err = run_cli(
+        ["simulate", "--model", "gg", "--rounds", "2000",
+         "--settings-file", str(settings_file)]
+    )
+    assert code == 0, err
+    assert err == ""
+    alice = json.loads(out)["efficiency"]["alice_per_setting"]
+    assert alice[2] is None and 0.0 < alice[0] < 1.0 and 0.0 < alice[1] < 1.0
+
+
+@pytest.mark.parametrize("model, mi", [("brans", 1.5), ("input-broadcast", 1.0)])
+def test_exact_transforms_skip_zero_mass_cells(tmp_path, model, mi):
+    # the reproduced table is checked on the drawn cells only; I(x,y:lam) is
+    # H(x,y) = 1.5 bits for Brans and H(m) = H(x) = 1 bit for the broadcast
+    settings_file = tmp_path / "settings.json"
+    settings_file.write_text(json.dumps(ZERO_MASS_SPEC))
+    model_file = tmp_path / "model.json"
+    code, out, err = run_cli(
+        ["transform", "--model", model, "--settings-file", str(settings_file),
+         "--out-file", str(model_file)]
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["corr_deviation"] == 0.0
+    assert report["inputs_deviation"] == 0.0
+    code, out, err = run_cli(["verify", str(model_file)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["max_deviation"] == 0.0
+    code, out, err = run_cli(
+        ["mutual-info", "--target", "exact-model-file", "--model-file", str(model_file)]
+    )
+    assert code == 0, err
+    assert json.loads(out)["value"] == pytest.approx(mi, abs=1e-12)
+
+
 SIMULATE = ["simulate", "--model", "tb", "--rounds", "100"]
 SIGNALING = str(resources.files("bellmi").joinpath("data/signaling_counterexample.json"))
 MI_MODEL_FILE = [
@@ -259,6 +306,14 @@ ONE_CELL = {
     "alice_settings": [[0.0, 0.0, 1.0]],
     "bob_settings": [[0.0, 0.0, 1.0]],
     "cells": [{"x": 0, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}],
+}
+# one weight, but 4 * 4000**8 dense cells: far more than numpy can allocate
+HUGE_MODEL = {
+    "variables": [
+        {"name": name, "labels": [1, -1] if name in "ab" else list(range(4000))}
+        for name in ("a", "b", "x", "y", "h1", "h2", "h3", "h4", "h5", "h6")
+    ],
+    "weights": [{"assignment": [1, 1] + [0] * 8, "p": 1.0}],
 }
 
 # case -> (argv, payload); the payload, if any, is written to input.json in
@@ -391,6 +446,24 @@ BAD_INPUTS = {
         None,
     ),
     "mi-exact-model-preset": (MI_MODEL_FILE + ["--preset", "parallel"], LOCAL_MODEL),
+    "mi-tb-uniform-samples": (
+        ["mutual-info", "--target", "tb-uniform", "--samples", "5"], None
+    ),
+    "mi-exact-model-seed": (MI_MODEL_FILE + ["--seed", "2"], LOCAL_MODEL),
+    "mi-gg-uniform-panels": (
+        ["mutual-info", "--target", "gg-uniform", "--panels", "64"], None
+    ),
+    "brans-rounds": (
+        ["transform", "--model", "brans", "--rounds", "5", "--out-file", "model.json"],
+        None,
+    ),
+    "brans-floor": (
+        ["transform", "--model", "brans", "--floor", "0.5", "--out-file", "model.json"],
+        None,
+    ),
+    # the dense table is refused before numpy is asked for it
+    "verify-model-over-cell-cap": (["verify", "input.json"], HUGE_MODEL),
+    "mi-model-over-cell-cap": (MI_MODEL_FILE, HUGE_MODEL),
     # numpy refuses this grid up front; a value nearer the cap would allocate it
     "mi-panels-huge": (
         ["mutual-info", "--target", "tb-uniform", "--panels", str(10**13)], None
@@ -453,8 +526,9 @@ FLAG_RUNS = {
     "--panels": (["mutual-info", "--target", "tb-uniform"],
                  st.integers(1, 4096) | st.just(10**13)),
     "--tol": (["verify", "{model}"], st.floats(0.0, 1.0)),
-    "--floor": (["transform", "--model", "brans", "--out-file", "{out}"],
-                st.floats(0.0, 1.0)),
+    # valid floors sit below the acceptance rate of about 1/2, so they exit 0
+    "--floor": (["transform", "--model", "gg", "--rounds", "1000", "--out-file", "{out}"],
+                st.floats(0.0, 0.25)),
 }
 BAD_VALUES = st.sampled_from(["-1", "-1e9", "0", "0.0", "nan", "inf", "-inf", "abc", ""])
 

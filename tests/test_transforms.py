@@ -29,7 +29,7 @@ from bellmi.serialize import json_text, load_model, model_payload
 from bellmi.sphere import RandomSource, vec_polar
 from bellmi.transforms import (
     TransformReport,
-    _estimated_corr_deviation,
+    _corr_deviation,
     brans_to_cs,
     comm_to_cs,
     det_to_cs,
@@ -40,7 +40,7 @@ from bellmi.analysis import (
     mi_exact_finite,
     verify_bell_local,
 )
-from conftest import comm_conditional
+from conftest import comm_conditional, exact_conditional, max_deviation
 
 
 def test_report_rejects_negative_deviations():
@@ -70,16 +70,15 @@ def test_estimated_corr_deviation_matches_cell_loop():
         if est.kept_per_cell[x, y] > 0:
             dev = np.abs(est.cell_probs(x, y) - target.probs[x, y])
             worst = max(worst, float(np.max(dev)))
-    assert _estimated_corr_deviation(est, target) == worst
-    empty = CorrelationTable(spec=spec, counts=0 * counts, attempts=0 * est.attempts)
-    assert _estimated_corr_deviation(empty, target) == 0.0
+    assert _corr_deviation(est.counts, target) == worst
+    assert _corr_deviation(0 * counts, target) == 0.0
 
 
 def test_comm_conditional_reproduces_pr_box():
     spec = preset("chsh")
     comm = input_broadcast_build(pr_box_conditional(), spec)
     rebuilt = comm_conditional(comm, spec)
-    assert rebuilt.max_deviation(pr_box_conditional()) == 0.0
+    assert max_deviation(rebuilt, pr_box_conditional()) == 0.0
 
 
 def test_comm_to_cs_exact_on_pr_box():
@@ -151,7 +150,7 @@ def test_model_files_read_by_name_in_any_variable_order(target, rnd):
         for w in payload["weights"]:
             w["assignment"] = [w["assignment"][i] for i in perm]
         loaded = load_model(json.dumps(payload))
-        assert loaded.conditional().max_deviation(corr) <= 1e-12
+        assert max_deviation(exact_conditional(loaded), corr) <= 1e-12
         np.testing.assert_allclose(
             loaded.table.marginal(("x", "y")), cs.table.marginal(("x", "y")),
             rtol=0.0, atol=1e-12,
