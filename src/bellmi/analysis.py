@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, InternalConsistencyError
-from .models import OUTCOME_LABELS, ConditionalTable, ExactCSModel, SettingsSpec
+from .models import OUTCOME_LABELS, ConditionalTable, ExactCSModel, SettingsSpec, _frozen_array
 from .sphere import RandomSource, require_unit, sample_uniform_sphere
 from .table import FiniteDistribution, InfoBits, binary_entropy
 
@@ -78,6 +78,19 @@ def exact_singlet_conditional(spec: SettingsSpec) -> ConditionalTable:
 # correlation estimation
 # ----------------------------------------------------------------------
 
+def cell_conditional(block: np.ndarray) -> np.ndarray:
+    """P(a,b|x,y) from an (x, y, a, b) block of counts or probabilities.
+
+    Each (x, y) cell is divided by its (a, b) sum, its mass; a cell without
+    mass holds NaN.  The result is read-only.
+    """
+    mass = block.sum(axis=(2, 3))
+    with np.errstate(invalid="ignore"):
+        probs = block / mass[:, :, None, None]
+    probs.setflags(write=False)
+    return probs
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
     """Estimated P(a,b|x,y) per setting cell, with counts and standard errors.
@@ -85,9 +98,9 @@ class CorrelationTable:
     ``counts[x, y, i, j]`` tallies kept rounds; ``attempts`` counts every
     round routed to the cell.  A ``post_selected`` table kept only the
     rounds where Alice's detector clicked (Bob's always clicks), so its kept
-    rounds are Alice's clicks.  Cells that ended up with no kept rounds
-    have ``kept_per_cell == 0``, and their estimates raise rather than read
-    as zero.
+    rounds are Alice's clicks.  The per-cell statistics are read-only
+    arrays over (x, y); a cell that ended up with no kept rounds has
+    ``kept_per_cell == 0`` and NaN estimates, never zeros.
     """
 
     spec: SettingsSpec
@@ -109,30 +122,24 @@ class CorrelationTable:
         kept.setflags(write=False)
         return kept
 
-    def _cell_n(self, x: int, y: int) -> int:
-        n = int(self.kept_per_cell[x, y])
-        if n == 0:
-            raise ConfigError(f"cell ({x}, {y}) collected no rounds")
-        return n
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Estimated P(a,b|x,y) as an (nA, nB, 2, 2) array."""
+        return cell_conditional(self.counts)
 
-    def cell_probs(self, x: int, y: int) -> np.ndarray:
-        """Estimated P(a,b|x,y) as a (2, 2) block."""
-        return self.counts[x, y] / self._cell_n(x, y)
+    @cached_property
+    def prob_se(self) -> np.ndarray:
+        """Standard error sqrt(p(1-p)/n) per entry of :attr:`probs`."""
+        p = self.probs
+        return _frozen_array(np.sqrt(p * (1.0 - p) / self.kept_per_cell[:, :, None, None]))
 
-    def cell_prob_se(self, x: int, y: int) -> np.ndarray:
-        """Standard error sqrt(p(1-p)/n) per block entry."""
-        n = self._cell_n(x, y)
-        p = self.counts[x, y] / n
-        return np.sqrt(p * (1.0 - p) / n)
+    correlators = ConditionalTable.correlators  # E(x,y) from probs, as for exact tables
 
-    def correlator(self, x: int, y: int) -> float:
-        c = self.cell_probs(x, y)
-        return float(c[0, 0] - c[0, 1] - c[1, 0] + c[1, 1])
-
-    def correlator_se(self, x: int, y: int) -> float:
-        n = self._cell_n(x, y)
-        e = self.correlator(x, y)
-        return math.sqrt(max(0.0, 1.0 - e * e) / n)
+    @cached_property
+    def correlator_se(self) -> np.ndarray:
+        """Standard error sqrt((1 - E^2)/n) of :attr:`correlators`."""
+        e = self.correlators
+        return _frozen_array(np.sqrt(np.maximum(0.0, 1.0 - e * e) / self.kept_per_cell))
 
     def alice_efficiency(self) -> np.ndarray:
         """Empirical P(D_A) per Alice setting; NaN for a setting never drawn."""
@@ -241,23 +248,16 @@ class CHSHResult:
 def chsh(table, indices: Sequence[int] = (0, 1, 0, 1)) -> CHSHResult:
     """S = E(x0,y0) - E(x0,y1) + E(x1,y0) + E(x1,y1), error by quadrature sum.
 
-    Accepts anything with ``correlator(x, y)`` and ``correlator_se(x, y)``
-    (estimated or exact tables).  Empty cells raise.
+    Accepts anything with ``correlators`` and ``correlator_se`` arrays
+    (estimated or exact tables).  A cell without rounds raises.
     """
     x0, x1, y0, y1 = indices
-    s = (
-        table.correlator(x0, y0)
-        - table.correlator(x0, y1)
-        + table.correlator(x1, y0)
-        + table.correlator(x1, y1)
-    )
-    se = math.sqrt(
-        table.correlator_se(x0, y0) ** 2
-        + table.correlator_se(x0, y1) ** 2
-        + table.correlator_se(x1, y0) ** 2
-        + table.correlator_se(x1, y1) ** 2
-    )
-    return CHSHResult(s=float(s), se=float(se))
+    cells = ((x0, y0), (x0, y1), (x1, y0), (x1, y1))
+    e = [float(table.correlators[c]) for c in cells]
+    if any(math.isnan(v) for v in e):
+        raise ConfigError(f"a CHSH cell among {cells} collected no rounds")
+    se = math.sqrt(sum(float(table.correlator_se[c]) ** 2 for c in cells))
+    return CHSHResult(s=e[0] - e[1] + e[2] + e[3], se=se)
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +303,10 @@ def verify_bell_local(model: ExactCSModel, tol: float = 1e-9) -> LocalityReport:
         resp_b = j.sum(axis=(0, 2)) / j.sum(axis=(0, 1, 2))  # P(b|y,lam)
         p_xyl = j.sum(axis=(0, 1))
         dev = j / p_xyl
-        dev -= resp_a[:, None, :, None, :] * resp_b[None, :, None, :, :]
+        for i, k in np.ndindex(2, 2):  # per (a, b) block: no table-sized product
+            dev[i, k] -= resp_a[i][:, None, :] * resp_b[k][None, :, :]
     np.abs(dev, out=dev)
-    dev[:, :, ~(p_xyl > 0.0)] = 0.0  # off the support of (x, y, lambda)
+    np.fmax(dev, 0.0, out=dev)  # 0/0 = NaN off the support of (x, y, lambda)
     max_dev = float(dev.max())
     ok = max_dev <= tol
     witness = None

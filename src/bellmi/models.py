@@ -275,13 +275,17 @@ class ConditionalTable:
     def n_bob(self) -> int:
         return self.probs.shape[1]
 
-    def correlator(self, x: int, y: int) -> float:
-        """E(x,y) = sum_ab ab P(a,b|x,y)."""
-        c = self.probs[x, y]
-        return float(c[0, 0] - c[0, 1] - c[1, 0] + c[1, 1])
+    @cached_property
+    def correlators(self) -> np.ndarray:
+        """E(x,y) = sum_ab ab P(a,b|x,y) as an (nA, nB) array."""
+        p = self.probs
+        e = p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1]
+        return _frozen_array(e)
 
-    def correlator_se(self, x: int, y: int) -> float:
-        return 0.0
+    @cached_property
+    def correlator_se(self) -> np.ndarray:
+        """Zeros shaped like :attr:`correlators`: no sampling error."""
+        return _frozen_array(np.zeros(self.probs.shape[:2]))
 
     def alice_conditional(self) -> np.ndarray:
         """P(a|x,y) as an (nA, nB, 2) array."""

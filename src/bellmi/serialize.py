@@ -84,16 +84,27 @@ def _as_label(value):
     raise ValueError(f"label {value!r} is not a string, number or array of these")
 
 
+def _numeric(value):
+    """Return ``value`` if every leaf of its nested lists is an int or float.
+
+    ``float()`` and ``np.asarray`` also read true, false and "1" as numbers;
+    here they raise :class:`TypeError`."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif type(v) not in (int, float):
+            raise TypeError(f"{v!r} is not a JSON number")
+    return value
+
+
 # ----------------------------------------------------------------------
 # correlation tables
 # ----------------------------------------------------------------------
 
 # A cell's ``ok`` flag allows this many standard errors of |e - quantum_e|.
 FLAG_SIGMAS = 4.0
-
-
-def _vec_rows(arr: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in arr]
 
 
 def correlation_payload(
@@ -108,58 +119,43 @@ def correlation_payload(
     Each cell carries the estimated conditional probabilities, the kept
     count ``n``, standard errors, the correlator with error, the
     ``quantum`` correlator and an ``ok`` flag (deviation within
-    :data:`FLAG_SIGMAS` standard errors).  Empty cells are flagged with
-    ``"empty": true``, null estimates and ``"ok": false``.
+    :data:`FLAG_SIGMAS` standard errors).  An empty cell has ``"empty":
+    true``, NaN estimates (written as null) and ``"ok": false``.
     """
     spec = est.spec
+    n, p, se = est.kept_per_cell.tolist(), est.probs.tolist(), est.prob_se.tolist()
+    e, se_e = est.correlators.tolist(), est.correlator_se.tolist()
+    q = quantum.correlators.tolist()
     cells = []
-    all_ok = True
     for x in range(spec.n_alice):
         for y in range(spec.n_bob):
-            n = int(est.kept_per_cell[x, y])
-            cell = {"x": x, "y": y}
-            if n > 0:
-                p = est.cell_probs(x, y)
-                se = est.cell_prob_se(x, y)
-                e = est.correlator(x, y)
-                se_e = est.correlator_se(x, y)
-                cell.update(
-                    pp=float(p[0, 0]), pm=float(p[0, 1]),
-                    mp=float(p[1, 0]), mm=float(p[1, 1]),
-                    n=n, empty=False,
-                    se_pp=float(se[0, 0]), se_pm=float(se[0, 1]),
-                    se_mp=float(se[1, 0]), se_mm=float(se[1, 1]),
-                    e=e, se_e=se_e,
-                )
-            else:
-                cell.update(
-                    pp=None, pm=None, mp=None, mm=None, n=0, empty=True,
-                    se_pp=None, se_pm=None, se_mp=None, se_mm=None,
-                    e=None, se_e=None,
-                )
-            q = quantum.correlator(x, y)
-            ok = n > 0 and abs(cell["e"] - q) <= FLAG_SIGMAS * max(cell["se_e"], 1e-300)
-            cell.update(quantum_e=q, ok=bool(ok))
-            all_ok = all_ok and ok
-            cells.append(cell)
-    payload = {
+            (pp, pm), (mp, mm) = p[x][y]
+            (se_pp, se_pm), (se_mp, se_mm) = se[x][y]
+            cells.append({
+                "x": x, "y": y, "pp": pp, "pm": pm, "mp": mp, "mm": mm,
+                "n": n[x][y], "empty": n[x][y] == 0,
+                "se_pp": se_pp, "se_pm": se_pm, "se_mp": se_mp, "se_mm": se_mm,
+                "e": e[x][y], "se_e": se_e[x][y], "quantum_e": q[x][y],
+                # a NaN e compares False, so an empty cell is never ok
+                "ok": abs(e[x][y] - q[x][y]) <= FLAG_SIGMAS * max(se_e[x][y], 1e-300),
+            })
+    efficiency = None
+    if est.post_selected:
+        efficiency = {
+            "alice_per_setting": est.alice_efficiency().tolist(),
+            "bob": est.bob_efficiency(),
+        }
+    return {
         "model": model,
         "seed": seed,
         "rounds": int(est.attempts.sum()),
-        "alice_settings": _vec_rows(spec.alice_settings),
-        "bob_settings": _vec_rows(spec.bob_settings),
-        "p_xy": _vec_rows(spec.p_xy),
+        "alice_settings": spec.alice_settings.tolist(),
+        "bob_settings": spec.bob_settings.tolist(),
+        "p_xy": spec.p_xy.tolist(),
         "cells": cells,
+        "efficiency": efficiency,
+        "deviations_ok": all(cell["ok"] for cell in cells),
     }
-    if est.post_selected:
-        payload["efficiency"] = {
-            "alice_per_setting": [float(v) for v in est.alice_efficiency()],
-            "bob": est.bob_efficiency(),
-        }
-    else:
-        payload["efficiency"] = None
-    payload["deviations_ok"] = bool(all_ok)
-    return payload
 
 
 CSV_COLUMNS = ("x", "y", "pp", "pm", "mp", "mm", "n", "e", "se_e", "quantum_e", "ok")
@@ -171,13 +167,11 @@ def correlation_csv(payload: dict) -> str:
     for cell in payload["cells"]:
         row = []
         for col in CSV_COLUMNS:
-            v = cell.get(col)
-            if v is None:
-                row.append("")
-            elif isinstance(v, bool):
+            v = cell[col]
+            if isinstance(v, bool):
                 row.append("true" if v else "false")
             elif isinstance(v, float):
-                row.append(format_float(v))
+                row.append(format_float(v) if math.isfinite(v) else "")
             else:
                 row.append(str(v))
         lines.append(",".join(row))
@@ -186,11 +180,11 @@ def correlation_csv(payload: dict) -> str:
 
 def _settings_from_payload(payload: dict, *, where: str) -> SettingsSpec:
     try:
-        alice = np.asarray(payload["alice_settings"], dtype=np.float64)
-        bob = np.asarray(payload["bob_settings"], dtype=np.float64)
+        alice = np.asarray(_numeric(payload["alice_settings"]), dtype=np.float64)
+        bob = np.asarray(_numeric(payload["bob_settings"]), dtype=np.float64)
         p_xy = payload.get("p_xy")
         if p_xy is not None:
-            p_xy = np.asarray(p_xy, dtype=np.float64)
+            p_xy = np.asarray(_numeric(p_xy), dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: bad or missing settings or p_xy ({exc})") from None
     return SettingsSpec.finite(alice, bob, p_xy)
@@ -205,7 +199,7 @@ def load_input_dist(text: str) -> np.ndarray:
     """Input-distribution file: {"p_xy": [[...]]}."""
     payload = parse_json(text)
     try:
-        return np.asarray(payload["p_xy"], dtype=np.float64)
+        return np.asarray(_numeric(payload["p_xy"]), dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"input-dist file: bad or missing p_xy ({exc})") from None
 
@@ -235,10 +229,7 @@ def load_correlation(text: str):
             if (x, y) in seen:
                 raise ValueError("cell listed twice")
             seen.add((x, y))
-            probs[x, y, 0, 0] = float(cell["pp"])
-            probs[x, y, 0, 1] = float(cell["pm"])
-            probs[x, y, 1, 0] = float(cell["mp"])
-            probs[x, y, 1, 1] = float(cell["mm"])
+            probs[x, y] = _numeric([[cell["pp"], cell["pm"]], [cell["mp"], cell["mm"]]])
         except (KeyError, TypeError, ValueError, OverflowError, IndexError) as exc:
             raise ConfigError(f"correlation file: bad cell {cell!r} ({exc})") from None
     if np.any(np.isnan(probs)):
@@ -283,7 +274,7 @@ def load_model(text: str) -> ExactCSModel:
             for v in payload["variables"]
         ]
         entries = [
-            (tuple(_as_label(lab) for lab in w["assignment"]), float(w["p"]))
+            (tuple(_as_label(lab) for lab in w["assignment"]), float(_numeric(w["p"])))
             for w in payload["weights"]
         ]
         hidden = payload.get("hidden_variables")

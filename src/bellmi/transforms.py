@@ -100,7 +100,9 @@ def _exact_report(
     p_xy = cs.table.marginal(("x", "y"))
     return TransformReport(
         source=source,
-        corr_deviation=_corr_deviation(cs.table.marginal(("x", "y", "a", "b")), target),
+        corr_deviation=_corr_deviation(
+            analysis.cell_conditional(cs.table.marginal(("x", "y", "a", "b"))), target
+        ),
         inputs_deviation=float(np.max(np.abs(p_xy - spec.p_xy))),
         mi_value=analysis.mi_exact_finite(cs).value,
         mi_bound=mi_bound,
@@ -212,12 +214,12 @@ def _sampled_cs(
     extras = {"exact": False, "check_rounds": rounds}
     if est.post_selected:
         extras["acceptance_rate"] = float(kept / rounds)
-        extras["alice_efficiency"] = [float(v) for v in est.alice_efficiency()]
+        extras["alice_efficiency"] = est.alice_efficiency().tolist()
         extras["bob_efficiency"] = est.bob_efficiency()
     report = TransformReport(
         source=model.name,
         corr_deviation=_corr_deviation(
-            est.counts, analysis.exact_singlet_conditional(check_spec)
+            est.probs, analysis.exact_singlet_conditional(check_spec)
         ),
         inputs_deviation=_estimated_inputs_deviation(est),
         mi_value=None,
@@ -227,16 +229,13 @@ def _sampled_cs(
     return cs, report
 
 
-def _corr_deviation(block: np.ndarray, target: ConditionalTable) -> float:
-    """Max |block / mass - target| P(a,b|x,y) over the (x, y) cells with mass.
+def _corr_deviation(probs: np.ndarray, target: ConditionalTable) -> float:
+    """Max |probs - target| P(a,b|x,y) over the (x, y) cells with mass.
 
-    ``block[x, y, a, b]`` holds kept round counts or joint probabilities,
-    and a cell's mass is its (a, b) sum.
+    ``probs`` comes from :func:`analysis.cell_conditional`, so a cell
+    without mass holds NaN, which ``fmax`` skips.
     """
-    mass = block.sum(axis=(2, 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.abs(block / mass[:, :, None, None] - target.probs)
-    return float(np.max(dev.max(axis=(2, 3)), initial=0.0, where=mass > 0))
+    return float(np.fmax.reduce(np.abs(probs - target.probs), axis=None, initial=0.0))
 
 
 def _estimated_inputs_deviation(est) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bellmi.analysis import cell_conditional
 from bellmi.errors import ValidationError
 from bellmi.models import OUTCOME_LABELS, ConditionalTable
 
@@ -73,10 +74,9 @@ def comm_conditional(model, spec) -> ConditionalTable:
 
 def exact_conditional(model) -> ConditionalTable:
     """Reproduced P(a,b|x,y) of an exact model; every input cell needs mass."""
-    joint = model.table.marginal(("x", "y", "a", "b"))
-    p_xy = joint.sum(axis=(2, 3))
-    assert np.all(p_xy > 0.0), "an input cell has zero mass"
-    return ConditionalTable(joint / p_xy[:, :, None, None])
+    probs = cell_conditional(model.table.marginal(("x", "y", "a", "b")))
+    assert not np.isnan(probs).any(), "an input cell has zero mass"
+    return ConditionalTable(probs)
 
 
 def max_deviation(p: ConditionalTable, q: ConditionalTable) -> float:

@@ -67,7 +67,7 @@ def test_criterion_1_singlet_reproduction(capsys):
     for x in range(2):
         for y in range(2):
             target = singlet_correlation(spec.alice_settings[x], spec.bob_settings[y])
-            z = abs(est.correlator(x, y) - target) / est.correlator_se(x, y)
+            z = abs(est.correlators[x, y] - target) / est.correlator_se[x, y]
             worst = max(worst, z)
     checks.append((worst <= 4.0, f"chsh preset worst |E - (-x.y)| = {worst:.2f} se <= 4 se"))
     gen = RandomSource(102).generator()
@@ -78,8 +78,8 @@ def test_criterion_1_singlet_reproduction(capsys):
             TonerBaconModel(), SettingsSpec.finite([x], [y]), 1_000_000, src
         )
         z = abs(
-            pair_est.correlator(0, 0) - singlet_correlation(x, y)
-        ) / pair_est.correlator_se(0, 0)
+            pair_est.correlators[0, 0] - singlet_correlation(x, y)
+        ) / pair_est.correlator_se[0, 0]
         worst = max(worst, z)
     checks.append(
         (worst <= 4.0, f"12 random pairs at n=1e6 worst gap = {worst:.2f} se <= 4 se")
@@ -190,7 +190,7 @@ def test_criterion_6_detection_efficiencies(capsys):
     for x in range(5):
         for y in range(5):
             target = singlet_correlation(alice[x], bob[y])
-            z = abs(est.correlator(x, y) - target) / est.correlator_se(x, y)
+            z = abs(est.correlators[x, y] - target) / est.correlator_se[x, y]
             worst = max(worst, z)
     checks.append(
         (worst <= 4.0, f"post-selected E: worst gap {worst:.2f} sigma <= 4 sigma")

@@ -88,8 +88,8 @@ def test_estimate_correlator_tracks_target():
     y = vec_polar(1.9, -0.4)
     spec = SettingsSpec.finite([x], [y])
     est = estimate_correlations(TonerBaconModel(), spec, 100_000, RandomSource(61))
-    e = est.correlator(0, 0)
-    se = est.correlator_se(0, 0)
+    e = est.correlators[0, 0]
+    se = est.correlator_se[0, 0]
     assert abs(e - singlet_correlation(x, y)) < 4 * se
 
 
@@ -224,15 +224,21 @@ def test_empty_cell_reports_config_error():
                                preset("chsh").bob_settings, p)
     est = estimate_correlations(TonerBaconModel(), spec, 5_000, RandomSource(63))
     assert est.kept_per_cell[0, 1] == 0
+    # an empty cell estimates NaN, never a zero that reads as data
+    assert np.isnan(est.probs[0, 1]).all() and np.isnan(est.correlators[0, 1])
+    assert np.isnan(est.prob_se[0, 1]).all() and np.isnan(est.correlator_se[0, 1])
+    assert np.isfinite(est.correlators[0, 0])
+    for arr in (est.probs, est.prob_se, est.correlators, est.correlator_se):
+        assert not arr.flags.writeable
     with pytest.raises(ConfigError):
-        est.correlator(0, 1)
+        chsh(est)
 
 
 def test_chsh_error_combines_cells():
     spec = preset("chsh")
     est = estimate_correlations(TonerBaconModel(), spec, 60_000, RandomSource(64))
     r = chsh(est)
-    ses = [est.correlator_se(x, y) for x in range(2) for y in range(2)]
+    ses = [est.correlator_se[x, y] for x in range(2) for y in range(2)]
     assert r.se == pytest.approx(math.sqrt(sum(s * s for s in ses)), abs=1e-15)
     assert abs(r.s + 2 * math.sqrt(2)) < 6 * r.se
 

@@ -271,6 +271,36 @@ def test_gg_efficiency_of_an_undrawn_setting_is_null_without_warning(tmp_path):
     assert alice[2] is None and 0.0 < alice[0] < 1.0 and 0.0 < alice[1] < 1.0
 
 
+ESTIMATES = ("pp", "pm", "mp", "mm", "se_pp", "se_pm", "se_mp", "se_mm", "e", "se_e")
+ZERO_MASS_CELLS = [(0, 1), (2, 0), (2, 1)]
+
+
+def test_simulate_writes_empty_cells_as_null_and_blank(tmp_path):
+    settings_file = tmp_path / "settings.json"
+    settings_file.write_text(json.dumps(ZERO_MASS_SPEC))
+    argv = ["simulate", "--model", "tb", "--rounds", "2000",
+            "--settings-file", str(settings_file)]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    for cell in payload["cells"]:
+        empty = (cell["x"], cell["y"]) in ZERO_MASS_CELLS
+        assert cell["empty"] is empty and (cell["n"] == 0) is empty
+        assert all((cell[k] is None) is empty for k in ESTIMATES)
+        if empty:
+            assert cell["ok"] is False
+    assert payload["deviations_ok"] is False
+    code, out, err = run_cli(argv + ["--output", "csv"])
+    assert code == 0 and err == ""
+    header, *rows = [line.split(",") for line in out.decode().splitlines()]
+    assert len(rows) == 6
+    for row in rows:
+        cell = dict(zip(header, row))
+        empty = (int(cell["x"]), int(cell["y"])) in ZERO_MASS_CELLS
+        blank = [cell[k] == "" for k in ("pp", "pm", "mp", "mm", "e", "se_e")]
+        assert blank == [empty] * 6
+
+
 @pytest.mark.parametrize("model, mi", [("brans", 1.5), ("input-broadcast", 1.0)])
 def test_exact_transforms_skip_zero_mass_cells(tmp_path, model, mi):
     # the reproduced table is checked on the drawn cells only; I(x,y:lam) is
@@ -426,6 +456,26 @@ BAD_INPUTS = {
     ),
     "model-hidden-not-list": (
         ["verify", "input.json"], {**LOCAL_MODEL, "hidden_variables": 5}
+    ),
+    # true, false and numeric strings are not numbers, though float() reads them
+    "settings-bool-vector": (
+        SIMULATE + ["--settings-file", "input.json"],
+        {"alice_settings": [[False, False, True]], "bob_settings": [[0.0, 0.0, 1.0]]},
+    ),
+    "input-dist-string-p": (
+        SIMULATE + ["--input-dist-file", "input.json"],
+        {"p_xy": [[0.25, 0.25], [0.25, "0.25"]]},
+    ),
+    "corr-bool-probs": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {**ONE_CELL,
+         "cells": [{"x": 0, "y": 0, "pp": False, "pm": True, "mp": 0.0, "mm": 0.0}]},
+    ),
+    "model-string-weight": (
+        ["verify", "input.json"],
+        {**LOCAL_MODEL,
+         "weights": [{**w, "p": "0.5"} for w in LOCAL_MODEL["weights"]]},
     ),
     # an empty side would report I = 0 under a label that names other variables
     "mi-empty-vars-a": (MI_MODEL_FILE + ["--vars-a", ""], LOCAL_MODEL),

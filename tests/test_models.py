@@ -169,7 +169,7 @@ def test_pr_box_correlators():
     for x in range(2):
         for y in range(2):
             want = -1.0 if x == 1 and y == 1 else 1.0
-            assert pr.correlator(x, y) == want
+            assert pr.correlators[x, y] == want
     # outcome marginals stay uniform
     np.testing.assert_array_equal(pr.alice_conditional(), 0.5)
 

@@ -87,8 +87,8 @@ def test_correlation_payload_round_trip():
     np.testing.assert_array_equal(spec2.alice_settings, spec.alice_settings)
     for x in range(2):
         for y in range(2):
-            assert corr.correlator(x, y) == pytest.approx(
-                est.correlator(x, y), abs=1e-15
+            assert corr.correlators[x, y] == pytest.approx(
+                est.correlators[x, y], abs=1e-15
             )
     # quantum comparison fields present and within-4-sigma flags set
     cell = payload["cells"][0]

@@ -36,6 +36,7 @@ from bellmi.transforms import (
 )
 from bellmi.analysis import (
     CorrelationTable,
+    cell_conditional,
     exact_singlet_conditional,
     mi_exact_finite,
     verify_bell_local,
@@ -68,10 +69,10 @@ def test_estimated_corr_deviation_matches_cell_loop():
     worst = 0.0
     for x, y in np.ndindex(3, 2):
         if est.kept_per_cell[x, y] > 0:
-            dev = np.abs(est.cell_probs(x, y) - target.probs[x, y])
-            worst = max(worst, float(np.max(dev)))
-    assert _corr_deviation(est.counts, target) == worst
-    assert _corr_deviation(0 * counts, target) == 0.0
+            p = est.counts[x, y] / est.kept_per_cell[x, y]
+            worst = max(worst, float(np.max(np.abs(p - target.probs[x, y]))))
+    assert _corr_deviation(est.probs, target) == worst
+    assert _corr_deviation(cell_conditional(0 * counts), target) == 0.0
 
 
 def test_comm_conditional_reproduces_pr_box():
