@@ -371,9 +371,7 @@ class MIEstimate:
 
 
 def _simpson(f, a: float, b: float, panels: int) -> float:
-    """Composite Simpson rule with an even number of panels."""
-    if panels < 2 or panels % 2:
-        raise ConfigError(f"Simpson rule needs an even panel count >= 2, got {panels}")
+    """Composite Simpson rule; ``panels`` is even and at least 2."""
     xs = a + (b - a) * np.arange(panels + 1) / panels
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0

@@ -26,7 +26,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, ValidationError
 from .sphere import RandomSource, require_unit, sample_uniform_sphere, vec_polar
-from .table import NORM_ATOL, FiniteDistribution
+from .table import FiniteDistribution, check_normalized
 
 log = logging.getLogger(__name__)
 
@@ -62,41 +61,42 @@ def _frozen_array(values) -> np.ndarray:
 class SettingsSpec:
     """Measurement-setting alphabets plus the joint input distribution.
 
-    A finite spec lists unit setting vectors for each side and a
-    :class:`FiniteDistribution` over variables ("x", "y") whose labels are
-    the setting indices.  The continuous spec (all fields None) means both
-    settings are drawn independently and uniformly from the sphere.
+    A finite spec lists unit setting vectors for each side and P(x,y) as a
+    read-only (nA, nB) array ``p_xy``, indexed by the setting indices.  The
+    continuous spec (all fields None) means both settings are drawn
+    independently and uniformly from the sphere.
     """
 
     alice_settings: Optional[np.ndarray]
     bob_settings: Optional[np.ndarray]
-    input_dist: Optional[FiniteDistribution]
+    p_xy: Optional[np.ndarray]
 
     def __post_init__(self):
-        fields = (self.alice_settings, self.bob_settings, self.input_dist)
+        fields = (self.alice_settings, self.bob_settings, self.p_xy)
         if all(f is None for f in fields):
             return
         if any(f is None for f in fields):
             raise ConfigError(
                 "SettingsSpec needs either all of (alice_settings, bob_settings, "
-                "input_dist) or none of them (continuous-uniform)"
+                "p_xy) or none of them (continuous-uniform)"
             )
-        alice = _frozen_array(require_unit(self.alice_settings))
-        bob = _frozen_array(require_unit(self.bob_settings))
-        if alice.ndim != 2 or bob.ndim != 2:
-            raise ConfigError("settings must be arrays of shape (n, 3)")
+        alice = np.asarray(self.alice_settings, dtype=np.float64)
+        bob = np.asarray(self.bob_settings, dtype=np.float64)
         if alice.shape[0] == 0 or bob.shape[0] == 0:
             raise ConfigError("finite settings lists must be non-empty")
+        p = _frozen_array(self.p_xy)
+        if p.shape != (alice.shape[0], bob.shape[0]):
+            raise ConfigError(
+                f"p_xy shape {p.shape} does not match ({alice.shape[0]}, {bob.shape[0]})"
+            )
+        check_normalized(p)
+        alice = _frozen_array(require_unit(alice))
+        bob = _frozen_array(require_unit(bob))
+        if alice.ndim != 2 or bob.ndim != 2:
+            raise ConfigError("settings must be arrays of shape (n, 3)")
         object.__setattr__(self, "alice_settings", alice)
         object.__setattr__(self, "bob_settings", bob)
-        if self.input_dist.variables != ("x", "y"):
-            raise ConfigError(
-                f"input_dist must have variables ('x', 'y'), got {self.input_dist.variables}"
-            )
-        want_x = tuple(range(alice.shape[0]))
-        want_y = tuple(range(bob.shape[0]))
-        if self.input_dist.labels("x") != want_x or self.input_dist.labels("y") != want_y:
-            raise ConfigError("input_dist labels must be the setting indices 0..n-1")
+        object.__setattr__(self, "p_xy", p)
 
     # -- constructors ---------------------------------------------------
 
@@ -105,17 +105,10 @@ class SettingsSpec:
         """Finite spec; ``p_xy`` defaults to uniform independent inputs."""
         alice = np.atleast_2d(np.asarray(alice_settings, dtype=np.float64))
         bob = np.atleast_2d(np.asarray(bob_settings, dtype=np.float64))
-        n_a, n_b = alice.shape[0], bob.shape[0]
         if p_xy is None:
-            p = np.full((n_a, n_b), 1.0 / (n_a * n_b))
-        else:
-            p = np.asarray(p_xy, dtype=np.float64)
-            if p.shape != (n_a, n_b):
-                raise ConfigError(f"p_xy shape {p.shape} does not match ({n_a}, {n_b})")
-        dist = FiniteDistribution(
-            [("x", tuple(range(n_a))), ("y", tuple(range(n_b)))], p
-        )
-        return cls(alice, bob, dist)
+            n_a, n_b = alice.shape[0], bob.shape[0]
+            p_xy = np.full((n_a, n_b), 1.0 / (n_a * n_b))
+        return cls(alice, bob, p_xy)
 
     @classmethod
     def continuous_uniform(cls) -> "SettingsSpec":
@@ -143,12 +136,8 @@ class SettingsSpec:
         return self.bob_settings.shape[0]
 
     @property
-    def p_xy(self) -> np.ndarray:
-        self._require_finite()
-        return self.input_dist.marginal(("x", "y"))
-
-    @property
     def p_x(self) -> np.ndarray:
+        self._require_finite()
         return self.p_xy.sum(axis=1)
 
     # -- sampling -------------------------------------------------------
@@ -438,10 +427,7 @@ class FiniteCommModel:
         w = np.asarray(self.mu_weights, dtype=np.float64)
         if w.ndim != 1 or w.shape[0] != len(self.mu_labels):
             raise ConfigError("mu_weights must be one weight per mu label")
-        if np.any(w < 0.0):
-            raise ValidationError("negative shared-randomness weight")
-        if not abs(float(w.sum()) - 1.0) <= NORM_ATOL:  # NaN fails too
-            raise ValidationError(f"mu weights sum to {float(w.sum())!r}, not 1")
+        check_normalized(w)
         object.__setattr__(self, "mu_labels", tuple(self.mu_labels))
         object.__setattr__(self, "mu_weights", _frozen_array(w))
 
@@ -474,47 +460,34 @@ def input_broadcast_build(corr: ConditionalTable, spec: SettingsSpec) -> FiniteC
     # P(b|x,y,a): zero where P(a|x) = 0; those branches never run.
     with np.errstate(divide="ignore", invalid="ignore"):
         p_b = np.where(p_a[:, None, :, None] > 0.0, corr.probs / p_a[:, None, :, None], 0.0)
+    p_a, p_b = p_a.tolist(), p_b.tolist()  # same floats, cheaper to index
 
-    a_supports = [[i for i in range(2) if p_a[x, i] > 0.0] for x in range(n_a)]
-    size = 1
-    for x in range(n_a):
-        size *= len(a_supports[x])
-        for y in range(n_b):
-            size *= max(
-                int(np.count_nonzero(p_b[x, y, i] > 0.0)) for i in a_supports[x]
+    # One outcome per step: a_x for each x, then b_xy for each (x, y) given
+    # a_x.  Each step maps a partial script to that outcome's probabilities.
+    steps = [lambda s, x=x: p_a[x] for x in range(n_a)] + [
+        lambda s, x=x, y=y: p_b[x][y][s[x]] for x in range(n_a) for y in range(n_b)
+    ]
+    scripts = [((), 1.0)]  # (outcome indices so far, weight)
+    for probs_given in steps:
+        scripts = [
+            (s + (i,), w * p)
+            for s, w in scripts
+            for i, p in enumerate(probs_given(s))
+            if p > 0.0
+        ]
+        if len(scripts) > MU_SUPPORT_CAP:
+            raise ConfigError(
+                f"shared-randomness support exceeds {MU_SUPPORT_CAP} labels; "
+                "the broadcast construction targets small alphabets"
             )
-    if size > MU_SUPPORT_CAP:
-        raise ConfigError(
-            f"shared-randomness support would exceed {MU_SUPPORT_CAP} labels "
-            f"(about {size}); the broadcast construction targets small alphabets"
+    labels = tuple(
+        (
+            tuple(OUTCOME_LABELS[i] for i in s[:n_a]),
+            tuple(OUTCOME_LABELS[j] for j in s[n_a:]),
         )
-
-    labels = []
-    weights = []
-    for a_vec in iter_product(*a_supports):
-        w_a = 1.0
-        for x in range(n_a):
-            w_a = w_a * p_a[x, a_vec[x]]
-        pair_supports = []
-        for x in range(n_a):
-            for y in range(n_b):
-                pair_supports.append(
-                    [j for j in range(2) if p_b[x, y, a_vec[x], j] > 0.0]
-                )
-        for b_vec in iter_product(*pair_supports):
-            w = w_a
-            k = 0
-            for x in range(n_a):
-                for y in range(n_b):
-                    w = w * p_b[x, y, a_vec[x], b_vec[k]]
-                    k += 1
-            labels.append(
-                (
-                    tuple(OUTCOME_LABELS[i] for i in a_vec),
-                    tuple(OUTCOME_LABELS[j] for j in b_vec),
-                )
-            )
-            weights.append(w)
+        for s, _ in scripts
+    )
+    weights = [w for _, w in scripts]
 
     def conversation(x: int, y: int, mu) -> tuple:
         return (x,)
@@ -527,7 +500,7 @@ def input_broadcast_build(corr: ConditionalTable, spec: SettingsSpec) -> FiniteC
         return mu[1][x * n_b + y]
 
     return FiniteCommModel(
-        mu_labels=tuple(labels),
+        mu_labels=labels,
         mu_weights=np.asarray(weights),
         conversation=conversation,
         alice=alice,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping, Sequence
 from typing import Optional
 
 import numpy as np
@@ -44,24 +43,27 @@ def json_text(obj) -> str:
 
 
 def _render(obj) -> str:
+    # Concrete types only: a bool is not rendered as an int, and numpy
+    # values go through .tolist() in the last branch.
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([_render(v) for v in obj]) + "]"
+    if kind is float:
+        return format_float(obj) if math.isfinite(obj) else "null"
+    if kind is dict:
+        items = ", ".join([f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items()])
+        return "{" + items + "}"
+    if kind is str:
+        return json.dumps(obj)
+    if kind is bool:
+        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, Mapping):
-        items = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return _render(obj.tolist())
-    if isinstance(obj, Sequence):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
-    raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
+    raise ConfigError(f"cannot serialize object of type {kind.__name__}")
 
 
 def parse_json(text: str):
@@ -69,17 +71,28 @@ def parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("invalid JSON: nested too deeply") from None
 
 
-def _as_label(value):
+# Deepest array nesting of a model-file label; the package writes labels
+# at most two arrays deep.
+LABEL_DEPTH_CAP = 8
+
+
+def _as_label(value, depth: int = 0):
     """JSON arrays become tuples so labels hash again after a round trip.
 
-    Labels are strings, numbers or arrays of these; anything else raises
+    Labels are strings, numbers or arrays of these, nested at most
+    :data:`LABEL_DEPTH_CAP` arrays deep; anything else raises
     :class:`ValueError`.
     """
-    if isinstance(value, list):
-        return tuple(_as_label(v) for v in value)
-    if type(value) in (str, int, float):  # not bool, null or an object
+    kind = type(value)
+    if kind is list:
+        if depth == LABEL_DEPTH_CAP:
+            raise ValueError(f"label nested more than {LABEL_DEPTH_CAP} arrays deep")
+        return tuple([_as_label(v, depth + 1) for v in value])
+    if kind is int or kind is str or kind is float:  # not bool, null or an object
         return value
     raise ValueError(f"label {value!r} is not a string, number or array of these")
 

@@ -47,6 +47,19 @@ MI_CLAMP = 1e-10
 TABLE_CELL_CAP = 2**25
 
 
+def check_normalized(w: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless the weights ``w`` are
+    nonnegative and sum to 1 within ``NORM_ATOL``; NaN fails."""
+    if np.any(w < 0.0):
+        raise ValidationError("negative weight in distribution")
+    total = float(w.sum())
+    if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails too
+        raise ValidationError(
+            f"weights sum to {total!r}, off by more than {NORM_ATOL}; "
+            "normalize upstream instead of passing unnormalized tables"
+        )
+
+
 def binary_entropy(p):
     """Binary entropy h(p) in bits; accepts a scalar or an array.
 
@@ -101,14 +114,7 @@ class FiniteDistribution:
         shape = tuple(len(labs) for labs in labels)
         if w.shape != shape:
             raise ConfigError(f"weights shape {w.shape} does not match alphabets {shape}")
-        if np.any(w < 0.0):
-            raise ValidationError("negative weight in distribution")
-        total = float(w.sum())
-        if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails too
-            raise ValidationError(
-                f"weights sum to {total!r}, off by more than {NORM_ATOL}; "
-                "normalize upstream instead of passing unnormalized tables"
-            )
+        check_normalized(w)
         w.setflags(write=False)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_labels", labels)

@@ -114,7 +114,7 @@ def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
     spec._require_finite()
     n_a, n_b = spec.n_alice, spec.n_bob
     p_xy = spec.p_xy
-    messages: list = []
+    messages: dict = {}  # insertion-ordered set
     entries = []
     for x in range(n_a):
         for y in range(n_b):
@@ -123,8 +123,7 @@ def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
                 if w <= 0.0:
                     continue
                 m = model.conversation(x, y, mu)
-                if m not in messages:
-                    messages.append(m)
+                messages[m] = None
                 a = model.alice(x, mu, m)
                 b = model.bob(y, mu, m)
                 entries.append(((a, b, x, y, mu, m), w))
@@ -239,10 +238,7 @@ def _corr_deviation(probs: np.ndarray, target: ConditionalTable) -> float:
 
 
 def _estimated_inputs_deviation(est) -> float:
-    total = est.kept_per_cell.sum()
-    if total == 0:
-        return 0.0
-    freq = est.kept_per_cell / total
+    freq = est.kept_per_cell / est.kept_per_cell.sum()
     return float(np.max(np.abs(freq - est.spec.p_xy)))
 
 

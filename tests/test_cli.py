@@ -2,6 +2,7 @@
 in-process property test of flag values."""
 
 import contextlib
+import hashlib
 import io
 import json
 from importlib import resources
@@ -327,6 +328,45 @@ def test_exact_transforms_skip_zero_mass_cells(tmp_path, model, mi):
     assert json.loads(out)["value"] == pytest.approx(mi, abs=1e-12)
 
 
+# (model, p_xy) -> sha256 of (model file, stdout) of ``transform --corr pr-box
+# --preset chsh``.  With dyadic cells and row sums every weight, ratio and
+# log2 is exact, so no libm or BLAS rounding reaches the pinned bytes.
+PINNED_TRANSFORMS = {
+    ("input-broadcast", None): (
+        "89b9afc3f49d39cd504464de35f6f64185f23da7bb92f2f857140e4c1748545b",
+        "4340165f0fcd7eea6d5f6e353da336cf977937c0fe947b18d047ec0b779ad293",
+    ),
+    ("input-broadcast", ((0.5, 0.0), (0.25, 0.25))): (
+        "9160583a945d13520f2a747dd83bd61c8c6b155283368474e6ebe5ef99a6de28",
+        "4340165f0fcd7eea6d5f6e353da336cf977937c0fe947b18d047ec0b779ad293",
+    ),
+    ("brans", None): (
+        "07b9e30d2d40cd35744d22e5720e64810afac12d322f3e73dbc1af972f6bd1f2",
+        "d182fcb912547f020f2a3da1dcad362189a721fe4dc49bd48b9b5d6ff50e240c",
+    ),
+    ("brans", ((0.5, 0.0), (0.25, 0.25))): (
+        "e402ccfcf61759ef96061414c321067f5d6a6def5eb73444180fadef4e0733e6",
+        "52c91fe5d48ec89d631b09e8a372a13f8892b6200b69516ad71c3a16b8fdec28",
+    ),
+}
+
+
+@pytest.mark.parametrize("model, p_xy", sorted(PINNED_TRANSFORMS, key=str))
+def test_exact_transform_bytes_are_pinned(tmp_path, model, p_xy):
+    argv = ["transform", "--model", model, "--corr", "pr-box", "--preset", "chsh",
+            "--out-file", str(tmp_path / "model.json")]
+    if p_xy is not None:
+        (tmp_path / "p_xy.json").write_text(json.dumps({"p_xy": p_xy}))
+        argv += ["--input-dist-file", str(tmp_path / "p_xy.json")]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    got = (
+        hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest(),
+        hashlib.sha256(out).hexdigest(),
+    )
+    assert got == PINNED_TRANSFORMS[model, p_xy]
+
+
 SIMULATE = ["simulate", "--model", "tb", "--rounds", "100"]
 SIGNALING = str(resources.files("bellmi").joinpath("data/signaling_counterexample.json"))
 MI_MODEL_FILE = [
@@ -346,8 +386,33 @@ HUGE_MODEL = {
     "weights": [{"assignment": [1, 1] + [0] * 8, "p": 1.0}],
 }
 
+
+
+def _nested(depth: int) -> str:
+    """JSON text of an array nested ``depth`` deep; json.dumps would recurse."""
+    return "[" * depth + "0" + "]" * depth
+
+
+# one extra lam label, nested 900 arrays deep and given no weight
+DEEP_LABEL_MODEL = json.dumps({
+    **LOCAL_MODEL,
+    "variables": LOCAL_MODEL["variables"][:4] + [{"name": "lam", "labels": [1, -1, "D"]}],
+}).replace('"D"', _nested(900))
+# the verifier rejects this model and would write the 400-deep label as its witness
+DEEP_WITNESS_MODEL = (
+    resources.files("bellmi").joinpath("data/signaling_counterexample.json")
+    .read_text(encoding="utf-8").replace('"free"', _nested(400))
+)
+# alphabets of four settings a side, no two parallel: every x and (x, y) has
+# two outcomes, so the broadcast scripts number 2**4 * 2**16
+FOUR_BY_FOUR = {
+    "alice_settings": fibonacci_sphere(8)[::2].tolist(),
+    "bob_settings": fibonacci_sphere(8)[1::2].tolist(),
+}
+
 # case -> (argv, payload); the payload, if any, is written to input.json in
-# the working directory of the run.
+# the working directory of the run, as it stands if it is a string and
+# through json.dumps otherwise.
 BAD_INPUTS = {
     "nan-settings": (
         SIMULATE + ["--settings-file", "input.json"],
@@ -518,6 +583,19 @@ BAD_INPUTS = {
     "mi-panels-huge": (
         ["mutual-info", "--target", "tb-uniform", "--panels", str(10**13)], None
     ),
+    # nesting deeper than the interpreter's recursion limit, or a label deeper
+    # than the label cap, would end in a RecursionError traceback
+    "settings-nested-too-deep": (
+        SIMULATE + ["--settings-file", "input.json"],
+        '{"alice_settings": ' + _nested(100_000) + ', "bob_settings": [[0.0, 0.0, 1.0]]}',
+    ),
+    "model-label-nested-900": (["verify", "input.json"], DEEP_LABEL_MODEL),
+    "witness-label-nested-400": (["verify", "input.json"], DEEP_WITNESS_MODEL),
+    "broadcast-over-support-cap": (
+        ["transform", "--model", "input-broadcast", "--settings-file", "input.json",
+         "--out-file", "model.json"],
+        FOUR_BY_FOUR,
+    ),
     # an object label is unhashable, so it would reach the table as a TypeError
     "model-object-label": (
         ["verify", "input.json"],
@@ -539,8 +617,9 @@ BAD_INPUTS = {
 def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     argv, payload = BAD_INPUTS[case]
     if payload is not None:
-        # writes NaN, which json.loads accepts
-        (tmp_path / "input.json").write_text(json.dumps(payload))
+        # json.dumps writes NaN, which json.loads accepts
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        (tmp_path / "input.json").write_text(text)
     code, out, err = run_cli(argv, cwd=tmp_path)
     assert code == 2, err
     assert out == b""

@@ -271,6 +271,20 @@ def test_input_broadcast_requires_matching_shapes():
         )
 
 
+def test_input_broadcast_cap_counts_scripts_with_weight():
+    # a = +1 fixes b = +1 and a = -1 leaves b uniform, so each x adds 1 + 2**3
+    # scripts: 9**5 = 59 049 in all, under the cap, though the per-cell bound
+    # 2**5 * 2**15 is not
+    probs = np.zeros((5, 3, 2, 2))
+    probs[:, :, 0, 0] = 0.5
+    probs[:, :, 1, :] = 0.25
+    spec = SettingsSpec.finite(fibonacci_sphere(5), fibonacci_sphere(3))
+    comm = input_broadcast_build(ConditionalTable(probs), spec)
+    assert len(comm.mu_labels) == len(set(comm.mu_labels)) == 9**5
+    assert comm.mu_weights.min() > 0.0
+    assert comm.mu_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_brans_build_pins_settings_in_hidden_variable():
     spec = preset("chsh")
     corr = exact_singlet_conditional(spec)
