@@ -34,7 +34,7 @@ from . import _kernels
 from .errors import ConfigError, InternalConsistencyError
 from .models import OUTCOME_LABELS, ConditionalTable, ExactCSModel, SettingsSpec, _frozen_array
 from .sphere import RandomSource, require_unit, sample_uniform_sphere
-from .table import FiniteDistribution, InfoBits, binary_entropy
+from .table import TABLE_CELL_CAP, FiniteDistribution, InfoBits, binary_entropy, group_sums
 
 # Monte Carlo rounds are processed in fixed-size chunks, one split random
 # sub-stream per chunk, so the parallelism degree cannot change results.
@@ -282,40 +282,63 @@ class LocalityReport:
 def verify_bell_local(model: ExactCSModel, tol: float = 1e-9) -> LocalityReport:
     """Check the locality factorization on an exact finite model.
 
-    Reads the table's marginal over (a, b, x, y) followed by the model's
-    hidden variables, each on its own named axis.  The response
-    probabilities come from that marginal itself: P(a|x,lambda) sums out
-    Bob's side (and y), P(b|y,lambda) Alice's, and the conditional
-    P(a,b|x,y,lambda) must equal their product at every support point.  A
-    model whose outcome leaks information about the remote setting fails
-    here even though its conditionals factorize trivially once both
-    settings are fixed.  ``tol`` must be finite and nonnegative.
+    Reads the table's support over (a, b, x, y) followed by the model's
+    hidden variables.  The response probabilities come from the table
+    itself: P(a|x,lambda) sums out Bob's side (and y), P(b|y,lambda)
+    Alice's, and the conditional P(a,b|x,y,lambda) must equal their product
+    for every (a, b) at every support point of (x, y, lambda), cells
+    without weight included.  A model whose outcome leaks information about
+    the remote setting fails here even though its conditionals factorize
+    trivially once both settings are fixed.  ``tol`` must be finite and
+    nonnegative, and a model with more than :data:`TABLE_CELL_CAP` (a, b)
+    pairs over the support points of (x, y, lambda) raises
+    :class:`ConfigError`.  The witness is the first worst cell in row-major
+    (a, b, x, y, hidden...) order.
     """
     if not 0.0 <= tol < math.inf:  # NaN fails too
         raise ConfigError(f"verify tolerance must be finite and >= 0, got {tol!r}")
+    table = model.table
     names = ("a", "b", "x", "y") + model.hidden_vars
-    j = model.table.marginal(names)
-    shape = j.shape
-    # the hidden axes merged into one, so every reduction below is 5-d
-    j = j.reshape(shape[:4] + (-1,))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        resp_a = j.sum(axis=(1, 3)) / j.sum(axis=(0, 1, 3))  # P(a|x,lam)
-        resp_b = j.sum(axis=(0, 2)) / j.sum(axis=(0, 1, 2))  # P(b|y,lam)
-        p_xyl = j.sum(axis=(0, 1))
-        dev = j / p_xyl
-        for i, k in np.ndindex(2, 2):  # per (a, b) block: no table-sized product
-            dev[i, k] -= resp_a[i][:, None, :] * resp_b[k][None, :, :]
+    (ia, ib, ix, iy, *ih), w = table.support(names)
+    n_a, n_b, n_x, n_y, *h_shape = (len(table.labels(name)) for name in names)
+    # the hidden variables merged into one index, row-major in hidden_vars
+    # order; a model without hidden variables has one lambda
+    h = np.ravel_multi_index(ih, h_shape) if ih else 0
+    n_h = math.prod(h_shape)
+    xyh, g, p_xyh = group_sums((ix * n_y + iy) * n_h + h, w)  # P(x,y,lam)
+    _, g_xh, p_xh = group_sums(ix * n_h + h, w)  # P(x,lam)
+    _, g_yh, p_yh = group_sums(iy * n_h + h, w)  # P(y,lam)
+    n_xh, n_yh, n_g = p_xh.size, p_yh.size, p_xyh.size
+    # every (x, lam) and (y, lam) point lies under some (x, y, lam) point,
+    # so this also bounds resp_a and resp_b
+    if n_a * n_b * n_g > TABLE_CELL_CAP:
+        raise ConfigError(
+            f"verifying needs {n_a * n_b * n_g} (a, b, x, y, lambda) cells, "
+            f"more than the cap of {TABLE_CELL_CAP}"
+        )
+    resp_a = np.bincount(ia * n_xh + g_xh, weights=w, minlength=n_a * n_xh)
+    resp_a = resp_a.reshape(n_a, n_xh) / p_xh  # P(a|x,lam)
+    resp_b = np.bincount(ib * n_yh + g_yh, weights=w, minlength=n_b * n_yh)
+    resp_b = resp_b.reshape(n_b, n_yh) / p_yh  # P(b|y,lam)
+    # the (x, lam) and (y, lam) columns of each (x, y, lam) support point
+    col_a = np.empty(n_g, dtype=np.intp)
+    col_a[g] = g_xh
+    col_b = np.empty(n_g, dtype=np.intp)
+    col_b[g] = g_yh
+    dev = np.bincount((ia * n_b + ib) * n_g + g, weights=w, minlength=n_a * n_b * n_g)
+    dev = dev.reshape(n_a, n_b, n_g) / p_xyh  # P(a,b|x,y,lam)
+    dev -= resp_a[:, None, col_a] * resp_b[None, :, col_b]
     np.abs(dev, out=dev)
-    np.fmax(dev, 0.0, out=dev)  # 0/0 = NaN off the support of (x, y, lambda)
     max_dev = float(dev.max())
     ok = max_dev <= tol
     witness = None
     if not ok:
-        # dev is a fresh C-ordered array, so its flat argmax indexes ``shape``
-        cell = np.unravel_index(int(np.argmax(dev)), shape)
-        witness = {
-            name: model.table.labels(name)[i] for name, i in zip(names, cell)
-        }
+        # support points run in row-major (x, y, lam) order, so the flat
+        # argmax is the first worst cell in row-major (a, b, x, y, lam) order
+        a, b, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        x, y, hk = np.unravel_index(xyh[k], (n_x, n_y, n_h))
+        cell = (a, b, x, y) + (np.unravel_index(hk, h_shape) if h_shape else ())
+        witness = {name: table.labels(name)[i] for name, i in zip(names, cell)}
     return LocalityReport(ok=ok, max_deviation=max_dev, tol=tol, witness=witness)
 
 

@@ -571,19 +571,12 @@ def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
         raise ConfigError(
             f"conditional table is {corr.n_alice}x{corr.n_bob}, spec is {n_a}x{n_b}"
         )
-    p_xy = spec.p_xy
-    lam_labels = []
-    entries = []
-    for x in range(n_a):
-        for y in range(n_b):
-            for i, a_lab in enumerate(OUTCOME_LABELS):
-                for j, b_lab in enumerate(OUTCOME_LABELS):
-                    w = float(p_xy[x, y] * corr.probs[x, y, i, j])
-                    if w <= 0.0:
-                        continue
-                    lam = (x, y, a_lab, b_lab)
-                    lam_labels.append(lam)
-                    entries.append(((a_lab, b_lab, x, y, lam), w))
+    # one lambda per (x, y, a, b) cell with weight, in that row-major order
+    w = (spec.p_xy[:, :, None, None] * corr.probs).ravel()
+    cells = np.flatnonzero(w > 0.0)
+    x, y, i, j = np.unravel_index(cells, (n_a, n_b, 2, 2))
+    outcome = np.array(OUTCOME_LABELS)
+    lam_labels = zip(x.tolist(), y.tolist(), outcome[i].tolist(), outcome[j].tolist())
     variables = [
         ("a", OUTCOME_LABELS),
         ("b", OUTCOME_LABELS),
@@ -591,7 +584,9 @@ def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
         ("y", tuple(range(n_b))),
         ("lam", tuple(lam_labels)),
     ]
-    table = FiniteDistribution.from_entries(variables, entries)
+    table = FiniteDistribution.from_codes(
+        variables, (i, j, x, y, np.arange(cells.size)), w[cells]
+    )
     return ExactCSModel(
         table=table, hidden_vars=("lam",),
         certificate="deterministic: lambda = (x, y, a, b) fixes both outcomes",

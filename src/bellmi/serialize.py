@@ -97,6 +97,13 @@ def _as_label(value, depth: int = 0):
     raise ValueError(f"label {value!r} is not a string, number or array of these")
 
 
+def _as_name(value) -> str:
+    """A variable name: a JSON string, else :class:`ValueError`."""
+    if type(value) is not str:
+        raise ValueError(f"variable names must be strings, got {type(value).__name__}")
+    return value
+
+
 def _numeric(value):
     """Return ``value`` if every leaf of its nested lists is an int or float.
 
@@ -283,7 +290,7 @@ def load_model(text: str) -> ExactCSModel:
     payload = parse_json(text)
     try:
         variables = [
-            (str(v["name"]), tuple(_as_label(lab) for lab in v["labels"]))
+            (_as_name(v["name"]), tuple(_as_label(lab) for lab in v["labels"]))
             for v in payload["variables"]
         ]
         entries = [
@@ -292,7 +299,7 @@ def load_model(text: str) -> ExactCSModel:
         ]
         hidden = payload.get("hidden_variables")
         if hidden is not None:
-            hidden = tuple(str(h) for h in hidden)
+            hidden = tuple(_as_name(h) for h in hidden)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"model file: bad structure ({exc})") from None
     table = FiniteDistribution.from_entries(variables, entries)

@@ -1,9 +1,11 @@
 """Exact finite probability tables and Shannon information measures.
 
-Everything here is exact arithmetic on small dense tables: a
-:class:`FiniteDistribution` is a joint probability table over named discrete
-variables, and all entropies / mutual informations are computed in bits
-(log base 2) directly from the table.
+A :class:`FiniteDistribution` is a joint probability table over named
+discrete variables, stored as its support: one integer index array per
+variable and one weight per present cell, in row-major cell order.  All
+entropies / mutual informations are computed in bits (log base 2) from the
+support, so the work and memory follow the number of present cells, not
+the product of the alphabet sizes.
 
 Conventions fixed for the whole package:
 
@@ -19,9 +21,11 @@ Conventions fixed for the whole package:
   dyadic weights come out at literal zero, not 1e-16).
 
 Tables are immutable and are read by variable name only:
-:meth:`FiniteDistribution.marginal` returns a read-only array with one axis
-per requested name, in the order asked, so no caller depends on the order in
-which the table stores its axes.  Concurrent use needs no coordination.
+:meth:`FiniteDistribution.support` returns the present cells' index arrays
+for the names asked, and :meth:`FiniteDistribution.marginal` a small dense
+read-only array with one axis per requested name, in the order asked, so no
+caller depends on the order in which the table stores its variables.
+Concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -40,11 +44,15 @@ InfoBits = float
 NORM_ATOL = 1e-12
 MI_CLAMP = 1e-10
 
-# Cap on the cells FiniteDistribution.from_entries allocates: 2**25 float64
-# cells (256 MiB) are six times the benchmark's largest table (24x24 Brans,
-# 5.3 M cells) and admit Brans models up to 38x38, whose locality check
-# stays near 1 GB of arrays.
+# Cap on the cells a table stores (its support) and on the cells of a dense
+# marginal.  A stored cell costs one float64 weight plus one index per
+# variable, so 2**25 cells of a five-variable table take 1.5 GiB; the
+# benchmark's largest table (24x24 Brans) stores 2 304.
 TABLE_CELL_CAP = 2**25
+
+# Cell codes are int64 mixed-radix numbers over the alphabets, so the product
+# of the alphabet sizes must fit int64.
+CODE_SPACE_CAP = np.iinfo(np.int64).max
 
 
 def check_normalized(w: np.ndarray) -> None:
@@ -78,6 +86,17 @@ def binary_entropy(p):
     return out
 
 
+def group_sums(keys: np.ndarray, weights: np.ndarray):
+    """Sum ``weights`` per distinct integer key.
+
+    Returns ``(distinct, group, sums)``: the distinct keys in ascending
+    order, each entry's position in ``distinct``, and the sum of each
+    group's weights, added in entry order.
+    """
+    distinct, group = np.unique(keys, return_inverse=True)
+    return distinct, group, np.bincount(group, weights=weights, minlength=distinct.size)
+
+
 class FiniteDistribution:
     """Joint probability table over named discrete variables.
 
@@ -87,21 +106,25 @@ class FiniteDistribution:
         Sequence of ``(name, labels)`` pairs.  Names must be unique; labels
         are the finite alphabet of each variable (hashable, unique).
     weights:
-        Array of joint probabilities with one axis per variable, in the
-        given order.  Must be nonnegative and sum to 1 within ``NORM_ATOL``.
+        Dense array of joint probabilities with one axis per variable, in
+        the given order.  Must be nonnegative and sum to 1 within
+        ``NORM_ATOL``.  Only its nonzero cells are kept; large sparse
+        tables are built with :meth:`from_codes` instead.
     """
 
-    __slots__ = ("_names", "_labels", "_axis", "_weights")
+    __slots__ = ("_names", "_labels", "_axis", "_codes", "_weights")
 
     def __init__(self, variables: Sequence[tuple[str, Sequence[Hashable]]], weights):
-        self._adopt(variables, np.array(weights, dtype=np.float64, order="C"))
+        w = np.asarray(weights, dtype=np.float64)
+        shape = tuple(len(labs) for _, labs in variables)
+        if w.shape != shape:
+            raise ConfigError(f"weights shape {w.shape} does not match alphabets {shape}")
+        cells = np.flatnonzero(w)
+        self._build(variables, np.unravel_index(cells, shape), w.ravel()[cells])
 
-    def _adopt(self, variables, w: np.ndarray) -> None:
-        """Validate and take ``w`` as the weights, without copying it.
-
-        ``w`` must be a float64 array that nothing else writes to; it is
-        frozen here.
-        """
+    def _build(self, variables, codes, weights) -> None:
+        """Validate and take the entries ``codes`` / ``weights`` as the
+        support; see :meth:`from_codes`.  The stored arrays are frozen."""
         names = tuple(name for name, _ in variables)
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate variable names in {names}")
@@ -112,13 +135,27 @@ class FiniteDistribution:
             if len(set(labs)) != len(labs):
                 raise ConfigError(f"variable {name!r} has duplicate labels")
         shape = tuple(len(labs) for labs in labels)
-        if w.shape != shape:
-            raise ConfigError(f"weights shape {w.shape} does not match alphabets {shape}")
+        if math.prod(shape) > CODE_SPACE_CAP:
+            raise ConfigError(
+                f"alphabets {shape} span more cells than int64 codes can index"
+            )
+        flat = np.ravel_multi_index(tuple(codes), shape)
+        cells, _, w = group_sums(flat, np.asarray(weights, dtype=np.float64))
+        present = w != 0.0
+        cells, w = cells[present], w[present]
+        if cells.size > TABLE_CELL_CAP:
+            raise ConfigError(
+                f"table has {cells.size} cells on its support, more than "
+                f"the cap of {TABLE_CELL_CAP}"
+            )
         check_normalized(w)
-        w.setflags(write=False)
+        codes = np.unravel_index(cells, shape)
+        for c in codes + (w,):
+            c.setflags(write=False)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_axis", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_weights", w)
 
     def __setattr__(self, name, value):  # immutability guard
@@ -137,6 +174,7 @@ class FiniteDistribution:
 
     @property
     def weights(self) -> np.ndarray:
+        """The support's weights, one per present cell in row-major order."""
         return self._weights
 
     def _axis_of(self, name: str) -> int:
@@ -144,6 +182,42 @@ class FiniteDistribution:
             return self._axis[name]
         except KeyError:
             raise ConfigError(f"unknown variable {name!r}; have {self._names}") from None
+
+    def support(self, names: Iterable[str]):
+        """The present cells: ``(indices, weights)``.
+
+        ``indices`` holds one read-only label-index array per name in
+        ``names``, in the order asked; entry k of each array and of the
+        read-only ``weights`` describe the k-th present cell, in row-major
+        order of the table's own variables.  Unknown and repeated names
+        raise :class:`ConfigError`.
+        """
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ConfigError(f"variables must be distinct, got {names}")
+        return tuple(self._codes[self._axis_of(n)] for n in names), self._weights
+
+    def _sizes(self, names: Sequence[str]) -> tuple[int, ...]:
+        return tuple(len(self._labels[self._axis_of(n)]) for n in names)
+
+    @classmethod
+    def from_codes(
+        cls,
+        variables: Sequence[tuple[str, Sequence[Hashable]]],
+        codes: Sequence,
+        weights,
+    ) -> "FiniteDistribution":
+        """Build from one integer label-index array per variable.
+
+        Entry k puts ``weights[k]`` on the cell whose index along each
+        variable is ``codes[i][k]``.  Repeated cells accumulate in entry
+        order; cells whose total is zero are dropped.  Alphabets whose
+        product does not fit int64 and a support of more than
+        :data:`TABLE_CELL_CAP` cells raise :class:`ConfigError`.
+        """
+        table = cls.__new__(cls)
+        table._build(variables, codes, weights)
+        return table
 
     @classmethod
     def from_entries(
@@ -153,41 +227,32 @@ class FiniteDistribution:
     ) -> "FiniteDistribution":
         """Build from sparse ``(assignment, probability)`` pairs.
 
-        Assignments list one label per variable, in variable order.
-        Unlisted cells are zero.  Repeated assignments accumulate.  A table
-        of more than :data:`TABLE_CELL_CAP` cells raises
-        :class:`ConfigError` before anything is allocated.
+        Assignments list one label per variable, in variable order; the
+        labels are mapped to indices and passed to :meth:`from_codes`, so
+        unlisted cells are zero and repeated assignments accumulate.
         """
-        labels = [tuple(labs) for _, labs in variables]
-        shape = tuple(len(labs) for labs in labels)
-        cells = math.prod(shape)
-        if cells > TABLE_CELL_CAP:
-            raise ConfigError(
-                f"table over alphabets {shape} has {cells} cells, more than "
-                f"the cap of {TABLE_CELL_CAP}"
-            )
-        lookup = [{lab: j for j, lab in enumerate(labs)} for labs in labels]
-        w = np.zeros(shape, dtype=np.float64)
+        lookup = [{lab: j for j, lab in enumerate(labs)} for _, labs in variables]
+        indices, weights = [], []
         for assignment, p in entries:
-            if len(assignment) != len(labels):
+            if len(assignment) != len(lookup):
                 raise ConfigError(
-                    f"assignment {assignment!r} does not cover all {len(labels)} variables"
+                    f"assignment {assignment!r} does not cover all {len(lookup)} variables"
                 )
             try:
-                idx = tuple(lookup[i][lab] for i, lab in enumerate(assignment))
+                indices.append([index[lab] for index, lab in zip(lookup, assignment)])
             except KeyError:
                 raise ConfigError(f"assignment {assignment!r} uses an unknown label") from None
-            w[idx] += p
-        table = cls.__new__(cls)
-        table._adopt(variables, w)  # w is ours: no second copy
-        return table
+            weights.append(p)
+        codes = np.array(indices, dtype=np.intp).reshape(len(weights), len(lookup)).T
+        return cls.from_codes(variables, codes, weights)
 
     def entries(self):
         """Iterate ``(assignment_tuple, weight)`` over the nonzero cells in
         row-major order."""
-        for idx in np.argwhere(self._weights).tolist():
-            p = float(self._weights[tuple(idx)])
-            yield tuple(labs[j] for labs, j in zip(self._labels, idx)), p
+        columns = [
+            [labs[j] for j in c.tolist()] for labs, c in zip(self._labels, self._codes)
+        ]
+        return zip(zip(*columns), self._weights.tolist())
 
     def __repr__(self):
         dims = ", ".join(f"{n}[{len(l)}]" for n, l in zip(self._names, self._labels))
@@ -198,25 +263,37 @@ class FiniteDistribution:
     # ------------------------------------------------------------------
 
     def marginal(self, names: Iterable[str]) -> np.ndarray:
-        """P over ``names`` as a read-only array, one axis per name in the
-        order given; every other variable is summed out.
+        """P over ``names`` as a dense read-only array, one axis per name
+        in the order given; every other variable is summed out.
 
-        When nothing is summed out the result is a view of the weights, not
-        a copy.  Empty, unknown and repeated names raise
-        :class:`ConfigError`.
+        Empty, unknown and repeated names raise :class:`ConfigError`, and
+        so does a result of more than :data:`TABLE_CELL_CAP` cells.
         """
         names = tuple(names)
-        if not names:
-            raise ConfigError("marginal() needs at least one variable")
-        if len(set(names)) != len(names):
-            raise ConfigError(f"variables must be distinct, got {names}")
-        axes = tuple(self._axis_of(n) for n in names)
-        drop = tuple(i for i in range(len(self._names)) if i not in axes)
-        w = self._weights.sum(axis=drop) if drop else self._weights
-        kept = sorted(axes)  # the axis order of w
-        out = np.transpose(w, [kept.index(i) for i in axes])
+        cells, p, shape = self._joint(names)
+        size = math.prod(shape)
+        if size > TABLE_CELL_CAP:
+            raise ConfigError(
+                f"marginal over {names} has {size} cells, more than the cap "
+                f"of {TABLE_CELL_CAP}"
+            )
+        out = np.zeros(size)
+        out[cells] = p
+        out = out.reshape(shape)
         out.setflags(write=False)
         return out
+
+    def _joint(self, names: tuple[str, ...]):
+        """The marginal on ``names`` over its own support: its row-major
+        cell codes (ascending), their weights, and the names' alphabet
+        sizes.  Empty, unknown and repeated names raise
+        :class:`ConfigError`."""
+        if not names:
+            raise ConfigError("a marginal needs at least one variable")
+        indices, w = self.support(names)
+        shape = self._sizes(names)
+        cells, _, p = group_sums(np.ravel_multi_index(indices, shape), w)
+        return cells, p, shape
 
     # ------------------------------------------------------------------
     # information measures (bits)
@@ -224,8 +301,10 @@ class FiniteDistribution:
 
     def entropy(self, variables: Optional[Iterable[str]] = None) -> InfoBits:
         """Shannon entropy H of the marginal on ``variables`` (default: all)."""
-        w = self._weights if variables is None else self.marginal(variables)
-        p = w[w > 0.0]
+        if variables is None:
+            p = self._weights
+        else:
+            _, p, _ = self._joint(tuple(variables))
         return float(-(p * np.log2(p)).sum())
 
     def mutual_information(
@@ -239,15 +318,12 @@ class FiniteDistribution:
         a, b = tuple(a), tuple(b)
         if not a or not b:
             raise ConfigError(f"mutual information needs nonempty sets, got {a} and {b}")
-        pj = self.marginal(a + b)
-        pj = pj.reshape(
-            int(np.prod(pj.shape[: len(a)])), int(np.prod(pj.shape[len(a):]))
-        )
-        pa = pj.sum(axis=1)
-        pb = pj.sum(axis=0)
+        cells, pj, shape = self._joint(a + b)
+        n_b = math.prod(shape[len(a):])
+        _, ia, pa = group_sums(cells // n_b, pj)
+        _, ib, pb = group_sums(cells % n_b, pj)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = pj / (pa[:, None] * pb[None, :])
-            terms = np.where(pj > 0.0, pj * np.log2(ratio), 0.0)
+            terms = pj * np.log2(pj / (pa[ia] * pb[ib]))
         return self._clamped(float(terms.sum()), "mutual information")
 
     def conditional_mutual_information(
@@ -255,18 +331,17 @@ class FiniteDistribution:
     ) -> InfoBits:
         """I(A:B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) >= 0, in bits."""
         a, b, c = tuple(a), tuple(b), tuple(c)
-        p = self.marginal(a + b + c)
-        p = p.reshape(
-            int(np.prod(p.shape[: len(a)])),
-            int(np.prod(p.shape[len(a): len(a) + len(b)])),
-            int(np.prod(p.shape[len(a) + len(b):])) if c else 1,
-        )
-        pac = p.sum(axis=1)  # (A, C)
-        pbc = p.sum(axis=0)  # (B, C)
-        pc = p.sum(axis=(0, 1))  # (C,)
+        cells, p, shape = self._joint(a + b + c)
+        n_b = math.prod(shape[len(a): len(a) + len(b)])
+        n_c = math.prod(shape[len(a) + len(b):])
+        ab, ic = np.divmod(cells, n_c)
+        ia, ib = np.divmod(ab, n_b)
+        _, g_ac, pac = group_sums(ia * n_c + ic, p)
+        _, g_bc, pbc = group_sums(ib * n_c + ic, p)
+        _, g_c, pc = group_sums(ic, p)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (p * pc[None, None, :]) / (pac[:, None, :] * pbc[None, :, :])
-            terms = np.where(p > 0.0, p * np.log2(ratio), 0.0)
+            ratio = (p * pc[g_c]) / (pac[g_ac] * pbc[g_bc])
+            terms = p * np.log2(ratio)
         return self._clamped(float(terms.sum()), "conditional mutual information")
 
     @staticmethod

@@ -1,5 +1,6 @@
 """Shared helpers: a subprocess CLI runner, spread sphere points, a small
-valid model file and the oracles for reproduced conditional tables."""
+valid model file, the oracles for reproduced conditional tables and the
+dense-table oracles for the information measures and the verifier."""
 
 import os
 import subprocess
@@ -77,6 +78,70 @@ def exact_conditional(model) -> ConditionalTable:
     probs = cell_conditional(model.table.marginal(("x", "y", "a", "b")))
     assert not np.isnan(probs).any(), "an input cell has zero mass"
     return ConditionalTable(probs)
+
+
+def dense_weights(table) -> np.ndarray:
+    """The whole table as a dense array, one axis per variable in table order."""
+    w = np.zeros(tuple(len(table.labels(n)) for n in table.variables))
+    indices, weights = table.support(table.variables)
+    w[indices] = weights
+    return w
+
+
+def dense_marginal(table, names) -> np.ndarray:
+    """P over ``names`` summed from the dense table, one axis per name in
+    the order given."""
+    axes = tuple(table.variables.index(n) for n in names)
+    w = dense_weights(table)
+    drop = tuple(i for i in range(w.ndim) if i not in axes)
+    w = w.sum(axis=drop) if drop else w
+    kept = sorted(axes)  # the axis order of w
+    return np.transpose(w, [kept.index(i) for i in axes])
+
+
+def dense_mutual_information(table, a, b) -> float:
+    """I(A:B) in bits from the dense joint of A and B, not clamped."""
+    pj = dense_marginal(table, tuple(a) + tuple(b))
+    pj = pj.reshape(int(np.prod(pj.shape[: len(a)])), int(np.prod(pj.shape[len(a):])))
+    pa = pj.sum(axis=1)
+    pb = pj.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = pj / (pa[:, None] * pb[None, :])
+        terms = np.where(pj > 0.0, pj * np.log2(ratio), 0.0)
+    return float(terms.sum())
+
+
+def dense_conditional_mutual_information(table, a, b, c) -> float:
+    """I(A:B|C) in bits from the dense joint of A, B and C, not clamped."""
+    p = dense_marginal(table, tuple(a) + tuple(b) + tuple(c))
+    p = p.reshape(
+        int(np.prod(p.shape[: len(a)])),
+        int(np.prod(p.shape[len(a): len(a) + len(b)])),
+        int(np.prod(p.shape[len(a) + len(b):])) if c else 1,
+    )
+    pac = p.sum(axis=1)  # (A, C)
+    pbc = p.sum(axis=0)  # (B, C)
+    pc = p.sum(axis=(0, 1))  # (C,)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (p * pc[None, None, :]) / (pac[:, None, :] * pbc[None, :, :])
+        terms = np.where(p > 0.0, p * np.log2(ratio), 0.0)
+    return float(terms.sum())
+
+
+def dense_locality_deviations(model) -> np.ndarray:
+    """|P(a,b|x,y,lam) - P(a|x,lam) P(b|y,lam)| on the dense table, one
+    axis per name in ("a", "b", "x", "y") + hidden variables; 0 off the
+    support of (x, y, lambda)."""
+    names = ("a", "b", "x", "y") + model.hidden_vars
+    j = dense_marginal(model.table, names)
+    shape = j.shape
+    j = j.reshape(shape[:4] + (-1,))  # the hidden axes merged into one
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resp_a = j.sum(axis=(1, 3)) / j.sum(axis=(0, 1, 3))  # P(a|x,lam)
+        resp_b = j.sum(axis=(0, 2)) / j.sum(axis=(0, 1, 2))  # P(b|y,lam)
+        dev = j / j.sum(axis=(0, 1))
+        dev -= resp_a[:, None, :, None, :] * resp_b[None, :, None, :, :]
+    return np.fmax(np.abs(dev), 0.0).reshape(shape)  # 0/0 = NaN becomes 0
 
 
 def max_deviation(p: ConditionalTable, q: ConditionalTable) -> float:

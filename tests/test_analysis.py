@@ -43,6 +43,14 @@ from bellmi.models import (
 )
 from bellmi.sphere import RandomSource, vec_polar
 from bellmi.table import FiniteDistribution
+from bellmi.transforms import brans_to_cs
+from conftest import (
+    dense_conditional_mutual_information,
+    dense_locality_deviations,
+    dense_marginal,
+    dense_mutual_information,
+    dense_weights,
+)
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +335,104 @@ def test_verifier_matches_cell_loop(model):
             model.table.labels(name).index(report.witness[name]) for name in names
         )
         assert abs(cells[cell] - report.max_deviation) <= 1e-12
+
+
+@st.composite
+def sparse_models(draw, n_hidden=st.integers(1, 2)):
+    """``(model, dyadic)``: a model built from sparse entries, with a, b in
+    {1, -1} or {1, 0, -1}, 1-3 settings a side, ``n_hidden`` hidden
+    variables, the variables in random order, and entries that repeat cells
+    or carry zero weight.
+    ``dyadic`` tables have weights k / 2**n, so every sum of them is exact."""
+    hidden = [
+        (f"h{k}", tuple(range(draw(st.integers(1, 4)))))
+        for k in range(draw(n_hidden))
+    ]
+    outcomes = st.sampled_from([(1, -1), (1, 0, -1)])
+    variables = draw(st.permutations(
+        [("a", draw(outcomes)), ("b", draw(outcomes)),
+         ("x", tuple(range(draw(st.integers(1, 3))))),
+         ("y", tuple(range(draw(st.integers(1, 3)))))] + hidden
+    ))
+    cell = st.tuples(*(st.sampled_from(labels) for _, labels in variables))
+    pool = draw(st.lists(cell, min_size=1, max_size=8))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    raw = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]),
+                        min_size=len(cells), max_size=len(cells)))
+    raw[0] = raw[0] or 1
+    total = sum(raw)
+    dyadic = draw(st.booleans())
+    if dyadic:  # pad the total up to a power of two
+        pad = 2 ** math.ceil(math.log2(total)) - total
+        cells, raw, total = cells + [draw(st.sampled_from(pool))], raw + [pad], total + pad
+    entries = [(c, r / total) for c, r in zip(cells, raw)]
+    table = FiniteDistribution.from_entries(variables, entries)
+    hidden_vars = draw(st.permutations([name for name, _ in hidden]))
+    return ExactCSModel(table=table, hidden_vars=tuple(hidden_vars)), dyadic
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_models())
+def test_support_reads_match_the_dense_oracles(model_dyadic):
+    model, dyadic = model_dyadic
+    t, hidden = model.table, model.hidden_vars
+    for names in (t.variables[::-1], ("x", "y"), ("y", "x", "a", "b"), hidden):
+        np.testing.assert_allclose(t.marginal(names), dense_marginal(t, names),
+                                   rtol=0.0, atol=1e-12)
+    w = dense_weights(t)
+    p = w[w > 0.0]
+    assert abs(t.entropy() - float(-(p * np.log2(p)).sum())) <= 1e-12
+    for a, b in ((("x", "y"), hidden), (("a",), ("b",) + hidden), (hidden[::-1], ("y",))):
+        assert abs(t.mutual_information(a, b) - dense_mutual_information(t, a, b)) <= 1e-12
+    for a, b, c in ((("a",), ("b",), ("x", "y") + hidden), (("x",), ("y",), ()),
+                    (hidden, ("x",), ("a", "y"))):
+        got = t.conditional_mutual_information(a, b, c)
+        assert abs(got - dense_conditional_mutual_information(t, a, b, c)) <= 1e-12
+    assert_verifier_matches_the_oracle(model, dyadic)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_models(n_hidden=st.just(0)))
+def test_verifier_without_hidden_variables_matches_the_oracle(model_dyadic):
+    assert_verifier_matches_the_oracle(*model_dyadic)
+
+
+def assert_verifier_matches_the_oracle(model, dyadic):
+    report = verify_bell_local(model, tol=1e-9)
+    dev = dense_locality_deviations(model)
+    worst = float(dev.max())
+    assert abs(report.max_deviation - worst) <= 1e-12
+    assert report.ok == (report.max_deviation <= 1e-9)
+    if report.ok:
+        return
+    names = ("a", "b", "x", "y") + model.hidden_vars
+    cell = tuple(model.table.labels(n).index(report.witness[n]) for n in names)
+    assert list(report.witness) == list(names) and dev[cell] >= worst - 1e-12
+    if dyadic:
+        # exact sums give both sides bitwise equal deviations, so the
+        # witness is the first worst cell in row-major order, as argmax finds
+        assert cell == np.unravel_index(int(np.argmax(dev)), dev.shape)
+
+
+def test_exact_path_memory_follows_the_support():
+    # 24x24 Brans: 2 304 weights in a dense product of 5.3 M cells (42 MB)
+    gen = np.random.default_rng(24)
+    v = gen.standard_normal((48, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    spec = SettingsSpec.finite(v[:24], v[24:])
+    corr = exact_singlet_conditional(spec)
+    tracemalloc.start()
+    try:
+        cs, _ = brans_to_cs(corr, spec)
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        for step in (verify_bell_local, mi_exact_finite):
+            tracemalloc.reset_peak()
+            step(cs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert cs.table.weights.size == 4 * 24 * 24
+    assert max(peaks) < 8 * 2**20, [f"{p / 2**20:.1f} MB" for p in peaks]
 
 
 def test_signaling_example_is_a_valid_table():

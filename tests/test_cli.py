@@ -5,8 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -138,6 +140,32 @@ def test_transform_brans_then_verify(tmp_path):
     assert json.loads(out)["ok"] is True
 
 
+def test_brans_past_the_dense_cell_count(tmp_path):
+    # 40x40 settings: a dense table would hold 16 * 40**4 = 41 M cells, over
+    # the 2**25 cell cap; the support holds at most 6 400
+    gen = np.random.default_rng(40)
+    v = gen.standard_normal((80, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    settings_file = tmp_path / "settings.json"
+    settings_file.write_text(json.dumps(
+        {"alice_settings": v[:40].tolist(), "bob_settings": v[40:].tolist()}
+    ))
+    model_file = str(tmp_path / "brans.json")
+    h_xy = math.log2(40 * 40)  # uniform p_xy
+    code, out, err = run_cli(["transform", "--model", "brans", "--settings-file",
+                              str(settings_file), "--out-file", model_file])
+    assert code == 0, err
+    assert abs(json.loads(out)["mi_value"] - h_xy) <= 1e-9
+    code, out, err = run_cli(["verify", model_file])
+    assert code == 0, err
+    assert json.loads(out)["max_deviation"] == 0.0
+    code, out, err = run_cli(
+        ["mutual-info", "--target", "exact-model-file", "--model-file", model_file]
+    )
+    assert code == 0, err
+    assert abs(json.loads(out)["value"] - h_xy) <= 1e-9
+
+
 def test_transform_input_broadcast_pr_box(tmp_path):
     model_file = tmp_path / "ib.json"
     code, out, _ = run_cli(
@@ -225,6 +253,29 @@ def test_verify_bundled_signaling_counterexample():
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["witness"] is not None
+
+
+@pytest.mark.parametrize("hidden", [[], None])
+def test_verify_model_without_hidden_variables(tmp_path, hidden):
+    # two settings a side, uniform; "copy" has a copy y, which Alice cannot see
+    def model(a_of_y):
+        return {
+            "variables": [{"name": n, "labels": labels} for n, labels in
+                          (("a", [1, -1]), ("b", [1, -1]), ("x", [0, 1]), ("y", [0, 1]))],
+            "weights": [{"assignment": [a_of_y(y), 1, x, y], "p": 0.25}
+                        for x in (0, 1) for y in (0, 1)],
+            "hidden_variables": hidden,
+        }
+
+    for name, a_of_y, want in (("fixed", lambda y: 1, 0), ("copy", lambda y: 1 - 2 * y, 1)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(model(a_of_y)))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == want, err
+        report = json.loads(out)
+        assert report["max_deviation"] == 0.5 * want
+        if want:
+            assert report["witness"] == {"a": 1, "b": 1, "x": 0, "y": 0}
 
 
 def test_parallel_settings_round_past_one(tmp_path):
@@ -377,7 +428,20 @@ ONE_CELL = {
     "bob_settings": [[0.0, 0.0, 1.0]],
     "cells": [{"x": 0, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}],
 }
-# one weight, but 4 * 4000**8 dense cells: far more than numpy can allocate
+# 2**13 labels for a and b and 2**10 weights on distinct lam values: the
+# support is small, but verify would check 2**36 (a, b, x, y, lam) cells
+WIDE_OUTCOME_MODEL = {
+    "variables": [
+        {"name": "a", "labels": list(range(2**13))},
+        {"name": "b", "labels": list(range(2**13))},
+        {"name": "x", "labels": [0]},
+        {"name": "y", "labels": [0]},
+        {"name": "lam", "labels": list(range(2**10))},
+    ],
+    "weights": [{"assignment": [k, k, 0, 0, k], "p": 2.0**-10} for k in range(2**10)],
+    "hidden_variables": ["lam"],
+}
+# one weight, but 4 * 4000**8 cells: more than int64 cell codes can index
 HUGE_MODEL = {
     "variables": [
         {"name": name, "labels": [1, -1] if name in "ab" else list(range(4000))}
@@ -397,6 +461,12 @@ def _nested(depth: int) -> str:
 DEEP_LABEL_MODEL = json.dumps({
     **LOCAL_MODEL,
     "variables": LOCAL_MODEL["variables"][:4] + [{"name": "lam", "labels": [1, -1, "D"]}],
+}).replace('"D"', _nested(900))
+# the hidden variable's name is an array nested 900 deep
+NESTED_NAME_MODEL = json.dumps({
+    **LOCAL_MODEL,
+    "variables": LOCAL_MODEL["variables"][:4] + [{"name": "D", "labels": [1, -1]}],
+    "hidden_variables": None,
 }).replace('"D"', _nested(900))
 # the verifier rejects this model and would write the 400-deep label as its witness
 DEEP_WITNESS_MODEL = (
@@ -576,9 +646,10 @@ BAD_INPUTS = {
         ["transform", "--model", "brans", "--floor", "0.5", "--out-file", "model.json"],
         None,
     ),
-    # the dense table is refused before numpy is asked for it
+    # 4 * 4000**8 cells overflow the int64 cell codes of the table
     "verify-model-over-cell-cap": (["verify", "input.json"], HUGE_MODEL),
     "mi-model-over-cell-cap": (MI_MODEL_FILE, HUGE_MODEL),
+    "verify-model-wide-outcomes": (["verify", "input.json"], WIDE_OUTCOME_MODEL),
     # numpy refuses this grid up front; a value nearer the cap would allocate it
     "mi-panels-huge": (
         ["mutual-info", "--target", "tb-uniform", "--panels", str(10**13)], None
@@ -596,6 +667,19 @@ BAD_INPUTS = {
          "--out-file", "model.json"],
         FOUR_BY_FOUR,
     ),
+    # variable and hidden names are JSON strings; str() used to turn these
+    # into variables called "5", "None" and "[[[..."
+    "model-numeric-name": (
+        ["verify", "input.json"],
+        {**{k: v for k, v in LOCAL_MODEL.items() if k != "hidden_variables"},
+         "variables": LOCAL_MODEL["variables"][:4] + [{"name": 5, "labels": [1, -1]}]},
+    ),
+    "model-null-hidden-name": (
+        ["verify", "input.json"],
+        {**LOCAL_MODEL, "hidden_variables": [None],
+         "variables": LOCAL_MODEL["variables"][:4] + [{"name": "None", "labels": [1, -1]}]},
+    ),
+    "model-nested-name": (["verify", "input.json"], NESTED_NAME_MODEL),
     # an object label is unhashable, so it would reach the table as a TypeError
     "model-object-label": (
         ["verify", "input.json"],

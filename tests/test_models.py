@@ -9,7 +9,6 @@ from scipy import stats
 
 from bellmi.errors import ConfigError, ValidationError
 from bellmi.models import (
-    OUTCOME_LABELS,
     ConditionalTable,
     SettingsSpec,
     GisinGisinModel,
@@ -294,9 +293,10 @@ def test_brans_build_pins_settings_in_hidden_variable():
     # lambda determines the settings outright
     t = model.table
     assert t.variables == ("a", "b", "x", "y", "lam")
-    for k, (x, y, a, b) in enumerate(t.labels("lam")):
-        i, j = OUTCOME_LABELS.index(a), OUTCOME_LABELS.index(b)
-        assert t.weights[i, j, x, y, k] > 0.0
+    weights = dict(t.entries())
+    for lam in t.labels("lam"):
+        x, y, a, b = lam
+        assert weights[a, b, x, y, lam] > 0.0
     # conditional matches the target bitwise
     assert max_deviation(exact_conditional(model), corr) == 0.0
 

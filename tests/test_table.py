@@ -29,7 +29,7 @@ def test_prob_and_marginal():
         [("x", (0, 1)), ("y", ("u", "v"))],
         np.array([[0.1, 0.2], [0.3, 0.4]]),
     )
-    assert t.weights[1, 0] == 0.3
+    assert t.marginal(["x", "y"])[1, 0] == 0.3
     np.testing.assert_allclose(t.marginal(["x"]), [0.3, 0.7])
     np.testing.assert_allclose(t.marginal(["y"]), [0.4, 0.6])
     # one axis per name, in the order asked, whatever the table's own order
@@ -39,15 +39,18 @@ def test_prob_and_marginal():
             t.marginal(names)
 
 
-def test_marginal_over_every_variable_is_the_table_itself():
-    t = random_table(np.random.default_rng(3), (2, 3, 4), ("a", "b", "c"))
+def test_marginal_over_every_variable_is_the_dense_table():
+    gen = np.random.default_rng(3)
+    w = gen.random((2, 3, 4))
+    w[0, 1, :] = 0.0  # absent cells come back as zeros
+    w /= w.sum()
+    t = FiniteDistribution([(n, tuple(range(k))) for n, k in zip("abc", w.shape)], w)
     for names in (t.variables, ("c", "a", "b")):
         m = t.marginal(names)
-        # a view of the weights, not a copy, with its axes in the order asked
-        assert np.shares_memory(m, t.weights)
+        # a fresh read-only array with its axes in the order asked
         order = [t.variables.index(n) for n in names]
-        np.testing.assert_array_equal(m, np.transpose(t.weights, order))
-        assert not m.flags.writeable
+        np.testing.assert_array_equal(m, np.transpose(w, order))
+        assert not np.shares_memory(m, t.weights) and not m.flags.writeable
     summed = t.marginal(("c", "a"))
     assert summed.shape == (4, 2) and not summed.flags.writeable
     with pytest.raises(ValueError):
@@ -134,8 +137,8 @@ def test_from_entries_round_trip():
     assert list(t.entries()) == [((0, "v"), 0.25), ((1, "u"), 0.25), ((1, "v"), 0.5)]
 
 
-def test_from_entries_builds_its_table_once():
-    # the dense array it fills becomes the table: no second table-sized copy
+def test_table_stores_only_its_support():
+    # 48 weights over 48**3 cells: memory follows the weights, not the cells
     variables = [(n, tuple(range(48))) for n in ("x", "y", "z")]
     entries = [((i, i, i), 1.0 / 48) for i in range(48)]
     tracemalloc.start()
@@ -144,8 +147,32 @@ def test_from_entries_builds_its_table_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * t.weights.nbytes, f"peak {peak} B for a {t.weights.nbytes} B table"
-    assert not t.weights.flags.writeable
+    assert t.weights.shape == (48,) and not t.weights.flags.writeable
+    assert peak < 64 * 1024, f"peak {peak} B for 48 weights"
+    (x, y, z), w = t.support(("x", "y", "z"))
+    np.testing.assert_array_equal(x, np.arange(48))
+    assert not x.flags.writeable and w is t.weights
+
+
+def test_from_codes_accumulates_in_entry_order_and_drops_zeros():
+    variables = [("x", ("u", "v", "w")), ("y", (0, 1))]
+    p = [0.1, 0.2, 0.3, -0.3, 0.25, 0.45]
+    t = FiniteDistribution.from_codes(
+        variables, ([2, 0, 1, 1, 2, 2], [1, 1, 0, 0, 1, 0]), p
+    )
+    # x = w, y = 1 adds 0.1 then 0.25, as w[idx] += p would; (v, 0) sums to 0
+    assert list(t.entries()) == [(("u", 1), 0.2), (("w", 0), 0.45), (("w", 1), 0.1 + 0.25)]
+
+
+def test_alphabets_must_fit_int64_codes():
+    labels = tuple(range(10_000))
+    with pytest.raises(ConfigError, match="int64"):  # 10**20 cells
+        FiniteDistribution.from_codes([(n, labels) for n in "vwxyz"], [[0]] * 5, [1.0])
+    t = FiniteDistribution.from_codes([(n, labels) for n in "xy"], ([5], [7]), [1.0])
+    assert list(t.entries()) == [((5, 7), 1.0)]
+    np.testing.assert_array_equal(np.flatnonzero(t.marginal(("y",))), [7])
+    with pytest.raises(ConfigError, match="cap"):  # a dense 10**8-cell marginal
+        t.marginal(("x", "y"))
 
 
 def test_constructor_copies_the_callers_weights():
