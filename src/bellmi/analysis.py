@@ -349,11 +349,8 @@ def make_signaling_example() -> ExactCSModel:
     trivially product; the locality check still fails because Alice's
     response P(a|x, lambda) cannot depend on y.
     """
-    entries = []
-    for x in range(2):
-        for y in range(2):
-            a = 1 if y == 0 else -1
-            entries.append(((a, 1, x, y, "free"), 0.25))
+    x, y = np.divmod(np.arange(4), 2)  # the four (x, y) cells
+    fixed = np.zeros(4, dtype=np.intp)  # b = +1 and the one lambda
     variables = [
         ("a", OUTCOME_LABELS),
         ("b", OUTCOME_LABELS),
@@ -361,7 +358,8 @@ def make_signaling_example() -> ExactCSModel:
         ("y", (0, 1)),
         ("lam", ("free",)),
     ]
-    table = FiniteDistribution.from_entries(variables, entries)
+    # a = +1 (index 0) when y = 0 and -1 (index 1) when y = 1: a's index is y
+    table = FiniteDistribution.from_codes(variables, (y, fixed, x, y, fixed), np.full(4, 0.25))
     return ExactCSModel(table=table, hidden_vars=("lam",))
 
 

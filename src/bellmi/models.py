@@ -8,7 +8,8 @@ Four models, all Bell-local in the appropriate sense:
 - :func:`input_broadcast_build`: a finite communication model in which the
   shared randomness pre-samples an outcome script for every input and the
   message is Alice's input itself, reproducing an arbitrary conditional
-  P(a,b|x,y) that does not signal toward Alice.
+  P(a,b|x,y) that does not signal toward Alice; a :class:`FiniteCommModel`
+  holds its responses as integer arrays.
 - :class:`GisinGisinModel`: a detection model with a setting-independent
   hidden vector; Alice's detector fires with probability |x.lambda|
   (efficiency 1/2 on average), Bob's always fires, and the post-selected
@@ -16,9 +17,9 @@ Four models, all Bell-local in the appropriate sense:
 - :func:`brans_build`: the extreme correlated-settings model whose hidden
   variable determines the settings and outcomes outright.
 
-The per-round responses live only in the :mod:`bellmi._kernels` outcome maps
-(ties at zero break to +1); outcome labels are +1 and -1 with array index 0
-meaning +1 everywhere.
+The sampled models' responses live only in the :mod:`bellmi._kernels`
+outcome maps (ties at zero break to +1); outcome labels are +1 and -1 with
+array index 0 meaning +1 everywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -201,7 +202,7 @@ def preset_parallel() -> SettingsSpec:
     return SettingsSpec.finite(both, both)
 
 
-PRESETS: dict[str, Callable[[], SettingsSpec]] = {
+PRESETS = {
     "chsh": preset_chsh,
     "parallel": preset_parallel,
 }
@@ -256,6 +257,15 @@ class ConditionalTable:
         ab = np.multiply.outer(OUTCOME_LABELS, OUTCOME_LABELS)
         return cls((1.0 + e[:, :, None, None] * ab) / 4.0)
 
+    def alphabets_of(self, spec: SettingsSpec) -> tuple[int, int]:
+        """(nA, nB) of a finite ``spec`` of this table's size, else :class:`ConfigError`."""
+        if (self.n_alice, self.n_bob) != (spec.n_alice, spec.n_bob):
+            raise ConfigError(
+                f"conditional table is {self.n_alice}x{self.n_bob}, "
+                f"spec is {spec.n_alice}x{spec.n_bob}"
+            )
+        return spec.n_alice, spec.n_bob
+
     @property
     def n_alice(self) -> int:
         return self.probs.shape[0]
@@ -283,14 +293,7 @@ class ConditionalTable:
 
 def pr_box_conditional() -> ConditionalTable:
     """The 2x2 PR box: outcomes uniform, a and b equal unless x = y = 1."""
-    p = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            if x * y == 0:
-                p[x, y, 0, 0] = p[x, y, 1, 1] = 0.5
-            else:
-                p[x, y, 0, 1] = p[x, y, 1, 0] = 0.5
-    return ConditionalTable(p)
+    return ConditionalTable.from_correlators([[1.0, 1.0], [1.0, -1.0]])
 
 
 # ----------------------------------------------------------------------
@@ -407,28 +410,41 @@ class GisinGisinModel:
 class FiniteCommModel:
     """Finite-alphabet communication model with deterministic responses.
 
-    All randomness lives in the shared variable mu (labels plus weights);
-    ``conversation(x, y, mu)`` returns the message as a tuple of symbols,
-    and ``alice(x, mu, m)`` / ``bob(y, mu, m)`` return outcomes in {+1, -1}.
-    One-way protocols simply ignore y in ``conversation``.  ``target`` is
-    the P(a,b|x,y) the protocol was built to reproduce; the exact report
-    measures the reproduced table against it.
+    All randomness lives in the shared variable mu (labels plus weights).
+    ``message[x, y, mu]`` is a code into the ``messages`` labels, and
+    ``alice[x, mu, m]`` / ``bob[y, mu, m]`` are outcome indices into
+    :data:`OUTCOME_LABELS`, m being a message code; wrong shapes and codes
+    out of range raise :class:`ConfigError`.  ``target`` is the P(a,b|x,y)
+    the protocol was built to reproduce; the exact report measures the
+    reproduced table against it.
     """
 
     mu_labels: tuple
     mu_weights: np.ndarray
-    conversation: Callable
-    alice: Callable
-    bob: Callable
+    messages: tuple
+    message: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
     target: ConditionalTable
     name: str = "finite-comm"
 
     def __post_init__(self):
         w = np.asarray(self.mu_weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != len(self.mu_labels):
+        n_mu, n_m = len(self.mu_labels), len(self.messages)
+        if w.shape != (n_mu,):
             raise ConfigError("mu_weights must be one weight per mu label")
         check_normalized(w)
+        n_a, n_b = self.target.n_alice, self.target.n_bob
+        for attr, shape, codes in (("message", (n_a, n_b, n_mu), n_m),
+                                   ("alice", (n_a, n_mu, n_m), 2), ("bob", (n_b, n_mu, n_m), 2)):
+            arr = np.array(getattr(self, attr))  # a read-only copy
+            if not (arr.shape == shape and arr.dtype.kind in "iu"
+                    and np.all((arr >= 0) & (arr < codes))):
+                raise ConfigError(f"{attr} must be integer codes in [0, {codes}), shape {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, attr, arr)
         object.__setattr__(self, "mu_labels", tuple(self.mu_labels))
+        object.__setattr__(self, "messages", tuple(self.messages))
         object.__setattr__(self, "mu_weights", _frozen_array(w))
 
 
@@ -443,12 +459,7 @@ def input_broadcast_build(corr: ConditionalTable, spec: SettingsSpec) -> FiniteC
     does not signal toward Alice (P(a|x,y) independent of y); a signaling
     table raises :class:`ValidationError`.
     """
-    spec._require_finite()
-    n_a, n_b = spec.n_alice, spec.n_bob
-    if (corr.n_alice, corr.n_bob) != (n_a, n_b):
-        raise ConfigError(
-            f"conditional table is {corr.n_alice}x{corr.n_bob}, spec is {n_a}x{n_b}"
-        )
+    n_a, n_b = corr.alphabets_of(spec)
     alice_cond = corr.alice_conditional()  # (nA, nB, 2)
     drift = float(np.max(np.abs(alice_cond - alice_cond[:, :1, :])))
     if drift > CONDITIONAL_ATOL:
@@ -460,51 +471,36 @@ def input_broadcast_build(corr: ConditionalTable, spec: SettingsSpec) -> FiniteC
     # P(b|x,y,a): zero where P(a|x) = 0; those branches never run.
     with np.errstate(divide="ignore", invalid="ignore"):
         p_b = np.where(p_a[:, None, :, None] > 0.0, corr.probs / p_a[:, None, :, None], 0.0)
-    p_a, p_b = p_a.tolist(), p_b.tolist()  # same floats, cheaper to index
 
-    # One outcome per step: a_x for each x, then b_xy for each (x, y) given
-    # a_x.  Each step maps a partial script to that outcome's probabilities.
-    steps = [lambda s, x=x: p_a[x] for x in range(n_a)] + [
-        lambda s, x=x, y=y: p_b[x][y][s[x]] for x in range(n_a) for y in range(n_b)
-    ]
-    scripts = [((), 1.0)]  # (outcome indices so far, weight)
-    for probs_given in steps:
-        scripts = [
-            (s + (i,), w * p)
-            for s, w in scripts
-            for i, p in enumerate(probs_given(s))
-            if p > 0.0
-        ]
-        if len(scripts) > MU_SUPPORT_CAP:
+    # Script columns are a_x for each x, then b_xy for each (x, y) given a_x.
+    # Each step extends every script by the outcomes of positive
+    # probability, in (script, outcome) order, and multiplies its weight.
+    scripts = np.zeros((1, n_a + n_a * n_b), dtype=np.int8)
+    weights = np.ones(1)
+    for col in range(scripts.shape[1]):
+        if col < n_a:
+            probs = np.broadcast_to(p_a[col], (len(scripts), 2))
+        else:
+            x, y = divmod(col - n_a, n_b)
+            probs = p_b[x, y][scripts[:, x]]
+        rows, outcome = np.nonzero(probs > 0.0)
+        if rows.size > MU_SUPPORT_CAP:
             raise ConfigError(
                 f"shared-randomness support exceeds {MU_SUPPORT_CAP} labels; "
                 "the broadcast construction targets small alphabets"
             )
-    labels = tuple(
-        (
-            tuple(OUTCOME_LABELS[i] for i in s[:n_a]),
-            tuple(OUTCOME_LABELS[j] for j in s[n_a:]),
-        )
-        for s, _ in scripts
-    )
-    weights = [w for _, w in scripts]
-
-    def conversation(x: int, y: int, mu) -> tuple:
-        return (x,)
-
-    def alice(x: int, mu, m) -> int:
-        return mu[0][x]
-
-    def bob(y: int, mu, m) -> int:
-        x = m[0]
-        return mu[1][x * n_b + y]
-
+        weights = weights[rows] * probs[rows, outcome]
+        scripts = scripts[rows]
+        scripts[:, col] = outcome
+    signs = np.array(OUTCOME_LABELS)[scripts].tolist()
+    n_mu = len(scripts)
     return FiniteCommModel(
-        mu_labels=labels,
-        mu_weights=np.asarray(weights),
-        conversation=conversation,
-        alice=alice,
-        bob=bob,
+        mu_labels=tuple((tuple(s[:n_a]), tuple(s[n_a:])) for s in signs),
+        mu_weights=weights,
+        messages=tuple((x,) for x in range(n_a)),
+        message=np.broadcast_to(np.arange(n_a)[:, None, None], (n_a, n_b, n_mu)),
+        alice=np.broadcast_to(scripts[:, :n_a].T[:, :, None], (n_a, n_mu, n_a)),
+        bob=scripts[:, n_a:].reshape(n_mu, n_a, n_b).transpose(2, 0, 1),
         target=corr,
         name="input-broadcast",
     )
@@ -565,12 +561,7 @@ def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
     and outcomes are read off lambda, so P(x,y|lambda) is 0 or 1 and
     I(x,y:lambda) = H(x,y).  Reproduces any ``corr`` exactly.
     """
-    spec._require_finite()
-    n_a, n_b = spec.n_alice, spec.n_bob
-    if (corr.n_alice, corr.n_bob) != (n_a, n_b):
-        raise ConfigError(
-            f"conditional table is {corr.n_alice}x{corr.n_bob}, spec is {n_a}x{n_b}"
-        )
+    n_a, n_b = corr.alphabets_of(spec)
     # one lambda per (x, y, a, b) cell with weight, in that row-major order
     w = (spec.p_xy[:, :, None, None] * corr.probs).ravel()
     cells = np.flatnonzero(w > 0.0)

@@ -104,6 +104,13 @@ def _as_name(value) -> str:
     return value
 
 
+def _json_array(value) -> list:
+    """``value`` if it is a JSON array (not a string), else :class:`TypeError`."""
+    if type(value) is not list:
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _numeric(value):
     """Return ``value`` if every leaf of its nested lists is an int or float.
 
@@ -283,26 +290,36 @@ def model_payload(model: ExactCSModel) -> dict:
 def load_model(text: str) -> ExactCSModel:
     """Parse an exact-model file back into an :class:`ExactCSModel`.
 
+    Its lists must be JSON arrays.  Each declared label is converted once;
+    an assignment entry with the same ``repr`` maps to it directly, and any
+    other is converted on its own, so ``1.0`` still matches a declared 1.
     The certificate is a description only and is not read back (the
     verifier derives the responses from the table); the loaded model
     carries ``certificate=None``.
     """
     payload = parse_json(text)
     try:
-        variables = [
-            (_as_name(v["name"]), tuple(_as_label(lab) for lab in v["labels"]))
-            for v in payload["variables"]
-        ]
-        entries = [
-            (tuple(_as_label(lab) for lab in w["assignment"]), float(_numeric(w["p"])))
-            for w in payload["weights"]
+        variables, spelled = [], []  # spelled: repr of a label's JSON value -> label
+        for v in _json_array(payload["variables"]):
+            raw = _json_array(v["labels"])
+            labels = tuple(_as_label(lab) for lab in raw)
+            variables.append((_as_name(v["name"]), labels))
+            spelled.append(dict(zip(map(repr, raw), labels)))
+        rows = _json_array(payload["weights"])
+        assignments = [_json_array(w["assignment"]) for w in rows]
+        probs = [float(_numeric(w["p"])) for w in rows]
+        if any(len(a) != len(variables) for a in assignments):
+            raise ValueError(f"an assignment does not cover all {len(variables)} variables")
+        columns = [
+            [known[k] if (k := repr(v)) in known else _as_label(v) for v in column]
+            for known, column in zip(spelled, zip(*assignments))
         ]
         hidden = payload.get("hidden_variables")
         if hidden is not None:
-            hidden = tuple(_as_name(h) for h in hidden)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            hidden = tuple(_as_name(h) for h in _json_array(hidden))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"model file: bad structure ({exc})") from None
-    table = FiniteDistribution.from_entries(variables, entries)
+    table = FiniteDistribution.from_entries(variables, zip(zip(*columns), probs))
     if hidden is None:
         hidden = tuple(n for n in table.variables if n not in ("a", "b", "x", "y"))
     return ExactCSModel(table=table, hidden_vars=hidden)

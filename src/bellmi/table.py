@@ -232,18 +232,16 @@ class FiniteDistribution:
         unlisted cells are zero and repeated assignments accumulate.
         """
         lookup = [{lab: j for j, lab in enumerate(labs)} for _, labs in variables]
-        indices, weights = [], []
-        for assignment, p in entries:
-            if len(assignment) != len(lookup):
-                raise ConfigError(
-                    f"assignment {assignment!r} does not cover all {len(lookup)} variables"
-                )
-            try:
-                indices.append([index[lab] for index, lab in zip(lookup, assignment)])
-            except KeyError:
-                raise ConfigError(f"assignment {assignment!r} uses an unknown label") from None
-            weights.append(p)
-        codes = np.array(indices, dtype=np.intp).reshape(len(weights), len(lookup)).T
+        entries = list(entries)
+        if any(len(assignment) != len(lookup) for assignment, _ in entries):
+            raise ConfigError(f"an assignment does not cover all {len(lookup)} variables")
+        columns = zip(lookup, zip(*(assignment for assignment, _ in entries)))
+        try:
+            codes = [[index[lab] for lab in column] for index, column in columns]
+        except KeyError as exc:
+            raise ConfigError(f"an assignment uses the unknown label {exc.args[0]!r}") from None
+        weights = [p for _, p in entries]
+        codes = np.array(codes, dtype=np.intp).reshape(len(lookup), len(weights))
         return cls.from_codes(variables, codes, weights)
 
     def entries(self):
@@ -305,7 +303,7 @@ class FiniteDistribution:
             p = self._weights
         else:
             _, p, _ = self._joint(tuple(variables))
-        return float(-(p * np.log2(p)).sum())
+        return float(0.0 - (p * np.log2(p)).sum())  # +0.0, not -0.0, for a point mass
 
     def mutual_information(
         self, a: Sequence[str], b: Sequence[str]

@@ -4,9 +4,10 @@ Three conversions are supported:
 
 - :func:`comm_to_cs` absorbs a communication model's conversation into the
   hidden variable, lambda = (mu, m).  For finite models this is an exact
-  table construction with exact mutual-information accounting; for the
-  one-bit singlet model it yields a sampled model plus Monte Carlo checks.
-  Either way I(x,y:lambda) is bounded by the message entropy H(m).
+  table, gathered from the model's response arrays in one pass, with exact
+  mutual-information accounting; for the one-bit singlet model it yields a
+  sampled model plus Monte Carlo checks.  Either way I(x,y:lambda) is
+  bounded by the message entropy H(m).
 - :func:`det_to_cs` post-selects a detection model on both detectors
   clicking; its Monte Carlo report keeps only the double-click rounds,
   which conditions on that event exactly (no density reweighting).
@@ -111,32 +112,26 @@ def _exact_report(
 
 
 def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
-    spec._require_finite()
-    n_a, n_b = spec.n_alice, spec.n_bob
-    p_xy = spec.p_xy
-    messages: dict = {}  # insertion-ordered set
-    entries = []
-    for x in range(n_a):
-        for y in range(n_b):
-            for mu, w_mu in zip(model.mu_labels, model.mu_weights):
-                w = float(p_xy[x, y] * w_mu)
-                if w <= 0.0:
-                    continue
-                m = model.conversation(x, y, mu)
-                messages[m] = None
-                a = model.alice(x, mu, m)
-                b = model.bob(y, mu, m)
-                entries.append(((a, b, x, y, mu, m), w))
+    n_a, n_b = model.target.alphabets_of(spec)  # the shape of model.message[:, :, 0]
+    # one entry per (x, y, mu) with weight, in that row-major order
+    w = spec.p_xy[:, :, None] * model.mu_weights
+    x, y, mu = np.nonzero(w > 0.0)
+    sent = model.message[x, y, mu]
+    # the "m" alphabet holds the messages sent, in order of first use
+    codes, first, inverse = np.unique(sent, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    m = np.argsort(order)[inverse]  # each entry's message as a first-use rank
     variables = [
         ("a", OUTCOME_LABELS),
         ("b", OUTCOME_LABELS),
         ("x", tuple(range(n_a))),
         ("y", tuple(range(n_b))),
         ("mu", model.mu_labels),
-        ("m", tuple(messages)),
+        ("m", tuple(model.messages[k] for k in codes[order].tolist())),
     ]
+    responses = (model.alice[x, mu, sent], model.bob[y, mu, sent], x, y, mu, m)
     cs = ExactCSModel(
-        table=FiniteDistribution.from_entries(variables, entries),
+        table=FiniteDistribution.from_codes(variables, responses, w[x, y, mu]),
         hidden_vars=("mu", "m"),
         certificate=(
             "deterministic communication replay: lambda = (mu, m) fixes "

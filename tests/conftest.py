@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from bellmi.analysis import cell_conditional
-from bellmi.errors import ValidationError
-from bellmi.models import OUTCOME_LABELS, ConditionalTable
+from bellmi.models import ConditionalTable
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -51,25 +50,17 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 def comm_conditional(model, spec) -> ConditionalTable:
     """P(a,b|x,y) of a finite communication model by direct enumeration.
 
-    ``model`` needs only the protocol fields of a ``FiniteCommModel``
-    (``mu_labels``, ``mu_weights``, ``conversation``, ``alice``, ``bob``).
+    ``model`` needs only the response arrays of a ``FiniteCommModel``
+    (``mu_weights``, ``message``, ``alice``, ``bob``).
     """
     spec._require_finite()
     n_a, n_b = spec.n_alice, spec.n_bob
     out = np.zeros((n_a, n_b, 2, 2))
-    index = {lab: i for i, lab in enumerate(OUTCOME_LABELS)}
     for x in range(n_a):
         for y in range(n_b):
-            for mu, w in zip(model.mu_labels, model.mu_weights):
-                m = model.conversation(x, y, mu)
-                a = model.alice(x, mu, m)
-                b = model.bob(y, mu, m)
-                if a not in index or b not in index:
-                    raise ValidationError(
-                        f"communication model produced outcome ({a!r}, {b!r}); "
-                        "outcomes must be +1 or -1"
-                    )
-                out[x, y, index[a], index[b]] += w
+            for mu, w in enumerate(model.mu_weights):
+                m = model.message[x, y, mu]
+                out[x, y, model.alice[x, mu, m], model.bob[y, mu, m]] += w
     return ConditionalTable(out)
 
 

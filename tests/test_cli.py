@@ -391,6 +391,12 @@ PINNED_TRANSFORMS = {
         "9160583a945d13520f2a747dd83bd61c8c6b155283368474e6ebe5ef99a6de28",
         "4340165f0fcd7eea6d5f6e353da336cf977937c0fe947b18d047ec0b779ad293",
     ),
+    # the only weight sits on x = 1, so the "m" alphabet holds the one message
+    # sent, [1], and H(m) of that point mass is written as 0, not -0
+    ("input-broadcast", ((0.0, 0.0), (0.5, 0.5))): (
+        "4c1b803435e8e1ab689b45d19bdcffd8b47ee74cd2dfb033305daff22b00efe8",
+        "6ce8429d9aa513bed52c0b6b5bfd641b6cd73f6c4e9ffe94b33d2c28cf0400d8",
+    ),
     ("brans", None): (
         "07b9e30d2d40cd35744d22e5720e64810afac12d322f3e73dbc1af972f6bd1f2",
         "d182fcb912547f020f2a3da1dcad362189a721fe4dc49bd48b9b5d6ff50e240c",
@@ -591,6 +597,24 @@ BAD_INPUTS = {
     ),
     "model-hidden-not-list": (
         ["verify", "input.json"], {**LOCAL_MODEL, "hidden_variables": 5}
+    ),
+    # a string would iterate as its characters: one label per character of
+    # an assignment, and one hidden name per letter
+    "model-string-assignment": (
+        ["verify", "input.json"],
+        {
+            "variables": [
+                {"name": name, "labels": list(labels)}
+                for name, labels in
+                (("a", "+-"), ("b", "+-"), ("x", "0"), ("y", "0"), ("lam", "+-"))
+            ],
+            "weights": [{"assignment": "++00+", "p": 0.5},
+                        {"assignment": "--00-", "p": 0.5}],
+            "hidden_variables": ["lam"],
+        },
+    ),
+    "model-string-hidden": (
+        ["verify", "input.json"], {**LOCAL_MODEL, "hidden_variables": "lam"}
     ),
     # true, false and numeric strings are not numbers, though float() reads them
     "settings-bool-vector": (

@@ -7,13 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bellmi import serialize
 from bellmi.analysis import (
     CorrelationTable,
     estimate_correlations,
     exact_singlet_conditional,
 )
 from bellmi.errors import ConfigError, ValidationError
-from bellmi.models import SettingsSpec, TonerBaconModel, brans_build, preset
+from bellmi.models import (
+    SettingsSpec,
+    TonerBaconModel,
+    brans_build,
+    input_broadcast_build,
+    preset,
+)
 from bellmi.serialize import (
     correlation_csv,
     correlation_payload,
@@ -28,7 +35,8 @@ from bellmi.serialize import (
     sampler_payload,
 )
 from bellmi.sphere import RandomSource, vec_polar
-from conftest import LOCAL_MODEL
+from bellmi.transforms import comm_to_cs
+from conftest import LOCAL_MODEL, fibonacci_sphere
 
 
 def test_format_float_round_trips_float64():
@@ -157,6 +165,56 @@ def test_model_payload_round_trip_preserves_tuple_labels():
 def test_load_model_rejects_bad_structure():
     with pytest.raises(ConfigError):
         load_model('{"variables": "x"}')
+
+
+def test_load_model_matches_assignment_labels_by_value():
+    # 1.0 and -1.0 match the declared 1 and -1, as tuples built from the
+    # labels would; a short assignment is refused, not truncated
+    payload = json.loads(json.dumps(LOCAL_MODEL))
+    payload["weights"][0]["assignment"] = [1.0, 1, 0, 0, 1.0]
+    payload["weights"][1]["assignment"] = [-1.0, -1, 0.0, 0, -1]
+    assert list(load_model(json.dumps(payload)).table.entries()) == [
+        ((1, 1, 0, 0, 1), 0.5), ((-1, -1, 0, 0, -1), 0.5),
+    ]
+    payload["weights"][1]["assignment"] = [-1, -1, 0, 0]
+    with pytest.raises(ConfigError, match="does not cover all 5 variables"):
+        load_model(json.dumps(payload))
+    payload["weights"][1]["assignment"] = [-1, -1, 0, 0, 2]
+    with pytest.raises(ConfigError, match="unknown label"):
+        load_model(json.dumps(payload))
+    payload["weights"][1]["assignment"] = [-1, -1, 0, 0, True]
+    with pytest.raises(ConfigError, match="bad structure"):
+        load_model(json.dumps(payload))
+
+
+def _label_nodes(value) -> int:
+    """Calls one label conversion makes: one per array and per leaf."""
+    return 1 + sum(map(_label_nodes, value)) if isinstance(value, list) else 1
+
+
+def test_load_model_converts_each_declared_label_once(monkeypatch):
+    # the 3x3 singlet broadcast model: 4 096 mu labels of 12 outcomes each,
+    # repeated across 36 864 assignments
+    settings = fibonacci_sphere(6)
+    spec = SettingsSpec.finite(settings[::2], settings[1::2])
+    cs, _ = comm_to_cs(input_broadcast_build(exact_singlet_conditional(spec), spec), spec)
+    text = json_text(model_payload(cs))
+    declared = sum(
+        _label_nodes(lab) for v in parse_json(text)["variables"] for lab in v["labels"]
+    )
+    calls = 0
+    as_label = serialize._as_label
+
+    def counting(value, depth=0):
+        nonlocal calls
+        calls += 1
+        return as_label(value, depth)
+
+    monkeypatch.setattr(serialize, "_as_label", counting)
+    loaded = load_model(text)
+    assert 0 < calls <= declared
+    assert loaded.table.weights.tobytes() == cs.table.weights.tobytes()
+    assert list(loaded.table.entries()) == list(cs.table.entries())
 
 
 SETTINGS_FILE = {

@@ -14,6 +14,7 @@ from bellmi.errors import (
     ValidationError,
 )
 from bellmi.models import (
+    OUTCOME_LABELS,
     ConditionalTable,
     ExactCSModel,
     FiniteCommModel,
@@ -168,8 +169,9 @@ def deterministic_comm_models(draw):
     settings, 4 shared-randomness labels and 3 messages, whose target is
     its own P(a,b|x,y) by enumeration.
 
-    The message is a table over (x, y, mu); Alice answers from (x, mu, m)
-    and Bob from (y, mu, m), both deterministically.
+    The message is a code table over (x, y, mu); Alice answers from
+    (x, mu, m) and Bob from (y, mu, m), both deterministically, with
+    outcome indices.
     """
     n_a, n_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     n_mu, n_m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
@@ -185,14 +187,15 @@ def deterministic_comm_models(draw):
         return np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)
 
     msg = table((n_a, n_b, n_mu), st.integers(0, n_m - 1))
-    out_a = table((n_a, n_mu, n_m), st.sampled_from((1, -1)))
-    out_b = table((n_b, n_mu, n_m), st.sampled_from((1, -1)))
+    out_a = table((n_a, n_mu, n_m), st.integers(0, 1))
+    out_b = table((n_b, n_mu, n_m), st.integers(0, 1))
     protocol = dict(
         mu_labels=tuple(range(n_mu)),
         mu_weights=w / w.sum(),
-        conversation=lambda x, y, mu: (int(msg[x, y, mu]),),
-        alice=lambda x, mu, m: int(out_a[x, mu, m[0]]),
-        bob=lambda y, mu, m: int(out_b[y, mu, m[0]]),
+        messages=tuple((k,) for k in range(n_m)),
+        message=msg,
+        alice=out_a,
+        bob=out_b,
     )
     target = comm_conditional(SimpleNamespace(**protocol), spec)
     return FiniteCommModel(**protocol, target=target), spec
@@ -216,6 +219,49 @@ def test_comm_to_cs_chain_identity_on_random_protocols(case):
     assert report.inputs_deviation == pytest.approx(0.0, abs=1e-12)
     assert i_lam <= t.entropy(("m",)) + 1e-12
     assert verify_bell_local(cs).max_deviation == 0.0
+    # the table is the loop over (x, y, mu), its "m" alphabet the messages
+    # sent in order of first use
+    sent, want = {}, {}
+    for x, y, mu in np.ndindex(model.message.shape):
+        k = model.message[x, y, mu]
+        m = model.messages[k]
+        sent[m] = None  # an insertion-ordered set
+        a, b = OUTCOME_LABELS[model.alice[x, mu, k]], OUTCOME_LABELS[model.bob[y, mu, k]]
+        want[a, b, x, y, model.mu_labels[mu], m] = spec.p_xy[x, y] * model.mu_weights[mu]
+    assert t.labels("m") == tuple(sent)
+    assert dict(t.entries()) == want
+
+
+def test_finite_comm_model_rejects_bad_response_arrays():
+    # 2x2 inputs, two mu labels and two message codes; a model need not
+    # reproduce its target, which only fixes the input alphabets
+    valid = dict(
+        mu_labels=(0, 1),
+        mu_weights=np.array([0.5, 0.5]),
+        messages=((0,), (1,)),
+        message=np.zeros((2, 2, 2), dtype=np.int8),
+        alice=np.zeros((2, 2, 2), dtype=np.int8),
+        bob=np.ones((2, 2, 2), dtype=np.int8),
+        target=pr_box_conditional(),
+    )
+    FiniteCommModel(**valid)
+    bad = [
+        ("message", np.zeros((2, 3, 2), dtype=np.int8)),  # y axis longer than target
+        ("alice", np.zeros((2, 2), dtype=np.int8)),  # m axis missing
+        ("bob", np.zeros((2, 2, 3), dtype=np.int8)),  # one m code too many
+        ("mu_weights", np.array([1.0])),  # one weight for two labels
+        ("alice", np.full((2, 2, 2), 2)),  # outcome index outside {0, 1}
+        ("bob", np.full((2, 2, 2), -1)),
+        ("message", np.full((2, 2, 2), 2)),  # no third message
+        ("message", np.zeros((2, 2, 2))),  # floats are not codes
+    ]
+    for field, value in bad:
+        with pytest.raises(ConfigError):
+            FiniteCommModel(**{**valid, field: value})
+    model = FiniteCommModel(**valid)
+    with pytest.raises(ConfigError):
+        comm_to_cs(model, SettingsSpec.finite(np.eye(3), np.eye(3)[:2]))
+    comm_to_cs(model, preset("chsh"))
 
 
 def test_comm_to_cs_sampled_requires_source():
