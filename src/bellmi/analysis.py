@@ -359,7 +359,7 @@ def make_signaling_example() -> ExactCSModel:
         ("lam", ("free",)),
     ]
     # a = +1 (index 0) when y = 0 and -1 (index 1) when y = 1: a's index is y
-    table = FiniteDistribution.from_codes(variables, (y, fixed, x, y, fixed), np.full(4, 0.25))
+    table = FiniteDistribution(variables, (y, fixed, x, y, fixed), np.full(4, 0.25))
     return ExactCSModel(table=table, hidden_vars=("lam",))
 
 
@@ -493,9 +493,10 @@ def gg_mi_integrand(u: np.ndarray) -> np.ndarray:
         return np.where(u > 0.0, 2.0 * u * np.log2(2.0 * u), 0.0)
 
 
-def mi_gg_quadrature(panels: int = GG_CHECK_PANELS) -> MIEstimate:
-    """Quadrature form of the detection-model mutual information."""
-    return _quadrature(gg_mi_integrand, 0.0, 1.0, panels)
+def mi_gg_quadrature() -> MIEstimate:
+    """Quadrature form of the detection-model mutual information, on
+    ``GG_CHECK_PANELS`` panels."""
+    return _quadrature(gg_mi_integrand, 0.0, 1.0, GG_CHECK_PANELS)
 
 
 def mi_gg_uniform() -> MIEstimate:
@@ -505,7 +506,7 @@ def mi_gg_uniform() -> MIEstimate:
     :func:`mi_gg_quadrature`; disagreement beyond ``GG_CHECK_TOL`` raises
     :class:`InternalConsistencyError`.
     """
-    check = mi_gg_quadrature(GG_CHECK_PANELS)
+    check = mi_gg_quadrature()
     if abs(check.value - GG_MI_CLOSED_FORM) > GG_CHECK_TOL:
         raise InternalConsistencyError(
             f"quadrature {check.value!r} disagrees with the closed form "

@@ -575,9 +575,7 @@ def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
         ("y", tuple(range(n_b))),
         ("lam", tuple(lam_labels)),
     ]
-    table = FiniteDistribution.from_codes(
-        variables, (i, j, x, y, np.arange(cells.size)), w[cells]
-    )
+    table = FiniteDistribution(variables, (i, j, x, y, np.arange(cells.size)), w[cells])
     return ExactCSModel(
         table=table, hidden_vars=("lam",),
         certificate="deterministic: lambda = (x, y, a, b) fixes both outcomes",

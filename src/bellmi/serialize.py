@@ -69,7 +69,7 @@ def _render(obj) -> str:
 def parse_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ConfigError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError("invalid JSON: nested too deeply") from None

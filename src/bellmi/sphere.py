@@ -65,25 +65,24 @@ class RandomSource:
         return f"RandomSource(entropy={self._ss.entropy}, spawn_key={self._ss.spawn_key})"
 
 
-def sample_uniform_sphere(gen: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
-    """Uniform points on the unit sphere; (3,) if n is None, else (n, 3).
+def sample_uniform_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform points on the unit sphere, as an (n, 3) batch.
 
-    A batch is the transpose of a C-ordered (3, n) buffer.  Every value is
+    The batch is the transpose of a C-ordered (3, n) buffer.  Every value is
     the same float as ``s * cos(phi)``, ``s * sin(phi)`` and ``z`` computed
     row by row: IEEE multiplication commutes, so scaling in place keeps the
     bits.
     """
-    size = 1 if n is None else n
-    out = np.empty((3, size), dtype=np.float64)
-    z = gen.uniform(-1.0, 1.0, size)
-    phi = gen.uniform(0.0, 2.0 * np.pi, size)
+    out = np.empty((3, n), dtype=np.float64)
+    z = gen.uniform(-1.0, 1.0, n)
+    phi = gen.uniform(0.0, 2.0 * np.pi, n)
     s = np.sqrt(1.0 - z * z)
     np.cos(phi, out=out[0])
     out[0] *= s
     np.sin(phi, out=out[1])
     out[1] *= s
     out[2] = z
-    return out[:, 0] if n is None else out.T
+    return out.T
 
 
 def require_unit(v) -> np.ndarray:

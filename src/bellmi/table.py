@@ -7,6 +7,12 @@ entropies / mutual informations are computed in bits (log base 2) from the
 support, so the work and memory follow the number of present cells, not
 the product of the alphabet sizes.
 
+A table is built one way: the constructor takes one integer label-index
+array per variable and one weight per entry, which is how every exact model
+of the package comes out of its builder.  :meth:`FiniteDistribution.from_entries`
+maps labelled ``(assignment, probability)`` pairs, the form a model file
+holds, onto the same constructor.
+
 Conventions fixed for the whole package:
 
 - ``0 * log 0 := 0`` (continuity convention).
@@ -32,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Iterable, Sequence
-from typing import Optional
 
 import numpy as np
 
@@ -103,29 +108,34 @@ class FiniteDistribution:
     Parameters
     ----------
     variables:
-        Sequence of ``(name, labels)`` pairs.  Names must be unique; labels
-        are the finite alphabet of each variable (hashable, unique).
+        Nonempty sequence of ``(name, labels)`` pairs.  Names must be
+        unique; labels are the finite alphabet of each variable (hashable,
+        unique).
+    codes:
+        One integer label-index array per variable, in the order of
+        ``variables``, all of one length: entry k puts ``weights[k]`` on
+        the cell whose index along each variable is ``codes[i][k]``.
     weights:
-        Dense array of joint probabilities with one axis per variable, in
-        the given order.  Must be nonnegative and sum to 1 within
-        ``NORM_ATOL``.  Only its nonzero cells are kept; large sparse
-        tables are built with :meth:`from_codes` instead.
+        One nonnegative weight per entry.  Repeated cells accumulate in
+        entry order and cells whose total is zero are dropped; the totals
+        must sum to 1 within ``NORM_ATOL``.
+
+    Alphabets whose product does not fit int64 and a support of more than
+    :data:`TABLE_CELL_CAP` cells raise :class:`ConfigError`.  The table
+    keeps its own frozen arrays, never the caller's.
     """
 
     __slots__ = ("_names", "_labels", "_axis", "_codes", "_weights")
 
-    def __init__(self, variables: Sequence[tuple[str, Sequence[Hashable]]], weights):
-        w = np.asarray(weights, dtype=np.float64)
-        shape = tuple(len(labs) for _, labs in variables)
-        if w.shape != shape:
-            raise ConfigError(f"weights shape {w.shape} does not match alphabets {shape}")
-        cells = np.flatnonzero(w)
-        self._build(variables, np.unravel_index(cells, shape), w.ravel()[cells])
-
-    def _build(self, variables, codes, weights) -> None:
-        """Validate and take the entries ``codes`` / ``weights`` as the
-        support; see :meth:`from_codes`.  The stored arrays are frozen."""
+    def __init__(
+        self,
+        variables: Sequence[tuple[str, Sequence[Hashable]]],
+        codes: Sequence,
+        weights,
+    ):
         names = tuple(name for name, _ in variables)
+        if not names:
+            raise ConfigError("a table needs at least one variable")
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate variable names in {names}")
         labels = tuple(tuple(labs) for _, labs in variables)
@@ -201,25 +211,6 @@ class FiniteDistribution:
         return tuple(len(self._labels[self._axis_of(n)]) for n in names)
 
     @classmethod
-    def from_codes(
-        cls,
-        variables: Sequence[tuple[str, Sequence[Hashable]]],
-        codes: Sequence,
-        weights,
-    ) -> "FiniteDistribution":
-        """Build from one integer label-index array per variable.
-
-        Entry k puts ``weights[k]`` on the cell whose index along each
-        variable is ``codes[i][k]``.  Repeated cells accumulate in entry
-        order; cells whose total is zero are dropped.  Alphabets whose
-        product does not fit int64 and a support of more than
-        :data:`TABLE_CELL_CAP` cells raise :class:`ConfigError`.
-        """
-        table = cls.__new__(cls)
-        table._build(variables, codes, weights)
-        return table
-
-    @classmethod
     def from_entries(
         cls,
         variables: Sequence[tuple[str, Sequence[Hashable]]],
@@ -228,7 +219,7 @@ class FiniteDistribution:
         """Build from sparse ``(assignment, probability)`` pairs.
 
         Assignments list one label per variable, in variable order; the
-        labels are mapped to indices and passed to :meth:`from_codes`, so
+        labels are mapped to indices and passed to the constructor, so
         unlisted cells are zero and repeated assignments accumulate.
         """
         lookup = [{lab: j for j, lab in enumerate(labs)} for _, labs in variables]
@@ -242,7 +233,7 @@ class FiniteDistribution:
             raise ConfigError(f"an assignment uses the unknown label {exc.args[0]!r}") from None
         weights = [p for _, p in entries]
         codes = np.array(codes, dtype=np.intp).reshape(len(lookup), len(weights))
-        return cls.from_codes(variables, codes, weights)
+        return cls(variables, codes, weights)
 
     def entries(self):
         """Iterate ``(assignment_tuple, weight)`` over the nonzero cells in
@@ -297,12 +288,9 @@ class FiniteDistribution:
     # information measures (bits)
     # ------------------------------------------------------------------
 
-    def entropy(self, variables: Optional[Iterable[str]] = None) -> InfoBits:
-        """Shannon entropy H of the marginal on ``variables`` (default: all)."""
-        if variables is None:
-            p = self._weights
-        else:
-            _, p, _ = self._joint(tuple(variables))
+    def entropy(self, variables: Iterable[str]) -> InfoBits:
+        """Shannon entropy H of the marginal on ``variables``."""
+        _, p, _ = self._joint(tuple(variables))
         return float(0.0 - (p * np.log2(p)).sum())  # +0.0, not -0.0, for a point mass
 
     def mutual_information(

@@ -131,7 +131,7 @@ def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
     ]
     responses = (model.alice[x, mu, sent], model.bob[y, mu, sent], x, y, mu, m)
     cs = ExactCSModel(
-        table=FiniteDistribution.from_codes(variables, responses, w[x, y, mu]),
+        table=FiniteDistribution(variables, responses, w[x, y, mu]),
         hidden_vars=("mu", "m"),
         certificate=(
             "deterministic communication replay: lambda = (mu, m) fixes "

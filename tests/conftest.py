@@ -1,6 +1,7 @@
 """Shared helpers: a subprocess CLI runner, spread sphere points, a small
-valid model file, the oracles for reproduced conditional tables and the
-dense-table oracles for the information measures and the verifier."""
+valid model file, tables built from dense arrays, the oracles for
+reproduced conditional tables and the dense-table oracles for the
+information measures and the verifier."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 
 from bellmi.analysis import cell_conditional
 from bellmi.models import ConditionalTable
+from bellmi.table import FiniteDistribution
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -69,6 +71,16 @@ def exact_conditional(model) -> ConditionalTable:
     probs = cell_conditional(model.table.marginal(("x", "y", "a", "b")))
     assert not np.isnan(probs).any(), "an input cell has zero mass"
     return ConditionalTable(probs)
+
+
+def dense_table(variables, w) -> FiniteDistribution:
+    """The table whose joint probabilities are the dense array ``w``, one
+    axis per variable in the order given: its nonzero cells become the
+    constructor's entries."""
+    w = np.asarray(w, dtype=np.float64)
+    assert w.shape == tuple(len(labels) for _, labels in variables)
+    cells = np.flatnonzero(w)
+    return FiniteDistribution(variables, np.unravel_index(cells, w.shape), w.ravel()[cells])
 
 
 def dense_weights(table) -> np.ndarray:

@@ -487,8 +487,8 @@ FOUR_BY_FOUR = {
 }
 
 # case -> (argv, payload); the payload, if any, is written to input.json in
-# the working directory of the run, as it stands if it is a string and
-# through json.dumps otherwise.
+# the working directory of the run, as it stands if it is a string or bytes
+# and through json.dumps otherwise.
 BAD_INPUTS = {
     "nan-settings": (
         SIMULATE + ["--settings-file", "input.json"],
@@ -684,6 +684,23 @@ BAD_INPUTS = {
         SIMULATE + ["--settings-file", "input.json"],
         '{"alice_settings": ' + _nested(100_000) + ', "bob_settings": [[0.0, 0.0, 1.0]]}',
     ),
+    # json.dumps refuses an integer this long, and json.loads raises a
+    # ValueError that is not a JSONDecodeError
+    "p-xy-huge-integer": (
+        SIMULATE + ["--input-dist-file", "input.json"],
+        '{"p_xy": [[' + "1" * 5000 + ', 0], [0, 0]]}',
+    ),
+    # every file flag and verify's model file are read as UTF-8
+    "settings-not-utf8": (SIMULATE + ["--settings-file", "input.json"], b"\xff\xfe{}"),
+    "verify-not-utf8": (["verify", "input.json"], b"\xff\xfe{}"),
+    # no variables: no cell codes to build the table from
+    "model-no-variables": (
+        ["verify", "input.json"],
+        {"variables": [], "weights": [{"assignment": [], "p": 1.0}]},
+    ),
+    "mi-model-no-variables": (
+        MI_MODEL_FILE, {"variables": [], "weights": [{"assignment": [], "p": 1.0}]}
+    ),
     "model-label-nested-900": (["verify", "input.json"], DEEP_LABEL_MODEL),
     "witness-label-nested-400": (["verify", "input.json"], DEEP_WITNESS_MODEL),
     "broadcast-over-support-cap": (
@@ -726,8 +743,11 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     argv, payload = BAD_INPUTS[case]
     if payload is not None:
         # json.dumps writes NaN, which json.loads accepts
-        text = payload if isinstance(payload, str) else json.dumps(payload)
-        (tmp_path / "input.json").write_text(text)
+        if isinstance(payload, bytes):
+            (tmp_path / "input.json").write_bytes(payload)
+        else:
+            text = payload if isinstance(payload, str) else json.dumps(payload)
+            (tmp_path / "input.json").write_text(text)
     code, out, err = run_cli(argv, cwd=tmp_path)
     assert code == 2, err
     assert out == b""

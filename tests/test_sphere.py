@@ -78,12 +78,6 @@ def test_sample_uniform_sphere_statistics():
     assert np.mean(z**4) == pytest.approx(1 / 5, abs=0.005)
 
 
-def test_sample_uniform_sphere_single():
-    v = sample_uniform_sphere(RandomSource(1).generator())
-    assert v.shape == (3,)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_require_unit_rejects_non_unit():
     require_unit(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValidationError):

@@ -8,24 +8,25 @@ import pytest
 
 from bellmi.errors import ConfigError, ValidationError
 from bellmi.table import FiniteDistribution, binary_entropy
+from conftest import dense_table
 
 
 def random_table(gen, shape, names):
     w = gen.random(shape)
     w /= w.sum()
     variables = [(n, tuple(range(k))) for n, k in zip(names, shape)]
-    return FiniteDistribution(variables, w)
+    return dense_table(variables, w)
 
 
 def test_weights_must_normalize():
     with pytest.raises(ValidationError):
-        FiniteDistribution([("x", (0, 1))], np.array([0.6, 0.6]))
+        dense_table([("x", (0, 1))], np.array([0.6, 0.6]))
     with pytest.raises(ValidationError):
-        FiniteDistribution([("x", (0, 1))], np.array([1.2, -0.2]))
+        dense_table([("x", (0, 1))], np.array([1.2, -0.2]))
 
 
 def test_prob_and_marginal():
-    t = FiniteDistribution(
+    t = dense_table(
         [("x", (0, 1)), ("y", ("u", "v"))],
         np.array([[0.1, 0.2], [0.3, 0.4]]),
     )
@@ -44,7 +45,7 @@ def test_marginal_over_every_variable_is_the_dense_table():
     w = gen.random((2, 3, 4))
     w[0, 1, :] = 0.0  # absent cells come back as zeros
     w /= w.sum()
-    t = FiniteDistribution([(n, tuple(range(k))) for n, k in zip("abc", w.shape)], w)
+    t = dense_table([(n, tuple(range(k))) for n, k in zip("abc", w.shape)], w)
     for names in (t.variables, ("c", "a", "b")):
         m = t.marginal(names)
         # a fresh read-only array with its axes in the order asked
@@ -59,11 +60,11 @@ def test_marginal_over_every_variable_is_the_dense_table():
 
 def test_entropy_uniform_is_log2():
     for k in (2, 3, 8):
-        t = FiniteDistribution([("x", tuple(range(k)))], np.full(k, 1.0 / k))
-        assert t.entropy() == pytest.approx(math.log2(k), abs=1e-12)
+        t = dense_table([("x", tuple(range(k)))], np.full(k, 1.0 / k))
+        assert t.entropy(t.variables) == pytest.approx(math.log2(k), abs=1e-12)
     # zero cells contribute nothing
-    t = FiniteDistribution([("x", (0, 1, 2))], np.array([0.5, 0.5, 0.0]))
-    assert t.entropy() == pytest.approx(1.0, abs=1e-15)
+    t = dense_table([("x", (0, 1, 2))], np.array([0.5, 0.5, 0.0]))
+    assert t.entropy(t.variables) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_binary_entropy_values():
@@ -80,7 +81,7 @@ def test_binary_entropy_values():
 
 def test_mutual_information_exact_zero_for_dyadic_products():
     # dyadic weights re-marginalize bitwise, so the KL form returns 0.0
-    t = FiniteDistribution(
+    t = dense_table(
         [("x", (0, 1)), ("y", (0, 1))],
         np.outer([0.25, 0.75], [0.5, 0.5]),
     )
@@ -94,16 +95,14 @@ def test_mutual_information_near_zero_for_float_products():
         pa /= pa.sum()
         pb = gen.random(4)
         pb /= pb.sum()
-        t = FiniteDistribution(
-            [("x", (0, 1, 2)), ("y", (0, 1, 2, 3))], np.outer(pa, pb)
-        )
+        t = dense_table([("x", (0, 1, 2)), ("y", (0, 1, 2, 3))], np.outer(pa, pb))
         assert abs(t.mutual_information(("x",), ("y",))) <= 1e-12
 
 
 def test_mutual_information_of_copy_is_entropy():
     w = np.zeros((3, 3))
     np.fill_diagonal(w, [0.2, 0.3, 0.5])
-    t = FiniteDistribution([("x", (0, 1, 2)), ("y", (0, 1, 2))], w)
+    t = dense_table([("x", (0, 1, 2)), ("y", (0, 1, 2))], w)
     h = t.entropy(("x",))
     assert t.mutual_information(("x",), ("y",)) == pytest.approx(h, abs=1e-12)
 
@@ -154,12 +153,10 @@ def test_table_stores_only_its_support():
     assert not x.flags.writeable and w is t.weights
 
 
-def test_from_codes_accumulates_in_entry_order_and_drops_zeros():
+def test_constructor_accumulates_in_entry_order_and_drops_zeros():
     variables = [("x", ("u", "v", "w")), ("y", (0, 1))]
     p = [0.1, 0.2, 0.3, -0.3, 0.25, 0.45]
-    t = FiniteDistribution.from_codes(
-        variables, ([2, 0, 1, 1, 2, 2], [1, 1, 0, 0, 1, 0]), p
-    )
+    t = FiniteDistribution(variables, ([2, 0, 1, 1, 2, 2], [1, 1, 0, 0, 1, 0]), p)
     # x = w, y = 1 adds 0.1 then 0.25, as w[idx] += p would; (v, 0) sums to 0
     assert list(t.entries()) == [(("u", 1), 0.2), (("w", 0), 0.45), (("w", 1), 0.1 + 0.25)]
 
@@ -167,8 +164,8 @@ def test_from_codes_accumulates_in_entry_order_and_drops_zeros():
 def test_alphabets_must_fit_int64_codes():
     labels = tuple(range(10_000))
     with pytest.raises(ConfigError, match="int64"):  # 10**20 cells
-        FiniteDistribution.from_codes([(n, labels) for n in "vwxyz"], [[0]] * 5, [1.0])
-    t = FiniteDistribution.from_codes([(n, labels) for n in "xy"], ([5], [7]), [1.0])
+        FiniteDistribution([(n, labels) for n in "vwxyz"], [[0]] * 5, [1.0])
+    t = FiniteDistribution([(n, labels) for n in "xy"], ([5], [7]), [1.0])
     assert list(t.entries()) == [((5, 7), 1.0)]
     np.testing.assert_array_equal(np.flatnonzero(t.marginal(("y",))), [7])
     with pytest.raises(ConfigError, match="cap"):  # a dense 10**8-cell marginal
@@ -177,6 +174,11 @@ def test_alphabets_must_fit_int64_codes():
 
 def test_constructor_copies_the_callers_weights():
     w = np.array([0.25, 0.75])
-    t = FiniteDistribution([("x", (0, 1))], w)
+    t = FiniteDistribution([("x", (0, 1))], ([0, 1],), w)
     w[0] = 0.5
     assert t.weights[0] == 0.25 and not t.weights.flags.writeable
+
+
+def test_a_table_needs_a_variable():
+    with pytest.raises(ConfigError, match="at least one variable"):
+        FiniteDistribution([], (), [1.0])
