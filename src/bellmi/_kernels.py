@@ -1,13 +1,24 @@
 """Hot Monte Carlo kernels in numpy.
 
-Four element-wise outcome maps and integer tallies: the one-bit protocol's
-and the detection model's per-round outcomes, the finite-settings message
-agreement probabilities, and the per-cell outcome counts.  Every
-floating-point reduction over rounds lives in the callers, which reduce in
-a fixed chunk order, so results do not depend on the parallelism degree.
+Four outcome maps and integer tallies: the one-bit protocol's and the
+detection model's per-round outcomes, the finite-settings message agreement
+probabilities, and the per-cell outcome counts.  Every floating-point
+reduction over rounds lives in the callers, which reduce in a fixed chunk
+order, so results do not depend on the parallelism degree.
 
 Vector batches arrive column-major (see :mod:`bellmi.sphere`), so every
 component slice ``v[:, k]`` is one contiguous run.
+
+The per-round maps compute each dot product with the element formula
+``(s0*l0 + s1*l1) + s2*l2``, and an outcome is its sign, with sgn(0) = +1.
+:func:`agreement_probs` instead takes its dots from matrix products over
+tiles of rounds, whose summation order BLAS chooses.  For unit vectors (norms
+checked by :func:`bellmi.sphere.require_unit`) any evaluation order, with or
+without fused multiply-adds, errs by at most gamma_3 = 3u/(1 - 3u), about
+3.3e-16, so wherever the product's |d| is at least :data:`SIGN_MARGIN` its
+sign is the element formula's.  The few dots below the margin are computed
+again with the element formula, so every sign, tie breaks included, is the
+one the element formula gives.
 """
 
 from __future__ import annotations
@@ -51,22 +62,74 @@ def gg_outcomes(xs, ys, lam, u):
     return a, b, click_a
 
 
+# A dot product of magnitude at least SIGN_MARGIN has a certain sign: the
+# rounding error of a 3-term dot of unit vectors is below 3.4e-16.
+SIGN_MARGIN = 1e-12
+
+# agreement_probs works on tiles of at most TILE_CELLS (setting, round)
+# cells: all J settings by B = max(MIN_TILE_WIDTH, TILE_CELLS // J) rounds,
+# and above 128 settings, blocks of 128 settings by 256 rounds.  Each float
+# array of a tile then holds at most 256 KB, a tile's arrays together under
+# 1 MB, and memory does not grow with J.
+TILE_CELLS = 2**15
+MIN_TILE_WIDTH = 256
+
+
+def tile_shape(n_settings: int) -> tuple:
+    """(settings, rounds) per tile of :func:`agreement_probs`."""
+    rows = min(n_settings, TILE_CELLS // MIN_TILE_WIDTH)
+    return rows, TILE_CELLS // rows
+
+
 def agreement_probs(settings, p_x, l1, l2):
     """P(message = +1 | mu) for finite Alice settings.
 
-    For each hidden pair (l1, l2): sum of p_x[j] over settings j whose dots
-    with l1 and l2 share a sign.  Accumulation runs in j order; a different
-    summation order would change the low bits of the result and so the
+    For each hidden pair (l1, l2): the sum of p_x[j] over settings j whose
+    dots with l1 and l2 share a sign, sgn(0) = +1.  Rows of ``settings`` and
+    of ``l1`` and ``l2`` are unit vectors.
+
+    Each tile takes its dots with l1 and with l2 from one matrix product
+    each.  A sign is read from the product where |d| >= :data:`SIGN_MARGIN`;
+    the rest are recomputed with the element formula (see the module
+    docstring), so every sign is the element formula's.  Setting j adds
+    p_x[j] or 0.0, and the rows are added into p one at a time in setting
+    order j = 0, 1, ..., starting from 0.0.  That is the float that a loop
+    over the settings gives; a different summation order, such as a BLAS
+    product with p_x, would change the low bits of the result and so the
     bytes ``mutual-info --target tb-finite`` prints for a given seed.
     """
-    n = l1.shape[0]
-    p = np.zeros(n, dtype=np.float64)
-    for j in range(settings.shape[0]):
-        d1 = settings[j, 0] * l1[:, 0] + settings[j, 1] * l1[:, 1] + settings[j, 2] * l1[:, 2]
-        d2 = settings[j, 0] * l2[:, 0] + settings[j, 1] * l2[:, 1] + settings[j, 2] * l2[:, 2]
-        agree = (d1 >= 0.0) == (d2 >= 0.0)
-        p = p + np.where(agree, p_x[j], 0.0)
+    n_set, n = settings.shape[0], l1.shape[0]
+    rows, width = tile_shape(n_set)
+    p = np.empty(n, dtype=np.float64)
+    for a in range(0, n, width):
+        b = min(a + width, n)
+        acc = p[a:b]
+        acc.fill(0.0)
+        for j in range(0, n_set, rows):
+            s = settings[j:j + rows]
+            d1 = _signed_dots(s, l1[a:b])
+            d2 = _signed_dots(s, l2[a:b])
+            w = ((d1 >= 0.0) == (d2 >= 0.0)) * p_x[j:j + rows, None]
+            for row in w:
+                np.add(acc, row, out=acc)
     return p
+
+
+def _signed_dots(settings, l):
+    """``settings @ l.T``, whose every entry has the element formula's sign."""
+    d = settings @ l.T
+    mag = np.abs(d)
+    if not mag.min() >= SIGN_MARGIN:  # NaN dots take this branch too
+        _settle_ties(d, mag, settings, l)
+    return d
+
+
+def _settle_ties(d, mag, settings, l):
+    """Recompute with the element formula every dot of ``d`` whose ``mag``
+    is not certified above :data:`SIGN_MARGIN`."""
+    j, i = np.nonzero(~(mag >= SIGN_MARGIN))
+    s, v = settings[j], l[i]
+    d[j, i] = s[:, 0] * v[:, 0] + s[:, 1] * v[:, 1] + s[:, 2] * v[:, 2]
 
 
 def tally(x_idx, y_idx, a, b, n_a, n_b):

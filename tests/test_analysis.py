@@ -51,6 +51,7 @@ from conftest import (
     dense_mutual_information,
     dense_table,
     dense_weights,
+    fibonacci_sphere,
 )
 
 
@@ -533,11 +534,16 @@ def test_mi_finite_chsh_stays_below_one_bit():
     [
         lambda: mi_tb_montecarlo(1_000_000, RandomSource(74)),
         lambda: mi_finite_settings_tb(preset("chsh"), 1_000_000, RandomSource(75)),
+        lambda: mi_finite_settings_tb(
+            SettingsSpec.finite(fibonacci_sphere(64)[::2], fibonacci_sphere(64)[1::2]),
+            1_000_000, RandomSource(76),
+        ),
     ],
-    ids=["mi_tb_montecarlo", "mi_finite_settings_tb"],
+    ids=["mi_tb_montecarlo", "mi_finite_settings_tb", "mi_finite_settings_tb_32"],
 )
 def test_mi_montecarlo_memory_stays_one_chunk_deep(estimate):
-    # a million samples drawn at once hold two 24 MB vector arrays
+    # a million samples drawn at once hold two 24 MB vector arrays, and one
+    # (32, 65536) float array of setting dots holds 16 MB
     tracemalloc.start()
     try:
         estimate()

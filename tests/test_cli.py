@@ -424,6 +424,35 @@ def test_exact_transform_bytes_are_pinned(tmp_path, model, p_xy):
     assert got == PINNED_TRANSFORMS[model, p_xy]
 
 
+def _wide_spec_files(tmp_path):
+    """Seeded 32x32 settings file and a non-product, non-uniform p_xy file."""
+    gen = np.random.default_rng(1919)
+    alice, bob = gen.standard_normal((32, 3)), gen.standard_normal((32, 3))
+    alice /= np.sqrt((alice * alice).sum(axis=1))[:, None]
+    bob /= np.sqrt((bob * bob).sum(axis=1))[:, None]
+    w = np.exp(0.7 * gen.standard_normal((32, 32)))
+    (tmp_path / "settings.json").write_text(
+        json.dumps({"alice_settings": alice.tolist(), "bob_settings": bob.tolist()})
+    )
+    (tmp_path / "p_xy.json").write_text(json.dumps({"p_xy": (w / w.sum()).tolist()}))
+    return ["--settings-file", str(tmp_path / "settings.json"),
+            "--input-dist-file", str(tmp_path / "p_xy.json")]
+
+
+# sha256 of the stdout of ``mutual-info --target tb-finite`` on the wide spec
+# above, computed with the one-setting-at-a-time agreement loop (commit
+# 394b20a) before the tiled kernel replaced it.
+PINNED_TB_FINITE = "97f1a8585618d31b2356145ae11375044886ea9277841bd73049513f4b72be0e"
+
+
+def test_tb_finite_bytes_are_pinned(tmp_path):
+    argv = ["mutual-info", "--target", "tb-finite", "--samples", "200000", "--seed", "19"]
+    argv += _wide_spec_files(tmp_path)
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert hashlib.sha256(out).hexdigest() == PINNED_TB_FINITE
+
+
 SIMULATE = ["simulate", "--model", "tb", "--rounds", "100"]
 SIGNALING = str(resources.files("bellmi").joinpath("data/signaling_counterexample.json"))
 MI_MODEL_FILE = [
