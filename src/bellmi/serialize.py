@@ -15,14 +15,20 @@ Schemas:
   [{"assignment": [...], "p": ...}...]}`` plus the hidden-variable names.
 
 Tuples used as labels are written as JSON arrays and restored as tuples on
-load.  CSV output is a flat cell-per-row projection of the correlation
-table for spreadsheet use.
+load.  A model file is written and read a variable at a time: the writer
+renders each label once, joins each weight row from the texts its label
+indices pick and formats every weight with one ``%.17g`` format; the reader
+converts each declared label once and maps each variable's assignment
+values onto them as one column.  CSV output is a flat cell-per-row
+projection of the correlation table for spreadsheet use.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -42,9 +48,20 @@ def json_text(obj) -> str:
     return _render(obj) + "\n"
 
 
+class _Rendered:
+    """A part of a payload that is already JSON text; :func:`json_text`
+    writes it as it is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def _render(obj) -> str:
     # Concrete types only: a bool is not rendered as an int, and numpy
-    # values go through .tolist() in the last branch.
+    # values go through .tolist() in the last branch.  Pre-rendered text
+    # comes after the common types, which every payload is made of.
     kind = type(obj)
     if kind is int:
         return str(obj)
@@ -61,6 +78,8 @@ def _render(obj) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
+    if kind is _Rendered:
+        return obj.text
     if isinstance(obj, (np.ndarray, np.generic)):
         return _render(obj.tolist())
     raise ConfigError(f"cannot serialize object of type {kind.__name__}")
@@ -78,6 +97,22 @@ def parse_json(text: str):
 # Deepest array nesting of a model-file label; the package writes labels
 # at most two arrays deep.
 LABEL_DEPTH_CAP = 8
+
+
+# The types of a JSON number or string: a bool is neither.
+_SCALARS = frozenset((int, str, float))
+
+
+def _flat_labels(values: list):
+    """The labels of ``values`` when every one is a JSON number or string,
+    or every one an array of these, else None: one type check for the
+    whole list in place of a conversion per value."""
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return values
+    if kinds == {list} and set(map(type, chain.from_iterable(values))) <= _SCALARS:
+        return list(map(tuple, values))
+    return None
 
 
 def _as_label(value, depth: int = 0):
@@ -269,57 +304,84 @@ def load_correlation(text: str):
 # ----------------------------------------------------------------------
 
 def model_payload(model: ExactCSModel) -> dict:
-    """Payload for an exact correlated-settings model."""
+    """Payload for an exact correlated-settings model.
+
+    Each variable's labels are rendered once, and each weight row joins the
+    label texts its cell picks; the variables' label lists and the weight
+    rows are pre-rendered parts of the payload, so it is written with
+    :func:`json_text`.
+    """
     table = model.table
-    variables = [
-        {"name": name, "labels": list(table.labels(name))}
-        for name in table.variables
-    ]
-    weights = [
-        {"assignment": list(assignment), "p": p}
-        for assignment, p in table.entries()
-    ]
+    names = table.variables
+    texts = [[_render(lab) for lab in table.labels(name)] for name in names]
+    codes, w = table.support(names)
+    columns = [list(map(t.__getitem__, c.tolist())) for t, c in zip(texts, codes)]
+    # every weight is finite: the table's constructor checked its sum
+    row = '{"assignment": [' + ", ".join(["%s"] * len(names)) + '], "p": %.17g}'
+    rows = ", ".join([row] * w.size) % tuple(chain.from_iterable(zip(*columns, w.tolist())))
     return {
-        "variables": variables,
-        "weights": weights,
+        "variables": [
+            {"name": name, "labels": _Rendered("[" + ", ".join(t) + "]")}
+            for name, t in zip(names, texts)
+        ],
+        "weights": _Rendered("[" + rows + "]"),
         "hidden_variables": list(model.hidden_vars),
         "certificate": model.certificate,
     }
 
 
+def _assigned_labels(values: list, raw: list, labels: list) -> list:
+    """The labels of one variable's assignment values, given the variable's
+    declared labels ``raw`` as read and ``labels`` as converted.
+
+    Values that are all numbers and strings, or all arrays of these, are
+    the labels themselves, looked up by value later.  In any other column a
+    value maps to the declared label with the same ``repr``, or is converted
+    on its own, so ``1.0`` still matches a declared 1.
+    """
+    flat = _flat_labels(values)
+    if flat is not None:
+        return flat
+    known = dict(zip(map(repr, raw), labels))
+    return [known[k] if (k := repr(v)) in known else _as_label(v) for v in values]
+
+
 def load_model(text: str) -> ExactCSModel:
     """Parse an exact-model file back into an :class:`ExactCSModel`.
 
-    Its lists must be JSON arrays.  Each declared label is converted once;
-    an assignment entry with the same ``repr`` maps to it directly, and any
-    other is converted on its own, so ``1.0`` still matches a declared 1.
-    The certificate is a description only and is not read back (the
-    verifier derives the responses from the table); the loaded model
-    carries ``certificate=None``.
+    Its lists must be JSON arrays.  Each declared label is converted once,
+    and each variable's assignment values are mapped onto the labels as
+    one column (see :func:`_assigned_labels`).  The certificate is a
+    description only and is not read back (the verifier derives the
+    responses from the table); the loaded model carries
+    ``certificate=None``.
     """
     payload = parse_json(text)
     try:
-        variables, spelled = [], []  # spelled: repr of a label's JSON value -> label
+        variables, raws = [], []
         for v in _json_array(payload["variables"]):
             raw = _json_array(v["labels"])
-            labels = tuple(_as_label(lab) for lab in raw)
+            labels = _flat_labels(raw)
+            if labels is None:
+                labels = [_as_label(lab) for lab in raw]
             variables.append((_as_name(v["name"]), labels))
-            spelled.append(dict(zip(map(repr, raw), labels)))
+            raws.append(raw)
         rows = _json_array(payload["weights"])
         assignments = [_json_array(w["assignment"]) for w in rows]
-        probs = [float(_numeric(w["p"])) for w in rows]
+        # a float needs no check: float() returns it as it is
+        probs = [p if type(p := w["p"]) is float else float(_numeric(p)) for w in rows]
         if any(len(a) != len(variables) for a in assignments):
             raise ValueError(f"an assignment does not cover all {len(variables)} variables")
         columns = [
-            [known[k] if (k := repr(v)) in known else _as_label(v) for v in column]
-            for known, column in zip(spelled, zip(*assignments))
+            _assigned_labels(list(map(itemgetter(i), assignments)), raw, labels)
+            for i, (raw, (_, labels)) in enumerate(zip(raws, variables))
         ]
         hidden = payload.get("hidden_variables")
         if hidden is not None:
             hidden = tuple(_as_name(h) for h in _json_array(hidden))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"model file: bad structure ({exc})") from None
-    table = FiniteDistribution.from_entries(variables, zip(zip(*columns), probs))
+    table = FiniteDistribution.from_entries(variables, columns, probs)
     if hidden is None:
         hidden = tuple(n for n in table.variables if n not in ("a", "b", "x", "y"))
     return ExactCSModel(table=table, hidden_vars=hidden)

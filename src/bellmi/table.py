@@ -10,8 +10,8 @@ the product of the alphabet sizes.
 A table is built one way: the constructor takes one integer label-index
 array per variable and one weight per entry, which is how every exact model
 of the package comes out of its builder.  :meth:`FiniteDistribution.from_entries`
-maps labelled ``(assignment, probability)`` pairs, the form a model file
-holds, onto the same constructor.
+maps one label column per variable, the form a model file is read in, onto
+the same constructor.
 
 Conventions fixed for the whole package:
 
@@ -214,34 +214,28 @@ class FiniteDistribution:
     def from_entries(
         cls,
         variables: Sequence[tuple[str, Sequence[Hashable]]],
-        entries: Iterable[tuple[Sequence[Hashable], float]],
+        columns: Sequence[Sequence[Hashable]],
+        weights: Sequence[float],
     ) -> "FiniteDistribution":
-        """Build from sparse ``(assignment, probability)`` pairs.
+        """Build from labelled entries given a variable at a time.
 
-        Assignments list one label per variable, in variable order; the
+        ``columns`` holds one label sequence per variable, in variable
+        order, and ``weights`` one probability per entry: entry k puts
+        ``weights[k]`` on the cell whose labels are the columns' k-th.  The
         labels are mapped to indices and passed to the constructor, so
-        unlisted cells are zero and repeated assignments accumulate.
+        unlisted cells are zero and repeated cells accumulate.
         """
         lookup = [{lab: j for j, lab in enumerate(labs)} for _, labs in variables]
-        entries = list(entries)
-        if any(len(assignment) != len(lookup) for assignment, _ in entries):
-            raise ConfigError(f"an assignment does not cover all {len(lookup)} variables")
-        columns = zip(lookup, zip(*(assignment for assignment, _ in entries)))
+        if len(columns) != len(lookup) or any(len(c) != len(weights) for c in columns):
+            raise ConfigError(
+                f"need {len(weights)} labels for each of the {len(lookup)} variables"
+            )
         try:
-            codes = [[index[lab] for lab in column] for index, column in columns]
+            codes = [list(map(index.__getitem__, c)) for index, c in zip(lookup, columns)]
         except KeyError as exc:
             raise ConfigError(f"an assignment uses the unknown label {exc.args[0]!r}") from None
-        weights = [p for _, p in entries]
         codes = np.array(codes, dtype=np.intp).reshape(len(lookup), len(weights))
         return cls(variables, codes, weights)
-
-    def entries(self):
-        """Iterate ``(assignment_tuple, weight)`` over the nonzero cells in
-        row-major order."""
-        columns = [
-            [labs[j] for j in c.tolist()] for labs, c in zip(self._labels, self._codes)
-        ]
-        return zip(zip(*columns), self._weights.tolist())
 
     def __repr__(self):
         dims = ", ".join(f"{n}[{len(l)}]" for n, l in zip(self._names, self._labels))

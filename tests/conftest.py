@@ -1,7 +1,8 @@
 """Shared helpers: a subprocess CLI runner, spread sphere points, a small
 valid model file, tables built from dense arrays, the oracles for
-reproduced conditional tables and the dense-table oracles for the
-information measures and the verifier."""
+reproduced conditional tables, the dense-table oracles for the
+information measures and the verifier, and the entry-at-a-time model-file
+writer and reader."""
 
 import os
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
+from bellmi import serialize
 from bellmi.analysis import cell_conditional
-from bellmi.models import ConditionalTable
+from bellmi.errors import ConfigError
+from bellmi.models import ConditionalTable, ExactCSModel
 from bellmi.table import FiniteDistribution
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -71,6 +74,16 @@ def exact_conditional(model) -> ConditionalTable:
     probs = cell_conditional(model.table.marginal(("x", "y", "a", "b")))
     assert not np.isnan(probs).any(), "an input cell has zero mass"
     return ConditionalTable(probs)
+
+
+def table_entries(table) -> list:
+    """``(assignment, weight)`` over a table's present cells in row-major
+    order; an assignment lists one label per variable, in table order."""
+    indices, weights = table.support(table.variables)
+    columns = [
+        [table.labels(n)[j] for j in c.tolist()] for n, c in zip(table.variables, indices)
+    ]
+    return list(zip(zip(*columns), weights.tolist()))
 
 
 def dense_table(variables, w) -> FiniteDistribution:
@@ -167,3 +180,58 @@ LOCAL_MODEL = {
     ],
     "hidden_variables": ["lam"],
 }
+
+
+def oracle_model_payload(model) -> dict:
+    """A model file's payload built entry by entry, as plain lists: each
+    weight row lists its assignment's labels and its probability."""
+    table = model.table
+    return {
+        "variables": [
+            {"name": name, "labels": list(table.labels(name))} for name in table.variables
+        ],
+        "weights": [
+            {"assignment": list(assignment), "p": p} for assignment, p in table_entries(table)
+        ],
+        "hidden_variables": list(model.hidden_vars),
+        "certificate": model.certificate,
+    }
+
+
+def oracle_load_model(text: str) -> ExactCSModel:
+    """A model file read entry by entry: each assignment value maps to the
+    declared label with the same ``repr``, or is converted on its own, and
+    then to its label index through a per-variable dict."""
+    as_label, json_array, numeric = serialize._as_label, serialize._json_array, serialize._numeric
+    payload = serialize.parse_json(text)
+    try:
+        variables, spelled = [], []
+        for v in json_array(payload["variables"]):
+            raw = json_array(v["labels"])
+            labels = tuple(as_label(lab) for lab in raw)
+            variables.append((serialize._as_name(v["name"]), labels))
+            spelled.append(dict(zip(map(repr, raw), labels)))
+        rows = json_array(payload["weights"])
+        assignments = [json_array(w["assignment"]) for w in rows]
+        probs = [float(numeric(w["p"])) for w in rows]
+        if any(len(a) != len(variables) for a in assignments):
+            raise ValueError(f"an assignment does not cover all {len(variables)} variables")
+        columns = [
+            [known[k] if (k := repr(v)) in known else as_label(v) for v in column]
+            for known, column in zip(spelled, zip(*assignments))
+        ]
+        hidden = payload.get("hidden_variables")
+        if hidden is not None:
+            hidden = tuple(serialize._as_name(h) for h in json_array(hidden))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ConfigError(f"model file: bad structure ({exc})") from None
+    lookup = [{lab: j for j, lab in enumerate(labs)} for _, labs in variables]
+    try:
+        codes = [[index[lab] for lab in column] for index, column in zip(lookup, columns)]
+    except KeyError as exc:
+        raise ConfigError(f"an assignment uses the unknown label {exc.args[0]!r}") from None
+    codes = np.array(codes, dtype=np.intp).reshape(len(variables), len(probs))
+    table = FiniteDistribution(variables, codes, probs)
+    if hidden is None:
+        hidden = tuple(n for n in table.variables if n not in ("a", "b", "x", "y"))
+    return ExactCSModel(table=table, hidden_vars=hidden)

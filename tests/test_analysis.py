@@ -52,6 +52,7 @@ from conftest import (
     dense_table,
     dense_weights,
     fibonacci_sphere,
+    table_entries,
 )
 
 
@@ -367,8 +368,9 @@ def sparse_models(draw, n_hidden=st.integers(1, 2)):
     if dyadic:  # pad the total up to a power of two
         pad = 2 ** math.ceil(math.log2(total)) - total
         cells, raw, total = cells + [draw(st.sampled_from(pool))], raw + [pad], total + pad
-    entries = [(c, r / total) for c, r in zip(cells, raw)]
-    table = FiniteDistribution.from_entries(variables, entries)
+    table = FiniteDistribution.from_entries(
+        variables, list(zip(*cells)), [r / total for r in raw]
+    )
     hidden_vars = draw(st.permutations([name for name, _ in hidden]))
     return ExactCSModel(table=table, hidden_vars=tuple(hidden_vars)), dyadic
 
@@ -439,7 +441,7 @@ def test_exact_path_memory_follows_the_support():
 
 def test_signaling_example_is_a_valid_table():
     t = make_signaling_example().table
-    assert abs(sum(p for _, p in t.entries()) - 1.0) < 1e-12
+    assert abs(sum(p for _, p in table_entries(t)) - 1.0) < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from conftest import (
     exact_conditional,
     fibonacci_sphere,
     max_deviation,
+    table_entries,
 )
 
 
@@ -293,7 +294,7 @@ def test_brans_build_pins_settings_in_hidden_variable():
     # lambda determines the settings outright
     t = model.table
     assert t.variables == ("a", "b", "x", "y", "lam")
-    weights = dict(t.entries())
+    weights = dict(table_entries(t))
     for lam in t.labels("lam"):
         x, y, a, b = lam
         assert weights[a, b, x, y, lam] > 0.0

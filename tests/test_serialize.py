@@ -1,5 +1,6 @@
 """Deterministic JSON/CSV writers and their loaders."""
 
+import hashlib
 import json
 import math
 
@@ -15,6 +16,7 @@ from bellmi.analysis import (
 )
 from bellmi.errors import ConfigError, ValidationError
 from bellmi.models import (
+    ExactCSModel,
     SettingsSpec,
     TonerBaconModel,
     brans_build,
@@ -35,8 +37,16 @@ from bellmi.serialize import (
     sampler_payload,
 )
 from bellmi.sphere import RandomSource, vec_polar
+from bellmi.table import FiniteDistribution
 from bellmi.transforms import comm_to_cs
-from conftest import LOCAL_MODEL, fibonacci_sphere
+from conftest import (
+    LOCAL_MODEL,
+    fibonacci_sphere,
+    oracle_load_model,
+    oracle_model_payload,
+    table_entries,
+)
+from test_analysis import sparse_models
 
 
 def test_format_float_round_trips_float64():
@@ -155,8 +165,8 @@ def test_model_payload_round_trip_preserves_tuple_labels():
     assert back.table.variables == model.table.variables
     # tuple-valued hidden labels survive the array round trip
     assert back.table.labels("lam") == model.table.labels("lam")
-    got = dict(back.table.entries())
-    want = dict(model.table.entries())
+    got = dict(table_entries(back.table))
+    want = dict(table_entries(model.table))
     assert got.keys() == want.keys()
     for k in want:
         assert got[k] == want[k]  # %.17g round-trips exactly
@@ -173,7 +183,7 @@ def test_load_model_matches_assignment_labels_by_value():
     payload = json.loads(json.dumps(LOCAL_MODEL))
     payload["weights"][0]["assignment"] = [1.0, 1, 0, 0, 1.0]
     payload["weights"][1]["assignment"] = [-1.0, -1, 0.0, 0, -1]
-    assert list(load_model(json.dumps(payload)).table.entries()) == [
+    assert table_entries(load_model(json.dumps(payload)).table) == [
         ((1, 1, 0, 0, 1), 0.5), ((-1, -1, 0, 0, -1), 0.5),
     ]
     payload["weights"][1]["assignment"] = [-1, -1, 0, 0]
@@ -185,6 +195,92 @@ def test_load_model_matches_assignment_labels_by_value():
     payload["weights"][1]["assignment"] = [-1, -1, 0, 0, True]
     with pytest.raises(ConfigError, match="bad structure"):
         load_model(json.dumps(payload))
+
+
+def _lam_model(labels, entries) -> str:
+    """LOCAL_MODEL's file with the lam alphabet ``labels`` and the two
+    weight rows' lam entries ``entries``."""
+    payload = json.loads(json.dumps(LOCAL_MODEL))
+    payload["variables"][4]["labels"] = labels
+    for w, lam in zip(payload["weights"], entries):
+        w["assignment"][4] = lam
+    return json.dumps(payload)  # NaN is written as NaN, which json.loads reads
+
+
+def _nested(value, depth: int):
+    """``value`` inside ``depth`` arrays."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("labels, entries, want", [
+    ([[1, 0], [-1, 0]], [[1.0, 0], [-1, 0.0]], [(1, 0), (-1, 0)]),
+    ([0.0, 1], [-0.0, 1], [0.0, 1]),  # -0.0 == 0.0: the declared 0.0 comes back
+    ([NAN, 1], [NAN, 1], [NAN, 1]),  # NaN != NaN, yet the declared NaN matches
+    ([_nested(1, 8), 2], [_nested(1.0, 8), 2], [((((((((1,),),),),),),),), 2]),
+])
+def test_load_model_matches_assignment_values_to_declared_labels(labels, entries, want):
+    loaded = load_model(_lam_model(labels, entries))
+    assert repr(table_entries(loaded.table)) == repr(
+        [((1, 1, 0, 0, want[0]), 0.5), ((-1, -1, 0, 0, want[1]), 0.5)]
+    )
+
+
+@pytest.mark.parametrize("labels, entries", [
+    ([[1, 0], [-1, 0]], [[True, 0], [-1, 0]]),  # True == 1, but it is no JSON number
+    ([1, -1], [True, -1]),
+    ([_nested([1], 8), 2], [_nested([1], 8), 2]),  # 9 arrays deep, the innermost flat
+    ([_nested(1, 8), 2], [_nested([1], 8), 2]),
+])
+def test_load_model_refuses_assignment_values_that_are_no_labels(labels, entries):
+    with pytest.raises(ConfigError, match="bad structure"):
+        load_model(_lam_model(labels, entries))
+
+
+def test_model_file_bytes_are_pinned():
+    # a hand-built table, so no libm or BLAS result reaches the file
+    variables = [
+        ("a", (1, -1)),
+        ("b", (1, -7)),
+        ("x", (0, 2**63 + 5)),
+        ("y", (0.5, -0.0, 1e-300)),
+        ("lam", ('say "hi"', "back\\slash", "h\u00e9llo \u2713", ((1, -2), ("a", 0.5)))),
+    ]
+    codes = ([0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [0, 1, 2, 1], [0, 1, 2, 3])
+    table = FiniteDistribution(variables, codes, [0.1, 0.2, 0.3, 0.4])
+    model = ExactCSModel(table=table, hidden_vars=("lam",), certificate="pinned")
+    text = json_text(model_payload(model))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "643f14306a615f01d1639ffb2fdb7c9570351789cdd363402c637aaa0976c46c"
+    )
+    assert table_entries(load_model(text).table) == table_entries(table)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_models(), st.randoms(use_true_random=False))
+def test_model_files_match_the_entry_at_a_time_oracles(model_dyadic, rnd):
+    model, _ = model_dyadic
+    text = json_text(model_payload(model))
+    assert text == json_text(oracle_model_payload(model))
+    # the same file with its variables shuffled and some labels respelled
+    payload = parse_json(text)
+    perm = list(range(len(payload["variables"])))
+    rnd.shuffle(perm)
+    payload["variables"] = [payload["variables"][i] for i in perm]
+    for w in payload["weights"]:
+        w["assignment"] = [
+            float(v) if rnd.random() < 0.5 else v for v in (w["assignment"][i] for i in perm)
+        ]
+    for t in (text, json.dumps(payload)):
+        got, want = load_model(t), oracle_load_model(t)
+        assert got.table.variables == want.table.variables
+        assert got.hidden_vars == want.hidden_vars
+        assert got.table.weights.tobytes() == want.table.weights.tobytes()
+        assert repr(table_entries(got.table)) == repr(table_entries(want.table))
 
 
 def _label_nodes(value) -> int:
@@ -214,7 +310,7 @@ def test_load_model_converts_each_declared_label_once(monkeypatch):
     loaded = load_model(text)
     assert 0 < calls <= declared
     assert loaded.table.weights.tobytes() == cs.table.weights.tobytes()
-    assert list(loaded.table.entries()) == list(cs.table.entries())
+    assert table_entries(loaded.table) == table_entries(cs.table)
 
 
 SETTINGS_FILE = {

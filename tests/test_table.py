@@ -8,7 +8,7 @@ import pytest
 
 from bellmi.errors import ConfigError, ValidationError
 from bellmi.table import FiniteDistribution, binary_entropy
-from conftest import dense_table
+from conftest import dense_table, table_entries
 
 
 def random_table(gen, shape, names):
@@ -128,21 +128,25 @@ def test_conditional_mi_with_empty_conditioner_is_mi():
 
 
 def test_from_entries_round_trip():
-    entries = [((1, "v"), 0.5), ((1, "u"), 0.25), ((0, "v"), 0.25)]
-    t = FiniteDistribution.from_entries(
-        [("x", (0, 1)), ("y", ("u", "v"))], entries
-    )
+    # entries (1, v): 0.5, (1, u): 0.25 and (0, v): 0.25, a column per variable
+    variables = [("x", (0, 1)), ("y", ("u", "v"))]
+    t = FiniteDistribution.from_entries(variables, [(1, 1, 0), ("v", "u", "v")], [0.5, 0.25, 0.25])
     # nonzero cells only, in row-major order whatever the input order
-    assert list(t.entries()) == [((0, "v"), 0.25), ((1, "u"), 0.25), ((1, "v"), 0.5)]
+    assert table_entries(t) == [((0, "v"), 0.25), ((1, "u"), 0.25), ((1, "v"), 0.5)]
+    for columns in ([(1, 1, 0)], [(1, 1, 0), ("v", "u")]):
+        with pytest.raises(ConfigError, match="need 3 labels for each of the 2 variables"):
+            FiniteDistribution.from_entries(variables, columns, [0.5, 0.25, 0.25])
+    with pytest.raises(ConfigError, match="unknown label 'w'"):
+        FiniteDistribution.from_entries(variables, [(1, 1, 0), ("v", "w", "v")], [0.5, 0.25, 0.25])
 
 
 def test_table_stores_only_its_support():
     # 48 weights over 48**3 cells: memory follows the weights, not the cells
     variables = [(n, tuple(range(48))) for n in ("x", "y", "z")]
-    entries = [((i, i, i), 1.0 / 48) for i in range(48)]
+    columns, weights = [list(range(48))] * 3, [1.0 / 48] * 48
     tracemalloc.start()
     try:
-        t = FiniteDistribution.from_entries(variables, entries)
+        t = FiniteDistribution.from_entries(variables, columns, weights)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -158,7 +162,7 @@ def test_constructor_accumulates_in_entry_order_and_drops_zeros():
     p = [0.1, 0.2, 0.3, -0.3, 0.25, 0.45]
     t = FiniteDistribution(variables, ([2, 0, 1, 1, 2, 2], [1, 1, 0, 0, 1, 0]), p)
     # x = w, y = 1 adds 0.1 then 0.25, as w[idx] += p would; (v, 0) sums to 0
-    assert list(t.entries()) == [(("u", 1), 0.2), (("w", 0), 0.45), (("w", 1), 0.1 + 0.25)]
+    assert table_entries(t) == [(("u", 1), 0.2), (("w", 0), 0.45), (("w", 1), 0.1 + 0.25)]
 
 
 def test_alphabets_must_fit_int64_codes():
@@ -166,7 +170,7 @@ def test_alphabets_must_fit_int64_codes():
     with pytest.raises(ConfigError, match="int64"):  # 10**20 cells
         FiniteDistribution([(n, labels) for n in "vwxyz"], [[0]] * 5, [1.0])
     t = FiniteDistribution([(n, labels) for n in "xy"], ([5], [7]), [1.0])
-    assert list(t.entries()) == [((5, 7), 1.0)]
+    assert table_entries(t) == [((5, 7), 1.0)]
     np.testing.assert_array_equal(np.flatnonzero(t.marginal(("y",))), [7])
     with pytest.raises(ConfigError, match="cap"):  # a dense 10**8-cell marginal
         t.marginal(("x", "y"))

@@ -26,7 +26,7 @@ from bellmi.models import (
     pr_box_conditional,
     preset,
 )
-from bellmi.serialize import json_text, load_model, model_payload
+from bellmi.serialize import json_text, load_model, model_payload, parse_json
 from bellmi.sphere import RandomSource, vec_polar
 from bellmi.transforms import (
     TransformReport,
@@ -42,7 +42,7 @@ from bellmi.analysis import (
     mi_exact_finite,
     verify_bell_local,
 )
-from conftest import comm_conditional, exact_conditional, max_deviation
+from conftest import comm_conditional, exact_conditional, max_deviation, table_entries
 
 
 def test_report_rejects_negative_deviations():
@@ -130,7 +130,7 @@ def test_built_models_are_local_after_a_file_round_trip(target):
     ]
     for cs in built:
         loaded = load_model(json_text(model_payload(cs)))
-        assert list(loaded.table.entries()) == list(cs.table.entries())
+        assert table_entries(loaded.table) == table_entries(cs.table)
         assert verify_bell_local(loaded).max_deviation == 0.0
 
 
@@ -145,7 +145,7 @@ def test_model_files_read_by_name_in_any_variable_order(target, rnd):
         comm_to_cs(input_broadcast_build(corr, spec), spec)[0],
     ]
     for cs in built:
-        payload = model_payload(cs)
+        payload = parse_json(json_text(model_payload(cs)))
         perm = list(range(len(payload["variables"])))
         rnd.shuffle(perm)
         payload["variables"] = [payload["variables"][i] for i in perm]
@@ -229,7 +229,7 @@ def test_comm_to_cs_chain_identity_on_random_protocols(case):
         a, b = OUTCOME_LABELS[model.alice[x, mu, k]], OUTCOME_LABELS[model.bob[y, mu, k]]
         want[a, b, x, y, model.mu_labels[mu], m] = spec.p_xy[x, y] * model.mu_weights[mu]
     assert t.labels("m") == tuple(sent)
-    assert dict(t.entries()) == want
+    assert dict(table_entries(t)) == want
 
 
 def test_finite_comm_model_rejects_bad_response_arrays():
