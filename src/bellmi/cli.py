@@ -155,7 +155,8 @@ def cmd_mutual_info(args) -> int:
         vars_a = "x,y" if args.vars_a is None else args.vars_a
         a_vars = tuple(v for v in vars_a.split(",") if v)
         b_vars = (
-            tuple(v for v in args.vars_b.split(",") if v) if args.vars_b else None
+            model.hidden_vars if args.vars_b is None
+            else tuple(v for v in args.vars_b.split(",") if v)
         )
         est = analysis.mi_exact_finite(model, a_vars, b_vars)
         bound = None
@@ -166,7 +167,7 @@ def cmd_mutual_info(args) -> int:
             target=target,
             bound=bound,
             vars_a=list(a_vars),
-            vars_b=list(b_vars) if b_vars else list(model.hidden_vars),
+            vars_b=list(b_vars),
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown target {target!r}")

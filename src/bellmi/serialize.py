@@ -17,17 +17,20 @@ Schemas:
 Tuples used as labels are written as JSON arrays and restored as tuples on
 load.  A model file is written and read a variable at a time: the writer
 renders each label once, joins each weight row from the texts its label
-indices pick and formats every weight with one ``%.17g`` format; the reader
-converts each declared label once and maps each variable's assignment
-values onto them as one column.  CSV output is a flat cell-per-row
-projection of the correlation table for spreadsheet use.
+indices pick and formats every weight with one ``%.17g`` format.  Every
+label and number a reader takes from a file is checked and converted by
+one walker, :func:`_json_values`, a nesting level at a time: the reader
+walks each variable's declared labels and its assignment values as two
+columns and matches the values to the labels by equality.  CSV output is
+a flat cell-per-row projection of the correlation table for spreadsheet
+use.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -94,42 +97,43 @@ def parse_json(text: str):
         raise ConfigError("invalid JSON: nested too deeply") from None
 
 
-# Deepest array nesting of a model-file label; the package writes labels
-# at most two arrays deep.
-LABEL_DEPTH_CAP = 8
+# Deepest array nesting of a JSON value the readers convert; the package
+# writes model labels at most two arrays deep.
+DEPTH_CAP = 8
+
+# The leaf types of a model label and of a numeric field: a bool is neither.
+_LABELS = frozenset((int, str, float))
+_NUMBERS = frozenset((int, float))
 
 
-# The types of a JSON number or string: a bool is neither.
-_SCALARS = frozenset((int, str, float))
+def _json_values(values: list, leaves: frozenset, depth: int = 0) -> list:
+    """``values`` with every JSON array turned into a tuple, so labels hash.
 
-
-def _flat_labels(values: list):
-    """The labels of ``values`` when every one is a JSON number or string,
-    or every one an array of these, else None: one type check for the
-    whole list in place of a conversion per value."""
-    kinds = set(map(type, values))
-    if kinds <= _SCALARS:
-        return values
-    if kinds == {list} and set(map(type, chain.from_iterable(values))) <= _SCALARS:
-        return list(map(tuple, values))
-    return None
-
-
-def _as_label(value, depth: int = 0):
-    """JSON arrays become tuples so labels hash again after a round trip.
-
-    Labels are strings, numbers or arrays of these, nested at most
-    :data:`LABEL_DEPTH_CAP` arrays deep; anything else raises
-    :class:`ValueError`.
+    Each value is a leaf (its type in ``leaves``) or an array of values,
+    nested at most :data:`DEPTH_CAP` arrays deep.  The check runs a nesting
+    level at a time: one type check per level, and the arrays of a level
+    are converted together by one call on their concatenated items.
+    Anything else raises :class:`ValueError`.
     """
-    kind = type(value)
-    if kind is list:
-        if depth == LABEL_DEPTH_CAP:
-            raise ValueError(f"label nested more than {LABEL_DEPTH_CAP} arrays deep")
-        return tuple([_as_label(v, depth + 1) for v in value])
-    if kind is int or kind is str or kind is float:  # not bool, null or an object
-        return value
-    raise ValueError(f"label {value!r} is not a string, number or array of these")
+    kinds = set(map(type, values))
+    if kinds <= leaves:
+        return values
+    if not kinds <= leaves | {list}:
+        allowed = ", ".join(sorted(k.__name__ for k in leaves))
+        bad = ", ".join(sorted(k.__name__ for k in kinds - leaves - {list}))
+        raise ValueError(f"expected {allowed} or an array of these, got {bad}")
+    if depth == DEPTH_CAP:
+        raise ValueError(f"value nested more than {DEPTH_CAP} arrays deep")
+    arrays = values if kinds == {list} else [v for v in values if type(v) is list]
+    items = list(chain.from_iterable(arrays))
+    inner = _json_values(items, leaves, depth + 1)
+    if inner is items:  # a level of leaves: each array's items as they are
+        tuples = map(tuple, arrays)
+    else:
+        tuples = map(tuple, map(islice, repeat(iter(inner)), map(len, arrays)))
+    if arrays is values:
+        return list(tuples)
+    return [next(tuples) if type(v) is list else v for v in values]
 
 
 def _as_name(value) -> str:
@@ -146,19 +150,9 @@ def _json_array(value) -> list:
     return value
 
 
-def _numeric(value):
-    """Return ``value`` if every leaf of its nested lists is an int or float.
-
-    ``float()`` and ``np.asarray`` also read true, false and "1" as numbers;
-    here they raise :class:`TypeError`."""
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, list):
-            stack.extend(v)
-        elif type(v) not in (int, float):
-            raise TypeError(f"{v!r} is not a JSON number")
-    return value
+def _numbers(value) -> np.ndarray:
+    """``value``, a JSON number or nested arrays of numbers, as float64."""
+    return np.asarray(_json_values([value], _NUMBERS)[0], dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -242,11 +236,11 @@ def correlation_csv(payload: dict) -> str:
 
 def _settings_from_payload(payload: dict, *, where: str) -> SettingsSpec:
     try:
-        alice = np.asarray(_numeric(payload["alice_settings"]), dtype=np.float64)
-        bob = np.asarray(_numeric(payload["bob_settings"]), dtype=np.float64)
+        alice = _numbers(payload["alice_settings"])
+        bob = _numbers(payload["bob_settings"])
         p_xy = payload.get("p_xy")
         if p_xy is not None:
-            p_xy = np.asarray(_numeric(p_xy), dtype=np.float64)
+            p_xy = _numbers(p_xy)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: bad or missing settings or p_xy ({exc})") from None
     return SettingsSpec.finite(alice, bob, p_xy)
@@ -261,7 +255,7 @@ def load_input_dist(text: str) -> np.ndarray:
     """Input-distribution file: {"p_xy": [[...]]}."""
     payload = parse_json(text)
     try:
-        return np.asarray(_numeric(payload["p_xy"]), dtype=np.float64)
+        return _numbers(payload["p_xy"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"input-dist file: bad or missing p_xy ({exc})") from None
 
@@ -291,7 +285,7 @@ def load_correlation(text: str):
             if (x, y) in seen:
                 raise ValueError("cell listed twice")
             seen.add((x, y))
-            probs[x, y] = _numeric([[cell["pp"], cell["pm"]], [cell["mp"], cell["mm"]]])
+            probs[x, y] = _numbers([[cell["pp"], cell["pm"]], [cell["mp"], cell["mm"]]])
         except (KeyError, TypeError, ValueError, OverflowError, IndexError) as exc:
             raise ConfigError(f"correlation file: bad cell {cell!r} ({exc})") from None
     if np.any(np.isnan(probs)):
@@ -330,56 +324,39 @@ def model_payload(model: ExactCSModel) -> dict:
     }
 
 
-def _assigned_labels(values: list, raw: list, labels: list) -> list:
-    """The labels of one variable's assignment values, given the variable's
-    declared labels ``raw`` as read and ``labels`` as converted.
-
-    Values that are all numbers and strings, or all arrays of these, are
-    the labels themselves, looked up by value later.  In any other column a
-    value maps to the declared label with the same ``repr``, or is converted
-    on its own, so ``1.0`` still matches a declared 1.
-    """
-    flat = _flat_labels(values)
-    if flat is not None:
-        return flat
-    known = dict(zip(map(repr, raw), labels))
-    return [known[k] if (k := repr(v)) in known else _as_label(v) for v in values]
-
-
 def load_model(text: str) -> ExactCSModel:
     """Parse an exact-model file back into an :class:`ExactCSModel`.
 
-    Its lists must be JSON arrays.  Each declared label is converted once,
-    and each variable's assignment values are mapped onto the labels as
-    one column (see :func:`_assigned_labels`).  The certificate is a
-    description only and is not read back (the verifier derives the
-    responses from the table); the loaded model carries
-    ``certificate=None``.
+    Its lists must be JSON arrays.  Each variable's declared labels, and
+    each variable's assignment values as one column, are checked and
+    converted by :func:`_json_values`; an assignment value then matches
+    the declared label equal to it, so ``1.0`` matches a declared ``1``.
+    The certificate is a description only and is not read back (the
+    verifier derives the responses from the table); the loaded model
+    carries ``certificate=None``.
     """
     payload = parse_json(text)
     try:
-        variables, raws = [], []
-        for v in _json_array(payload["variables"]):
-            raw = _json_array(v["labels"])
-            labels = _flat_labels(raw)
-            if labels is None:
-                labels = [_as_label(lab) for lab in raw]
-            variables.append((_as_name(v["name"]), labels))
-            raws.append(raw)
+        variables = [
+            (_as_name(v["name"]), _json_values(_json_array(v["labels"]), _LABELS))
+            for v in _json_array(payload["variables"])
+        ]
         rows = _json_array(payload["weights"])
         assignments = [_json_array(w["assignment"]) for w in rows]
-        # a float needs no check: float() returns it as it is
-        probs = [p if type(p := w["p"]) is float else float(_numeric(p)) for w in rows]
+        probs = [w["p"] for w in rows]
+        # fromiter takes scalars only: an array weight raises ValueError, and
+        # an integer past the float64 range OverflowError
+        probs = np.fromiter(_json_values(probs, _NUMBERS), dtype=np.float64, count=len(probs))
         if any(len(a) != len(variables) for a in assignments):
             raise ValueError(f"an assignment does not cover all {len(variables)} variables")
         columns = [
-            _assigned_labels(list(map(itemgetter(i), assignments)), raw, labels)
-            for i, (raw, (_, labels)) in enumerate(zip(raws, variables))
+            _json_values(list(map(itemgetter(i), assignments)), _LABELS)
+            for i in range(len(variables))
         ]
         hidden = payload.get("hidden_variables")
         if hidden is not None:
             hidden = tuple(_as_name(h) for h in _json_array(hidden))
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"model file: bad structure ({exc})") from None
     table = FiniteDistribution.from_entries(variables, columns, probs)
     if hidden is None:

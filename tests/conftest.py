@@ -198,11 +198,27 @@ def oracle_model_payload(model) -> dict:
     }
 
 
+def oracle_label(value, depth: int = 0):
+    """A model label converted on its own: JSON arrays become tuples, and
+    anything but a string, number or array of these, or an array nested
+    more than :data:`bellmi.serialize.DEPTH_CAP` deep, raises
+    :class:`ValueError`."""
+    kind = type(value)
+    if kind is list:
+        if depth == serialize.DEPTH_CAP:
+            raise ValueError(f"label nested more than {serialize.DEPTH_CAP} arrays deep")
+        return tuple([oracle_label(v, depth + 1) for v in value])
+    if kind is int or kind is str or kind is float:  # not bool, null or an object
+        return value
+    raise ValueError(f"label {value!r} is not a string, number or array of these")
+
+
 def oracle_load_model(text: str) -> ExactCSModel:
     """A model file read entry by entry: each assignment value maps to the
-    declared label with the same ``repr``, or is converted on its own, and
-    then to its label index through a per-variable dict."""
-    as_label, json_array, numeric = serialize._as_label, serialize._json_array, serialize._numeric
+    declared label with the same ``repr``, or is converted on its own by
+    :func:`oracle_label`, and then to its label index through a
+    per-variable dict."""
+    as_label, json_array = oracle_label, serialize._json_array
     payload = serialize.parse_json(text)
     try:
         variables, spelled = [], []
@@ -213,7 +229,10 @@ def oracle_load_model(text: str) -> ExactCSModel:
             spelled.append(dict(zip(map(repr, raw), labels)))
         rows = json_array(payload["weights"])
         assignments = [json_array(w["assignment"]) for w in rows]
-        probs = [float(numeric(w["p"])) for w in rows]
+        probs = [w["p"] for w in rows]
+        if not all(type(p) is int or type(p) is float for p in probs):
+            raise TypeError("a weight is not a JSON number")
+        probs = [float(p) for p in probs]
         if any(len(a) != len(variables) for a in assignments):
             raise ValueError(f"an assignment does not cover all {len(variables)} variables")
         columns = [

@@ -271,6 +271,25 @@ def test_verifier_passes_brans_and_fails_signaling():
     assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_verifier_passes_local_models_with_more_settings_than_hidden_values(mirrored):
+    # three settings on one side, one on the other, two lam values: a = +1
+    # iff x + lam is even, b = +1; the mirrored model swaps the sides
+    entries = [(1 - 2 * ((x + lam) % 2), 1, x, 0, lam) for x in range(3) for lam in range(2)]
+    sides = [("x", (0, 1, 2)), ("y", (0,))]
+    if mirrored:
+        entries = [(b, a, y, x, lam) for a, b, x, y, lam in entries]
+        sides = [("x", (0,)), ("y", (0, 1, 2))]
+    variables = [("a", (1, -1)), ("b", (1, -1)), *sides, ("lam", (0, 1))]
+    codes = [[labels.index(v) for v in column]
+             for (_, labels), column in zip(variables, zip(*entries))]
+    model = ExactCSModel(table=FiniteDistribution(variables, codes, [1 / 6] * 6),
+                         hidden_vars=("lam",))
+    report = verify_bell_local(model, tol=1e-12)
+    assert report.ok
+    assert report.max_deviation == 0.0
+
+
 def loop_factorization_deviation(model):
     """Reference: the factorization check cell by cell in Python.
 

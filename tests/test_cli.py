@@ -108,6 +108,7 @@ def test_mutual_info_targets(tmp_path):
     )
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(2.0, abs=1e-12)
+    assert b'"method": "exact", "uncertainty": 0, ' in out
 
 
 def test_mutual_info_model_file_required():
@@ -253,6 +254,14 @@ def test_verify_bundled_signaling_counterexample():
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["witness"] is not None
+
+
+def test_verify_tol_0_accepts_an_exactly_local_model(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(LOCAL_MODEL))
+    code, out, err = run_cli(["verify", str(path), "--tol", "0"])
+    assert code == 0, err
+    assert out == b'{"ok": true, "max_deviation": 0, "tol": 0, "witness": null}\n'
 
 
 @pytest.mark.parametrize("hidden", [[], None])
@@ -654,6 +663,10 @@ BAD_INPUTS = {
         SIMULATE + ["--input-dist-file", "input.json"],
         {"p_xy": [[0.25, 0.25], [0.25, "0.25"]]},
     ),
+    "input-dist-bool-p": (
+        SIMULATE + ["--input-dist-file", "input.json"],
+        {"p_xy": [[0.25, 0.25], [0.25, True]]},
+    ),
     "corr-bool-probs": (
         ["transform", "--model", "brans", "--corr-file", "input.json",
          "--out-file", "model.json"],
@@ -668,6 +681,7 @@ BAD_INPUTS = {
     # an empty side would report I = 0 under a label that names other variables
     "mi-empty-vars-a": (MI_MODEL_FILE + ["--vars-a", ""], LOCAL_MODEL),
     "mi-empty-vars-b": (MI_MODEL_FILE + ["--vars-b", ","], LOCAL_MODEL),
+    "mi-empty-string-vars-b": (MI_MODEL_FILE + ["--vars-b", ""], LOCAL_MODEL),
     "mi-overlapping-vars": (
         MI_MODEL_FILE + ["--vars-a", "x,y", "--vars-b", "x"], LOCAL_MODEL
     ),

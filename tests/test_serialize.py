@@ -222,6 +222,10 @@ NAN = float("nan")
     ([0.0, 1], [-0.0, 1], [0.0, 1]),  # -0.0 == 0.0: the declared 0.0 comes back
     ([NAN, 1], [NAN, 1], [NAN, 1]),  # NaN != NaN, yet the declared NaN matches
     ([_nested(1, 8), 2], [_nested(1.0, 8), 2], [((((((((1,),),),),),),),), 2]),
+    # labels two arrays deep, assigned with floats
+    ([[[1, 0], [2]], [[-1], []]], [[[1.0, 0], [2.0]], [[-1.0], []]],
+     [((1, 0), (2,)), ((-1,), ())]),
+    ([1, [1, 0]], [1.0, [1, 0.0]], [1, (1, 0)]),  # scalar and array labels in one variable
 ])
 def test_load_model_matches_assignment_values_to_declared_labels(labels, entries, want):
     loaded = load_model(_lam_model(labels, entries))
@@ -235,6 +239,8 @@ def test_load_model_matches_assignment_values_to_declared_labels(labels, entries
     ([1, -1], [True, -1]),
     ([_nested([1], 8), 2], [_nested([1], 8), 2]),  # 9 arrays deep, the innermost flat
     ([_nested(1, 8), 2], [_nested([1], 8), 2]),
+    ([_nested(1, 9), 2], [2, 2]),  # a declared label 9 arrays deep, never assigned
+    ([[[1], [2]], 2], [[[1], [True]], 2]),  # true two arrays deep
 ])
 def test_load_model_refuses_assignment_values_that_are_no_labels(labels, entries):
     with pytest.raises(ConfigError, match="bad structure"):
@@ -283,11 +289,6 @@ def test_model_files_match_the_entry_at_a_time_oracles(model_dyadic, rnd):
         assert repr(table_entries(got.table)) == repr(table_entries(want.table))
 
 
-def _label_nodes(value) -> int:
-    """Calls one label conversion makes: one per array and per leaf."""
-    return 1 + sum(map(_label_nodes, value)) if isinstance(value, list) else 1
-
-
 def test_load_model_converts_each_declared_label_once(monkeypatch):
     # the 3x3 singlet broadcast model: 4 096 mu labels of 12 outcomes each,
     # repeated across 36 864 assignments
@@ -295,20 +296,20 @@ def test_load_model_converts_each_declared_label_once(monkeypatch):
     spec = SettingsSpec.finite(settings[::2], settings[1::2])
     cs, _ = comm_to_cs(input_broadcast_build(exact_singlet_conditional(spec), spec), spec)
     text = json_text(model_payload(cs))
-    declared = sum(
-        _label_nodes(lab) for v in parse_json(text)["variables"] for lab in v["labels"]
-    )
     calls = 0
-    as_label = serialize._as_label
+    walk = serialize._json_values
 
-    def counting(value, depth=0):
+    def counting(values, leaves, depth=0):
         nonlocal calls
         calls += 1
-        return as_label(value, depth)
+        return walk(values, leaves, depth)
 
-    monkeypatch.setattr(serialize, "_as_label", counting)
+    monkeypatch.setattr(serialize, "_json_values", counting)
     loaded = load_model(text)
-    assert 0 < calls <= declared
+    # one call per nesting level of each declared label list and each
+    # assignment column (a, b, x, y flat, m one array deep, mu two), and
+    # one for the weights
+    assert calls == 2 * (4 * 1 + 2 + 3) + 1
     assert loaded.table.weights.tobytes() == cs.table.weights.tobytes()
     assert table_entries(loaded.table) == table_entries(cs.table)
 
