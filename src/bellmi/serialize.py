@@ -11,19 +11,22 @@ Schemas:
 - correlation table: ``{"alice_settings": [[x,y,z]...], "bob_settings":
   [[x,y,z]...], "p_xy": [[...]], "cells": [{"x", "y", "pp", "pm", "mp",
   "mm", "n", ...}...]}`` plus estimation extras per cell.
-- finite model: ``{"variables": [{"name", "labels"}...], "weights":
-  [{"assignment": [...], "p": ...}...]}`` plus the hidden-variable names.
+- finite model: ``{"variables": [{"name", "labels", "codes"}...], "weights":
+  [p...]}`` plus the hidden-variable names and a certificate description.
+  ``codes`` holds one label index per entry, and ``weights[k]`` is the
+  probability of the cell that entry k's codes pick, one code per variable;
+  the writer lists the table's support in row-major cell order.
 
 Tuples used as labels are written as JSON arrays and restored as tuples on
-load.  A model file is written and read a variable at a time: the writer
-renders each label once, joins each weight row from the texts its label
-indices pick and formats every weight with one ``%.17g`` format.  Every
-label and number a reader takes from a file is checked and converted by
-one walker, :func:`_json_values`, a nesting level at a time: the reader
-walks each variable's declared labels and its assignment values as two
-columns and matches the values to the labels by equality.  CSV output is
-a flat cell-per-row projection of the correlation table for spreadsheet
-use.
+load.  A model file is written and read a column at a time: the writer
+renders each label list, each code column and the weights once, formatting
+every weight with one ``%.17g`` format.  Every label and number a reader
+takes from a file is checked and converted by one walker,
+:func:`_json_values`, a nesting level at a time; the code columns are
+checked and converted by :meth:`FiniteDistribution.from_entries`.  A model
+file in the earlier row layout, one ``{"assignment", "p"}`` object per
+weight, is rejected; ``transform`` writes it again.  CSV output is a flat
+cell-per-row projection of the correlation table for spreadsheet use.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -264,7 +266,8 @@ def load_correlation(text: str):
     """Correlation-table file; returns (SettingsSpec, ConditionalTable).
 
     Every (x, y) cell must be present with its pp/pm/mp/mm conditional
-    probabilities, listed once, and indexed by JSON integers.
+    probabilities, listed once, and indexed by JSON integers.  An error
+    names a bad cell by its position in ``cells``, never by its content.
     """
     payload = parse_json(text)
     spec = _settings_from_payload(payload, where="correlation file")
@@ -272,8 +275,8 @@ def load_correlation(text: str):
     seen = set()
     cells = payload.get("cells", ())
     if not isinstance(cells, list):
-        raise ConfigError(f"correlation file: cells must be a list, got {cells!r}")
-    for cell in cells:
+        raise ConfigError(f"correlation file: cells must be a list, got {type(cells).__name__}")
+    for i, cell in enumerate(cells):
         try:
             x, y = cell["x"], cell["y"]
             if not all(type(v) is int for v in (x, y)):
@@ -287,7 +290,9 @@ def load_correlation(text: str):
             seen.add((x, y))
             probs[x, y] = _numbers([[cell["pp"], cell["pm"]], [cell["mp"], cell["mm"]]])
         except (KeyError, TypeError, ValueError, OverflowError, IndexError) as exc:
-            raise ConfigError(f"correlation file: bad cell {cell!r} ({exc})") from None
+            raise ConfigError(
+                f"correlation file: bad cell at position {i} ({type(exc).__name__}: {exc})"
+            ) from None
     if np.any(np.isnan(probs)):
         raise ConfigError("correlation file: some (x, y) cells are missing")
     return spec, ConditionalTable(probs)
@@ -300,25 +305,25 @@ def load_correlation(text: str):
 def model_payload(model: ExactCSModel) -> dict:
     """Payload for an exact correlated-settings model.
 
-    Each variable's labels are rendered once, and each weight row joins the
-    label texts its cell picks; the variables' label lists and the weight
-    rows are pre-rendered parts of the payload, so it is written with
-    :func:`json_text`.
+    Each variable's label list, each variable's code column and the weight
+    list are rendered once, as pre-rendered parts of the payload, so it is
+    written with :func:`json_text` without a string per weight.
     """
     table = model.table
     names = table.variables
-    texts = [[_render(lab) for lab in table.labels(name)] for name in names]
     codes, w = table.support(names)
-    columns = [list(map(t.__getitem__, c.tolist())) for t, c in zip(texts, codes)]
     # every weight is finite: the table's constructor checked its sum
-    row = '{"assignment": [' + ", ".join(["%s"] * len(names)) + '], "p": %.17g}'
-    rows = ", ".join([row] * w.size) % tuple(chain.from_iterable(zip(*columns, w.tolist())))
+    weights = ", ".join(["%.17g"] * w.size) % tuple(w.tolist())
     return {
         "variables": [
-            {"name": name, "labels": _Rendered("[" + ", ".join(t) + "]")}
-            for name, t in zip(names, texts)
+            {
+                "name": name,
+                "labels": _Rendered(_render(table.labels(name))),
+                "codes": _Rendered(str(c.tolist())),  # a list of ints prints as JSON
+            }
+            for name, c in zip(names, codes)
         ],
-        "weights": _Rendered("[" + rows + "]"),
+        "weights": _Rendered("[" + weights + "]"),
         "hidden_variables": list(model.hidden_vars),
         "certificate": model.certificate,
     }
@@ -327,32 +332,26 @@ def model_payload(model: ExactCSModel) -> dict:
 def load_model(text: str) -> ExactCSModel:
     """Parse an exact-model file back into an :class:`ExactCSModel`.
 
-    Its lists must be JSON arrays.  Each variable's declared labels, and
-    each variable's assignment values as one column, are checked and
-    converted by :func:`_json_values`; an assignment value then matches
-    the declared label equal to it, so ``1.0`` matches a declared ``1``.
-    The certificate is a description only and is not read back (the
-    verifier derives the responses from the table); the loaded model
-    carries ``certificate=None``.
+    Its lists must be JSON arrays.  Each variable's declared labels are
+    checked and converted by :func:`_json_values`, the weights as one
+    column of numbers, and the code columns by
+    :meth:`FiniteDistribution.from_entries`.  A file in the row layout,
+    whose variables carry no ``codes``, is a bad structure.  The
+    certificate is a description only and is not read back (the verifier
+    derives the responses from the table); the loaded model carries
+    ``certificate=None``.
     """
     payload = parse_json(text)
     try:
-        variables = [
-            (_as_name(v["name"]), _json_values(_json_array(v["labels"]), _LABELS))
-            for v in _json_array(payload["variables"])
-        ]
-        rows = _json_array(payload["weights"])
-        assignments = [_json_array(w["assignment"]) for w in rows]
-        probs = [w["p"] for w in rows]
+        variables, columns = [], []
+        for v in _json_array(payload["variables"]):
+            name = _as_name(v["name"])
+            variables.append((name, _json_values(_json_array(v["labels"]), _LABELS)))
+            columns.append(_json_array(v["codes"]))
+        probs = _json_array(payload["weights"])
         # fromiter takes scalars only: an array weight raises ValueError, and
         # an integer past the float64 range OverflowError
         probs = np.fromiter(_json_values(probs, _NUMBERS), dtype=np.float64, count=len(probs))
-        if any(len(a) != len(variables) for a in assignments):
-            raise ValueError(f"an assignment does not cover all {len(variables)} variables")
-        columns = [
-            _json_values(list(map(itemgetter(i), assignments)), _LABELS)
-            for i in range(len(variables))
-        ]
         hidden = payload.get("hidden_variables")
         if hidden is not None:
             hidden = tuple(_as_name(h) for h in _json_array(hidden))

@@ -10,8 +10,8 @@ the product of the alphabet sizes.
 A table is built one way: the constructor takes one integer label-index
 array per variable and one weight per entry, which is how every exact model
 of the package comes out of its builder.  :meth:`FiniteDistribution.from_entries`
-maps one label column per variable, the form a model file is read in, onto
-the same constructor.
+is the model-file reader's builder: it checks the file's code columns, one
+JSON integer list per variable, and passes them to the same constructor.
 
 Conventions fixed for the whole package:
 
@@ -214,27 +214,44 @@ class FiniteDistribution:
     def from_entries(
         cls,
         variables: Sequence[tuple[str, Sequence[Hashable]]],
-        columns: Sequence[Sequence[Hashable]],
+        columns: Sequence[list],
         weights: Sequence[float],
     ) -> "FiniteDistribution":
-        """Build from labelled entries given a variable at a time.
+        """Build from the code columns of a model file.
 
-        ``columns`` holds one label sequence per variable, in variable
-        order, and ``weights`` one probability per entry: entry k puts
-        ``weights[k]`` on the cell whose labels are the columns' k-th.  The
-        labels are mapped to indices and passed to the constructor, so
-        unlisted cells are zero and repeated cells accumulate.
+        ``columns`` holds one list of label indices per variable, in
+        variable order, as ``json.loads`` returns it, and ``weights`` one
+        probability per entry: entry k puts ``weights[k]`` on the cell whose
+        index along each variable is the column's k-th code.  Each column
+        must hold as many codes as there are weights, and only JSON
+        integers (no bools or floats) in ``[0, len(labels))``; anything else
+        raises :class:`ConfigError`.  Each column becomes an int64 array in
+        one conversion and the constructor builds the table, so unlisted
+        cells are zero and repeated cells accumulate in entry order.
         """
-        lookup = [{lab: j for j, lab in enumerate(labs)} for _, labs in variables]
-        if len(columns) != len(lookup) or any(len(c) != len(weights) for c in columns):
+        if len(columns) != len(variables):
             raise ConfigError(
-                f"need {len(weights)} labels for each of the {len(lookup)} variables"
+                f"need a code column for each of the {len(variables)} variables"
             )
-        try:
-            codes = [list(map(index.__getitem__, c)) for index, c in zip(lookup, columns)]
-        except KeyError as exc:
-            raise ConfigError(f"an assignment uses the unknown label {exc.args[0]!r}") from None
-        codes = np.array(codes, dtype=np.intp).reshape(len(lookup), len(weights))
+        codes = []
+        for (name, labels), column in zip(variables, columns):
+            if len(column) != len(weights):
+                raise ConfigError(
+                    f"variable {name!r} has {len(column)} codes for {len(weights)} weights"
+                )
+            kinds = set(map(type, column)) - {int}
+            if kinds:
+                got = ", ".join(sorted(k.__name__ for k in kinds))
+                raise ConfigError(f"codes of variable {name!r} must be integers, got {got}")
+            try:
+                c = np.array(column, dtype=np.int64)
+            except OverflowError:
+                raise ConfigError(f"a code of variable {name!r} is past the int64 range") from None
+            if c.size and not (c.min() >= 0 and c.max() < len(labels)):
+                raise ConfigError(
+                    f"codes of variable {name!r} must lie in [0, {len(labels)})"
+                )
+            codes.append(c)
         return cls(variables, codes, weights)
 
     def __repr__(self):

@@ -1,8 +1,9 @@
 """Shared helpers: a subprocess CLI runner, spread sphere points, a small
 valid model file, tables built from dense arrays, the oracles for
 reproduced conditional tables, the dense-table oracles for the
-information measures and the verifier, and the entry-at-a-time model-file
-writer and reader."""
+information measures and the verifier, the entry-at-a-time model-file
+writer, and the reader of the row layout that model files had before code
+columns."""
 
 import os
 import subprocess
@@ -169,33 +170,64 @@ def max_deviation(p: ConditionalTable, q: ConditionalTable) -> float:
 # model-file payload of a one-setting local model: lam = +-1 fixes a = b = lam
 LOCAL_MODEL = {
     "variables": [
-        {"name": "a", "labels": [1, -1]},
-        {"name": "b", "labels": [1, -1]},
-        {"name": "x", "labels": [0]},
-        {"name": "y", "labels": [0]},
-        {"name": "lam", "labels": [1, -1]},
+        {"name": "a", "labels": [1, -1], "codes": [0, 1]},
+        {"name": "b", "labels": [1, -1], "codes": [0, 1]},
+        {"name": "x", "labels": [0], "codes": [0, 0]},
+        {"name": "y", "labels": [0], "codes": [0, 0]},
+        {"name": "lam", "labels": [1, -1], "codes": [0, 1]},
     ],
-    "weights": [
-        {"assignment": [lam, lam, 0, 0, lam], "p": 0.5} for lam in (1, -1)
-    ],
+    "weights": [0.5, 0.5],
     "hidden_variables": ["lam"],
 }
 
 
 def oracle_model_payload(model) -> dict:
     """A model file's payload built entry by entry, as plain lists: each
-    weight row lists its assignment's labels and its probability."""
+    entry's code along a variable is the position of its label in that
+    variable's label list."""
     table = model.table
+    entries = table_entries(table)
+    variables = []
+    for i, name in enumerate(table.variables):
+        labels = table.labels(name)
+        codes = [labels.index(assignment[i]) for assignment, _ in entries]
+        variables.append({"name": name, "labels": list(labels), "codes": codes})
     return {
-        "variables": [
-            {"name": name, "labels": list(table.labels(name))} for name in table.variables
-        ],
-        "weights": [
-            {"assignment": list(assignment), "p": p} for assignment, p in table_entries(table)
-        ],
+        "variables": variables,
+        "weights": [p for _, p in entries],
         "hidden_variables": list(model.hidden_vars),
         "certificate": model.certificate,
     }
+
+
+def row_payload(payload: dict) -> dict:
+    """The parsed model file ``payload`` in the row layout, the one model
+    files had before code columns: each variable without its codes, and
+    one ``{"assignment": [label...], "p": weight}`` object per entry."""
+    variables = payload["variables"]
+    columns = [[v["labels"][k] for k in v["codes"]] for v in variables]
+    return {
+        **payload,
+        "variables": [{"name": v["name"], "labels": v["labels"]} for v in variables],
+        "weights": [
+            {"assignment": list(assignment), "p": p}
+            for assignment, p in zip(zip(*columns), payload["weights"])
+        ],
+    }
+
+
+def assert_same_table(got, want) -> None:
+    """``got`` and ``want`` hold the same variables, labels, support codes
+    and weight bits."""
+    assert got.variables == want.variables
+    assert repr([got.labels(n) for n in got.variables]) == repr(
+        [want.labels(n) for n in want.variables]
+    )
+    got_codes, got_w = got.support(got.variables)
+    want_codes, want_w = want.support(want.variables)
+    for g, w in zip(got_codes, want_codes):
+        np.testing.assert_array_equal(g, w)
+    assert got_w.tobytes() == want_w.tobytes()
 
 
 def oracle_label(value, depth: int = 0):
@@ -214,10 +246,10 @@ def oracle_label(value, depth: int = 0):
 
 
 def oracle_load_model(text: str) -> ExactCSModel:
-    """A model file read entry by entry: each assignment value maps to the
-    declared label with the same ``repr``, or is converted on its own by
-    :func:`oracle_label`, and then to its label index through a
-    per-variable dict."""
+    """A model file in the row layout (see :func:`row_payload`) read entry
+    by entry: each assignment value maps to the declared label with the
+    same ``repr``, or is converted on its own by :func:`oracle_label`, and
+    then to its label index through a per-variable dict."""
     as_label, json_array = oracle_label, serialize._json_array
     payload = serialize.parse_json(text)
     try:

@@ -387,9 +387,9 @@ def sparse_models(draw, n_hidden=st.integers(1, 2)):
     if dyadic:  # pad the total up to a power of two
         pad = 2 ** math.ceil(math.log2(total)) - total
         cells, raw, total = cells + [draw(st.sampled_from(pool))], raw + [pad], total + pad
-    table = FiniteDistribution.from_entries(
-        variables, list(zip(*cells)), [r / total for r in raw]
-    )
+    codes = [[labels.index(v) for v in column]
+             for (_, labels), column in zip(variables, zip(*cells))]
+    table = FiniteDistribution(variables, codes, [r / total for r in raw])
     hidden_vars = draw(st.permutations([name for name, _ in hidden]))
     return ExactCSModel(table=table, hidden_vars=tuple(hidden_vars)), dyadic
 

@@ -12,9 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellmi import cli
+from bellmi import cli, serialize
 from bellmi.analysis import CHUNK_ROUNDS
-from conftest import LOCAL_MODEL, fibonacci_sphere, run_cli
+from conftest import (
+    LOCAL_MODEL,
+    assert_same_table,
+    fibonacci_sphere,
+    oracle_load_model,
+    row_payload,
+    run_cli,
+)
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +258,11 @@ def test_verify_bundled_signaling_counterexample():
     path = resources.files("bellmi").joinpath("data/signaling_counterexample.json")
     code, out, _ = run_cli(["verify", str(path)])
     assert code == 1
-    payload = json.loads(out)
-    assert payload["ok"] is False
-    assert payload["witness"] is not None
+    # the bytes the file printed in the row layout, before code columns
+    assert out == (
+        b'{"ok": false, "max_deviation": 0.5, "tol": 1.0000000000000001e-09, '
+        b'"witness": {"a": 1, "b": 1, "x": 0, "y": 0, "lam": "free"}}\n'
+    )
 
 
 def test_verify_tol_0_accepts_an_exactly_local_model(tmp_path):
@@ -268,11 +277,15 @@ def test_verify_tol_0_accepts_an_exactly_local_model(tmp_path):
 def test_verify_model_without_hidden_variables(tmp_path, hidden):
     # two settings a side, uniform; "copy" has a copy y, which Alice cannot see
     def model(a_of_y):
+        xs, ys = [0, 0, 1, 1], [0, 1, 0, 1]
         return {
-            "variables": [{"name": n, "labels": labels} for n, labels in
-                          (("a", [1, -1]), ("b", [1, -1]), ("x", [0, 1]), ("y", [0, 1]))],
-            "weights": [{"assignment": [a_of_y(y), 1, x, y], "p": 0.25}
-                        for x in (0, 1) for y in (0, 1)],
+            "variables": [
+                {"name": n, "labels": labels, "codes": codes} for n, labels, codes in (
+                    ("a", [1, -1], [[1, -1].index(a_of_y(y)) for y in ys]),
+                    ("b", [1, -1], [0] * 4), ("x", [0, 1], xs), ("y", [0, 1], ys),
+                )
+            ],
+            "weights": [0.25] * 4,
             "hidden_variables": hidden,
         }
 
@@ -393,25 +406,25 @@ def test_exact_transforms_skip_zero_mass_cells(tmp_path, model, mi):
 # log2 is exact, so no libm or BLAS rounding reaches the pinned bytes.
 PINNED_TRANSFORMS = {
     ("input-broadcast", None): (
-        "89b9afc3f49d39cd504464de35f6f64185f23da7bb92f2f857140e4c1748545b",
+        "48bc35ab6202f6ce33afcc3f4ea4a9e34988c4ffdab65ee74b3fb511c3087641",
         "4340165f0fcd7eea6d5f6e353da336cf977937c0fe947b18d047ec0b779ad293",
     ),
     ("input-broadcast", ((0.5, 0.0), (0.25, 0.25))): (
-        "9160583a945d13520f2a747dd83bd61c8c6b155283368474e6ebe5ef99a6de28",
+        "adad36824db012a0628582a65dd0eb92ff05d707bf2f3c41bfe900172ce5ac2a",
         "4340165f0fcd7eea6d5f6e353da336cf977937c0fe947b18d047ec0b779ad293",
     ),
     # the only weight sits on x = 1, so the "m" alphabet holds the one message
     # sent, [1], and H(m) of that point mass is written as 0, not -0
     ("input-broadcast", ((0.0, 0.0), (0.5, 0.5))): (
-        "4c1b803435e8e1ab689b45d19bdcffd8b47ee74cd2dfb033305daff22b00efe8",
+        "17701ae91cd0c738e9739dfdbeb868239837d9258a01bfc49c9697dcd6ba801e",
         "6ce8429d9aa513bed52c0b6b5bfd641b6cd73f6c4e9ffe94b33d2c28cf0400d8",
     ),
     ("brans", None): (
-        "07b9e30d2d40cd35744d22e5720e64810afac12d322f3e73dbc1af972f6bd1f2",
+        "05394dc22383c4f9c3208abdb4b255ff22843baa4003d6b07035a61eb31686e0",
         "d182fcb912547f020f2a3da1dcad362189a721fe4dc49bd48b9b5d6ff50e240c",
     ),
     ("brans", ((0.5, 0.0), (0.25, 0.25))): (
-        "e402ccfcf61759ef96061414c321067f5d6a6def5eb73444180fadef4e0733e6",
+        "5e2dfa29d218a78a13dbeed0bc60ed62b3e0d2397b1762571ac9dcdcf3d26a8b",
         "52c91fe5d48ec89d631b09e8a372a13f8892b6200b69516ad71c3a16b8fdec28",
     ),
 }
@@ -426,11 +439,12 @@ def test_exact_transform_bytes_are_pinned(tmp_path, model, p_xy):
         argv += ["--input-dist-file", str(tmp_path / "p_xy.json")]
     code, out, err = run_cli(argv)
     assert code == 0, err
-    got = (
-        hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest(),
-        hashlib.sha256(out).hexdigest(),
-    )
+    text = (tmp_path / "model.json").read_text()
+    got = (hashlib.sha256(text.encode()).hexdigest(), hashlib.sha256(out).hexdigest())
     assert got == PINNED_TRANSFORMS[model, p_xy]
+    # the file holds the table that the row-layout oracle reads from its rows
+    oracle = oracle_load_model(json.dumps(row_payload(json.loads(text))))
+    assert_same_table(serialize.load_model(text).table, oracle.table)
 
 
 def _wide_spec_files(tmp_path):
@@ -476,22 +490,22 @@ ONE_CELL = {
 # support is small, but verify would check 2**36 (a, b, x, y, lam) cells
 WIDE_OUTCOME_MODEL = {
     "variables": [
-        {"name": "a", "labels": list(range(2**13))},
-        {"name": "b", "labels": list(range(2**13))},
-        {"name": "x", "labels": [0]},
-        {"name": "y", "labels": [0]},
-        {"name": "lam", "labels": list(range(2**10))},
+        {"name": "a", "labels": list(range(2**13)), "codes": list(range(2**10))},
+        {"name": "b", "labels": list(range(2**13)), "codes": list(range(2**10))},
+        {"name": "x", "labels": [0], "codes": [0] * 2**10},
+        {"name": "y", "labels": [0], "codes": [0] * 2**10},
+        {"name": "lam", "labels": list(range(2**10)), "codes": list(range(2**10))},
     ],
-    "weights": [{"assignment": [k, k, 0, 0, k], "p": 2.0**-10} for k in range(2**10)],
+    "weights": [2.0**-10] * 2**10,
     "hidden_variables": ["lam"],
 }
 # one weight, but 4 * 4000**8 cells: more than int64 cell codes can index
 HUGE_MODEL = {
     "variables": [
-        {"name": name, "labels": [1, -1] if name in "ab" else list(range(4000))}
+        {"name": name, "labels": [1, -1] if name in "ab" else list(range(4000)), "codes": [0]}
         for name in ("a", "b", "x", "y", "h1", "h2", "h3", "h4", "h5", "h6")
     ],
-    "weights": [{"assignment": [1, 1] + [0] * 8, "p": 1.0}],
+    "weights": [1.0],
 }
 
 
@@ -504,12 +518,13 @@ def _nested(depth: int) -> str:
 # one extra lam label, nested 900 arrays deep and given no weight
 DEEP_LABEL_MODEL = json.dumps({
     **LOCAL_MODEL,
-    "variables": LOCAL_MODEL["variables"][:4] + [{"name": "lam", "labels": [1, -1, "D"]}],
+    "variables": LOCAL_MODEL["variables"][:4]
+    + [{**LOCAL_MODEL["variables"][4], "labels": [1, -1, "D"]}],
 }).replace('"D"', _nested(900))
 # the hidden variable's name is an array nested 900 deep
 NESTED_NAME_MODEL = json.dumps({
     **LOCAL_MODEL,
-    "variables": LOCAL_MODEL["variables"][:4] + [{"name": "D", "labels": [1, -1]}],
+    "variables": LOCAL_MODEL["variables"][:4] + [{**LOCAL_MODEL["variables"][4], "name": "D"}],
     "hidden_variables": None,
 }).replace('"D"', _nested(900))
 # the verifier rejects this model and would write the 400-deep label as its witness
@@ -517,6 +532,17 @@ DEEP_WITNESS_MODEL = (
     resources.files("bellmi").joinpath("data/signaling_counterexample.json")
     .read_text(encoding="utf-8").replace('"free"', _nested(400))
 )
+# a correlation file whose first cell's x is an array nested 980 deep
+DEEP_CELL_CORR = json.dumps(ONE_CELL).replace('"x": 0', '"x": ' + _nested(980), 1)
+
+
+def _lam_codes(codes) -> dict:
+    """LOCAL_MODEL with the lam code column ``codes``."""
+    return {**LOCAL_MODEL,
+            "variables": LOCAL_MODEL["variables"][:4] + [{"name": "lam", "labels": [1, -1],
+                                                          "codes": codes}]}
+
+
 # alphabets of four settings a side, no two parallel: every x and (x, y) has
 # two outcomes, so the broadcast scripts number 2**4 * 2**16
 FOUR_BY_FOUR = {
@@ -636,18 +662,18 @@ BAD_INPUTS = {
     "model-hidden-not-list": (
         ["verify", "input.json"], {**LOCAL_MODEL, "hidden_variables": 5}
     ),
-    # a string would iterate as its characters: one label per character of
-    # an assignment, and one hidden name per letter
+    # a string would iterate as its characters: one code per character of
+    # an assignment column, and one hidden name per letter
     "model-string-assignment": (
         ["verify", "input.json"],
         {
             "variables": [
-                {"name": name, "labels": list(labels)}
-                for name, labels in
-                (("a", "+-"), ("b", "+-"), ("x", "0"), ("y", "0"), ("lam", "+-"))
+                {"name": name, "labels": list(labels), "codes": codes}
+                for name, labels, codes in
+                (("a", "+-", "01"), ("b", "+-", "01"), ("x", "0", "00"), ("y", "0", "00"),
+                 ("lam", "+-", "01"))
             ],
-            "weights": [{"assignment": "++00+", "p": 0.5},
-                        {"assignment": "--00-", "p": 0.5}],
+            "weights": [0.5, 0.5],
             "hidden_variables": ["lam"],
         },
     ),
@@ -675,8 +701,7 @@ BAD_INPUTS = {
     ),
     "model-string-weight": (
         ["verify", "input.json"],
-        {**LOCAL_MODEL,
-         "weights": [{**w, "p": "0.5"} for w in LOCAL_MODEL["weights"]]},
+        {**LOCAL_MODEL, "weights": ["0.5", "0.5"]},
     ),
     # an empty side would report I = 0 under a label that names other variables
     "mi-empty-vars-a": (MI_MODEL_FILE + ["--vars-a", ""], LOCAL_MODEL),
@@ -737,13 +762,8 @@ BAD_INPUTS = {
     "settings-not-utf8": (SIMULATE + ["--settings-file", "input.json"], b"\xff\xfe{}"),
     "verify-not-utf8": (["verify", "input.json"], b"\xff\xfe{}"),
     # no variables: no cell codes to build the table from
-    "model-no-variables": (
-        ["verify", "input.json"],
-        {"variables": [], "weights": [{"assignment": [], "p": 1.0}]},
-    ),
-    "mi-model-no-variables": (
-        MI_MODEL_FILE, {"variables": [], "weights": [{"assignment": [], "p": 1.0}]}
-    ),
+    "model-no-variables": (["verify", "input.json"], {"variables": [], "weights": [1.0]}),
+    "mi-model-no-variables": (MI_MODEL_FILE, {"variables": [], "weights": [1.0]}),
     "model-label-nested-900": (["verify", "input.json"], DEEP_LABEL_MODEL),
     "witness-label-nested-400": (["verify", "input.json"], DEEP_WITNESS_MODEL),
     "broadcast-over-support-cap": (
@@ -756,12 +776,13 @@ BAD_INPUTS = {
     "model-numeric-name": (
         ["verify", "input.json"],
         {**{k: v for k, v in LOCAL_MODEL.items() if k != "hidden_variables"},
-         "variables": LOCAL_MODEL["variables"][:4] + [{"name": 5, "labels": [1, -1]}]},
+         "variables": LOCAL_MODEL["variables"][:4] + [{**LOCAL_MODEL["variables"][4], "name": 5}]},
     ),
     "model-null-hidden-name": (
         ["verify", "input.json"],
         {**LOCAL_MODEL, "hidden_variables": [None],
-         "variables": LOCAL_MODEL["variables"][:4] + [{"name": "None", "labels": [1, -1]}]},
+         "variables": LOCAL_MODEL["variables"][:4]
+         + [{**LOCAL_MODEL["variables"][4], "name": "None"}]},
     ),
     "model-nested-name": (["verify", "input.json"], NESTED_NAME_MODEL),
     # an object label is unhashable, so it would reach the table as a TypeError
@@ -769,14 +790,35 @@ BAD_INPUTS = {
         ["verify", "input.json"],
         {
             "variables": [
-                {"name": "a", "labels": [{"k": 1}, -1]},
-                {"name": "b", "labels": [1, -1]},
-                {"name": "x", "labels": [0]},
-                {"name": "y", "labels": [0]},
-                {"name": "lam", "labels": [0]},
+                {"name": "a", "labels": [{"k": 1}, -1], "codes": [1]},
+                {"name": "b", "labels": [1, -1], "codes": [0]},
+                {"name": "x", "labels": [0], "codes": [0]},
+                {"name": "y", "labels": [0], "codes": [0]},
+                {"name": "lam", "labels": [0], "codes": [0]},
             ],
-            "weights": [{"assignment": [-1, 1, 0, 0, 0], "p": 1.0}],
+            "weights": [1.0],
         },
+    ),
+    # each code column holds one JSON integer per weight, inside its label
+    # range; numpy would turn true and 1.0 into the code 1
+    "model-bool-code": (["verify", "input.json"], _lam_codes([0, True])),
+    "model-float-code": (["verify", "input.json"], _lam_codes([0, 1.0])),
+    "model-negative-code": (["verify", "input.json"], _lam_codes([-1, 1])),
+    "model-code-at-label-count": (["verify", "input.json"], _lam_codes([0, 2])),
+    "model-code-past-int64": (["verify", "input.json"], _lam_codes([0, 2**64])),
+    "model-short-code-column": (["verify", "input.json"], _lam_codes([0])),
+    "model-missing-codes": (
+        ["verify", "input.json"],
+        {**LOCAL_MODEL,
+         "variables": LOCAL_MODEL["variables"][:4] + [{"name": "lam", "labels": [1, -1]}]},
+    ),
+    # the layout before code columns: regenerate such a file with transform
+    "model-row-layout": (["verify", "input.json"], row_payload(LOCAL_MODEL)),
+    # the error line names the cell's position, not its 2 000-character repr
+    "corr-cell-nested-980": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        DEEP_CELL_CORR,
     ),
 }
 
@@ -797,6 +839,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert len(lines[0]) < 200, err
 
 
 def test_config_errors_exit_2(tmp_path):

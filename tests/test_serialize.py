@@ -41,9 +41,11 @@ from bellmi.table import FiniteDistribution
 from bellmi.transforms import comm_to_cs
 from conftest import (
     LOCAL_MODEL,
+    assert_same_table,
     fibonacci_sphere,
     oracle_load_model,
     oracle_model_payload,
+    row_payload,
     table_entries,
 )
 from test_analysis import sparse_models
@@ -175,35 +177,37 @@ def test_model_payload_round_trip_preserves_tuple_labels():
 def test_load_model_rejects_bad_structure():
     with pytest.raises(ConfigError):
         load_model('{"variables": "x"}')
+    # a file in the row layout: its variables have no code columns
+    with pytest.raises(ConfigError, match=r"model file: bad structure \('codes'\)"):
+        load_model(json.dumps(row_payload(LOCAL_MODEL)))
 
 
-def test_load_model_matches_assignment_labels_by_value():
-    # 1.0 and -1.0 match the declared 1 and -1, as tuples built from the
-    # labels would; a short assignment is refused, not truncated
+def _with_lam_codes(codes) -> str:
+    """LOCAL_MODEL's file with the lam code column ``codes``."""
     payload = json.loads(json.dumps(LOCAL_MODEL))
-    payload["weights"][0]["assignment"] = [1.0, 1, 0, 0, 1.0]
-    payload["weights"][1]["assignment"] = [-1.0, -1, 0.0, 0, -1]
-    assert table_entries(load_model(json.dumps(payload)).table) == [
-        ((1, 1, 0, 0, 1), 0.5), ((-1, -1, 0, 0, -1), 0.5),
-    ]
-    payload["weights"][1]["assignment"] = [-1, -1, 0, 0]
-    with pytest.raises(ConfigError, match="does not cover all 5 variables"):
-        load_model(json.dumps(payload))
-    payload["weights"][1]["assignment"] = [-1, -1, 0, 0, 2]
-    with pytest.raises(ConfigError, match="unknown label"):
-        load_model(json.dumps(payload))
-    payload["weights"][1]["assignment"] = [-1, -1, 0, 0, True]
-    with pytest.raises(ConfigError, match="bad structure"):
-        load_model(json.dumps(payload))
+    payload["variables"][4]["codes"] = codes
+    return json.dumps(payload)
+
+
+def test_load_model_validates_code_columns():
+    # one code per weight in each column, each inside its label range
+    for codes, error in (
+        ([-1, 1], r"codes of variable 'lam' must lie in \[0, 2\)"),
+        ([0, 2], r"must lie in \[0, 2\)"),  # the label count
+        ([0, 2**63], "a code of variable 'lam' is past the int64 range"),
+        ([0], "variable 'lam' has 1 codes for 2 weights"),
+        ([0, 1, 1], "has 3 codes for 2 weights"),
+        ("01", "bad structure"),  # a string, not an array
+    ):
+        with pytest.raises(ConfigError, match=error):
+            load_model(_with_lam_codes(codes))
 
 
 def _lam_model(labels, entries) -> str:
     """LOCAL_MODEL's file with the lam alphabet ``labels`` and the two
-    weight rows' lam entries ``entries``."""
-    payload = json.loads(json.dumps(LOCAL_MODEL))
+    entries' lam codes ``entries``."""
+    payload = json.loads(_with_lam_codes(entries))
     payload["variables"][4]["labels"] = labels
-    for w, lam in zip(payload["weights"], entries):
-        w["assignment"][4] = lam
     return json.dumps(payload)  # NaN is written as NaN, which json.loads reads
 
 
@@ -217,15 +221,14 @@ def _nested(value, depth: int):
 NAN = float("nan")
 
 
+# an entry's assignment along lam is the declared label its code picks
 @pytest.mark.parametrize("labels, entries, want", [
-    ([[1, 0], [-1, 0]], [[1.0, 0], [-1, 0.0]], [(1, 0), (-1, 0)]),
-    ([0.0, 1], [-0.0, 1], [0.0, 1]),  # -0.0 == 0.0: the declared 0.0 comes back
-    ([NAN, 1], [NAN, 1], [NAN, 1]),  # NaN != NaN, yet the declared NaN matches
-    ([_nested(1, 8), 2], [_nested(1.0, 8), 2], [((((((((1,),),),),),),),), 2]),
-    # labels two arrays deep, assigned with floats
-    ([[[1, 0], [2]], [[-1], []]], [[[1.0, 0], [2.0]], [[-1.0], []]],
-     [((1, 0), (2,)), ((-1,), ())]),
-    ([1, [1, 0]], [1.0, [1, 0.0]], [1, (1, 0)]),  # scalar and array labels in one variable
+    ([[1, 0], [-1, 0]], [0, 1], [(1, 0), (-1, 0)]),
+    ([-0.0, 1], [0, 1], [-0.0, 1]),  # -0.0 == 0.0, yet the declared -0.0 comes back
+    ([NAN, 1], [0, 1], [NAN, 1]),  # NaN != NaN, yet the declared NaN comes back
+    ([_nested(1, 8), 2], [0, 1], [((((((((1,),),),),),),),), 2]),
+    ([[[1, 0], [2]], [[-1], []]], [0, 1], [((1, 0), (2,)), ((-1,), ())]),  # two arrays deep
+    ([1, [1, 0]], [1, 0], [(1, 0), 1]),  # scalar and array labels in one variable
 ])
 def test_load_model_matches_assignment_values_to_declared_labels(labels, entries, want):
     loaded = load_model(_lam_model(labels, entries))
@@ -235,15 +238,15 @@ def test_load_model_matches_assignment_values_to_declared_labels(labels, entries
 
 
 @pytest.mark.parametrize("labels, entries", [
-    ([[1, 0], [-1, 0]], [[True, 0], [-1, 0]]),  # True == 1, but it is no JSON number
-    ([1, -1], [True, -1]),
-    ([_nested([1], 8), 2], [_nested([1], 8), 2]),  # 9 arrays deep, the innermost flat
-    ([_nested(1, 8), 2], [_nested([1], 8), 2]),
-    ([_nested(1, 9), 2], [2, 2]),  # a declared label 9 arrays deep, never assigned
-    ([[[1], [2]], 2], [[[1], [True]], 2]),  # true two arrays deep
+    ([[1, 0], [-1, 0]], [True, 1]),  # True == 1, but it is no JSON integer
+    ([1, -1], [0.0, 1]),  # 0.0 == 0, but a code is an integer
+    ([_nested([1], 8), 2], [0, 1]),  # a declared label 9 arrays deep, the innermost flat
+    ([_nested(1, 8), 2], [[0], 1]),  # a code inside an array
+    ([_nested(1, 9), 2], [1, 1]),  # a declared label 9 arrays deep, never picked
+    ([[[1], [True]], 2], [0, 1]),  # true two arrays deep in a declared label
 ])
 def test_load_model_refuses_assignment_values_that_are_no_labels(labels, entries):
-    with pytest.raises(ConfigError, match="bad structure"):
+    with pytest.raises(ConfigError, match="bad structure|must be integers"):
         load_model(_lam_model(labels, entries))
 
 
@@ -261,9 +264,11 @@ def test_model_file_bytes_are_pinned():
     model = ExactCSModel(table=table, hidden_vars=("lam",), certificate="pinned")
     text = json_text(model_payload(model))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "643f14306a615f01d1639ffb2fdb7c9570351789cdd363402c637aaa0976c46c"
+        "4c61a8376f2088ec8574b87cd0142af6c988ec7d825932309a1a8dc967a163d0"
     )
-    assert table_entries(load_model(text).table) == table_entries(table)
+    loaded = load_model(text).table
+    assert table_entries(loaded) == table_entries(table)
+    assert_same_table(loaded, oracle_load_model(json.dumps(row_payload(json.loads(text)))).table)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -272,26 +277,22 @@ def test_model_files_match_the_entry_at_a_time_oracles(model_dyadic, rnd):
     model, _ = model_dyadic
     text = json_text(model_payload(model))
     assert text == json_text(oracle_model_payload(model))
-    # the same file with its variables shuffled and some labels respelled
+    # the file, and the file with its variables shuffled, read as columns
+    # by the package and in the row layout by the entry-at-a-time oracle
     payload = parse_json(text)
     perm = list(range(len(payload["variables"])))
     rnd.shuffle(perm)
-    payload["variables"] = [payload["variables"][i] for i in perm]
-    for w in payload["weights"]:
-        w["assignment"] = [
-            float(v) if rnd.random() < 0.5 else v for v in (w["assignment"][i] for i in perm)
-        ]
-    for t in (text, json.dumps(payload)):
-        got, want = load_model(t), oracle_load_model(t)
-        assert got.table.variables == want.table.variables
+    shuffled = {**payload, "variables": [payload["variables"][i] for i in perm]}
+    for p in (payload, shuffled):
+        got = load_model(json.dumps(p))
+        want = oracle_load_model(json.dumps(row_payload(p)))
         assert got.hidden_vars == want.hidden_vars
-        assert got.table.weights.tobytes() == want.table.weights.tobytes()
-        assert repr(table_entries(got.table)) == repr(table_entries(want.table))
+        assert_same_table(got.table, want.table)
 
 
 def test_load_model_converts_each_declared_label_once(monkeypatch):
     # the 3x3 singlet broadcast model: 4 096 mu labels of 12 outcomes each,
-    # repeated across 36 864 assignments
+    # picked by 36 864 entries
     settings = fibonacci_sphere(6)
     spec = SettingsSpec.finite(settings[::2], settings[1::2])
     cs, _ = comm_to_cs(input_broadcast_build(exact_singlet_conditional(spec), spec), spec)
@@ -306,10 +307,9 @@ def test_load_model_converts_each_declared_label_once(monkeypatch):
 
     monkeypatch.setattr(serialize, "_json_values", counting)
     loaded = load_model(text)
-    # one call per nesting level of each declared label list and each
-    # assignment column (a, b, x, y flat, m one array deep, mu two), and
-    # one for the weights
-    assert calls == 2 * (4 * 1 + 2 + 3) + 1
+    # one call per nesting level of each declared label list (a, b, x, y
+    # flat, m one array deep, mu two), and one for the weights
+    assert calls == 4 * 1 + 2 + 3 + 1
     assert loaded.table.weights.tobytes() == cs.table.weights.tobytes()
     assert table_entries(loaded.table) == table_entries(cs.table)
 
@@ -355,7 +355,7 @@ JSON_VALUES = st.recursive(
 @example((load_settings, ("p_xy",)), "abc")
 @example((load_correlation, ("cells",)), 5)
 @example((load_model, ("hidden_variables",)), 5)
-@example((load_model, ("weights", 0, "p")), 10**400)  # no float64 holds it
+@example((load_model, ("weights", 0)), 10**400)  # no float64 holds it
 def test_loaders_reject_any_malformed_field_with_a_package_error(field, value):
     loader, path = field
     payload = json.loads(json.dumps(VALID_FILES[loader]))  # deep copy

@@ -128,16 +128,22 @@ def test_conditional_mi_with_empty_conditioner_is_mi():
 
 
 def test_from_entries_round_trip():
-    # entries (1, v): 0.5, (1, u): 0.25 and (0, v): 0.25, a column per variable
+    # entries (1, v): 0.5, (1, u): 0.25 and (0, v): 0.125 twice, a code
+    # column per variable
     variables = [("x", (0, 1)), ("y", ("u", "v"))]
-    t = FiniteDistribution.from_entries(variables, [(1, 1, 0), ("v", "u", "v")], [0.5, 0.25, 0.25])
+    t = FiniteDistribution.from_entries(
+        variables, [[1, 1, 0, 0], [1, 0, 1, 1]], [0.5, 0.25, 0.125, 0.125]
+    )
     # nonzero cells only, in row-major order whatever the input order
     assert table_entries(t) == [((0, "v"), 0.25), ((1, "u"), 0.25), ((1, "v"), 0.5)]
-    for columns in ([(1, 1, 0)], [(1, 1, 0), ("v", "u")]):
-        with pytest.raises(ConfigError, match="need 3 labels for each of the 2 variables"):
-            FiniteDistribution.from_entries(variables, columns, [0.5, 0.25, 0.25])
-    with pytest.raises(ConfigError, match="unknown label 'w'"):
-        FiniteDistribution.from_entries(variables, [(1, 1, 0), ("v", "w", "v")], [0.5, 0.25, 0.25])
+    with pytest.raises(ConfigError, match="a code column for each of the 2 variables"):
+        FiniteDistribution.from_entries(variables, [[1, 1, 0]], [0.5, 0.25, 0.25])
+    with pytest.raises(ConfigError, match="variable 'y' has 2 codes for 3 weights"):
+        FiniteDistribution.from_entries(variables, [[1, 1, 0], [1, 0]], [0.5, 0.25, 0.25])
+    with pytest.raises(ConfigError, match=r"codes of variable 'y' must lie in \[0, 2\)"):
+        FiniteDistribution.from_entries(variables, [[1, 1, 0], [1, 2, 1]], [0.5, 0.25, 0.25])
+    with pytest.raises(ConfigError, match="codes of variable 'x' must be integers, got bool"):
+        FiniteDistribution.from_entries(variables, [[1, True, 0], [1, 0, 1]], [0.5, 0.25, 0.25])
 
 
 def test_table_stores_only_its_support():
