@@ -181,6 +181,12 @@ LOCAL_MODEL = {
 }
 
 
+def local_model_with_lam_codes(codes) -> dict:
+    """LOCAL_MODEL with the lam code column ``codes``."""
+    lam = {**LOCAL_MODEL["variables"][4], "codes": codes}
+    return {**LOCAL_MODEL, "variables": LOCAL_MODEL["variables"][:4] + [lam]}
+
+
 def oracle_model_payload(model) -> dict:
     """A model file's payload built entry by entry, as plain lists: each
     entry's code along a variable is the position of its label in that

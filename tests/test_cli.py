@@ -18,6 +18,7 @@ from conftest import (
     LOCAL_MODEL,
     assert_same_table,
     fibonacci_sphere,
+    local_model_with_lam_codes,
     oracle_load_model,
     row_payload,
     run_cli,
@@ -536,13 +537,6 @@ DEEP_WITNESS_MODEL = (
 DEEP_CELL_CORR = json.dumps(ONE_CELL).replace('"x": 0', '"x": ' + _nested(980), 1)
 
 
-def _lam_codes(codes) -> dict:
-    """LOCAL_MODEL with the lam code column ``codes``."""
-    return {**LOCAL_MODEL,
-            "variables": LOCAL_MODEL["variables"][:4] + [{"name": "lam", "labels": [1, -1],
-                                                          "codes": codes}]}
-
-
 # alphabets of four settings a side, no two parallel: every x and (x, y) has
 # two outcomes, so the broadcast scripts number 2**4 * 2**16
 FOUR_BY_FOUR = {
@@ -801,12 +795,12 @@ BAD_INPUTS = {
     ),
     # each code column holds one JSON integer per weight, inside its label
     # range; numpy would turn true and 1.0 into the code 1
-    "model-bool-code": (["verify", "input.json"], _lam_codes([0, True])),
-    "model-float-code": (["verify", "input.json"], _lam_codes([0, 1.0])),
-    "model-negative-code": (["verify", "input.json"], _lam_codes([-1, 1])),
-    "model-code-at-label-count": (["verify", "input.json"], _lam_codes([0, 2])),
-    "model-code-past-int64": (["verify", "input.json"], _lam_codes([0, 2**64])),
-    "model-short-code-column": (["verify", "input.json"], _lam_codes([0])),
+    "model-bool-code": (["verify", "input.json"], local_model_with_lam_codes([0, True])),
+    "model-float-code": (["verify", "input.json"], local_model_with_lam_codes([0, 1.0])),
+    "model-negative-code": (["verify", "input.json"], local_model_with_lam_codes([-1, 1])),
+    "model-code-at-label-count": (["verify", "input.json"], local_model_with_lam_codes([0, 2])),
+    "model-code-past-int64": (["verify", "input.json"], local_model_with_lam_codes([0, 2**64])),
+    "model-short-code-column": (["verify", "input.json"], local_model_with_lam_codes([0])),
     "model-missing-codes": (
         ["verify", "input.json"],
         {**LOCAL_MODEL,

@@ -43,6 +43,7 @@ from conftest import (
     LOCAL_MODEL,
     assert_same_table,
     fibonacci_sphere,
+    local_model_with_lam_codes,
     oracle_load_model,
     oracle_model_payload,
     row_payload,
@@ -182,13 +183,6 @@ def test_load_model_rejects_bad_structure():
         load_model(json.dumps(row_payload(LOCAL_MODEL)))
 
 
-def _with_lam_codes(codes) -> str:
-    """LOCAL_MODEL's file with the lam code column ``codes``."""
-    payload = json.loads(json.dumps(LOCAL_MODEL))
-    payload["variables"][4]["codes"] = codes
-    return json.dumps(payload)
-
-
 def test_load_model_validates_code_columns():
     # one code per weight in each column, each inside its label range
     for codes, error in (
@@ -200,14 +194,14 @@ def test_load_model_validates_code_columns():
         ("01", "bad structure"),  # a string, not an array
     ):
         with pytest.raises(ConfigError, match=error):
-            load_model(_with_lam_codes(codes))
+            load_model(json.dumps(local_model_with_lam_codes(codes)))
 
 
 def _lam_model(labels, entries) -> str:
     """LOCAL_MODEL's file with the lam alphabet ``labels`` and the two
     entries' lam codes ``entries``."""
-    payload = json.loads(_with_lam_codes(entries))
-    payload["variables"][4]["labels"] = labels
+    payload = local_model_with_lam_codes(entries)
+    payload["variables"][4] = {**payload["variables"][4], "labels": labels}
     return json.dumps(payload)  # NaN is written as NaN, which json.loads reads
 
 
