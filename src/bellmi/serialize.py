@@ -18,7 +18,8 @@ Schemas:
   the writer lists the table's support in row-major cell order.
 
 Tuples used as labels are written as JSON arrays and restored as tuples on
-load.  A model file is written and read a column at a time: the writer
+load, and float labels are written with ``repr``, so they load back as
+floats.  A model file is written and read a column at a time: the writer
 renders each label list, each code column and the weights once, formatting
 every weight with one ``%.17g`` format.  Every label and number a reader
 takes from a file is checked and converted by one walker,
@@ -88,6 +89,29 @@ def _render(obj) -> str:
     if isinstance(obj, (np.ndarray, np.generic)):
         return _render(obj.tolist())
     raise ConfigError(f"cannot serialize object of type {kind.__name__}")
+
+
+def _labels_text(name: str, labels) -> str:
+    """Variable ``name``'s label list as JSON text, in one ``json.dumps`` call.
+
+    Its ints, strings and arrays come out as :func:`_render` writes them,
+    and a float as its ``repr``, which always shows a point or an exponent,
+    so ``1.0`` and ``-0.0`` load back as floats, not as the ints 1 and 0.
+    A non-finite float has no JSON form and raises :class:`ConfigError`.
+    """
+    try:
+        return json.dumps(labels, allow_nan=False, default=_label_value)
+    except ValueError:  # the encoder's refusal of nan and inf
+        raise ConfigError(f"labels of variable {name!r} must be finite numbers") from None
+    except TypeError as exc:
+        raise ConfigError(f"labels of variable {name!r}: {exc}") from None
+
+
+def _label_value(obj):
+    """A numpy scalar label as the Python value the encoder writes."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def parse_json(text: str):
@@ -318,7 +342,7 @@ def model_payload(model: ExactCSModel) -> dict:
         "variables": [
             {
                 "name": name,
-                "labels": _Rendered(_render(table.labels(name))),
+                "labels": _Rendered(_labels_text(name, table.labels(name))),
                 "codes": _Rendered(str(c.tolist())),  # a list of ints prints as JSON
             }
             for name, c in zip(names, codes)

@@ -4,9 +4,12 @@ Vectors are plain numpy arrays: shape (3,) for a single direction, (n, 3)
 for batches.  Batches are stored column-major, as the transpose of a C-ordered
 (3, n) array, so each component is one contiguous run for the element-wise
 kernels; callers index them as (n, 3) and never copy them back to row-major.
-Sphere sampling uses the (z, phi) method: z uniform on [-1, 1], azimuth
-uniform on [0, 2pi), which is rotation-invariant in distribution and needs
-no rejection loop.
+Sphere sampling uses Marsaglia's map (Ann. Math. Statist. 43, 645, 1972):
+(u, v) uniform on [-1, 1)^2, kept when s = u^2 + v^2 < 1, becomes
+(2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s).  It needs only +, -, * and
+sqrt, all correctly rounded, so a seeded draw does not depend on the
+platform's sin and cos; the price is a rejection loop, whose top-up rule
+is fixed in :func:`sample_uniform_sphere`.
 
 The sign convention sgn(0) := +1 lives in the outcome maps of
 :mod:`bellmi._kernels`, the only place that takes signs of dot products.
@@ -68,20 +71,38 @@ class RandomSource:
 def sample_uniform_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
     """n uniform points on the unit sphere, as an (n, 3) batch.
 
-    The batch is the transpose of a C-ordered (3, n) buffer.  Every value is
-    the same float as ``s * cos(phi)``, ``s * sin(phi)`` and ``z`` computed
-    row by row: IEEE multiplication commutes, so scaling in place keeps the
-    bits.
+    The batch is the transpose of a C-ordered (3, n) buffer, filled in
+    blocks.  While r = n - filled points are missing, one block draws
+    ``gen.random((2, k))`` with k = r * 4 // 3 + 64 (rows u and v, mapped to
+    2t - 1, which is exact), keeps the first r pairs with s = u*u + v*v < 1
+    in draw order, and maps each to ``u * w``, ``v * w``, ``1 - 2s`` with
+    w = 2 sqrt(1 - s).  A pair is kept with probability pi/4, so the first
+    block almost always suffices; n = 0 draws nothing.  For s >= 1/2 the
+    difference 1 - s is exact.
     """
     out = np.empty((3, n), dtype=np.float64)
-    z = gen.uniform(-1.0, 1.0, n)
-    phi = gen.uniform(0.0, 2.0 * np.pi, n)
-    s = np.sqrt(1.0 - z * z)
-    np.cos(phi, out=out[0])
-    out[0] *= s
-    np.sin(phi, out=out[1])
-    out[1] *= s
-    out[2] = z
+    filled = 0
+    while filled < n:
+        missing = n - filled
+        uv = gen.random((2, missing * 4 // 3 + 64))
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv
+        s = u * u
+        s += v * v
+        idx = np.flatnonzero(s < 1.0)[:missing]
+        s = s[idx]
+        w = np.subtract(1.0, s)
+        np.sqrt(w, out=w)
+        w *= 2.0
+        block = out[:, filled:filled + idx.size]
+        np.take(u, idx, out=block[0])
+        block[0] *= w
+        np.take(v, idx, out=block[1])
+        block[1] *= w
+        np.multiply(s, -2.0, out=block[2])
+        block[2] += 1.0
+        filled += idx.size
     return out.T
 
 

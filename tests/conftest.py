@@ -1,10 +1,11 @@
-"""Shared helpers: a subprocess CLI runner, spread sphere points, a small
-valid model file, tables built from dense arrays, the oracles for
-reproduced conditional tables, the dense-table oracles for the
-information measures and the verifier, the entry-at-a-time model-file
-writer, and the reader of the row layout that model files had before code
-columns."""
+"""Shared helpers: a subprocess CLI runner, spread sphere points, the
+pair-by-pair sphere draw, a small valid model file, tables built from
+dense arrays, the oracles for reproduced conditional tables, the
+dense-table oracles for the information measures and the verifier, the
+entry-at-a-time model-file writer, and the reader of the row layout that
+model files had before code columns."""
 
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,28 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     phi = golden * i
     s = np.sqrt(1.0 - z * z)
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def row_major_sphere(gen, n: int) -> np.ndarray:
+    """The n points ``sphere.sample_uniform_sphere`` draws from ``gen``,
+    computed pair by pair with Python floats into a row-major (n, 3) array.
+
+    Same blocks and top-up rule: while r points are missing, draw
+    ``gen.random((2, r * 4 // 3 + 64))`` and walk its pairs in order,
+    mapping each with Marsaglia's formulas until r are kept.
+    """
+    rows = []
+    while len(rows) < n:
+        block = gen.random((2, (n - len(rows)) * 4 // 3 + 64))
+        for tu, tv in zip(block[0].tolist(), block[1].tolist()):
+            u, v = 2.0 * tu - 1.0, 2.0 * tv - 1.0
+            s = u * u + v * v
+            if s < 1.0:
+                w = 2.0 * math.sqrt(1.0 - s)
+                rows.append((u * w, v * w, 1.0 - 2.0 * s))
+                if len(rows) == n:
+                    break
+    return np.array(rows, dtype=np.float64).reshape(n, 3)
 
 
 def comm_conditional(model, spec) -> ConditionalTable:

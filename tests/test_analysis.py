@@ -52,6 +52,7 @@ from conftest import (
     dense_table,
     dense_weights,
     fibonacci_sphere,
+    row_major_sphere,
     table_entries,
 )
 
@@ -115,21 +116,15 @@ def test_estimate_rejects_bad_args():
             )
 
 
-def _row_major_sphere(gen, k):
-    z = gen.uniform(-1.0, 1.0, k)
-    phi = gen.uniform(0.0, 2.0 * np.pi, k)
-    s = np.sqrt(1.0 - z * z)
-    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-
-
 def _dot(v, w):
     return v[:, 0] * w[:, 0] + v[:, 1] * w[:, 1] + v[:, 2] * w[:, 2]
 
 
 def _reference_estimate(kind, spec, rounds, seed):
     """(counts, attempts, alice_clicks) drawn round for round as the
-    chunk path draws them, but with ``Generator.choice``, row-major sphere
-    draws, fancy-index gathers and the outcome formulas written out."""
+    chunk path draws them, but with ``Generator.choice``, pair-by-pair
+    row-major sphere draws, fancy-index gathers and the outcome formulas
+    written out."""
     n_a, n_b = spec.n_alice, spec.n_bob
     counts = np.zeros((n_a * n_b * 4,), dtype=np.int64)
     attempts = np.zeros(n_a * n_b, dtype=np.int64)
@@ -144,8 +139,8 @@ def _reference_estimate(kind, spec, rounds, seed):
         ys = spec.bob_settings[code % n_b]
         gen = s_mod.generator()
         if kind == "tb":
-            l1 = _row_major_sphere(gen, k)
-            l2 = _row_major_sphere(gen, k)
+            l1 = row_major_sphere(gen, k)
+            l2 = row_major_sphere(gen, k)
             d1 = _dot(xs, l1)
             m = np.where(d1 >= 0.0, 1.0, -1.0) * np.where(_dot(xs, l2) >= 0.0, 1.0, -1.0)
             v = l1 + m[:, None] * l2
@@ -154,7 +149,7 @@ def _reference_estimate(kind, spec, rounds, seed):
             b = np.where(_dot(ys, v) >= 0.0, 1, -1)
             kept = np.ones(k, dtype=bool)
         else:
-            lam = _row_major_sphere(gen, k)
+            lam = row_major_sphere(gen, k)
             u = gen.random(k)
             da = _dot(xs, lam)
             a = np.where(da >= 0.0, 1, -1)

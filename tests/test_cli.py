@@ -464,9 +464,10 @@ def _wide_spec_files(tmp_path):
 
 
 # sha256 of the stdout of ``mutual-info --target tb-finite`` on the wide spec
-# above, computed with the one-setting-at-a-time agreement loop (commit
-# 394b20a) before the tiled kernel replaced it.
-PINNED_TB_FINITE = "97f1a8585618d31b2356145ae11375044886ea9277841bd73049513f4b72be0e"
+# above, with Marsaglia's sphere map; the agreement kernel's bits were
+# checked against the one-setting-at-a-time loop (commit 394b20a) on the
+# earlier (z, phi) map.
+PINNED_TB_FINITE = "6a12c470594f38a1773451d5a6dc6541e1e1c771aa806bca050fcfe66b648128"
 
 
 def test_tb_finite_bytes_are_pinned(tmp_path):
@@ -475,6 +476,25 @@ def test_tb_finite_bytes_are_pinned(tmp_path):
     code, out, err = run_cli(argv)
     assert code == 0, err
     assert hashlib.sha256(out).hexdigest() == PINNED_TB_FINITE
+
+
+# sha256 of the stdout of ``simulate --preset chsh --rounds 100000 --seed 23``
+# per model, with Marsaglia's sphere map.  A failure on one machine only may
+# come from its numpy build; CI prints ``numpy.show_runtime()`` for that.
+PINNED_SIMULATE = {
+    "tb": "a3366c2a49329f11b01c006c9df3be08c931164cade383f5b0c7931d070094f6",
+    "gg": "51ea113c529dc04b695070da3ea44852a38bc412c6947c994e6468499f63922c",
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_SIMULATE))
+def test_simulate_bytes_are_pinned(model):
+    argv = ["simulate", "--model", model, "--preset", "chsh", "--rounds", "100000",
+            "--seed", "23"]
+    for parallelism in ("1", "3"):
+        code, out, err = run_cli(argv + ["--parallelism", parallelism])
+        assert code == 0, err
+        assert hashlib.sha256(out).hexdigest() == PINNED_SIMULATE[model], parallelism
 
 
 SIMULATE = ["simulate", "--model", "tb", "--rounds", "100"]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -258,11 +259,35 @@ def test_model_file_bytes_are_pinned():
     model = ExactCSModel(table=table, hidden_vars=("lam",), certificate="pinned")
     text = json_text(model_payload(model))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4c61a8376f2088ec8574b87cd0142af6c988ec7d825932309a1a8dc967a163d0"
+        "758d2677b852bcd80b53ce005d2e68c9032fffb7ffff43aacc882a5626d4a895"
     )
     loaded = load_model(text).table
     assert table_entries(loaded) == table_entries(table)
     assert_same_table(loaded, oracle_load_model(json.dumps(row_payload(json.loads(text)))).table)
+
+
+def _float_label_model(labels):
+    variables = [("a", (1, -1)), ("b", (1, -1)), ("x", labels), ("y", (0,)), ("lam", (0,))]
+    codes = ([0] * len(labels), [1] * len(labels), range(len(labels)), [0] * len(labels),
+             [0] * len(labels))
+    table = FiniteDistribution(variables, codes, np.full(len(labels), 1.0 / len(labels)))
+    return ExactCSModel(table=table, hidden_vars=("lam",))
+
+
+def test_float_labels_round_trip_by_type_and_bits():
+    labels = (1.0, -0.0, 0.1, (2.0, 3))
+    text = json_text(model_payload(_float_label_model(labels)))
+    assert '"labels": [1.0, -0.0, 0.1, [2.0, 3]]' in text
+    loaded = load_model(text).table.labels("x")
+    assert [type(v) for v in loaded] == [float, float, float, tuple]
+    assert [type(v) for v in loaded[3]] == [float, int]
+    assert struct.pack("<3d", *loaded[:3]) == struct.pack("<3d", *labels[:3])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, (1, np.float64("nan"))])
+def test_non_finite_labels_are_refused_when_written(bad):
+    with pytest.raises(ConfigError, match="labels of variable .x. must be finite numbers"):
+        model_payload(_float_label_model((0, bad)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

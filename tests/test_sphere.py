@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bellmi.errors import ValidationError
 from bellmi.sphere import (
@@ -12,7 +13,7 @@ from bellmi.sphere import (
     sample_uniform_sphere,
     vec_polar,
 )
-from conftest import fibonacci_sphere
+from conftest import fibonacci_sphere, row_major_sphere
 
 
 def test_random_source_is_reproducible():
@@ -53,15 +54,61 @@ def test_child_is_the_split_child():
         )
 
 
+class _RejectingFirstBlock:
+    """A generator whose first ``random`` block keeps only its last pairs:
+    every earlier pair maps to u = v = 0.998, outside the unit disc, so the
+    draw must top up from a second block."""
+
+    def __init__(self, gen, kept):
+        self.gen, self.kept, self.calls = gen, kept, 0
+
+    def random(self, shape):
+        block = self.gen.random(shape)
+        self.calls += 1
+        if self.calls == 1:
+            block[:, : shape[1] - self.kept] = 0.999
+        return block
+
+
 def test_sample_uniform_sphere_is_column_major_with_unchanged_values():
     pts = sample_uniform_sphere(RandomSource(8).generator(), 1000)
     # each component is one contiguous run; a row-major copy would show here
     assert pts.shape == (1000, 3) and pts.T.flags.c_contiguous
-    gen = RandomSource(8).generator()
-    z = gen.uniform(-1.0, 1.0, 1000)
-    phi = gen.uniform(0.0, 2.0 * np.pi, 1000)
-    s = np.sqrt(1.0 - z * z)
-    np.testing.assert_array_equal(pts, np.column_stack([s * np.cos(phi), s * np.sin(phi), z]))
+    # the same bits as the pair-by-pair oracle, on one block and with top-ups
+    np.testing.assert_array_equal(pts, row_major_sphere(RandomSource(8).generator(), 1000))
+    for n, kept in ((1000, 20), (5, 3), (1, 0)):
+        fakes = [_RejectingFirstBlock(RandomSource(9).generator(), kept) for _ in range(2)]
+        got = sample_uniform_sphere(fakes[0], n)
+        np.testing.assert_array_equal(got, row_major_sphere(fakes[1], n))
+        assert fakes[0].calls == fakes[1].calls >= 2
+        assert got.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 65_536])
+def test_sample_uniform_sphere_shapes_and_replay(n):
+    gens = [RandomSource(5).generator() for _ in range(2)]
+    pts = [sample_uniform_sphere(g, n) for g in gens]
+    assert pts[0].shape == (n, 3) and pts[0].dtype == np.float64
+    assert pts[0].tobytes() == pts[1].tobytes()
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    if n == 0:  # an empty draw takes no uniforms
+        assert gens[0].bit_generator.state == RandomSource(5).generator().bit_generator.state
+
+
+def test_sample_uniform_sphere_is_uniform():
+    # the sphere's uniform law makes z, the azimuth and the projection onto
+    # any fixed axis uniform (Archimedes); scipy's KS test is the oracle
+    pts = sample_uniform_sphere(RandomSource(23).generator(), 200_000)
+    assert np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", pts, pts)) - 1.0)) <= 1e-15
+    axis = np.random.default_rng(24).standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    samples = {
+        "z": (pts[:, 2], (-1.0, 2.0)),
+        "azimuth": (np.arctan2(pts[:, 1], pts[:, 0]), (-np.pi, 2.0 * np.pi)),
+        "axis": (pts @ axis, (-1.0, 2.0)),
+    }
+    for name, (values, (loc, scale)) in samples.items():
+        assert stats.kstest(values, "uniform", args=(loc, scale)).pvalue > 1e-3, name
 
 
 def test_sample_uniform_sphere_statistics():
