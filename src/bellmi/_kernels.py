@@ -1,10 +1,10 @@
 """Hot Monte Carlo kernels in numpy.
 
-Four outcome maps and integer tallies: the one-bit protocol's and the
-detection model's per-round outcomes, the finite-settings message agreement
-probabilities, and the per-cell outcome counts.  Every floating-point
-reduction over rounds lives in the callers, which reduce in a fixed chunk
-order, so results do not depend on the parallelism degree.
+Four kernels: the one-bit protocol's and the detection model's per-round
+outcomes, the finite-settings message agreement probabilities, and one
+integer tally per batch of per-cell outcome counts and attempts.  Every
+floating-point reduction over rounds lives in the callers, which reduce in
+a fixed chunk order, so results do not depend on the parallelism degree.
 
 Vector batches arrive column-major (see :mod:`bellmi.sphere`), so every
 component slice ``v[:, k]`` is one contiguous run.
@@ -37,15 +37,13 @@ def tb_outcomes(xs, ys, l1, l2):
     d2 = xs[:, 0] * l2[:, 0] + xs[:, 1] * l2[:, 1] + xs[:, 2] * l2[:, 2]
     alice_plus = d1 >= 0.0
     agree = alice_plus == (d2 >= 0.0)
-    m = np.where(agree, 1.0, -1.0)
+    m = agree * 2.0 - 1.0  # exactly +-1.0
     v0 = l1[:, 0] + m * l2[:, 0]
     v1 = l1[:, 1] + m * l2[:, 1]
     v2 = l1[:, 2] + m * l2[:, 2]
     db = ys[:, 0] * v0 + ys[:, 1] * v1 + ys[:, 2] * v2
-    a = np.where(alice_plus, np.int8(-1), np.int8(1))
-    b = np.where(db >= 0.0, np.int8(1), np.int8(-1))
     bad = (v0 == 0.0) & (v1 == 0.0) & (v2 == 0.0)
-    return a, b, np.where(agree, np.int8(1), np.int8(-1)), bad
+    return -_signs(alice_plus), _signs(db >= 0.0), _signs(agree), bad
 
 
 def gg_outcomes(xs, ys, lam, u):
@@ -56,10 +54,13 @@ def gg_outcomes(xs, ys, lam, u):
     """
     da = xs[:, 0] * lam[:, 0] + xs[:, 1] * lam[:, 1] + xs[:, 2] * lam[:, 2]
     db = ys[:, 0] * lam[:, 0] + ys[:, 1] * lam[:, 1] + ys[:, 2] * lam[:, 2]
-    a = np.where(da >= 0.0, np.int8(1), np.int8(-1))
-    b = np.where(db >= 0.0, np.int8(-1), np.int8(1))
     click_a = u < np.abs(da)
-    return a, b, click_a
+    return _signs(da >= 0.0), -_signs(db >= 0.0), click_a
+
+
+def _signs(plus):
+    """int8 +1 where the boolean mask ``plus`` is set, -1 elsewhere."""
+    return plus.view(np.int8) * np.int8(2) - np.int8(1)
 
 
 # A dot product of magnitude at least SIGN_MARGIN has a certain sign: the
@@ -132,11 +133,22 @@ def _settle_ties(d, mag, settings, l):
     d[j, i] = s[:, 0] * v[:, 0] + s[:, 1] * v[:, 1] + s[:, 2] * v[:, 2]
 
 
-def tally(x_idx, y_idx, a, b, n_a, n_b):
-    """Counts[x, y, a_bin, b_bin] with bin 0 = +1 and bin 1 = -1."""
+def tally(x_idx, y_idx, a, b, n_a, n_b, kept=None):
+    """(counts, attempts) of one batch of rounds, from one ``bincount``.
+
+    ``counts[x, y, a_bin, b_bin]`` counts the kept rounds, bin 0 = +1 and
+    bin 1 = -1; ``attempts[x, y]`` counts every round, kept or not.  With
+    ``kept`` None every round is kept.  A round's code is ((x*n_b + y)*2 +
+    a_bin)*2 + b_bin, plus 4*n_a*n_b when it is dropped, so the counts are
+    the first half of the bins and the attempts both halves summed over the
+    outcome bins.
+    """
+    cells = n_a * n_b
     code = ((x_idx * n_b + y_idx) * 2 + (a < 0)) * 2 + (b < 0)
-    counts = np.bincount(code, minlength=n_a * n_b * 4)
-    return counts.reshape(n_a, n_b, 2, 2)
+    if kept is not None:
+        code += (~kept) * (4 * cells)
+    bins = np.bincount(code, minlength=8 * cells).reshape(2, n_a, n_b, 4)
+    return bins[0].reshape(n_a, n_b, 2, 2), bins.sum(axis=(0, 3))
 
 
 def active_backend() -> str:

@@ -210,7 +210,6 @@ def estimate_correlations(
             f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}"
         )
     n_a, n_b = spec.n_alice, spec.n_bob
-    n_cells = n_a * n_b
 
     def run_chunk(sub: RandomSource, k: int):
         s_set, s_mod = sub.split(2)
@@ -218,12 +217,8 @@ def estimate_correlations(
         x_idx, y_idx = spec.sample_indices(gen, k)
         xs, ys = spec.vectors_for(x_idx, y_idx)
         batch = model.sample_rounds(xs, ys, s_mod)
-        attempts = np.bincount(x_idx * n_b + y_idx, minlength=n_cells).reshape(n_a, n_b)
-        a, b = batch.a, batch.b
-        if model.post_selects:
-            kept = batch.kept
-            x_idx, y_idx, a, b = x_idx[kept], y_idx[kept], a[kept], b[kept]
-        return _kernels.tally(x_idx, y_idx, a, b, n_a, n_b), attempts
+        kept = batch.kept if model.post_selects else None
+        return _kernels.tally(x_idx, y_idx, batch.a, batch.b, n_a, n_b, kept)
 
     counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
     attempts = np.zeros((n_a, n_b), dtype=np.int64)

@@ -174,7 +174,8 @@ class SettingsSpec:
         codes = guide[(u * guide.size).astype(np.intp)]
         miss = np.flatnonzero(codes < 0)
         codes[miss] = cdf.searchsorted(u[miss], side="right")
-        return np.divmod(codes, self.n_bob)
+        x_idx = codes // self.n_bob
+        return x_idx, codes - x_idx * self.n_bob
 
     def vectors_for(self, x_idx, y_idx):
         """Setting vectors for index arrays; returns (xs, ys) of shape (n, 3),

@@ -51,7 +51,16 @@ def format_float(x: float) -> str:
 
 def json_text(obj) -> str:
     """Render a payload as deterministic JSON (fixed key order, one line)."""
-    return _render(obj) + "\n"
+    return _render(obj, _KeyTexts()) + "\n"
+
+
+class _KeyTexts(dict):
+    """JSON text of each dict key seen in one :func:`json_text` call; the
+    cells of a payload repeat the same few keys."""
+
+    def __missing__(self, key: str) -> str:
+        text = self[key] = json.dumps(key)
+        return text
 
 
 class _Rendered:
@@ -64,7 +73,7 @@ class _Rendered:
         self.text = text
 
 
-def _render(obj) -> str:
+def _render(obj, keys: _KeyTexts) -> str:
     # Concrete types only: a bool is not rendered as an int, and numpy
     # values go through .tolist() in the last branch.  Pre-rendered text
     # comes after the common types, which every payload is made of.
@@ -72,11 +81,11 @@ def _render(obj) -> str:
     if kind is int:
         return str(obj)
     if kind is list or kind is tuple:
-        return "[" + ", ".join([_render(v) for v in obj]) + "]"
+        return "[" + ", ".join([_render(v, keys) for v in obj]) + "]"
     if kind is float:
         return format_float(obj) if math.isfinite(obj) else "null"
     if kind is dict:
-        items = ", ".join([f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items()])
+        items = ", ".join([f"{keys[str(k)]}: {_render(v, keys)}" for k, v in obj.items()])
         return "{" + items + "}"
     if kind is str:
         return json.dumps(obj)
@@ -87,7 +96,7 @@ def _render(obj) -> str:
     if kind is _Rendered:
         return obj.text
     if isinstance(obj, (np.ndarray, np.generic)):
-        return _render(obj.tolist())
+        return _render(obj.tolist(), keys)
     raise ConfigError(f"cannot serialize object of type {kind.__name__}")
 
 

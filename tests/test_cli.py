@@ -37,6 +37,18 @@ def test_simulate_bytes_identical_across_parallelism():
     assert out1 == out4
 
 
+def test_post_selected_csv_bytes_identical_across_parallelism():
+    # the detection model tallies only kept rounds; its CSV must not depend
+    # on how many threads ran the chunks
+    base = ["simulate", "--model", "gg", "--preset", "parallel", "--rounds", "200000",
+            "--output", "csv"]
+    code1, out1, err1 = run_cli(base + ["--parallelism", "1"])
+    code2, out2, err2 = run_cli(base + ["--parallelism", "2"])
+    assert code1 == code2 == 0, err1 + err2
+    assert out1.startswith(b"x,y,pp,pm,mp,mm,n,") and out1.count(b"\n") == 5
+    assert out1 == out2
+
+
 def test_repeated_commands_are_byte_identical():
     args = [
         "mutual-info", "--target", "tb-finite", "--samples", "5000", "--seed", "3",

@@ -1,11 +1,18 @@
 """Edge cases of the Monte Carlo outcome kernels (degenerate rounds and sign
-ties), and the tiled agreement kernel against its one-setting-at-a-time loop."""
+ties), the outcome maps against an ``np.where`` oracle, the tally against a
+per-round loop, and the tiled agreement kernel against its
+one-setting-at-a-time loop."""
+
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bellmi import _kernels as K
-from bellmi.sphere import sample_uniform_sphere
+from bellmi.analysis import CHUNK_ROUNDS, estimate_correlations
+from bellmi.models import SettingsSpec
+from bellmi.sphere import RandomSource, sample_uniform_sphere
 
 
 def test_tb_flags_vanishing_bob_direction():
@@ -33,6 +40,173 @@ def test_kernels_break_zero_dot_ties_to_plus():
     # GG: a = sgn(x.lam) = +1 and b = -sgn(y.lam) = -1 at x.lam = y.lam = 0
     a, b, _ = K.gg_outcomes(ex, ey, ez, np.zeros(1))
     assert (a[0], b[0]) == (1, -1)
+
+
+# ----------------------------------------------------------------------
+# outcome maps: against np.where on the same comparisons
+# ----------------------------------------------------------------------
+
+def _dot(u, v):
+    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+
+
+def tb_outcomes_where(xs, ys, l1, l2):
+    """Reference: the one-bit round with every sign picked by ``np.where``."""
+    alice_plus = _dot(xs, l1) >= 0.0
+    agree = alice_plus == (_dot(xs, l2) >= 0.0)
+    m = np.where(agree, 1.0, -1.0)
+    v = np.stack([l1[:, k] + m * l2[:, k] for k in range(3)], axis=1)
+    a = np.where(alice_plus, np.int8(-1), np.int8(1))
+    b = np.where(_dot(ys, v) >= 0.0, np.int8(1), np.int8(-1))
+    bad = (v[:, 0] == 0.0) & (v[:, 1] == 0.0) & (v[:, 2] == 0.0)
+    return a, b, np.where(agree, np.int8(1), np.int8(-1)), bad
+
+
+def gg_outcomes_where(xs, ys, lam, u):
+    """Reference: the detection round with every sign picked by ``np.where``."""
+    da = _dot(xs, lam)
+    a = np.where(da >= 0.0, np.int8(1), np.int8(-1))
+    b = np.where(_dot(ys, lam) >= 0.0, np.int8(-1), np.int8(1))
+    return a, b, u < np.abs(da)
+
+
+def _assert_same_outputs(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+# Signed axis vectors: the 3-term dot of two of them is exactly 1.0, -1.0,
+# 0.0 or -0.0 (the last when every product is -0.0, as for e_x against
+# (-0.0, -0.0, -1.0)).
+_AXES = np.array([
+    [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+    [-0.0, -0.0, -1.0], [-1.0, -0.0, -0.0], [0.0, -1.0, 0.0],
+])
+
+
+def _tie_rows(k):
+    """k columns of (n, 3) rows running over every k-tuple of signed axes."""
+    idx = np.array(list(itertools.product(range(len(_AXES)), repeat=k)))
+    return [_AXES[idx[:, j]] for j in range(k)]
+
+
+def _seeded_rows(seed, n, k):
+    gen = np.random.default_rng(seed)
+    return [sample_uniform_sphere(gen, n) for _ in range(k)]
+
+
+def test_tb_outcomes_match_the_where_oracle():
+    xs, ys, l1, l2 = _tie_rows(4)
+    d1 = _dot(xs, l1)
+    assert ((d1 == 0.0) & ~np.signbit(d1)).any() and ((d1 == 0.0) & np.signbit(d1)).any()
+    _assert_same_outputs(K.tb_outcomes(xs, ys, l1, l2), tb_outcomes_where(xs, ys, l1, l2))
+    assert K.tb_outcomes(xs, ys, l1, l2)[3].any()  # l1 + m*l2 = 0 occurs
+    for seed, n in ((2401, 1), (2402, 1000), (2403, CHUNK_ROUNDS)):
+        rows = _seeded_rows(seed, n, 4)
+        _assert_same_outputs(K.tb_outcomes(*rows), tb_outcomes_where(*rows))
+        rows = [np.ascontiguousarray(r) for r in rows]
+        _assert_same_outputs(K.tb_outcomes(*rows), tb_outcomes_where(*rows))
+
+
+def test_gg_outcomes_match_the_where_oracle():
+    xs, ys, lam = _tie_rows(3)
+    da, db = _dot(xs, lam), _dot(ys, lam)
+    for d in (da, db):
+        assert ((d == 0.0) & ~np.signbit(d)).any() and ((d == 0.0) & np.signbit(d)).any()
+    u = np.random.default_rng(2404).random(xs.shape[0])
+    _assert_same_outputs(K.gg_outcomes(xs, ys, lam, u), gg_outcomes_where(xs, ys, lam, u))
+    for seed, n in ((2405, 1), (2406, 1000), (2407, CHUNK_ROUNDS)):
+        rows = _seeded_rows(seed, n, 3)
+        u = np.random.default_rng(seed).random(n)
+        _assert_same_outputs(K.gg_outcomes(*rows, u), gg_outcomes_where(*rows, u))
+
+
+# ----------------------------------------------------------------------
+# tally: against a per-round loop
+# ----------------------------------------------------------------------
+
+def tally_loop(x_idx, y_idx, a, b, kept, n_a, n_b):
+    """Reference: one Python step per round."""
+    counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
+    attempts = np.zeros((n_a, n_b), dtype=np.int64)
+    for x, y, ai, bi, k in zip(x_idx.tolist(), y_idx.tolist(), a.tolist(), b.tolist(),
+                               kept.tolist()):
+        attempts[x, y] += 1
+        if k:
+            counts[x, y, int(ai < 0), int(bi < 0)] += 1
+    return counts, attempts
+
+
+def _assert_tally(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+# A 2x3 alphabet: cell (1, 0) is drawn but never kept; cell (0, 2) is never
+# drawn.
+N_A, N_B = 2, 3
+DROPPED, UNDRAWN = (1, 0), (0, 2)
+
+
+def test_tally_matches_the_loop():
+    gen = np.random.default_rng(2408)
+    n = 5000
+    x_idx = gen.integers(0, N_A, n)
+    y_idx = gen.integers(0, N_B, n)
+    undrawn = (x_idx == UNDRAWN[0]) & (y_idx == UNDRAWN[1])
+    y_idx[undrawn] = 0
+    a = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
+    b = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
+    kept = gen.random(n) < 0.6
+    kept[(x_idx == DROPPED[0]) & (y_idx == DROPPED[1])] = False
+    got = K.tally(x_idx, y_idx, a, b, N_A, N_B, kept)
+    want = tally_loop(x_idx, y_idx, a, b, kept, N_A, N_B)
+    assert want[1][DROPPED] > 0 and not want[0][DROPPED].any()
+    assert want[1][UNDRAWN] == 0
+    _assert_tally(got, want)
+    every = np.ones(n, dtype=bool)
+    _assert_tally(K.tally(x_idx, y_idx, a, b, N_A, N_B),
+                  tally_loop(x_idx, y_idx, a, b, every, N_A, N_B))
+
+
+class _CoinModel:
+    """Post-selecting model with seeded coin outcomes that drops every round
+    of cell DROPPED and records each batch for the loop."""
+
+    post_selects = True
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.batches = []
+
+    def sample_rounds(self, xs, ys, source):
+        gen = source.generator()
+        n = xs.shape[0]
+        a = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
+        b = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
+        x_idx = (xs[:, None, :] == self.spec.alice_settings).all(axis=2).argmax(axis=1)
+        y_idx = (ys[:, None, :] == self.spec.bob_settings).all(axis=2).argmax(axis=1)
+        kept = (gen.random(n) < 0.6) & ~((x_idx == DROPPED[0]) & (y_idx == DROPPED[1]))
+        self.batches.append((x_idx, y_idx, a, b, kept))
+        return SimpleNamespace(a=a, b=b, kept=kept)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_estimate_tallies_like_the_loop(parallelism):
+    p_xy = np.array([[0.2, 0.15, 0.0], [0.25, 0.1, 0.3]])
+    spec = SettingsSpec.finite(np.eye(3)[:N_A], -np.eye(3), p_xy)
+    model = _CoinModel(spec)
+    rounds = CHUNK_ROUNDS + 321
+    est = estimate_correlations(model, spec, rounds, RandomSource(2409), parallelism)
+    assert len(model.batches) == 2
+    rows = [np.concatenate(col) for col in zip(*model.batches)]
+    counts, attempts = tally_loop(*rows, N_A, N_B)
+    assert attempts.sum() == rounds and attempts[DROPPED] > 0 and attempts[UNDRAWN] == 0
+    assert not counts[DROPPED].any()
+    _assert_tally((est.counts, est.attempts), (counts, attempts))
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from bellmi.analysis import (
 from bellmi.errors import ConfigError, ValidationError
 from bellmi.models import (
     ExactCSModel,
+    GisinGisinModel,
     SettingsSpec,
     TonerBaconModel,
     brans_build,
@@ -70,6 +71,49 @@ def test_json_text_is_deterministic_and_ordered():
     # non-finite floats become null rather than invalid JSON
     assert json_text({"x": float("nan")}) == '{"x": null}\n'
     json.loads(text)  # stdlib parser accepts the output
+
+
+def _dumps_render(obj) -> str:
+    """Reference: json_text's layout with every key and string through
+    ``json.dumps``, one call each."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(k))}: {_dumps_render(v)}" for k, v in obj.items()]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_dumps_render(v) for v in obj) + "]"
+    if isinstance(obj, float):
+        return format_float(obj) if math.isfinite(obj) else "null"
+    return json.dumps(obj)
+
+
+def test_json_text_renders_keys_like_json_dumps_once_each(monkeypatch):
+    # a 32x32 detection-model table with never-drawn cells and settings:
+    # NaN estimates, NaN efficiencies and 1 024 cells of the same 16 keys
+    settings = fibonacci_sphere(64)
+    p = np.ones((32, 32))
+    p[3] = 0.0
+    p[:, 5] = 0.0
+    spec = SettingsSpec.finite(settings[:32], settings[32:], p / p.sum())
+    est = estimate_correlations(GisinGisinModel(), spec, 5_000, RandomSource(2410))
+    payload = correlation_payload(
+        est, model="gg", seed=2410, quantum=exact_singlet_conditional(spec)
+    )
+    payload["extra"] = {"caf\u00e9": [1.5, float("nan")], 'q"uote': "\n", 7: -0.0, True: None}
+    assert len(payload["cells"]) == 1024 and len(payload["cells"][0]) == 16
+    assert any(math.isnan(c["e"]) for c in payload["cells"])
+    want = _dumps_render(payload) + "\n"
+    rendered = []
+    dumps = json.dumps
+
+    def spy(obj, *args, **kwargs):
+        rendered.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(serialize.json, "dumps", spy)
+    assert json_text(payload) == want
+    assert rendered.count("pp") == 1 and rendered.count("7") == 1
 
 
 def test_parse_json_raises_config_error():
