@@ -68,8 +68,7 @@ def singlet_correlation(x, y) -> float:
 
 
 def exact_singlet_conditional(spec: SettingsSpec) -> ConditionalTable:
-    """Exact singlet conditional P(a,b|x,y) = (1 - ab x.y)/4 over a finite spec."""
-    spec._require_finite()
+    """Exact singlet conditional P(a,b|x,y) = (1 - ab x.y)/4 over a spec's settings."""
     e = [[-float(np.dot(x, y)) for y in spec.bob_settings] for x in spec.alice_settings]
     return ConditionalTable.from_correlators(e)
 
@@ -202,7 +201,6 @@ def estimate_correlations(
     chunk order, so the outcome is bit-identical for a given seed at any
     ``parallelism``.
     """
-    spec._require_finite()
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     if not 1 <= parallelism <= MAX_PARALLELISM:
@@ -539,7 +537,6 @@ def mi_finite_settings_tb(
     p(mu) = sum_x P(x) [sgn(x.lambda1) = sgn(x.lambda2)]; the estimate is
     the Monte Carlo mean of h(p(mu)) = H(m|mu) = I(x,y:lambda).
     """
-    spec._require_finite()
     if mu_samples < 1000:
         raise ConfigError(f"mu_samples must be >= 1000, got {mu_samples}")
     settings = np.ascontiguousarray(spec.alice_settings)

@@ -74,7 +74,7 @@ def _with_input_dist(spec: SettingsSpec, args) -> SettingsSpec:
     if not args.input_dist_file:
         return spec
     p_xy = serialize.load_input_dist(_read(args.input_dist_file))
-    return SettingsSpec.finite(spec.alice_settings, spec.bob_settings, p_xy)
+    return SettingsSpec(spec.alice_settings, spec.bob_settings, p_xy)
 
 
 def _reject_set(args, flags, why: str) -> None:
@@ -84,12 +84,8 @@ def _reject_set(args, flags, why: str) -> None:
             raise ConfigError(f"{why}; {flag} conflicts")
 
 
-def _model_for(name: str):
-    if name == "tb":
-        return TonerBaconModel()
-    if name == "gg":
-        return GisinGisinModel()
-    raise ConfigError(f"model {name!r} has no round sampler; use the transform command")
+# the models whose rounds ``simulate`` samples, by ``--model`` name
+SAMPLERS = {"tb": TonerBaconModel, "gg": GisinGisinModel}
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +94,7 @@ def _model_for(name: str):
 
 def cmd_simulate(args) -> int:
     spec = _build_spec(args)
-    model = _model_for(args.model)
+    model = SAMPLERS[args.model]()
     est = analysis.estimate_correlations(
         model,
         spec,
@@ -260,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="estimate a correlation table by Monte Carlo")
-    p.add_argument("--model", required=True, choices=("tb", "gg"))
+    p.add_argument("--model", required=True, choices=tuple(SAMPLERS))
     _add_settings_flags(p)
     p.add_argument("--rounds", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -62,34 +62,28 @@ def _frozen_array(values) -> np.ndarray:
 class SettingsSpec:
     """Measurement-setting alphabets plus the joint input distribution.
 
-    A finite spec lists unit setting vectors for each side and P(x,y) as a
-    read-only (nA, nB) array ``p_xy``, indexed by the setting indices.  The
-    continuous spec (all fields None) means both settings are drawn
-    independently and uniformly from the sphere.
+    ``SettingsSpec(alice_settings, bob_settings, p_xy=None)`` lists unit
+    setting vectors for each side (a single vector is one setting) and
+    stores P(x,y) as a read-only (nA, nB) array ``p_xy``, indexed by the
+    setting indices; ``p_xy`` defaults to uniform independent inputs.
     """
 
-    alice_settings: Optional[np.ndarray]
-    bob_settings: Optional[np.ndarray]
-    p_xy: Optional[np.ndarray]
+    alice_settings: np.ndarray
+    bob_settings: np.ndarray
+    p_xy: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        fields = (self.alice_settings, self.bob_settings, self.p_xy)
-        if all(f is None for f in fields):
-            return
-        if any(f is None for f in fields):
-            raise ConfigError(
-                "SettingsSpec needs either all of (alice_settings, bob_settings, "
-                "p_xy) or none of them (continuous-uniform)"
-            )
-        alice = np.asarray(self.alice_settings, dtype=np.float64)
-        bob = np.asarray(self.bob_settings, dtype=np.float64)
-        if alice.shape[0] == 0 or bob.shape[0] == 0:
-            raise ConfigError("finite settings lists must be non-empty")
-        p = _frozen_array(self.p_xy)
-        if p.shape != (alice.shape[0], bob.shape[0]):
-            raise ConfigError(
-                f"p_xy shape {p.shape} does not match ({alice.shape[0]}, {bob.shape[0]})"
-            )
+        alice = np.atleast_2d(np.asarray(self.alice_settings, dtype=np.float64))
+        bob = np.atleast_2d(np.asarray(self.bob_settings, dtype=np.float64))
+        if alice.size == 0 or bob.size == 0:
+            raise ConfigError("settings lists must be non-empty")
+        n_a, n_b = alice.shape[0], bob.shape[0]
+        if self.p_xy is None:
+            p = _frozen_array(np.full((n_a, n_b), 1.0 / (n_a * n_b)))
+        else:
+            p = _frozen_array(self.p_xy)
+        if p.shape != (n_a, n_b):
+            raise ConfigError(f"p_xy shape {p.shape} does not match ({n_a}, {n_b})")
         check_normalized(p)
         alice = _frozen_array(require_unit(alice))
         bob = _frozen_array(require_unit(bob))
@@ -99,46 +93,16 @@ class SettingsSpec:
         object.__setattr__(self, "bob_settings", bob)
         object.__setattr__(self, "p_xy", p)
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def finite(cls, alice_settings, bob_settings, p_xy=None) -> "SettingsSpec":
-        """Finite spec; ``p_xy`` defaults to uniform independent inputs."""
-        alice = np.atleast_2d(np.asarray(alice_settings, dtype=np.float64))
-        bob = np.atleast_2d(np.asarray(bob_settings, dtype=np.float64))
-        if p_xy is None:
-            n_a, n_b = alice.shape[0], bob.shape[0]
-            p_xy = np.full((n_a, n_b), 1.0 / (n_a * n_b))
-        return cls(alice, bob, p_xy)
-
-    @classmethod
-    def continuous_uniform(cls) -> "SettingsSpec":
-        """Both settings independent and uniform on the sphere."""
-        return cls(None, None, None)
-
-    # -- accessors ------------------------------------------------------
-
-    @property
-    def is_finite(self) -> bool:
-        return self.alice_settings is not None
-
-    def _require_finite(self):
-        if not self.is_finite:
-            raise ConfigError("operation needs a finite SettingsSpec")
-
     @property
     def n_alice(self) -> int:
-        self._require_finite()
         return self.alice_settings.shape[0]
 
     @property
     def n_bob(self) -> int:
-        self._require_finite()
         return self.bob_settings.shape[0]
 
     @property
     def p_x(self) -> np.ndarray:
-        self._require_finite()
         return self.p_xy.sum(axis=1)
 
     # -- sampling -------------------------------------------------------
@@ -168,7 +132,6 @@ class SettingsSpec:
         most draws settled by a guide table (Chen & Asau 1974) instead of a
         binary search.
         """
-        self._require_finite()
         cdf, guide = self._cell_sampler
         u = gen.random(n)
         codes = guide[(u * guide.size).astype(np.intp)]
@@ -180,7 +143,6 @@ class SettingsSpec:
     def vectors_for(self, x_idx, y_idx):
         """Setting vectors for index arrays; returns (xs, ys) of shape (n, 3),
         column-major like :func:`~bellmi.sphere.sample_uniform_sphere`."""
-        self._require_finite()
         return (
             np.ascontiguousarray(self.alice_settings.T).take(x_idx, axis=1).T,
             np.ascontiguousarray(self.bob_settings.T).take(y_idx, axis=1).T,
@@ -193,14 +155,14 @@ def preset_chsh() -> SettingsSpec:
     S = -2*sqrt(2) at these settings."""
     alice = [vec_polar(0.0), vec_polar(np.pi / 2)]
     bob = [vec_polar(np.pi / 4), vec_polar(3 * np.pi / 4)]
-    return SettingsSpec.finite(alice, bob)
+    return SettingsSpec(alice, bob)
 
 
 def preset_parallel() -> SettingsSpec:
     """Sanity preset with identical alphabets on both sides ({0, pi/2} polar),
     so diagonal cells probe the perfect anticorrelation E(x,x) = -1."""
     both = [vec_polar(0.0), vec_polar(np.pi / 2)]
-    return SettingsSpec.finite(both, both)
+    return SettingsSpec(both, both)
 
 
 PRESETS = {
@@ -259,7 +221,7 @@ class ConditionalTable:
         return cls((1.0 + e[:, :, None, None] * ab) / 4.0)
 
     def alphabets_of(self, spec: SettingsSpec) -> tuple[int, int]:
-        """(nA, nB) of a finite ``spec`` of this table's size, else :class:`ConfigError`."""
+        """(nA, nB) of a ``spec`` of this table's size, else :class:`ConfigError`."""
         if (self.n_alice, self.n_bob) != (spec.n_alice, spec.n_bob):
             raise ConfigError(
                 f"conditional table is {self.n_alice}x{self.n_bob}, "

@@ -278,7 +278,7 @@ def _settings_from_payload(payload: dict, *, where: str) -> SettingsSpec:
             p_xy = _numbers(p_xy)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: bad or missing settings or p_xy ({exc})") from None
-    return SettingsSpec.finite(alice, bob, p_xy)
+    return SettingsSpec(alice, bob, p_xy)
 
 
 def load_settings(text: str) -> SettingsSpec:
@@ -306,7 +306,9 @@ def load_correlation(text: str):
     spec = _settings_from_payload(payload, where="correlation file")
     probs = np.full((spec.n_alice, spec.n_bob, 2, 2), np.nan)
     seen = set()
-    cells = payload.get("cells", ())
+    if "cells" not in payload:
+        raise ConfigError("correlation file: cells are missing")
+    cells = payload["cells"]
     if not isinstance(cells, list):
         raise ConfigError(f"correlation file: cells must be a list, got {type(cells).__name__}")
     for i, cell in enumerate(cells):
@@ -405,19 +407,15 @@ def sampler_payload(model, *, seed: int) -> dict:
     rejects them.
     """
     spec = model.spec
-    if spec.is_finite:
-        settings = {
-            "alice_settings": spec.alice_settings,
-            "bob_settings": spec.bob_settings,
-            "p_xy": spec.p_xy,
-        }
-    else:
-        settings = None
     return {
         "kind": model.kind,
         "sampled": True,
         "seed": seed,
-        "settings": settings,
+        "settings": {
+            "alice_settings": spec.alice_settings,
+            "bob_settings": spec.bob_settings,
+            "p_xy": spec.p_xy,
+        },
         "hidden_variables": list(model.hidden_names),
         "certificate": model.certificate,
     }

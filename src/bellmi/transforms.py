@@ -157,12 +157,12 @@ def brans_to_cs(corr: ConditionalTable, spec: SettingsSpec):
 
 
 def _random_pair_spec(gen: np.random.Generator, pairs: int) -> SettingsSpec:
-    """Finite spec whose cells are ``pairs`` random (x_i, y_i) pairs."""
+    """Spec whose cells with mass are ``pairs`` random (x_i, y_i) pairs."""
     xs = sample_uniform_sphere(gen, pairs)
     ys = sample_uniform_sphere(gen, pairs)
     p = np.zeros((pairs, pairs))
     np.fill_diagonal(p, 1.0 / pairs)
-    return SettingsSpec.finite(xs, ys, p)
+    return SettingsSpec(xs, ys, p)
 
 
 def _sampled_cs(
@@ -179,10 +179,10 @@ def _sampled_cs(
 
     The report is one :func:`analysis.estimate_correlations` run of
     ``rounds`` rounds, which keeps the rounds whose batch ``kept`` mask is
-    set; it checks them against the singlet prediction on the spec's own
-    cells, or on eight random setting pairs for the continuous spec.  Fewer
-    than ``floor * rounds`` kept rounds raise :class:`AcceptanceFloorError`;
-    a floor outside (0, 1] raises :class:`ConfigError`.
+    set, and checks them against the singlet prediction on the spec's
+    cells.  Fewer than ``floor * rounds`` kept rounds raise
+    :class:`AcceptanceFloorError`; a floor outside (0, 1] raises
+    :class:`ConfigError`.
     """
     if not 0.0 < floor <= 1.0:  # NaN fails too
         raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
@@ -193,12 +193,9 @@ def _sampled_cs(
         certificate=model.certificate,
     )
 
-    s_spec, s_est = source.split(2)
-    if spec.is_finite:
-        check_spec = spec
-    else:
-        check_spec = _random_pair_spec(s_spec.generator(), 8)
-    est = analysis.estimate_correlations(model, check_spec, rounds, s_est)
+    # child 1, not ``source`` itself: another stream would change the bytes
+    # of every seeded report
+    est = analysis.estimate_correlations(model, spec, rounds, source.child(1))
     kept = est.kept_per_cell.sum()
     if kept < floor * rounds:
         raise AcceptanceFloorError(
@@ -213,7 +210,7 @@ def _sampled_cs(
     report = TransformReport(
         source=model.name,
         corr_deviation=_corr_deviation(
-            est.probs, analysis.exact_singlet_conditional(check_spec)
+            est.probs, analysis.exact_singlet_conditional(spec)
         ),
         inputs_deviation=_estimated_inputs_deviation(est),
         mi_value=None,

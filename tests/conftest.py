@@ -82,7 +82,6 @@ def comm_conditional(model, spec) -> ConditionalTable:
     ``model`` needs only the response arrays of a ``FiniteCommModel``
     (``mu_weights``, ``message``, ``alice``, ``bob``).
     """
-    spec._require_finite()
     n_a, n_b = spec.n_alice, spec.n_bob
     out = np.zeros((n_a, n_b, 2, 2))
     for x in range(n_a):

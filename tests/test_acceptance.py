@@ -75,7 +75,7 @@ def test_criterion_1_singlet_reproduction(capsys):
     worst = 0.0
     for (x, y), src in zip(pairs, RandomSource(103).split(12)):
         pair_est = estimate_correlations(
-            TonerBaconModel(), SettingsSpec.finite([x], [y]), 1_000_000, src
+            TonerBaconModel(), SettingsSpec([x], [y]), 1_000_000, src
         )
         z = abs(
             pair_est.correlators[0, 0] - singlet_correlation(x, y)
@@ -175,7 +175,7 @@ def test_criterion_6_detection_efficiencies(capsys):
 
     alice = sample_uniform_sphere(gen, 5)
     bob = sample_uniform_sphere(gen, 5)
-    spec = SettingsSpec.finite(alice, bob)
+    spec = SettingsSpec(alice, bob)
     est = estimate_correlations(GisinGisinModel(), spec, 1_000_000, RandomSource(107))
     eff = est.alice_efficiency()
     attempts = est.attempts.sum(axis=1)
@@ -256,7 +256,7 @@ def test_criterion_8_finite_settings_bound(capsys):
     # 100-point bias measures ~2e-3)
     settings = fibonacci_sphere(100)
     spread = mi_finite_settings_tb(
-        SettingsSpec.finite(settings, settings), 100_000, RandomSource(109)
+        SettingsSpec(settings, settings), 100_000, RandomSource(109)
     )
     quad = mi_tb_quadrature()
     tol = 3 * spread.uncertainty + 0.01

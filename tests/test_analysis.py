@@ -98,7 +98,7 @@ def test_estimate_is_independent_of_parallelism():
 def test_estimate_correlator_tracks_target():
     x = vec_polar(0.3, 1.1)
     y = vec_polar(1.9, -0.4)
-    spec = SettingsSpec.finite([x], [y])
+    spec = SettingsSpec([x], [y])
     est = estimate_correlations(TonerBaconModel(), spec, 100_000, RandomSource(61))
     e = est.correlators[0, 0]
     se = est.correlator_se[0, 0]
@@ -168,7 +168,7 @@ def _non_product_3x5():
     w[1, 2] = 0.0
     alice = [vec_polar(0.2 + t, 1.3 * t) for t in (0.0, 1.0, 2.0)]
     bob = [vec_polar(0.5 + 0.6 * t, -0.7 * t) for t in range(5)]
-    return SettingsSpec.finite(alice, bob, w / w.sum())
+    return SettingsSpec(alice, bob, w / w.sum())
 
 
 @pytest.mark.parametrize("kind", ["tb", "gg"])
@@ -226,8 +226,7 @@ def test_chunks_keep_two_per_worker_in_flight(monkeypatch):
 
 def test_empty_cell_reports_config_error():
     p = np.array([[1.0, 0.0], [0.0, 0.0]])
-    spec = SettingsSpec.finite(preset("chsh").alice_settings,
-                               preset("chsh").bob_settings, p)
+    spec = SettingsSpec(preset("chsh").alice_settings, preset("chsh").bob_settings, p)
     est = estimate_correlations(TonerBaconModel(), spec, 5_000, RandomSource(63))
     assert est.kept_per_cell[0, 1] == 0
     # an empty cell estimates NaN, never a zero that reads as data
@@ -437,7 +436,7 @@ def test_exact_path_memory_follows_the_support():
     gen = np.random.default_rng(24)
     v = gen.standard_normal((48, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    spec = SettingsSpec.finite(v[:24], v[24:])
+    spec = SettingsSpec(v[:24], v[24:])
     corr = exact_singlet_conditional(spec)
     tracemalloc.start()
     try:
@@ -528,13 +527,11 @@ def test_mi_gg_montecarlo_agrees_with_closed_form():
 def test_mi_finite_settings_validation():
     with pytest.raises(ConfigError):
         mi_finite_settings_tb(preset("chsh"), 100, RandomSource(0))
-    with pytest.raises(ConfigError):
-        mi_finite_settings_tb(SettingsSpec.continuous_uniform(), 2000, RandomSource(0))
 
 
 def test_mi_finite_single_alice_setting_is_zero():
     # with one Alice setting the message is a function of mu alone
-    spec = SettingsSpec.finite([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
+    spec = SettingsSpec([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
     est = mi_finite_settings_tb(spec, 2_000, RandomSource(72))
     assert est.value == 0.0
     assert est.uncertainty == 0.0
@@ -551,7 +548,7 @@ def test_mi_finite_chsh_stays_below_one_bit():
         lambda: mi_tb_montecarlo(1_000_000, RandomSource(74)),
         lambda: mi_finite_settings_tb(preset("chsh"), 1_000_000, RandomSource(75)),
         lambda: mi_finite_settings_tb(
-            SettingsSpec.finite(fibonacci_sphere(64)[::2], fibonacci_sphere(64)[1::2]),
+            SettingsSpec(fibonacci_sphere(64)[::2], fibonacci_sphere(64)[1::2]),
             1_000_000, RandomSource(76),
         ),
     ],

@@ -846,7 +846,14 @@ BAD_INPUTS = {
          "--out-file", "model.json"],
         DEEP_CELL_CORR,
     ),
+    "corr-no-cells": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {k: v for k, v in ONE_CELL.items() if k != "cells"},
+    ),
 }
+# case -> words its error line must hold, where the cause is easy to misname
+BAD_INPUT_WORDING = {"corr-no-cells": "cells are missing"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -866,6 +873,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert len(lines[0]) < 200, err
+    assert BAD_INPUT_WORDING.get(case, "") in lines[0], err
 
 
 def test_config_errors_exit_2(tmp_path):

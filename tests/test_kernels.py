@@ -197,7 +197,7 @@ class _CoinModel:
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_estimate_tallies_like_the_loop(parallelism):
     p_xy = np.array([[0.2, 0.15, 0.0], [0.25, 0.1, 0.3]])
-    spec = SettingsSpec.finite(np.eye(3)[:N_A], -np.eye(3), p_xy)
+    spec = SettingsSpec(np.eye(3)[:N_A], -np.eye(3), p_xy)
     model = _CoinModel(spec)
     rounds = CHUNK_ROUNDS + 321
     est = estimate_correlations(model, spec, rounds, RandomSource(2409), parallelism)

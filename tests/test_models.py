@@ -50,15 +50,28 @@ def tb_replay(x, y, l1, l2):
 
 def test_settings_require_unit_vectors():
     with pytest.raises(ValidationError):
-        SettingsSpec.finite(np.array([[0.0, 0.0, 2.0]]), np.array([[0.0, 0.0, 1.0]]))
+        SettingsSpec(np.array([[0.0, 0.0, 2.0]]), np.array([[0.0, 0.0, 1.0]]))
+    for empty in ([], np.zeros((0, 3))):
+        with pytest.raises(ConfigError):
+            SettingsSpec(empty, np.eye(3))
+        with pytest.raises(ConfigError):
+            SettingsSpec(np.eye(3), empty)
+    with pytest.raises(ConfigError):
+        SettingsSpec(np.eye(3), np.eye(3)[:2], np.full((2, 3), 1 / 6))
 
 
 def test_settings_default_input_dist_is_uniform():
-    spec = SettingsSpec.finite(np.eye(3), np.eye(3)[:2])
+    spec = SettingsSpec(np.eye(3), np.eye(3)[:2])
     assert spec.p_xy.shape == (3, 2)
     np.testing.assert_allclose(spec.p_xy, 1 / 6)
     np.testing.assert_allclose(spec.p_x, 1 / 3)
     np.testing.assert_allclose(spec.p_xy.sum(axis=0), 1 / 2)
+    explicit = SettingsSpec(np.eye(3), np.eye(3)[:2], np.full((3, 2), 1 / 6))
+    assert spec.p_xy.tobytes() == explicit.p_xy.tobytes()
+    # a flat 3-vector is one setting
+    single = SettingsSpec([0.0, 0.0, 1.0], np.eye(3)[:2])
+    assert single.alice_settings.shape == (1, 3) and single.n_alice == 1
+    assert single.p_xy.tobytes() == np.full((1, 2), 0.5).tobytes()
 
 
 def test_preset_chsh_geometry():
@@ -81,7 +94,7 @@ def test_preset_parallel_and_unknown():
 
 def test_sample_indices_follow_input_dist():
     p = np.array([[0.5, 0.0], [0.25, 0.25]])
-    spec = SettingsSpec.finite(np.eye(3)[:2], np.eye(3)[:2], p)
+    spec = SettingsSpec(np.eye(3)[:2], np.eye(3)[:2], p)
     x_idx, y_idx = spec.sample_indices(RandomSource(0).generator(), 40_000)
     counts = np.zeros((2, 2))
     np.add.at(counts, (x_idx, y_idx), 1)
@@ -98,14 +111,14 @@ def _weighted_spec(shape, seed) -> SettingsSpec:
     w[gen.random(shape) < 0.2] = 0.0
     if not w.any():
         w[0, 0] = 1.0
-    return SettingsSpec.finite(fibonacci_sphere(shape[0]), fibonacci_sphere(shape[1]), w / w.sum())
+    return SettingsSpec(fibonacci_sphere(shape[0]), fibonacci_sphere(shape[1]), w / w.sum())
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (2, 2), (3, 5), (32, 32)])
 @pytest.mark.parametrize("seed", range(5))
 def test_sample_indices_match_generator_choice(shape, seed):
     # draw for draw the cells of Generator.choice on the same stream
-    for spec in (_weighted_spec(shape, seed), SettingsSpec.finite(
+    for spec in (_weighted_spec(shape, seed), SettingsSpec(
             fibonacci_sphere(shape[0]), fibonacci_sphere(shape[1]))):
         x_idx, y_idx = spec.sample_indices(RandomSource(seed).generator(), 20_000)
         want = RandomSource(seed).generator().choice(
@@ -251,7 +264,7 @@ def test_input_broadcast_rejects_signaling_targets():
     probs[0, 0] = [[0.5, 0.0], [0.0, 0.5]]  # P(a=+1|x,y=0) = 0.5
     probs[0, 1] = [[0.9, 0.0], [0.0, 0.1]]  # P(a=+1|x,y=1) = 0.9
     corr = ConditionalTable(probs)
-    spec = SettingsSpec.finite(np.eye(3)[:1], np.eye(3)[:2])
+    spec = SettingsSpec(np.eye(3)[:1], np.eye(3)[:2])
     with pytest.raises(ValidationError):
         input_broadcast_build(corr, spec)
 
@@ -267,7 +280,7 @@ def test_input_broadcast_reproduces_singlet_table_exactly():
 def test_input_broadcast_requires_matching_shapes():
     with pytest.raises(ConfigError):
         input_broadcast_build(
-            pr_box_conditional(), SettingsSpec.finite(np.eye(3), np.eye(3))
+            pr_box_conditional(), SettingsSpec(np.eye(3), np.eye(3))
         )
 
 
@@ -278,7 +291,7 @@ def test_input_broadcast_cap_counts_scripts_with_weight():
     probs = np.zeros((5, 3, 2, 2))
     probs[:, :, 0, 0] = 0.5
     probs[:, :, 1, :] = 0.25
-    spec = SettingsSpec.finite(fibonacci_sphere(5), fibonacci_sphere(3))
+    spec = SettingsSpec(fibonacci_sphere(5), fibonacci_sphere(3))
     comm = input_broadcast_build(ConditionalTable(probs), spec)
     assert len(comm.mu_labels) == len(set(comm.mu_labels)) == 9**5
     assert comm.mu_weights.min() > 0.0
@@ -310,7 +323,7 @@ def test_brans_mi_equals_input_entropy_property():
     for _ in range(5):
         p = gen.random((2, 2))
         p /= p.sum()
-        spec = SettingsSpec.finite(
+        spec = SettingsSpec(
             preset("chsh").alice_settings, preset("chsh").bob_settings, p
         )
         model = brans_build(exact_singlet_conditional(spec), spec)

@@ -95,7 +95,7 @@ def test_json_text_renders_keys_like_json_dumps_once_each(monkeypatch):
     p = np.ones((32, 32))
     p[3] = 0.0
     p[:, 5] = 0.0
-    spec = SettingsSpec.finite(settings[:32], settings[32:], p / p.sum())
+    spec = SettingsSpec(settings[:32], settings[32:], p / p.sum())
     est = estimate_correlations(GisinGisinModel(), spec, 5_000, RandomSource(2410))
     payload = correlation_payload(
         est, model="gg", seed=2410, quantum=exact_singlet_conditional(spec)
@@ -171,7 +171,7 @@ def estimated_tables(draw):
     bob = [vec_polar(*draw(angles)) for _ in range(n_b)]
     cells = n_a * n_b
     p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cells, max_size=cells)))
-    spec = SettingsSpec.finite(alice, bob, (p / p.sum()).reshape(n_a, n_b))
+    spec = SettingsSpec(alice, bob, (p / p.sum()).reshape(n_a, n_b))
     counts = np.array(
         draw(st.lists(st.integers(0, 10**6), min_size=4 * cells, max_size=4 * cells))
     ).reshape(n_a, n_b, 2, 2)
@@ -357,7 +357,7 @@ def test_load_model_converts_each_declared_label_once(monkeypatch):
     # the 3x3 singlet broadcast model: 4 096 mu labels of 12 outcomes each,
     # picked by 36 864 entries
     settings = fibonacci_sphere(6)
-    spec = SettingsSpec.finite(settings[::2], settings[1::2])
+    spec = SettingsSpec(settings[::2], settings[1::2])
     cs, _ = comm_to_cs(input_broadcast_build(exact_singlet_conditional(spec), spec), spec)
     text = json_text(model_payload(cs))
     calls = 0

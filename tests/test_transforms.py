@@ -31,6 +31,7 @@ from bellmi.sphere import RandomSource, vec_polar
 from bellmi.transforms import (
     TransformReport,
     _corr_deviation,
+    _random_pair_spec,
     brans_to_cs,
     comm_to_cs,
     det_to_cs,
@@ -62,7 +63,7 @@ def test_report_rejects_mi_above_bound():
 
 
 def test_estimated_corr_deviation_matches_cell_loop():
-    spec = SettingsSpec.finite(np.eye(3), np.eye(3)[:2])
+    spec = SettingsSpec(np.eye(3), np.eye(3)[:2])
     counts = np.random.default_rng(5).integers(0, 50, size=(3, 2, 2, 2))
     counts[1, 0] = 0  # an empty cell is skipped, not read as P = 0 or NaN
     est = CorrelationTable(spec=spec, counts=counts, attempts=counts.sum(axis=(2, 3)))
@@ -116,7 +117,7 @@ def small_targets(draw):
     cells = n_a * n_b
     p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cells, max_size=cells)))
     e = draw(st.lists(st.floats(-1.0, 1.0), min_size=cells, max_size=cells))
-    spec = SettingsSpec.finite(alice, bob, (p / p.sum()).reshape(n_a, n_b))
+    spec = SettingsSpec(alice, bob, (p / p.sum()).reshape(n_a, n_b))
     return spec, ConditionalTable.from_correlators(np.reshape(e, (n_a, n_b)))
 
 
@@ -177,7 +178,7 @@ def deterministic_comm_models(draw):
     alice = [vec_polar(*draw(angles)) for _ in range(n_a)]
     bob = [vec_polar(*draw(angles)) for _ in range(n_b)]
     p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_a * n_b, max_size=n_a * n_b)))
-    spec = SettingsSpec.finite(alice, bob, (p / p.sum()).reshape(n_a, n_b))
+    spec = SettingsSpec(alice, bob, (p / p.sum()).reshape(n_a, n_b))
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_mu, max_size=n_mu)))
 
     def table(shape, values):
@@ -258,7 +259,7 @@ def test_finite_comm_model_rejects_bad_response_arrays():
             FiniteCommModel(**{**valid, field: value})
     model = FiniteCommModel(**valid)
     with pytest.raises(ConfigError):
-        comm_to_cs(model, SettingsSpec.finite(np.eye(3), np.eye(3)[:2]))
+        comm_to_cs(model, SettingsSpec(np.eye(3), np.eye(3)[:2]))
     comm_to_cs(model, preset("chsh"))
 
 
@@ -288,13 +289,12 @@ def test_comm_to_cs_sampled_report_and_determinism():
     assert rep1.corr_deviation < 0.05
 
 
-def test_comm_to_cs_sampled_continuous_spec():
-    _, report = comm_to_cs(
-        TonerBaconModel(),
-        SettingsSpec.continuous_uniform(),
-        source=RandomSource(41),
-        rounds=40_000,
-    )
+def test_comm_to_cs_sampled_random_pair_spec():
+    # eight random (x, y) pairs carry all the input mass; cells without mass
+    # are skipped by the deviation
+    source = RandomSource(41)
+    spec = _random_pair_spec(source.child(0).generator(), 8)
+    _, report = comm_to_cs(TonerBaconModel(), spec, source=source, rounds=40_000)
     assert report.corr_deviation < 0.08
 
 
