@@ -18,23 +18,17 @@ numerics), :mod:`bellmi.serialize` (deterministic JSON/CSV), and
 """
 
 from .analysis import (
-    CHSHResult,
     CorrelationTable,
     GG_MI_CLOSED_FORM,
     LocalityReport,
     MIEstimate,
-    chsh,
     estimate_correlations,
     exact_singlet_conditional,
-    make_signaling_example,
     mi_exact_finite,
     mi_finite_settings_tb,
-    mi_gg_montecarlo,
     mi_gg_quadrature,
     mi_gg_uniform,
-    mi_tb_montecarlo,
     mi_tb_quadrature,
-    singlet_correlation,
     verify_bell_local,
 )
 from .errors import (
@@ -66,7 +60,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AcceptanceFloorError",
     "BellError",
-    "CHSHResult",
     "ConditionalTable",
     "ConfigError",
     "CorrelationTable",
@@ -86,23 +79,18 @@ __all__ = [
     "ValidationError",
     "binary_entropy",
     "brans_build",
-    "chsh",
     "comm_to_cs",
     "det_to_cs",
     "estimate_correlations",
     "exact_singlet_conditional",
     "input_broadcast_build",
-    "make_signaling_example",
     "mi_exact_finite",
     "mi_finite_settings_tb",
-    "mi_gg_montecarlo",
     "mi_gg_quadrature",
     "mi_gg_uniform",
-    "mi_tb_montecarlo",
     "mi_tb_quadrature",
     "pr_box_conditional",
     "preset",
     "sample_uniform_sphere",
-    "singlet_correlation",
     "verify_bell_local",
 ]

@@ -1,12 +1,13 @@
-"""Correlation estimation, CHSH, locality verification, and mutual information.
+"""Correlation estimation, locality verification, and mutual information.
 
 The quantum oracle throughout is the singlet correlator E = -x.y for
 projective measurements along unit vectors x and y.  Every Monte Carlo
-estimator (correlation tables and the three mutual-information oracles)
-runs through one chunk loop: :data:`CHUNK_ROUNDS`-sample chunks, each on its
-own split random sub-stream, reduced in fixed chunk order.  Memory stays one
-chunk deep, and results are bit-identical for a given seed regardless of the
-parallelism degree.
+estimator (correlation tables, :func:`mi_finite_settings_tb` and the
+quadrature's oracle :func:`mi_tb_montecarlo`) runs through one chunk loop:
+:data:`CHUNK_ROUNDS`-sample chunks, each on its own split random
+sub-stream, reduced in fixed chunk order.  Memory stays one chunk deep, and
+results are bit-identical for a given seed regardless of the parallelism
+degree.
 
 The two headline information numbers:
 
@@ -32,9 +33,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, InternalConsistencyError
-from .models import OUTCOME_LABELS, ConditionalTable, ExactCSModel, SettingsSpec, _frozen_array
-from .sphere import RandomSource, require_unit, sample_uniform_sphere
-from .table import TABLE_CELL_CAP, FiniteDistribution, InfoBits, binary_entropy, group_sums
+from .models import ConditionalTable, ExactCSModel, SettingsSpec, _frozen_array
+from .sphere import RandomSource, sample_uniform_sphere
+from .table import TABLE_CELL_CAP, InfoBits, binary_entropy, group_sums
 
 # Monte Carlo rounds are processed in fixed-size chunks, one split random
 # sub-stream per chunk, so the parallelism degree cannot change results.
@@ -59,13 +60,6 @@ MI_METHODS = ("exact", "quadrature", "monte-carlo", "closed-form")
 # ----------------------------------------------------------------------
 # singlet predictions
 # ----------------------------------------------------------------------
-
-def singlet_correlation(x, y) -> float:
-    """Quantum prediction E = -x.y for singlet projective measurements."""
-    x = require_unit(x)
-    y = require_unit(y)
-    return -float(np.dot(x, y))
-
 
 def exact_singlet_conditional(spec: SettingsSpec) -> ConditionalTable:
     """Exact singlet conditional P(a,b|x,y) = (1 - ab x.y)/4 over a spec's settings."""
@@ -229,31 +223,6 @@ def estimate_correlations(
 
 
 # ----------------------------------------------------------------------
-# CHSH
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CHSHResult:
-    s: float
-    se: float
-
-
-def chsh(table, indices: Sequence[int] = (0, 1, 0, 1)) -> CHSHResult:
-    """S = E(x0,y0) - E(x0,y1) + E(x1,y0) + E(x1,y1), error by quadrature sum.
-
-    Accepts anything with ``correlators`` and ``correlator_se`` arrays
-    (estimated or exact tables).  A cell without rounds raises.
-    """
-    x0, x1, y0, y1 = indices
-    cells = ((x0, y0), (x0, y1), (x1, y0), (x1, y1))
-    e = [float(table.correlators[c]) for c in cells]
-    if any(math.isnan(v) for v in e):
-        raise ConfigError(f"a CHSH cell among {cells} collected no rounds")
-    se = math.sqrt(sum(float(table.correlator_se[c]) ** 2 for c in cells))
-    return CHSHResult(s=e[0] - e[1] + e[2] + e[3], se=se)
-
-
-# ----------------------------------------------------------------------
 # Bell-locality verification
 # ----------------------------------------------------------------------
 
@@ -333,27 +302,6 @@ def verify_bell_local(model: ExactCSModel, tol: float = 1e-9) -> LocalityReport:
         cell = (a, b, x, y) + (np.unravel_index(hk, h_shape) if h_shape else ())
         witness = {name: table.labels(name)[i] for name, i in zip(names, cell)}
     return LocalityReport(ok=ok, max_deviation=max_dev, tol=tol, witness=witness)
-
-
-def make_signaling_example() -> ExactCSModel:
-    """A correlated-settings table that is not Bell-local: a copies y.
-
-    Conditioned on (x, y, lambda) the outcomes look deterministic, hence
-    trivially product; the locality check still fails because Alice's
-    response P(a|x, lambda) cannot depend on y.
-    """
-    x, y = np.divmod(np.arange(4), 2)  # the four (x, y) cells
-    fixed = np.zeros(4, dtype=np.intp)  # b = +1 and the one lambda
-    variables = [
-        ("a", OUTCOME_LABELS),
-        ("b", OUTCOME_LABELS),
-        ("x", (0, 1)),
-        ("y", (0, 1)),
-        ("lam", ("free",)),
-    ]
-    # a = +1 (index 0) when y = 0 and -1 (index 1) when y = 1: a's index is y
-    table = FiniteDistribution(variables, (y, fixed, x, y, fixed), np.full(4, 0.25))
-    return ExactCSModel(table=table, hidden_vars=("lam",))
 
 
 # ----------------------------------------------------------------------
@@ -506,25 +454,6 @@ def mi_gg_uniform() -> MIEstimate:
             f"{GG_MI_CLOSED_FORM!r} beyond {GG_CHECK_TOL}"
         )
     return MIEstimate(value=GG_MI_CLOSED_FORM, method="closed-form", uncertainty=0.0)
-
-
-def mi_gg_montecarlo(samples: int, source: RandomSource) -> MIEstimate:
-    """Monte Carlo oracle for :func:`mi_gg_uniform`.
-
-    Draws hidden vectors from the post-selected density by rejection
-    (accept with probability |lambda.x|, exactly the detection step) and
-    averages log2(2 |lambda.x|) over the kept vectors.
-    """
-    if samples < 2:
-        raise ConfigError(f"samples must be >= 2, got {samples}")
-
-    def draw(gen, k):
-        lam = sample_uniform_sphere(gen, k)
-        u = gen.random(k)
-        d = np.abs(lam[:, 2])  # measurement axis fixed to z by symmetry
-        return np.log2(2.0 * d[u < d])
-
-    return _mc_mean(source, samples, draw)
 
 
 def mi_finite_settings_tb(

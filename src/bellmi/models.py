@@ -244,11 +244,6 @@ class ConditionalTable:
         e = p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1]
         return _frozen_array(e)
 
-    @cached_property
-    def correlator_se(self) -> np.ndarray:
-        """Zeros shaped like :attr:`correlators`: no sampling error."""
-        return _frozen_array(np.zeros(self.probs.shape[:2]))
-
     def alice_conditional(self) -> np.ndarray:
         """P(a|x,y) as an (nA, nB, 2) array."""
         return self.probs.sum(axis=3)

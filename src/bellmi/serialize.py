@@ -106,21 +106,16 @@ def _labels_text(name: str, labels) -> str:
     Its ints, strings and arrays come out as :func:`_render` writes them,
     and a float as its ``repr``, which always shows a point or an exponent,
     so ``1.0`` and ``-0.0`` load back as floats, not as the ints 1 and 0.
-    A non-finite float has no JSON form and raises :class:`ConfigError`.
+    A non-finite float has no JSON form and raises :class:`ConfigError`, and
+    so does a label of any other type, a numpy integer among them: every
+    builder makes its labels with ``.tolist()``.
     """
     try:
-        return json.dumps(labels, allow_nan=False, default=_label_value)
+        return json.dumps(labels, allow_nan=False)
     except ValueError:  # the encoder's refusal of nan and inf
         raise ConfigError(f"labels of variable {name!r} must be finite numbers") from None
     except TypeError as exc:
         raise ConfigError(f"labels of variable {name!r}: {exc}") from None
-
-
-def _label_value(obj):
-    """A numpy scalar label as the Python value the encoder writes."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def parse_json(text: str):
@@ -374,9 +369,17 @@ def load_model(text: str) -> ExactCSModel:
     whose variables carry no ``codes``, is a bad structure.  The
     certificate is a description only and is not read back (the verifier
     derives the responses from the table); the loaded model carries
-    ``certificate=None``.
+    ``certificate=None``.  A sampled-model descriptor, which
+    :func:`sampler_payload` writes, has no weight table and is refused with
+    a line that says so.
     """
     payload = parse_json(text)
+    if type(payload) is dict and payload.get("sampled") is True:
+        raise ConfigError(
+            "model file: a sampled-model descriptor (transform --model tb|gg) has no weight "
+            "table; verify and mutual-info read the exact model files of transform "
+            "--model brans|input-broadcast"
+        )
     try:
         variables, columns = [], []
         for v in _json_array(payload["variables"]):
@@ -403,7 +406,7 @@ def sampler_payload(model, *, seed: int) -> dict:
 
     Sampled models have continuous hidden variables and no weight table, so
     the file records the construction's kind, the seed and the settings.
-    The package does not read these descriptors back; ``load_model``
+    The package does not read these descriptors back; :func:`load_model`
     rejects them.
     """
     spec = model.spec

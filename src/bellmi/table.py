@@ -321,28 +321,7 @@ class FiniteDistribution:
         _, ib, pb = group_sums(cells % n_b, pj)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = pj * np.log2(pj / (pa[ia] * pb[ib]))
-        return self._clamped(float(terms.sum()), "mutual information")
-
-    def conditional_mutual_information(
-        self, a: Sequence[str], b: Sequence[str], c: Sequence[str]
-    ) -> InfoBits:
-        """I(A:B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) >= 0, in bits."""
-        a, b, c = tuple(a), tuple(b), tuple(c)
-        cells, p, shape = self._joint(a + b + c)
-        n_b = math.prod(shape[len(a): len(a) + len(b)])
-        n_c = math.prod(shape[len(a) + len(b):])
-        ab, ic = np.divmod(cells, n_c)
-        ia, ib = np.divmod(ab, n_b)
-        _, g_ac, pac = group_sums(ia * n_c + ic, p)
-        _, g_bc, pbc = group_sums(ib * n_c + ic, p)
-        _, g_c, pc = group_sums(ic, p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (p * pc[g_c]) / (pac[g_ac] * pbc[g_bc])
-            terms = p * np.log2(ratio)
-        return self._clamped(float(terms.sum()), "conditional mutual information")
-
-    @staticmethod
-    def _clamped(value: float, what: str) -> float:
+        value = float(terms.sum())
         if value < -MI_CLAMP:
-            raise InternalConsistencyError(f"{what} = {value!r} < -{MI_CLAMP}")
+            raise InternalConsistencyError(f"mutual information = {value!r} < -{MI_CLAMP}")
         return 0.0 if value < 0.0 else value

@@ -1,22 +1,26 @@
 """Shared helpers: a subprocess CLI runner, spread sphere points, the
 pair-by-pair sphere draw, a small valid model file, tables built from
 dense arrays, the oracles for reproduced conditional tables, the
-dense-table oracles for the information measures and the verifier, the
-entry-at-a-time model-file writer, and the reader of the row layout that
-model files had before code columns."""
+acceptance gate's oracles (the scalar singlet correlator, CHSH, the
+detection route's Monte Carlo price and the signaling counterexample's
+builder), the dense-table oracles for the information measures and the
+verifier, the entry-at-a-time model-file writer, and the reader of the
+row layout that model files had before code columns."""
 
 import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from bellmi import serialize
-from bellmi.analysis import cell_conditional
+from bellmi.analysis import MIEstimate, _mc_mean, cell_conditional
 from bellmi.errors import ConfigError
-from bellmi.models import ConditionalTable, ExactCSModel
+from bellmi.models import OUTCOME_LABELS, ConditionalTable, ExactCSModel
+from bellmi.sphere import RandomSource, require_unit, sample_uniform_sphere
 from bellmi.table import FiniteDistribution
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -97,6 +101,75 @@ def exact_conditional(model) -> ConditionalTable:
     probs = cell_conditional(model.table.marginal(("x", "y", "a", "b")))
     assert not np.isnan(probs).any(), "an input cell has zero mass"
     return ConditionalTable(probs)
+
+
+def singlet_correlation(x, y) -> float:
+    """Quantum prediction E = -x.y for singlet projective measurements
+    along unit vectors, the scalar twin of
+    ``analysis.exact_singlet_conditional``."""
+    return -float(np.dot(require_unit(x), require_unit(y)))
+
+
+@dataclass(frozen=True)
+class CHSHResult:
+    s: float
+    se: float
+
+
+def chsh(table) -> CHSHResult:
+    """S = E(0,0) - E(0,1) + E(1,0) + E(1,1), its error by quadrature sum.
+
+    Reads ``correlators``, and ``correlator_se`` where the table has it (an
+    estimated table); an exact table has no sampling error.  A cell
+    without rounds raises :class:`ConfigError`.
+    """
+    cells = ((0, 0), (0, 1), (1, 0), (1, 1))
+    e = [float(table.correlators[c]) for c in cells]
+    if any(math.isnan(v) for v in e):
+        raise ConfigError(f"a CHSH cell among {cells} collected no rounds")
+    se = getattr(table, "correlator_se", None)
+    se = 0.0 if se is None else math.sqrt(sum(float(se[c]) ** 2 for c in cells))
+    return CHSHResult(s=e[0] - e[1] + e[2] + e[3], se=se)
+
+
+def mi_gg_montecarlo(samples: int, source: RandomSource) -> MIEstimate:
+    """Monte Carlo oracle for ``analysis.mi_gg_uniform``.
+
+    Draws hidden vectors from the post-selected density by rejection
+    (accept with probability |lambda.x|, exactly the detection step) and
+    averages log2(2 |lambda.x|) over the kept vectors, through the
+    package's chunk loop.
+    """
+
+    def draw(gen, k):
+        lam = sample_uniform_sphere(gen, k)
+        u = gen.random(k)
+        d = np.abs(lam[:, 2])  # measurement axis fixed to z by symmetry
+        return np.log2(2.0 * d[u < d])
+
+    return _mc_mean(source, samples, draw)
+
+
+def make_signaling_example() -> ExactCSModel:
+    """A correlated-settings table that is not Bell-local: a copies y.  The
+    bundled ``data/signaling_counterexample.json`` holds this model.
+
+    Conditioned on (x, y, lambda) the outcomes look deterministic, hence
+    trivially product; the locality check still fails because Alice's
+    response P(a|x, lambda) cannot depend on y.
+    """
+    x, y = np.divmod(np.arange(4), 2)  # the four (x, y) cells
+    fixed = np.zeros(4, dtype=np.intp)  # b = +1 and the one lambda
+    variables = [
+        ("a", OUTCOME_LABELS),
+        ("b", OUTCOME_LABELS),
+        ("x", (0, 1)),
+        ("y", (0, 1)),
+        ("lam", ("free",)),
+    ]
+    # a = +1 (index 0) when y = 0 and -1 (index 1) when y = 1: a's index is y
+    table = FiniteDistribution(variables, (y, fixed, x, y, fixed), np.full(4, 0.25))
+    return ExactCSModel(table=table, hidden_vars=("lam",))
 
 
 def table_entries(table) -> list:

@@ -519,6 +519,14 @@ ONE_CELL = {
     "bob_settings": [[0.0, 0.0, 1.0]],
     "cells": [{"x": 0, "y": 0, "pp": 0.25, "pm": 0.25, "mp": 0.25, "mm": 0.25}],
 }
+# the descriptor ``transform --model tb`` writes: a seed and the settings,
+# no weight table
+TB_DESCRIPTOR = {
+    "kind": "tb-comm", "sampled": True, "seed": 4,
+    "settings": {k: v for k, v in ONE_CELL.items() if k != "cells"},
+    "hidden_variables": ["l1", "l2", "m"],
+    "certificate": "deterministic replay of the one-bit protocol",
+}
 # 2**13 labels for a and b and 2**10 weights on distinct lam values: the
 # support is small, but verify would check 2**36 (a, b, x, y, lam) cells
 WIDE_OUTCOME_MODEL = {
@@ -840,6 +848,11 @@ BAD_INPUTS = {
     ),
     # the layout before code columns: regenerate such a file with transform
     "model-row-layout": (["verify", "input.json"], row_payload(LOCAL_MODEL)),
+    # a sampled model's descriptor holds no table to verify or price
+    "verify-sampled-descriptor": (["verify", "input.json"], TB_DESCRIPTOR),
+    "mi-sampled-descriptor": (MI_MODEL_FILE, TB_DESCRIPTOR),
+    # a file whose top-level value is not an object has no fields to read
+    "model-top-level-array": (["verify", "input.json"], [LOCAL_MODEL]),
     # the error line names the cell's position, not its 2 000-character repr
     "corr-cell-nested-980": (
         ["transform", "--model", "brans", "--corr-file", "input.json",
@@ -853,7 +866,11 @@ BAD_INPUTS = {
     ),
 }
 # case -> words its error line must hold, where the cause is easy to misname
-BAD_INPUT_WORDING = {"corr-no-cells": "cells are missing"}
+BAD_INPUT_WORDING = {
+    "corr-no-cells": "cells are missing",
+    "verify-sampled-descriptor": "sampled-model descriptor",
+    "mi-sampled-descriptor": "sampled-model descriptor",
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -1,33 +1,27 @@
-"""Every name defined in ``src/bellmi`` is referenced from ``src/bellmi``.
+"""Every name defined in ``src/bellmi`` is referenced from ``src/bellmi``,
+and the package exports exactly what its ``__init__.py`` imports.
 
 The scan parses each module except ``__init__.py`` (whose re-exports would
 count every public name as used) and compares two sets: the functions,
 methods and classes defined without a leading ``__``, and every name or
 attribute the code reads.  Comments and docstrings are not parsed, so they
 count as no caller.  The only definitions allowed to have no caller in
-``src/`` are listed in ``UNCALLED``.
+``src/`` are listed in ``UNCALLED``; the package exports none of them.
 """
 
 import ast
 from pathlib import Path
 
+import bellmi
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bellmi"
 
-UNCALLED = {
-    # oracles the acceptance gate checks the command's numbers against
-    "singlet_correlation",
-    "chsh",
-    "conditional_mutual_information",
-    "mi_tb_montecarlo",
-    "mi_gg_montecarlo",
-    "make_signaling_example",
-    # kept for the benchmark harness under perfbench/ until it changes too:
-    # run.py records active_backend, and the span test counts transforms,
-    # which imports sample_uniform_sphere only for _random_pair_spec, among
-    # that function's four importers
-    "active_backend",
-    "_random_pair_spec",
-}
+# Only names that the benchmark under perfbench/ holds, until it changes
+# too: perfbench/tests/test_spans.py line 93 calls mi_tb_montecarlo,
+# perfbench/run.py line 177 records active_backend, and the same span test
+# counts four importers of sample_uniform_sphere (its "== 4"), transforms
+# among them, which imports it only for _random_pair_spec.
+UNCALLED = {"mi_tb_montecarlo", "active_backend", "_random_pair_spec"}
 
 
 def _defined_and_referenced():
@@ -53,3 +47,14 @@ def test_every_src_definition_has_a_src_caller():
         f"no src caller: {sorted(uncalled - UNCALLED)}; "
         f"listed but called or gone: {sorted(UNCALLED - uncalled)}"
     )
+
+
+def test_the_package_exports_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(bellmi.__all__) == sorted(imported)
+    assert not imported & UNCALLED, sorted(imported & UNCALLED)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from conftest import (
     assert_same_table,
     fibonacci_sphere,
     local_model_with_lam_codes,
+    make_signaling_example,
     oracle_load_model,
     oracle_model_payload,
     row_payload,
@@ -332,6 +334,21 @@ def test_float_labels_round_trip_by_type_and_bits():
 def test_non_finite_labels_are_refused_when_written(bad):
     with pytest.raises(ConfigError, match="labels of variable .x. must be finite numbers"):
         model_payload(_float_label_model((0, bad)))
+
+
+def test_numpy_integer_labels_are_refused_when_written():
+    # every builder makes its labels with .tolist(); a numpy integer has no
+    # JSON form
+    with pytest.raises(ConfigError, match="labels of variable .x.: .*int64"):
+        model_payload(_float_label_model((0, np.int64(1))))
+
+
+def test_bundled_counterexample_is_the_builders_model():
+    path = resources.files("bellmi").joinpath("data/signaling_counterexample.json")
+    loaded = load_model(path.read_text(encoding="utf-8"))
+    want = make_signaling_example()
+    assert loaded.hidden_vars == want.hidden_vars
+    assert_same_table(loaded.table, want.table)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

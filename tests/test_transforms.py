@@ -43,7 +43,13 @@ from bellmi.analysis import (
     mi_exact_finite,
     verify_bell_local,
 )
-from conftest import comm_conditional, exact_conditional, max_deviation, table_entries
+from conftest import (
+    comm_conditional,
+    dense_conditional_mutual_information,
+    exact_conditional,
+    max_deviation,
+    table_entries,
+)
 
 
 def test_report_rejects_negative_deviations():
@@ -208,7 +214,7 @@ def test_comm_to_cs_chain_identity_on_random_protocols(case):
     t = cs.table
     i_lam = t.mutual_information(("x", "y"), ("mu", "m"))
     i_mu = t.mutual_information(("mu",), ("x", "y"))
-    i_m_given_mu = t.conditional_mutual_information(("m",), ("x", "y"), ("mu",))
+    i_m_given_mu = dense_conditional_mutual_information(t, ("m",), ("x", "y"), ("mu",))
     h_m_given_mu = t.entropy(("mu", "m")) - t.entropy(("mu",))
     assert i_lam == pytest.approx(i_mu + i_m_given_mu, abs=1e-12)
     assert i_m_given_mu == pytest.approx(h_m_given_mu, abs=1e-12)
