@@ -15,10 +15,11 @@ The per-round maps compute each dot product with the element formula
 tiles of rounds, whose summation order BLAS chooses.  For unit vectors (norms
 checked by :func:`bellmi.sphere.require_unit`) any evaluation order, with or
 without fused multiply-adds, errs by at most gamma_3 = 3u/(1 - 3u), about
-3.3e-16, so wherever the product's |d| is at least :data:`SIGN_MARGIN` its
-sign is the element formula's.  The few dots below the margin are computed
-again with the element formula, so every sign, tie breaks included, is the
-one the element formula gives.
+3.3e-16.  The kernel reads whether two dots share a sign from their product:
+neither |d| exceeds 1 + gamma_3, so where |d1*d2| >= :data:`SIGN_MARGIN`
+both |d| are above about 1e-12 and both signs are the element formula's.
+The few cells below the margin take both dots from the element formula, so
+every agreement, tie breaks included, is the one the element formula gives.
 """
 
 from __future__ import annotations
@@ -63,15 +64,16 @@ def _signs(plus):
     return plus.view(np.int8) * np.int8(2) - np.int8(1)
 
 
-# A dot product of magnitude at least SIGN_MARGIN has a certain sign: the
-# rounding error of a 3-term dot of unit vectors is below 3.4e-16.
+# A product d1*d2 of two dots of magnitude at least SIGN_MARGIN has factors
+# of certain sign: the rounding error of a 3-term dot of unit vectors is below
+# 3.4e-16, and neither factor exceeds 1 + 3.4e-16.
 SIGN_MARGIN = 1e-12
 
 # agreement_probs works on tiles of at most TILE_CELLS (setting, round)
 # cells: all J settings by B = max(MIN_TILE_WIDTH, TILE_CELLS // J) rounds,
-# and above 128 settings, blocks of 128 settings by 256 rounds.  Each float
-# array of a tile then holds at most 256 KB, a tile's arrays together under
-# 1 MB, and memory does not grow with J.
+# and above 128 settings, blocks of 128 settings by 256 rounds.  Its two
+# float buffers, made once per call, then hold about 256 KB each, and memory
+# does not grow with J.
 TILE_CELLS = 2**15
 MIN_TILE_WIDTH = 256
 
@@ -90,47 +92,51 @@ def agreement_probs(settings, p_x, l1, l2):
     of ``l1`` and ``l2`` are unit vectors.
 
     Each tile takes its dots with l1 and with l2 from one matrix product
-    each.  A sign is read from the product where |d| >= :data:`SIGN_MARGIN`;
-    the rest are recomputed with the element formula (see the module
-    docstring), so every sign is the element formula's.  Setting j adds
-    p_x[j] or 0.0, and the rows are added into p one at a time in setting
-    order j = 0, 1, ..., starting from 0.0.  That is the float that a loop
-    over the settings gives; a different summation order, such as a BLAS
-    product with p_x, would change the low bits of the result and so the
-    bytes ``mutual-info --target tb-finite`` prints for a given seed.
+    each and reads their agreement from the sign of d1*d2.  One minimum of
+    |d1*d2| over the tile certifies every sign (see the module docstring);
+    an exact 0, -0.0 or NaN dot fails it, and then the cells below
+    :data:`SIGN_MARGIN` are settled by the element formula.  Row j + 1 of a
+    buffer gets p_x[j] or 0.0 and row 0 the running sums, so one
+    ``np.add.reduce`` over axis 0 adds the p_x[j] in setting order from 0.0,
+    chaining blocks of 128 settings through row 0: the floats a loop over
+    the settings gives.  numpy keeps that order only over 2 or more
+    columns, so a 1-column tile accumulates its rows one by one.  A BLAS
+    product with p_x would sum in its own order and change the bytes
+    ``mutual-info --target tb-finite`` prints for a given seed.
     """
     n_set, n = settings.shape[0], l1.shape[0]
     rows, width = tile_shape(n_set)
+    cols = min(width, n)
+    terms, dots = np.empty((rows + 1) * cols), np.empty(rows * cols)
     p = np.empty(n, dtype=np.float64)
     for a in range(0, n, width):
         b = min(a + width, n)
-        acc = p[a:b]
-        acc.fill(0.0)
+        acc, u1, u2 = p[a:b], l1[a:b], l2[a:b]
         for j in range(0, n_set, rows):
             s = settings[j:j + rows]
-            d1 = _signed_dots(s, l1[a:b])
-            d2 = _signed_dots(s, l2[a:b])
-            w = ((d1 >= 0.0) == (d2 >= 0.0)) * p_x[j:j + rows, None]
-            for row in w:
-                np.add(acc, row, out=acc)
+            t = terms[:(s.shape[0] + 1) * (b - a)].reshape(-1, b - a)
+            t[0] = acc if j else 0.0
+            prod = np.matmul(s, u1.T, out=t[1:])
+            mag = np.matmul(s, u2.T, out=dots[:prod.size].reshape(prod.shape))
+            np.multiply(prod, mag, out=prod)
+            certain = np.abs(prod, out=mag).min() >= SIGN_MARGIN  # False on NaN too
+            np.greater_equal(prod, 0.0, out=prod)
+            if not certain:
+                _settle_ties(prod, mag, s, u1, u2)
+            np.multiply(prod, p_x[j:j + rows, None], out=prod)
+            if b - a > 1:
+                np.add.reduce(t, axis=0, out=acc)
+            else:  # numpy would sum a single column pairwise
+                acc[0] = np.add.accumulate(t[:, 0])[-1]
     return p
 
 
-def _signed_dots(settings, l):
-    """``settings @ l.T``, whose every entry has the element formula's sign."""
-    d = settings @ l.T
-    mag = np.abs(d)
-    if not mag.min() >= SIGN_MARGIN:  # NaN dots take this branch too
-        _settle_ties(d, mag, settings, l)
-    return d
-
-
-def _settle_ties(d, mag, settings, l):
-    """Recompute with the element formula every dot of ``d`` whose ``mag``
-    is not certified above :data:`SIGN_MARGIN`."""
+def _settle_ties(agree, mag, settings, l1, l2):
+    """Element-formula agreement in each cell whose ``mag`` is not >= SIGN_MARGIN."""
     j, i = np.nonzero(~(mag >= SIGN_MARGIN))
-    s, v = settings[j], l[i]
-    d[j, i] = s[:, 0] * v[:, 0] + s[:, 1] * v[:, 1] + s[:, 2] * v[:, 2]
+    s = settings[j]
+    d1, d2 = (s[:, 0] * v[i, 0] + s[:, 1] * v[i, 1] + s[:, 2] * v[i, 2] for v in (l1, l2))
+    agree[j, i] = (d1 >= 0.0) == (d2 >= 0.0)
 
 
 def tally(x_idx, y_idx, a, b, n_a, n_b, kept=None):

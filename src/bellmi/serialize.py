@@ -118,13 +118,17 @@ def _labels_text(name: str, labels) -> str:
         raise ConfigError(f"labels of variable {name!r}: {exc}") from None
 
 
-def parse_json(text: str):
+def parse_json(text: str, where: str) -> dict:
+    """The top-level object of a JSON file; ``where`` names the file in errors."""
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ConfigError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError("invalid JSON: nested too deeply") from None
+    if type(payload) is not dict:
+        raise ConfigError(f"{where}: must be a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 # Deepest array nesting of a JSON value the readers convert; the package
@@ -278,12 +282,12 @@ def _settings_from_payload(payload: dict, *, where: str) -> SettingsSpec:
 
 def load_settings(text: str) -> SettingsSpec:
     """Settings file: alice_settings, bob_settings, optional p_xy."""
-    return _settings_from_payload(parse_json(text), where="settings file")
+    return _settings_from_payload(parse_json(text, "settings file"), where="settings file")
 
 
 def load_input_dist(text: str) -> np.ndarray:
     """Input-distribution file: {"p_xy": [[...]]}."""
-    payload = parse_json(text)
+    payload = parse_json(text, "input-dist file")
     try:
         return _numbers(payload["p_xy"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -297,7 +301,7 @@ def load_correlation(text: str):
     probabilities, listed once, and indexed by JSON integers.  An error
     names a bad cell by its position in ``cells``, never by its content.
     """
-    payload = parse_json(text)
+    payload = parse_json(text, "correlation file")
     spec = _settings_from_payload(payload, where="correlation file")
     probs = np.full((spec.n_alice, spec.n_bob, 2, 2), np.nan)
     seen = set()
@@ -373,8 +377,8 @@ def load_model(text: str) -> ExactCSModel:
     :func:`sampler_payload` writes, has no weight table and is refused with
     a line that says so.
     """
-    payload = parse_json(text)
-    if type(payload) is dict and payload.get("sampled") is True:
+    payload = parse_json(text, "model file")
+    if payload.get("sampled") is True:
         raise ConfigError(
             "model file: a sampled-model descriptor (transform --model tb|gg) has no weight "
             "table; verify and mutual-info read the exact model files of transform "

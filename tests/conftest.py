@@ -352,7 +352,7 @@ def oracle_load_model(text: str) -> ExactCSModel:
     same ``repr``, or is converted on its own by :func:`oracle_label`, and
     then to its label index through a per-variable dict."""
     as_label, json_array = oracle_label, serialize._json_array
-    payload = serialize.parse_json(text)
+    payload = serialize.parse_json(text, "model file")
     try:
         variables, spelled = [], []
         for v in json_array(payload["variables"]):

@@ -853,6 +853,13 @@ BAD_INPUTS = {
     "mi-sampled-descriptor": (MI_MODEL_FILE, TB_DESCRIPTOR),
     # a file whose top-level value is not an object has no fields to read
     "model-top-level-array": (["verify", "input.json"], [LOCAL_MODEL]),
+    "settings-top-level-array": (SIMULATE + ["--settings-file", "input.json"], [1, 2]),
+    "input-dist-top-level-array": (SIMULATE + ["--input-dist-file", "input.json"], [1, 2]),
+    "corr-top-level-array": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        [1, 2],
+    ),
     # the error line names the cell's position, not its 2 000-character repr
     "corr-cell-nested-980": (
         ["transform", "--model", "brans", "--corr-file", "input.json",
@@ -868,6 +875,10 @@ BAD_INPUTS = {
 # case -> words its error line must hold, where the cause is easy to misname
 BAD_INPUT_WORDING = {
     "corr-no-cells": "cells are missing",
+    "model-top-level-array": "model file: must be a JSON object, got list",
+    "settings-top-level-array": "settings file: must be a JSON object, got list",
+    "input-dist-top-level-array": "input-dist file: must be a JSON object, got list",
+    "corr-top-level-array": "correlation file: must be a JSON object, got list",
     "verify-sampled-descriptor": "sampled-model descriptor",
     "mi-sampled-descriptor": "sampled-model descriptor",
 }

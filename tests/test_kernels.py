@@ -4,6 +4,7 @@ per-round loop, and the tiled agreement kernel against its
 one-setting-at-a-time loop."""
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,7 +237,7 @@ def _assert_same_bits(settings, p_x, l1, l2):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("n_settings", [1, 2, 5, 32, 100, 300])
+@pytest.mark.parametrize("n_settings", [1, 2, 5, 32, 100, 129, 300])
 def test_agreement_probs_matches_the_loop_bit_for_bit(n_settings):
     gen = np.random.default_rng(1900 + n_settings)
     settings = _unit_rows(gen, n_settings)
@@ -269,11 +270,31 @@ def test_agreement_probs_recomputes_ties_with_the_element_formula(monkeypatch):
     settled = []
     settle = K._settle_ties
 
-    def spy(d, mag, *rest):
+    def spy(agree, mag, *rest):
+        # mag holds |d1*d2|: count the cells the product could not certify
         settled.append(int((~(mag >= K.SIGN_MARGIN)).sum()))
-        return settle(d, mag, *rest)
+        return settle(agree, mag, *rest)
 
     monkeypatch.setattr(K, "_settle_ties", spy)
     _assert_same_bits(settings, p_x, l1, l2)
     _assert_same_bits(settings, p_x, np.asfortranarray(l1), np.asfortranarray(l2))
     assert settled and min(settled) > 0
+
+
+@pytest.mark.parametrize("columns", [2, 3, 256])
+def test_axis_0_reduce_adds_rows_in_order(columns):
+    # agreement_probs sums each tile with np.add.reduce(axis=0) and needs it
+    # to add the rows one at a time, top to bottom.  Added to 1.0, 1e-16
+    # rounds away (1.0 + 1e-16 == 1.0), while a pairwise sum first adds the
+    # small rows to each other and then moves 1.0: the two orders differ.
+    t = np.full((300, columns), 1e-16)
+    t[0] = 1.0
+    t[:, 1] = t[::-1, 1]  # a column whose large term comes last
+    rows = t[0].copy()
+    for row in t[1:]:
+        np.add(rows, row, out=rows)
+    assert rows[0] == 1.0 and rows[1] > 1.0
+    assert rows[0] != math.fsum(t[:, 0])  # the orders really differ
+    got = np.empty(columns)
+    np.add.reduce(t, axis=0, out=got)
+    np.testing.assert_array_equal(got.view(np.int64), rows.view(np.int64))

@@ -120,7 +120,7 @@ def test_json_text_renders_keys_like_json_dumps_once_each(monkeypatch):
 
 def test_parse_json_raises_config_error():
     with pytest.raises(ConfigError):
-        parse_json("{nope")
+        parse_json("{nope", "settings file")
 
 
 def test_settings_round_trip():
@@ -359,7 +359,7 @@ def test_model_files_match_the_entry_at_a_time_oracles(model_dyadic, rnd):
     assert text == json_text(oracle_model_payload(model))
     # the file, and the file with its variables shuffled, read as columns
     # by the package and in the row layout by the entry-at-a-time oracle
-    payload = parse_json(text)
+    payload = parse_json(text, "model file")
     perm = list(range(len(payload["variables"])))
     rnd.shuffle(perm)
     shuffled = {**payload, "variables": [payload["variables"][i] for i in perm]}

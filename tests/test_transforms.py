@@ -152,7 +152,7 @@ def test_model_files_read_by_name_in_any_variable_order(target, rnd):
         comm_to_cs(input_broadcast_build(corr, spec), spec)[0],
     ]
     for cs in built:
-        payload = parse_json(json_text(model_payload(cs)))
+        payload = parse_json(json_text(model_payload(cs)), "model file")
         perm = list(range(len(payload["variables"])))
         rnd.shuffle(perm)
         payload["variables"] = [payload["variables"][i] for i in perm]
