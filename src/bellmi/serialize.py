@@ -1,10 +1,17 @@
 """Deterministic serialization of tables, models, and reports.
 
-JSON is the authoritative format.  Field names and orders are fixed, floats
-are written as decimals with 17 significant digits (enough to round-trip
-float64 exactly), and nothing time- or host-dependent is ever emitted, so
-identical inputs produce identical bytes.  The stdlib encoder cannot format
-floats per value, hence the small recursive writer here.
+JSON is the authoritative format.  Every file and report goes through one
+writer, :func:`json_text`, which is the stdlib encoder: field names and
+orders are fixed by the payload builders, every float is written by its
+``repr`` (the shortest decimal that round-trips float64, always with a
+point or an exponent, so ``1.0`` and ``-0.0`` load back as floats), and
+nothing time- or host-dependent is ever emitted, so identical inputs
+produce identical bytes.  Payloads hold plain Python values only; an
+estimate that does not exist, such as those of a cell never drawn, is
+written as null by its builder, and any other non-finite float, like any
+value of another type, is refused with :class:`ConfigError`.  The readers
+refuse the constants ``NaN``, ``Infinity`` and ``-Infinity`` too.  Files
+written with the earlier ``%.17g`` spelling still load to the same values.
 
 Schemas:
 
@@ -18,16 +25,13 @@ Schemas:
   the writer lists the table's support in row-major cell order.
 
 Tuples used as labels are written as JSON arrays and restored as tuples on
-load, and float labels are written with ``repr``, so they load back as
-floats.  A model file is written and read a column at a time: the writer
-renders each label list, each code column and the weights once, formatting
-every weight with one ``%.17g`` format.  Every label and number a reader
-takes from a file is checked and converted by one walker,
-:func:`_json_values`, a nesting level at a time; the code columns are
-checked and converted by :meth:`FiniteDistribution.from_entries`.  A model
-file in the earlier row layout, one ``{"assignment", "p"}`` object per
-weight, is rejected; ``transform`` writes it again.  CSV output is a flat
-cell-per-row projection of the correlation table for spreadsheet use.
+load.  Every label and number a reader takes from a file is checked and
+converted by one walker, :func:`_json_values`, a nesting level at a time;
+the code columns are checked and converted by
+:meth:`FiniteDistribution.from_entries`.  A model file in the earlier row
+layout, one ``{"assignment", "p"}`` object per weight, is rejected;
+``transform`` writes it again.  CSV output is a flat cell-per-row projection
+of the correlation table for spreadsheet use, with the same float spelling.
 """
 
 from __future__ import annotations
@@ -44,88 +48,33 @@ from .models import ConditionalTable, ExactCSModel, SettingsSpec
 from .table import FiniteDistribution
 
 
-def format_float(x: float) -> str:
-    """Decimal with 17 significant digits; round-trips float64 exactly."""
-    return "%.17g" % float(x)
-
-
 def json_text(obj) -> str:
-    """Render a payload as deterministic JSON (fixed key order, one line)."""
-    return _render(obj, _KeyTexts()) + "\n"
+    """``obj`` as one line of JSON, in its own key order.
 
-
-class _KeyTexts(dict):
-    """JSON text of each dict key seen in one :func:`json_text` call; the
-    cells of a payload repeat the same few keys."""
-
-    def __missing__(self, key: str) -> str:
-        text = self[key] = json.dumps(key)
-        return text
-
-
-class _Rendered:
-    """A part of a payload that is already JSON text; :func:`json_text`
-    writes it as it is."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-def _render(obj, keys: _KeyTexts) -> str:
-    # Concrete types only: a bool is not rendered as an int, and numpy
-    # values go through .tolist() in the last branch.  Pre-rendered text
-    # comes after the common types, which every payload is made of.
-    kind = type(obj)
-    if kind is int:
-        return str(obj)
-    if kind is list or kind is tuple:
-        return "[" + ", ".join([_render(v, keys) for v in obj]) + "]"
-    if kind is float:
-        return format_float(obj) if math.isfinite(obj) else "null"
-    if kind is dict:
-        items = ", ".join([f"{keys[str(k)]}: {_render(v, keys)}" for k, v in obj.items()])
-        return "{" + items + "}"
-    if kind is str:
-        return json.dumps(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if kind is _Rendered:
-        return obj.text
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return _render(obj.tolist(), keys)
-    raise ConfigError(f"cannot serialize object of type {kind.__name__}")
-
-
-def _labels_text(name: str, labels) -> str:
-    """Variable ``name``'s label list as JSON text, in one ``json.dumps`` call.
-
-    Its ints, strings and arrays come out as :func:`_render` writes them,
-    and a float as its ``repr``, which always shows a point or an exponent,
-    so ``1.0`` and ``-0.0`` load back as floats, not as the ints 1 and 0.
-    A non-finite float has no JSON form and raises :class:`ConfigError`, and
-    so does a label of any other type, a numpy integer among them: every
-    builder makes its labels with ``.tolist()``.
+    ``obj`` is made of dicts with string keys, lists, tuples, strings,
+    ints, finite floats, bools and None.  A NaN or infinity, a numpy
+    integer, bool or array, or any other value has no JSON form here and
+    raises :class:`ConfigError`.
     """
     try:
-        return json.dumps(labels, allow_nan=False)
-    except ValueError:  # the encoder's refusal of nan and inf
-        raise ConfigError(f"labels of variable {name!r} must be finite numbers") from None
-    except TypeError as exc:
-        raise ConfigError(f"labels of variable {name!r}: {exc}") from None
+        return json.dumps(obj, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot write JSON ({exc})") from None
+
+
+def _refuse_constant(name: str):
+    """The reader's answer to ``NaN``, ``Infinity`` and ``-Infinity``."""
+    raise ValueError(f"non-finite number {name}")
 
 
 def parse_json(text: str, where: str) -> dict:
     """The top-level object of a JSON file; ``where`` names the file in errors."""
     try:
-        payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        raise ConfigError(f"invalid JSON: {exc}") from None
+        payload = json.loads(text, parse_constant=_refuse_constant)
+    except ValueError as exc:  # JSONDecodeError, a constant, or an integer over the digit limit
+        raise ConfigError(f"{where}: invalid JSON: {exc}") from None
     except RecursionError:
-        raise ConfigError("invalid JSON: nested too deeply") from None
+        raise ConfigError(f"{where}: invalid JSON: nested too deeply") from None
     if type(payload) is not dict:
         raise ConfigError(f"{where}: must be a JSON object, got {type(payload).__name__}")
     return payload
@@ -196,6 +145,9 @@ def _numbers(value) -> np.ndarray:
 # A cell's ``ok`` flag allows this many standard errors of |e - quantum_e|.
 FLAG_SIGMAS = 4.0
 
+# The fields of a cell that are estimated from its kept rounds.
+_ESTIMATES = ("pp", "pm", "mp", "mm", "se_pp", "se_pm", "se_mp", "se_mm", "e", "se_e")
+
 
 def correlation_payload(
     est,
@@ -210,7 +162,7 @@ def correlation_payload(
     count ``n``, standard errors, the correlator with error, the
     ``quantum`` correlator and an ``ok`` flag (deviation within
     :data:`FLAG_SIGMAS` standard errors).  An empty cell has ``"empty":
-    true``, NaN estimates (written as null) and ``"ok": false``.
+    true``, None for each of its :data:`_ESTIMATES` and ``"ok": false``.
     """
     spec = est.spec
     n, p, se = est.kept_per_cell.tolist(), est.probs.tolist(), est.prob_se.tolist()
@@ -221,18 +173,23 @@ def correlation_payload(
         for y in range(spec.n_bob):
             (pp, pm), (mp, mm) = p[x][y]
             (se_pp, se_pm), (se_mp, se_mm) = se[x][y]
-            cells.append({
+            cell = {
                 "x": x, "y": y, "pp": pp, "pm": pm, "mp": mp, "mm": mm,
                 "n": n[x][y], "empty": n[x][y] == 0,
                 "se_pp": se_pp, "se_pm": se_pm, "se_mp": se_mp, "se_mm": se_mm,
                 "e": e[x][y], "se_e": se_e[x][y], "quantum_e": q[x][y],
-                # a NaN e compares False, so an empty cell is never ok
-                "ok": abs(e[x][y] - q[x][y]) <= FLAG_SIGMAS * max(se_e[x][y], 1e-300),
-            })
+                "ok": n[x][y] > 0
+                and abs(e[x][y] - q[x][y]) <= FLAG_SIGMAS * max(se_e[x][y], 1e-300),
+            }
+            if cell["empty"]:  # its estimates are NaN
+                cell.update(dict.fromkeys(_ESTIMATES))
+            cells.append(cell)
     efficiency = None
     if est.post_selected:
+        # a setting never drawn has a NaN efficiency, written as null
+        alice = [None if math.isnan(v) else v for v in est.alice_efficiency().tolist()]
         efficiency = {
-            "alice_per_setting": est.alice_efficiency().tolist(),
+            "alice_per_setting": alice,
             "bob": est.bob_efficiency(),
         }
     return {
@@ -252,18 +209,21 @@ CSV_COLUMNS = ("x", "y", "pp", "pm", "mp", "mm", "n", "e", "se_e", "quantum_e", 
 
 
 def correlation_csv(payload: dict) -> str:
-    """Flat cell-per-row CSV projection of a correlation payload."""
+    """Flat cell-per-row CSV projection of a correlation payload.
+
+    Floats are spelled as in the JSON, and a null estimate is left blank.
+    """
     lines = [",".join(CSV_COLUMNS)]
     for cell in payload["cells"]:
         row = []
         for col in CSV_COLUMNS:
             v = cell[col]
-            if isinstance(v, bool):
+            if v is None:
+                row.append("")
+            elif isinstance(v, bool):
                 row.append("true" if v else "false")
-            elif isinstance(v, float):
-                row.append(format_float(v) if math.isfinite(v) else "")
             else:
-                row.append(str(v))
+                row.append(str(v))  # a float's str is its repr
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -337,27 +297,16 @@ def load_correlation(text: str):
 # ----------------------------------------------------------------------
 
 def model_payload(model: ExactCSModel) -> dict:
-    """Payload for an exact correlated-settings model.
-
-    Each variable's label list, each variable's code column and the weight
-    list are rendered once, as pre-rendered parts of the payload, so it is
-    written with :func:`json_text` without a string per weight.
-    """
+    """Payload for an exact correlated-settings model."""
     table = model.table
     names = table.variables
     codes, w = table.support(names)
-    # every weight is finite: the table's constructor checked its sum
-    weights = ", ".join(["%.17g"] * w.size) % tuple(w.tolist())
     return {
         "variables": [
-            {
-                "name": name,
-                "labels": _Rendered(_labels_text(name, table.labels(name))),
-                "codes": _Rendered(str(c.tolist())),  # a list of ints prints as JSON
-            }
+            {"name": name, "labels": list(table.labels(name)), "codes": c.tolist()}
             for name, c in zip(names, codes)
         ],
-        "weights": _Rendered("[" + weights + "]"),
+        "weights": w.tolist(),
         "hidden_variables": list(model.hidden_vars),
         "certificate": model.certificate,
     }
@@ -419,9 +368,9 @@ def sampler_payload(model, *, seed: int) -> dict:
         "sampled": True,
         "seed": seed,
         "settings": {
-            "alice_settings": spec.alice_settings,
-            "bob_settings": spec.bob_settings,
-            "p_xy": spec.p_xy,
+            "alice_settings": spec.alice_settings.tolist(),
+            "bob_settings": spec.bob_settings.tolist(),
+            "p_xy": spec.p_xy.tolist(),
         },
         "hidden_variables": list(model.hidden_names),
         "certificate": model.certificate,

@@ -23,6 +23,7 @@ information bound where available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -205,7 +206,10 @@ def _sampled_cs(
     extras = {"exact": False, "check_rounds": rounds}
     if est.post_selected:
         extras["acceptance_rate"] = float(kept / rounds)
-        extras["alice_efficiency"] = est.alice_efficiency().tolist()
+        # a setting never drawn has a NaN efficiency, written as null
+        extras["alice_efficiency"] = [
+            None if math.isnan(v) else v for v in est.alice_efficiency().tolist()
+        ]
         extras["bob_efficiency"] = est.bob_efficiency()
     report = TransformReport(
         source=model.name,

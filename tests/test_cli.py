@@ -2,6 +2,7 @@
 in-process property test of flag values."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellmi import cli, serialize
+from bellmi import analysis, cli, serialize
 from bellmi.analysis import CHUNK_ROUNDS
 from conftest import (
     LOCAL_MODEL,
@@ -128,7 +129,7 @@ def test_mutual_info_targets(tmp_path):
     )
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(2.0, abs=1e-12)
-    assert b'"method": "exact", "uncertainty": 0, ' in out
+    assert b'"method": "exact", "uncertainty": 0.0, ' in out
 
 
 def test_mutual_info_model_file_required():
@@ -271,9 +272,9 @@ def test_verify_bundled_signaling_counterexample():
     path = resources.files("bellmi").joinpath("data/signaling_counterexample.json")
     code, out, _ = run_cli(["verify", str(path)])
     assert code == 1
-    # the bytes the file printed in the row layout, before code columns
+    # the values the file printed in the row layout, before code columns
     assert out == (
-        b'{"ok": false, "max_deviation": 0.5, "tol": 1.0000000000000001e-09, '
+        b'{"ok": false, "max_deviation": 0.5, "tol": 1e-09, '
         b'"witness": {"a": 1, "b": 1, "x": 0, "y": 0, "lam": "free"}}\n'
     )
 
@@ -283,7 +284,7 @@ def test_verify_tol_0_accepts_an_exactly_local_model(tmp_path):
     path.write_text(json.dumps(LOCAL_MODEL))
     code, out, err = run_cli(["verify", str(path), "--tol", "0"])
     assert code == 0, err
-    assert out == b'{"ok": true, "max_deviation": 0, "tol": 0, "witness": null}\n'
+    assert out == b'{"ok": true, "max_deviation": 0.0, "tol": 0.0, "witness": null}\n'
 
 
 @pytest.mark.parametrize("hidden", [[], None])
@@ -358,6 +359,19 @@ def test_gg_efficiency_of_an_undrawn_setting_is_null_without_warning(tmp_path):
     assert alice[2] is None and 0.0 < alice[0] < 1.0 and 0.0 < alice[1] < 1.0
 
 
+def test_gg_transform_efficiency_of_an_undrawn_setting_is_null(tmp_path):
+    settings_file = tmp_path / "settings.json"
+    settings_file.write_text(json.dumps(ZERO_MASS_SPEC))
+    code, out, err = run_cli(
+        ["transform", "--model", "gg", "--rounds", "2000", "--settings-file",
+         str(settings_file), "--out-file", str(tmp_path / "model.json")]
+    )
+    assert code == 0, err
+    alice = json.loads(out)["extras"]["alice_efficiency"]
+    assert alice[2] is None and 0.0 < alice[0] < 1.0 and 0.0 < alice[1] < 1.0
+    assert b'"alice_efficiency": [0.' in out and b", null]" in out
+
+
 ESTIMATES = ("pp", "pm", "mp", "mm", "se_pp", "se_pm", "se_mp", "se_mm", "e", "se_e")
 ZERO_MASS_CELLS = [(0, 1), (2, 0), (2, 1)]
 
@@ -420,25 +434,25 @@ def test_exact_transforms_skip_zero_mass_cells(tmp_path, model, mi):
 PINNED_TRANSFORMS = {
     ("input-broadcast", None): (
         "48bc35ab6202f6ce33afcc3f4ea4a9e34988c4ffdab65ee74b3fb511c3087641",
-        "4340165f0fcd7eea6d5f6e353da336cf977937c0fe947b18d047ec0b779ad293",
+        "0dedf49da2e49100c65cc4cd683d34255e5161c4c6b0f894b624ffd6de035b21",
     ),
     ("input-broadcast", ((0.5, 0.0), (0.25, 0.25))): (
         "adad36824db012a0628582a65dd0eb92ff05d707bf2f3c41bfe900172ce5ac2a",
-        "4340165f0fcd7eea6d5f6e353da336cf977937c0fe947b18d047ec0b779ad293",
+        "0dedf49da2e49100c65cc4cd683d34255e5161c4c6b0f894b624ffd6de035b21",
     ),
     # the only weight sits on x = 1, so the "m" alphabet holds the one message
-    # sent, [1], and H(m) of that point mass is written as 0, not -0
+    # sent, [1], and H(m) of that point mass is written as 0.0, not -0.0
     ("input-broadcast", ((0.0, 0.0), (0.5, 0.5))): (
         "17701ae91cd0c738e9739dfdbeb868239837d9258a01bfc49c9697dcd6ba801e",
-        "6ce8429d9aa513bed52c0b6b5bfd641b6cd73f6c4e9ffe94b33d2c28cf0400d8",
+        "32437800da6da701660a2a2f45bd8f99022b2557f2998374fa6802a610be794b",
     ),
     ("brans", None): (
         "05394dc22383c4f9c3208abdb4b255ff22843baa4003d6b07035a61eb31686e0",
-        "d182fcb912547f020f2a3da1dcad362189a721fe4dc49bd48b9b5d6ff50e240c",
+        "6b64c6d1f9fb7a13e356cab3147a54c9e1174e15786c3df2aa6fe52c35a9567d",
     ),
     ("brans", ((0.5, 0.0), (0.25, 0.25))): (
         "5e2dfa29d218a78a13dbeed0bc60ed62b3e0d2397b1762571ac9dcdcf3d26a8b",
-        "52c91fe5d48ec89d631b09e8a372a13f8892b6200b69516ad71c3a16b8fdec28",
+        "ecf2d3630ec2517ac2ecd69135baf2468394eeb15e8936bd44fea07346cc639e",
     ),
 }
 
@@ -479,7 +493,7 @@ def _wide_spec_files(tmp_path):
 # above, with Marsaglia's sphere map; the agreement kernel's bits were
 # checked against the one-setting-at-a-time loop (commit 394b20a) on the
 # earlier (z, phi) map.
-PINNED_TB_FINITE = "6a12c470594f38a1773451d5a6dc6541e1e1c771aa806bca050fcfe66b648128"
+PINNED_TB_FINITE = "b551fcbb5744b87bdbc5555e47efa401cb2768226214140d05589011c976513e"
 
 
 def test_tb_finite_bytes_are_pinned(tmp_path):
@@ -494,8 +508,8 @@ def test_tb_finite_bytes_are_pinned(tmp_path):
 # per model, with Marsaglia's sphere map.  A failure on one machine only may
 # come from its numpy build; CI prints ``numpy.show_runtime()`` for that.
 PINNED_SIMULATE = {
-    "tb": "a3366c2a49329f11b01c006c9df3be08c931164cade383f5b0c7931d070094f6",
-    "gg": "51ea113c529dc04b695070da3ea44852a38bc412c6947c994e6468499f63922c",
+    "tb": "5f3606cefefa66042fd386fb94e1ba167bf20cc08158caf1ed6f61af844b98c3",
+    "gg": "9531683ff2849910b9231ebcf2374501d561820acf92fe7a52ae0558534b057f",
 }
 
 
@@ -871,6 +885,44 @@ BAD_INPUTS = {
          "--out-file", "model.json"],
         {k: v for k, v in ONE_CELL.items() if k != "cells"},
     ),
+    # NaN and Infinity are no JSON numbers; the writer never writes them
+    "model-nan-label": (
+        ["verify", "input.json"],
+        {**LOCAL_MODEL, "variables": LOCAL_MODEL["variables"][:2]
+         + [{"name": "x", "labels": [math.nan, 0], "codes": [0, 1]}]
+         + LOCAL_MODEL["variables"][3:]},
+    ),
+    "model-infinity-weight": (
+        ["verify", "input.json"], {**LOCAL_MODEL, "weights": [math.inf, 0.5]}
+    ),
+    "input-dist-malformed": (SIMULATE + ["--input-dist-file", "input.json"], "{nope"),
+    "model-duplicate-variable": (
+        ["verify", "input.json"],
+        {"variables": LOCAL_MODEL["variables"][:4] + [{**LOCAL_MODEL["variables"][4], "name": "a"}],
+         "weights": [0.5, 0.5]},
+    ),
+    # 1 == 1.0 and both hash alike, so the two labels are one
+    "model-duplicate-labels": (
+        ["verify", "input.json"],
+        {**LOCAL_MODEL, "variables": LOCAL_MODEL["variables"][:4]
+         + [{**LOCAL_MODEL["variables"][4], "labels": [1, 1.0]}]},
+    ),
+    "model-empty-labels": (
+        ["verify", "input.json"],
+        {"variables": [{"name": n, "labels": [] if n == "lam" else [0], "codes": []}
+                       for n in ("a", "b", "x", "y", "lam")],
+         "weights": []},
+    ),
+    "corr-negative-probability": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {**ONE_CELL,
+         "cells": [{"x": 0, "y": 0, "pp": -0.25, "pm": 0.75, "mp": 0.25, "mm": 0.25}]},
+    ),
+    "settings-three-dimensional": (
+        SIMULATE + ["--settings-file", "input.json"],
+        {"alice_settings": [[[0.0, 0.0, 1.0]]], "bob_settings": [[0.0, 0.0, 1.0]]},
+    ),
 }
 # case -> words its error line must hold, where the cause is easy to misname
 BAD_INPUT_WORDING = {
@@ -881,6 +933,16 @@ BAD_INPUT_WORDING = {
     "corr-top-level-array": "correlation file: must be a JSON object, got list",
     "verify-sampled-descriptor": "sampled-model descriptor",
     "mi-sampled-descriptor": "sampled-model descriptor",
+    "model-nan-label": "model file: invalid JSON: non-finite number NaN",
+    "model-infinity-weight": "model file: invalid JSON: non-finite number Infinity",
+    "nan-settings": "settings file: invalid JSON: non-finite number NaN",
+    "nan-p-xy": "input-dist file: invalid JSON: non-finite number NaN",
+    "input-dist-malformed": "input-dist file: invalid JSON: Expecting property name",
+    "model-duplicate-variable": "duplicate variable names in ('a', 'b', 'x', 'y', 'a')",
+    "model-duplicate-labels": "variable 'lam' has duplicate labels",
+    "model-empty-labels": "variable 'lam' has an empty alphabet",
+    "corr-negative-probability": "negative probability in conditional table",
+    "settings-three-dimensional": "settings must be arrays of shape (n, 3)",
 }
 
 
@@ -888,7 +950,7 @@ BAD_INPUT_WORDING = {
 def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     argv, payload = BAD_INPUTS[case]
     if payload is not None:
-        # json.dumps writes NaN, which json.loads accepts
+        # json.dumps writes NaN and Infinity as they are, which the readers refuse
         if isinstance(payload, bytes):
             (tmp_path / "input.json").write_bytes(payload)
         else:
@@ -902,6 +964,22 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert len(lines[0]) < 200, err
     assert BAD_INPUT_WORDING.get(case, "") in lines[0], err
+
+
+def test_internal_inconsistency_exits_3(monkeypatch):
+    # a quadrature that disagrees with the closed form by more than GG_CHECK_TOL
+    check = analysis.mi_gg_quadrature
+    monkeypatch.setattr(
+        analysis, "mi_gg_quadrature",
+        lambda: dataclasses.replace(check(), value=check().value + 1e-6),
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["mutual-info", "--target", "gg-uniform"])
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: quadrature "), lines
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -29,7 +29,6 @@ from bellmi.models import (
 from bellmi.serialize import (
     correlation_csv,
     correlation_payload,
-    format_float,
     json_text,
     load_correlation,
     load_input_dist,
@@ -58,41 +57,16 @@ from test_analysis import sparse_models
 
 def test_format_float_round_trips_float64():
     gen = np.random.default_rng(0)
-    specials = [0.0, 1.0, -1.0, 0.1, 2 / 3, math.pi, 1e-300, 1e300, 2**-52]
-    for x in list(gen.standard_normal(200)) + specials:
-        assert float(format_float(x)) == float(x)
-
-
-def test_json_text_is_deterministic_and_ordered():
-    payload = {"b": 1, "a": [1.5, None, True], "c": {"z": 0.1}}
-    text = json_text(payload)
-    assert text == json_text(payload)
-    # insertion order preserved, not alphabetized
-    assert text.index('"b"') < text.index('"a"') < text.index('"c"')
-    assert text.endswith("\n")
-    # non-finite floats become null rather than invalid JSON
-    assert json_text({"x": float("nan")}) == '{"x": null}\n'
-    json.loads(text)  # stdlib parser accepts the output
-
-
-def _dumps_render(obj) -> str:
-    """Reference: json_text's layout with every key and string through
-    ``json.dumps``, one call each."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        items = [f"{json.dumps(str(k))}: {_dumps_render(v)}" for k, v in obj.items()]
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dumps_render(v) for v in obj) + "]"
-    if isinstance(obj, float):
-        return format_float(obj) if math.isfinite(obj) else "null"
-    return json.dumps(obj)
+    specials = [0.0, -0.0, 1.0, -1.0, 0.1, 2 / 3, math.pi, 1e-300, 1e300, 2**-52, 5e-324]
+    values = list(gen.standard_normal(200)) + specials
+    back = json.loads(json_text({"v": values}))["v"]
+    assert all(type(v) is float for v in back)
+    assert struct.pack(f"<{len(values)}d", *values) == struct.pack(f"<{len(back)}d", *back)
 
 
 def test_json_text_renders_keys_like_json_dumps_once_each(monkeypatch):
     # a 32x32 detection-model table with never-drawn cells and settings:
-    # NaN estimates, NaN efficiencies and 1 024 cells of the same 16 keys
+    # null estimates, null efficiencies and 1 024 cells of the same 16 keys
     settings = fibonacci_sphere(64)
     p = np.ones((32, 32))
     p[3] = 0.0
@@ -102,10 +76,10 @@ def test_json_text_renders_keys_like_json_dumps_once_each(monkeypatch):
     payload = correlation_payload(
         est, model="gg", seed=2410, quantum=exact_singlet_conditional(spec)
     )
-    payload["extra"] = {"caf\u00e9": [1.5, float("nan")], 'q"uote': "\n", 7: -0.0, True: None}
+    payload["extra"] = {"café": [1.5, None], 'q"uote': "\n", "7": -0.0}
     assert len(payload["cells"]) == 1024 and len(payload["cells"][0]) == 16
-    assert any(math.isnan(c["e"]) for c in payload["cells"])
-    want = _dumps_render(payload) + "\n"
+    assert any(c["e"] is None for c in payload["cells"])
+    want = json.dumps(payload) + "\n"
     rendered = []
     dumps = json.dumps
 
@@ -114,8 +88,32 @@ def test_json_text_renders_keys_like_json_dumps_once_each(monkeypatch):
         return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(serialize.json, "dumps", spy)
-    assert json_text(payload) == want
-    assert rendered.count("pp") == 1 and rendered.count("7") == 1
+    text = json_text(payload)
+    assert text == want
+    # the whole payload goes through one json.dumps call, not one per key
+    assert len(rendered) == 1 and rendered[0] is payload
+    assert json.loads(text) == json.loads(want)
+
+
+def test_json_text_is_deterministic_and_ordered():
+    payload = {"b": 1, "a": [1.5, None, True], "c": {"z": 0.1}}
+    text = json_text(payload)
+    assert text == json_text(payload)
+    # insertion order preserved, not alphabetized
+    assert text.index('"b"') < text.index('"a"') < text.index('"c"')
+    assert text.endswith("\n")
+    json.loads(text)  # stdlib parser accepts the output
+
+
+def test_json_text_round_trips_by_type_and_bits_and_refuses_the_rest():
+    values = [-0.0, 1.0, 1e-300, 5e-324, 2**63 + 5, (0.1, (2.0, -3)), "caf\u00e9"]
+    back = json.loads(json_text({"v": values}))["v"]
+    assert repr(back) == repr([-0.0, 1.0, 1e-300, 5e-324, 2**63 + 5, [0.1, [2.0, -3]], "caf\u00e9"])
+    assert [type(v) for v in back[:5]] == [float] * 4 + [int]
+    assert struct.pack("<4d", *values[:4]) == struct.pack("<4d", *back[:4])
+    for bad in (math.nan, math.inf, -math.inf, [1, math.nan], np.int64(1)):
+        with pytest.raises(ConfigError, match="cannot write JSON"):
+            json_text({"v": bad})
 
 
 def test_parse_json_raises_config_error():
@@ -127,9 +125,9 @@ def test_settings_round_trip():
     spec = preset("chsh")
     text = json_text(
         {
-            "alice_settings": spec.alice_settings,
-            "bob_settings": spec.bob_settings,
-            "p_xy": spec.p_xy,
+            "alice_settings": spec.alice_settings.tolist(),
+            "bob_settings": spec.bob_settings.tolist(),
+            "p_xy": spec.p_xy.tolist(),
         }
     )
     back = load_settings(text)
@@ -219,7 +217,7 @@ def test_model_payload_round_trip_preserves_tuple_labels():
     want = dict(table_entries(model.table))
     assert got.keys() == want.keys()
     for k in want:
-        assert got[k] == want[k]  # %.17g round-trips exactly
+        assert got[k] == want[k]  # repr round-trips exactly
 
 
 def test_load_model_rejects_bad_structure():
@@ -249,7 +247,7 @@ def _lam_model(labels, entries) -> str:
     entries' lam codes ``entries``."""
     payload = local_model_with_lam_codes(entries)
     payload["variables"][4] = {**payload["variables"][4], "labels": labels}
-    return json.dumps(payload)  # NaN is written as NaN, which json.loads reads
+    return json.dumps(payload)  # NaN is written as NaN, which the reader refuses
 
 
 def _nested(value, depth: int):
@@ -259,17 +257,14 @@ def _nested(value, depth: int):
     return value
 
 
-NAN = float("nan")
-
-
 # an entry's assignment along lam is the declared label its code picks
 @pytest.mark.parametrize("labels, entries, want", [
     ([[1, 0], [-1, 0]], [0, 1], [(1, 0), (-1, 0)]),
     ([-0.0, 1], [0, 1], [-0.0, 1]),  # -0.0 == 0.0, yet the declared -0.0 comes back
-    ([NAN, 1], [0, 1], [NAN, 1]),  # NaN != NaN, yet the declared NaN comes back
     ([_nested(1, 8), 2], [0, 1], [((((((((1,),),),),),),),), 2]),
     ([[[1, 0], [2]], [[-1], []]], [0, 1], [((1, 0), (2,)), ((-1,), ())]),  # two arrays deep
     ([1, [1, 0]], [1, 0], [(1, 0), 1]),  # scalar and array labels in one variable
+    ([2**63 + 5, 0.5], [1, 0], [0.5, 2**63 + 5]),  # an int past int64 stays an int
 ])
 def test_load_model_matches_assignment_values_to_declared_labels(labels, entries, want):
     loaded = load_model(_lam_model(labels, entries))
@@ -291,6 +286,30 @@ def test_load_model_refuses_assignment_values_that_are_no_labels(labels, entries
         load_model(_lam_model(labels, entries))
 
 
+# each reader, and a file of it whose text holds the constant "C"
+CONSTANT_FILES = {
+    "model file": (load_model, _lam_model(["C", 1], [0, 1])),
+    "settings file": (
+        load_settings, '{"alice_settings": [[0, 0, "C"]], "bob_settings": [[0, 0, 1]]}'
+    ),
+    "input-dist file": (load_input_dist, '{"p_xy": [["C"]]}'),
+    "correlation file": (
+        load_correlation,
+        '{"alice_settings": [[0, 0, 1]], "bob_settings": [[0, 0, 1]], '
+        '"cells": [{"x": 0, "y": 0, "pp": "C", "pm": 0, "mp": 0, "mm": 0}]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", sorted(CONSTANT_FILES))
+def test_readers_refuse_non_finite_constants(where, constant):
+    # json.loads reads them; the writer never writes them
+    load, text = CONSTANT_FILES[where]
+    with pytest.raises(ConfigError, match=f"^{where}: invalid JSON: non-finite number {constant}$"):
+        load(text.replace('"C"', constant))
+
+
 def test_model_file_bytes_are_pinned():
     # a hand-built table, so no libm or BLAS result reaches the file
     variables = [
@@ -305,10 +324,16 @@ def test_model_file_bytes_are_pinned():
     model = ExactCSModel(table=table, hidden_vars=("lam",), certificate="pinned")
     text = json_text(model_payload(model))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "758d2677b852bcd80b53ce005d2e68c9032fffb7ffff43aacc882a5626d4a895"
+        "77a6c6d496dc6b3ad7541069a9d53a0bf3f4a2fcc5b1911ed64bdfc56ed0634f"
     )
     loaded = load_model(text).table
     assert table_entries(loaded) == table_entries(table)
+    # the weights as the earlier writer spelled them, with 17 significant digits
+    weights = '"weights": [0.1, 0.3, 0.2, 0.4]'
+    assert weights in text
+    earlier = text.replace(weights, '"weights": [0.10000000000000001, 0.29999999999999999, '
+                                    '0.20000000000000001, 0.40000000000000002]')
+    assert_same_table(load_model(earlier).table, loaded)
     assert_same_table(loaded, oracle_load_model(json.dumps(row_payload(json.loads(text)))).table)
 
 
@@ -332,15 +357,15 @@ def test_float_labels_round_trip_by_type_and_bits():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, (1, np.float64("nan"))])
 def test_non_finite_labels_are_refused_when_written(bad):
-    with pytest.raises(ConfigError, match="labels of variable .x. must be finite numbers"):
-        model_payload(_float_label_model((0, bad)))
+    with pytest.raises(ConfigError, match="cannot write JSON .*not JSON compliant"):
+        json_text(model_payload(_float_label_model((0, bad))))
 
 
 def test_numpy_integer_labels_are_refused_when_written():
     # every builder makes its labels with .tolist(); a numpy integer has no
     # JSON form
-    with pytest.raises(ConfigError, match="labels of variable .x.: .*int64"):
-        model_payload(_float_label_model((0, np.int64(1))))
+    with pytest.raises(ConfigError, match="cannot write JSON .*int64"):
+        json_text(model_payload(_float_label_model((0, np.int64(1)))))
 
 
 def test_bundled_counterexample_is_the_builders_model():
