@@ -134,21 +134,19 @@ class CorrelationTable:
         e = self.correlators
         return _frozen_array(np.sqrt(np.maximum(0.0, 1.0 - e * e) / self.kept_per_cell))
 
-    def alice_efficiency(self) -> np.ndarray:
-        """Empirical P(D_A) per Alice setting; NaN for a setting never drawn."""
+    @cached_property
+    def efficiency(self) -> Optional[dict]:
+        """Detector efficiencies of a post-selected table, else None: P(D_A)
+        per Alice setting, her kept rounds over its attempts (None for one
+        never drawn), and P(D_B) = 1.0, since Bob's detector always clicks."""
         if not self.post_selected:
-            raise ConfigError("model had no detection step")
-        attempts = self.attempts.sum(axis=1)
-        return np.divide(
-            self.kept_per_cell.sum(axis=1), attempts,
-            out=np.full(attempts.shape, np.nan), where=attempts > 0,
-        )
-
-    def bob_efficiency(self) -> float:
-        """P(D_B): Bob's detector clicks in every round."""
-        if not self.post_selected:
-            raise ConfigError("model had no detection step")
-        return 1.0
+            return None
+        kept = self.kept_per_cell.sum(axis=1).tolist()
+        attempts = self.attempts.sum(axis=1).tolist()
+        return {
+            "alice_per_setting": [k / n if n else None for k, n in zip(kept, attempts)],
+            "bob": 1.0,
+        }
 
 
 def _chunks(source: RandomSource, total: int, run, parallelism: int = 1):

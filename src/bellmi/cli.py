@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import analysis, serialize, transforms
@@ -129,21 +130,19 @@ def cmd_mutual_info(args) -> int:
         _reject_set(args, ("--samples", "--seed"), f"--target {target} draws no samples")
     if target != "tb-uniform":
         _reject_set(args, ("--panels",), f"--target {target} takes no panel count")
+    extra = {}
     if target == "tb-uniform":
         panels = 1024 if args.panels is None else args.panels
         est = analysis.mi_tb_quadrature(panels)
-        payload = serialize.mi_payload(est, target=target, bound=1.0, panels=panels)
+        bound, extra = 1.0, {"panels": panels}
     elif target == "gg-uniform":
-        est = analysis.mi_gg_uniform()
-        payload = serialize.mi_payload(est, target=target, bound=None)
+        est, bound = analysis.mi_gg_uniform(), None
     elif target == "tb-finite":
         spec = _build_spec(args)
         samples = 100_000 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
         est = analysis.mi_finite_settings_tb(spec, samples, RandomSource(seed))
-        payload = serialize.mi_payload(
-            est, target=target, bound=1.0, samples=samples, seed=seed
-        )
+        bound, extra = 1.0, {"samples": samples, "seed": seed}
     elif target == "exact-model-file":
         if not args.model_file:
             raise ConfigError("--target exact-model-file needs --model-file")
@@ -155,18 +154,11 @@ def cmd_mutual_info(args) -> int:
             else tuple(v for v in args.vars_b.split(",") if v)
         )
         est = analysis.mi_exact_finite(model, a_vars, b_vars)
-        bound = None
-        if "m" in model.table.variables:
-            bound = model.table.entropy(("m",))
-        payload = serialize.mi_payload(
-            est,
-            target=target,
-            bound=bound,
-            vars_a=list(a_vars),
-            vars_b=list(b_vars),
-        )
+        bound = model.table.entropy(("m",)) if "m" in model.table.variables else None
+        extra = {"vars_a": list(a_vars), "vars_b": list(b_vars)}
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown target {target!r}")
+    payload = {"target": target, **asdict(est), "bound": bound, **extra}
     _emit(serialize.json_text(payload), args.out_file)
     return EXIT_OK
 
@@ -217,7 +209,7 @@ def cmd_transform(args) -> int:
             )
         model_payload = serialize.sampler_payload(cs, seed=args.seed)
     _emit(serialize.json_text(model_payload), args.out_file)
-    _emit(serialize.json_text(serialize.transform_payload(report)), None)
+    _emit(serialize.json_text(asdict(report)), None)
     return EXIT_OK
 
 
@@ -228,7 +220,7 @@ def cmd_transform(args) -> int:
 def cmd_verify(args) -> int:
     model = serialize.load_model(_read(args.model_file))
     report = analysis.verify_bell_local(model, tol=args.tol)
-    _emit(serialize.json_text(serialize.locality_payload(report)), args.out_file)
+    _emit(serialize.json_text(asdict(report)), args.out_file)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 

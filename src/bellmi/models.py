@@ -281,6 +281,7 @@ class TonerBaconModel:
     """
 
     name = "tb"
+    kind = "tb-comm"  # the sampled correlated-settings model comm_to_cs builds
     hidden_names = ("l1", "l2", "m")  # fields of TBRounds that form lambda
     post_selects = False  # every round counts; no detection step
     # model-file description of the responses that _kernels.tb_outcomes computes
@@ -341,8 +342,10 @@ class GisinGisinModel:
     """
 
     name = "gg"
+    kind = "gg-postselected"  # the sampled correlated-settings model det_to_cs builds
     hidden_names = ("lam",)  # fields of GGRounds that form lambda
     post_selects = True  # only the rounds in GGRounds.kept count
+    message_entropy_bound = None  # no message: the detection route sends nothing
     # model-file description of the responses that _kernels.gg_outcomes computes
     certificate = (
         "detection model: a = sgn(x.lambda), b = -sgn(y.lambda); "
@@ -473,8 +476,9 @@ class ExactCSModel:
     """Correlated-settings model as an exact finite table.
 
     ``table`` is the joint P(a, b, x, y, hidden...) and ``hidden_vars``
-    names the hidden components (for example ("lam",) or ("mu", "m")); the
-    model is read only through ``table`` marginals over these names.
+    names the hidden components (for example ("lam",) or ("mu", "m")),
+    each once and none of them an outcome or a setting; the model is read
+    only through ``table`` marginals over these names.
     ``certificate`` describes the deterministic responses in words for the
     model file; :func:`bellmi.analysis.verify_bell_local` derives the
     responses from ``table`` itself.  The settings spec a model was built
@@ -486,8 +490,13 @@ class ExactCSModel:
     certificate: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_vars", tuple(self.hidden_vars))
-        want = {"a", "b", "x", "y"} | set(self.hidden_vars)
+        hidden = tuple(self.hidden_vars)
+        object.__setattr__(self, "hidden_vars", hidden)
+        if len(set(hidden)) != len(hidden) or not {"a", "b", "x", "y"}.isdisjoint(hidden):
+            raise ConfigError(
+                f"hidden variables {list(hidden)} must be distinct and none of a, b, x, y"
+            )
+        want = {"a", "b", "x", "y"} | set(hidden)
         have = set(self.table.variables)
         if want != have:
             raise ConfigError(

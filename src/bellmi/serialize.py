@@ -2,16 +2,17 @@
 
 JSON is the authoritative format.  Every file and report goes through one
 writer, :func:`json_text`, which is the stdlib encoder: field names and
-orders are fixed by the payload builders, every float is written by its
+orders are fixed by the payload builders, and by the fields of the report
+dataclasses under :func:`dataclasses.asdict`; every float is written by its
 ``repr`` (the shortest decimal that round-trips float64, always with a
 point or an exponent, so ``1.0`` and ``-0.0`` load back as floats), and
 nothing time- or host-dependent is ever emitted, so identical inputs
 produce identical bytes.  Payloads hold plain Python values only; an
-estimate that does not exist, such as those of a cell never drawn, is
-written as null by its builder, and any other non-finite float, like any
-value of another type, is refused with :class:`ConfigError`.  The readers
-refuse the constants ``NaN``, ``Infinity`` and ``-Infinity`` too.  Files
-written with the earlier ``%.17g`` spelling still load to the same values.
+estimate that does not exist, such as one of a cell never drawn, is None
+where it is computed, and any non-finite float, like any value of another
+type, is refused with :class:`ConfigError`.  The readers refuse ``NaN``,
+``Infinity``, ``-Infinity`` and number literals past the float64 range too.
+Files written with the earlier ``%.17g`` spelling still load to the same values.
 
 Schemas:
 
@@ -67,11 +68,19 @@ def _refuse_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
+def _finite_float(literal: str) -> float:
+    """A float literal's value; one past float64 is refused without echoing it."""
+    value = float(literal)
+    if math.isinf(value):
+        raise ValueError("number literal overflows float64")
+    return value
+
+
 def parse_json(text: str, where: str) -> dict:
     """The top-level object of a JSON file; ``where`` names the file in errors."""
     try:
-        payload = json.loads(text, parse_constant=_refuse_constant)
-    except ValueError as exc:  # JSONDecodeError, a constant, or an integer over the digit limit
+        payload = json.loads(text, parse_float=_finite_float, parse_constant=_refuse_constant)
+    except ValueError as exc:  # JSONDecodeError, a refused number, or an over-long integer
         raise ConfigError(f"{where}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{where}: invalid JSON: nested too deeply") from None
@@ -184,14 +193,6 @@ def correlation_payload(
             if cell["empty"]:  # its estimates are NaN
                 cell.update(dict.fromkeys(_ESTIMATES))
             cells.append(cell)
-    efficiency = None
-    if est.post_selected:
-        # a setting never drawn has a NaN efficiency, written as null
-        alice = [None if math.isnan(v) else v for v in est.alice_efficiency().tolist()]
-        efficiency = {
-            "alice_per_setting": alice,
-            "bob": est.bob_efficiency(),
-        }
     return {
         "model": model,
         "seed": seed,
@@ -200,7 +201,7 @@ def correlation_payload(
         "bob_settings": spec.bob_settings.tolist(),
         "p_xy": spec.p_xy.tolist(),
         "cells": cells,
-        "efficiency": efficiency,
+        "efficiency": est.efficiency,
         "deviations_ok": all(cell["ok"] for cell in cells),
     }
 
@@ -374,43 +375,4 @@ def sampler_payload(model, *, seed: int) -> dict:
         },
         "hidden_variables": list(model.hidden_names),
         "certificate": model.certificate,
-    }
-
-
-# ----------------------------------------------------------------------
-# reports and estimates
-# ----------------------------------------------------------------------
-
-def mi_payload(estimate, *, target: str, bound: Optional[float] = None, **extra) -> dict:
-    payload = {
-        "target": target,
-        "value": estimate.value,
-        "method": estimate.method,
-        "uncertainty": estimate.uncertainty,
-        "bound": bound,
-    }
-    payload.update(extra)
-    return payload
-
-
-def transform_payload(report) -> dict:
-    return {
-        "source": report.source,
-        "corr_deviation": report.corr_deviation,
-        "inputs_deviation": report.inputs_deviation,
-        "mi_value": report.mi_value,
-        "mi_bound": report.mi_bound,
-        "extras": dict(report.extras),
-    }
-
-
-def locality_payload(report) -> dict:
-    witness = None
-    if report.witness is not None:
-        witness = {str(k): v for k, v in report.witness.items()}
-    return {
-        "ok": report.ok,
-        "max_deviation": report.max_deviation,
-        "tol": report.tol,
-        "witness": witness,
     }

@@ -18,12 +18,11 @@ The two sampled conversions share one Monte Carlo report (:func:`_sampled_cs`,
 one :func:`analysis.estimate_correlations` run); the two exact ones share one
 exact report (:func:`_exact_report`).  Each returns the model together with a
 :class:`TransformReport` recording reproduction deviations and the
-information bound where available.
+information bound where available, whose fields are its JSON keys in order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -172,9 +171,6 @@ def _sampled_cs(
     source: RandomSource,
     rounds: int,
     floor: float,
-    *,
-    kind: str,
-    mi_bound: Optional[float],
 ):
     """Sampled model of ``model`` plus its Monte Carlo report.
 
@@ -188,7 +184,7 @@ def _sampled_cs(
     if not 0.0 < floor <= 1.0:  # NaN fails too
         raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
     cs = SampledCSModel(
-        kind=kind,
+        kind=model.kind,
         spec=spec,
         hidden_names=model.hidden_names,
         certificate=model.certificate,
@@ -204,21 +200,17 @@ def _sampled_cs(
             f"floor {floor:.3e} in the report run ({rounds} rounds)"
         )
     extras = {"exact": False, "check_rounds": rounds}
-    if est.post_selected:
+    if est.efficiency is not None:
         extras["acceptance_rate"] = float(kept / rounds)
-        # a setting never drawn has a NaN efficiency, written as null
-        extras["alice_efficiency"] = [
-            None if math.isnan(v) else v for v in est.alice_efficiency().tolist()
-        ]
-        extras["bob_efficiency"] = est.bob_efficiency()
+        extras["alice_efficiency"] = est.efficiency["alice_per_setting"]
+        extras["bob_efficiency"] = est.efficiency["bob"]
     report = TransformReport(
         source=model.name,
         corr_deviation=_corr_deviation(
             est.probs, analysis.exact_singlet_conditional(spec)
         ),
         inputs_deviation=_estimated_inputs_deviation(est),
-        mi_value=None,
-        mi_bound=mi_bound,
+        mi_bound=model.message_entropy_bound,
         extras=extras,
     )
     return cs, report
@@ -260,10 +252,7 @@ def comm_to_cs(
     if isinstance(model, TonerBaconModel):
         if source is None:
             raise ConfigError("comm_to_cs needs a RandomSource for sampled models")
-        return _sampled_cs(
-            model, spec, source, rounds, DEFAULT_FLOOR,
-            kind="tb-comm", mi_bound=model.message_entropy_bound,
-        )
+        return _sampled_cs(model, spec, source, rounds, DEFAULT_FLOOR)
     raise ConfigError(f"comm_to_cs cannot handle {type(model).__name__}")
 
 
@@ -286,7 +275,4 @@ def det_to_cs(
 
     Returns ``(cs_model, report)``.
     """
-    return _sampled_cs(
-        dmodel, spec, source, rounds, floor,
-        kind=f"{dmodel.name}-postselected", mi_bound=None,
-    )
+    return _sampled_cs(dmodel, spec, source, rounds, floor)

@@ -182,7 +182,7 @@ def test_criterion_6_detection_efficiencies(capsys):
     bob = sample_uniform_sphere(gen, 5)
     spec = SettingsSpec(alice, bob)
     est = estimate_correlations(GisinGisinModel(), spec, 1_000_000, RandomSource(107))
-    eff = est.alice_efficiency()
+    eff = est.efficiency["alice_per_setting"]
     attempts = est.attempts.sum(axis=1)
     worst = max(
         abs(eff[i] - 0.5) / math.sqrt(0.25 / attempts[i]) for i in range(5)
@@ -190,7 +190,7 @@ def test_criterion_6_detection_efficiencies(capsys):
     checks.append(
         (worst <= 4.0, f"P(D_A) = 0.5: worst gap {worst:.2f} sigma <= 4 sigma")
     )
-    checks.append((est.bob_efficiency() == 1.0, "P(D_B) = 1 exactly"))
+    checks.append((est.efficiency["bob"] == 1.0, "P(D_B) = 1 exactly"))
     worst = 0.0
     for x in range(5):
         for y in range(5):

@@ -184,12 +184,14 @@ def test_estimate_matches_row_major_reference(kind, spec_name):
         np.testing.assert_array_equal(est.attempts, attempts)
         if kind == "gg":
             np.testing.assert_array_equal(est.kept_per_cell, clicks)
-            np.testing.assert_array_equal(
-                est.alice_efficiency(), clicks.sum(axis=1) / attempts.sum(axis=1)
-            )
-            assert est.bob_efficiency() == 1.0
+            # Python's int quotient and numpy's float64 division agree bit for bit
+            assert est.efficiency == {
+                "alice_per_setting": (clicks.sum(axis=1) / attempts.sum(axis=1)).tolist(),
+                "bob": 1.0,
+            }
         else:
             assert not est.post_selected
+            assert est.efficiency is None
 
 
 def test_chunks_start_without_building_every_child(monkeypatch):

@@ -895,6 +895,26 @@ BAD_INPUTS = {
     "model-infinity-weight": (
         ["verify", "input.json"], {**LOCAL_MODEL, "weights": [math.inf, 0.5]}
     ),
+    # literals past the float64 range would load as inf; raw text, since
+    # json.dumps writes an infinite float as Infinity
+    "model-overflowing-label": (
+        ["verify", "input.json"],
+        json.dumps(LOCAL_MODEL).replace('"x", "labels": [0]', '"x", "labels": [1e999]'),
+    ),
+    "p-xy-overflowing-float": (
+        SIMULATE + ["--input-dist-file", "input.json"],
+        '{"p_xy": [[' + "1" * 400 + '.0, 0], [0, 0]]}',
+    ),
+    # a hidden name that is an outcome or a setting, or that repeats, would
+    # price the model as I(x,y:a) or I(x,y:lam,b)
+    "model-outcome-hidden": (
+        ["verify", "input.json"],
+        {"variables": LOCAL_MODEL["variables"][:4], "weights": [0.5, 0.5],
+         "hidden_variables": ["a"]},
+    ),
+    "model-duplicate-hidden": (
+        ["verify", "input.json"], {**LOCAL_MODEL, "hidden_variables": ["lam", "lam"]}
+    ),
     "input-dist-malformed": (SIMULATE + ["--input-dist-file", "input.json"], "{nope"),
     "model-duplicate-variable": (
         ["verify", "input.json"],
@@ -938,6 +958,10 @@ BAD_INPUT_WORDING = {
     "nan-settings": "settings file: invalid JSON: non-finite number NaN",
     "nan-p-xy": "input-dist file: invalid JSON: non-finite number NaN",
     "input-dist-malformed": "input-dist file: invalid JSON: Expecting property name",
+    "model-overflowing-label": "model file: invalid JSON: number literal overflows float64",
+    "p-xy-overflowing-float": "input-dist file: invalid JSON: number literal overflows float64",
+    "model-outcome-hidden": "hidden variables ['a'] must be distinct and none of a, b, x, y",
+    "model-duplicate-hidden": "hidden variables ['lam', 'lam'] must be distinct and none of",
     "model-duplicate-variable": "duplicate variable names in ('a', 'b', 'x', 'y', 'a')",
     "model-duplicate-labels": "variable 'lam' has duplicate labels",
     "model-empty-labels": "variable 'lam' has an empty alphabet",
