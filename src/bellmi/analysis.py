@@ -157,7 +157,13 @@ def _chunks(source: RandomSource, total: int, run, parallelism: int = 1):
     ``parallelism``.  Children are derived as chunks start, and at most
     ``2 * parallelism`` chunks are in flight; callers reduce each result as
     it arrives, which keeps memory a few chunks deep at any round count.
+    A ``parallelism`` outside [1, :data:`MAX_PARALLELISM`] raises
+    :class:`ConfigError` before the first chunk runs.
     """
+    if not 1 <= parallelism <= MAX_PARALLELISM:
+        raise ConfigError(
+            f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}"
+        )
     n_chunks = (total + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
 
     def one(i: int):
@@ -195,10 +201,6 @@ def estimate_correlations(
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    if not 1 <= parallelism <= MAX_PARALLELISM:
-        raise ConfigError(
-            f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}"
-        )
     n_a, n_b = spec.n_alice, spec.n_bob
 
     def run_chunk(sub: RandomSource, k: int):
@@ -352,13 +354,17 @@ def _quadrature(f, a: float, b: float, panels: int) -> MIEstimate:
     return MIEstimate(value=value, method="quadrature", uncertainty=abs(value - coarse))
 
 
-def _mc_mean(source: RandomSource, samples: int, draw) -> MIEstimate:
+def _mc_mean(
+    source: RandomSource, samples: int, draw, parallelism: int = 1
+) -> MIEstimate:
     """Monte Carlo mean of ``draw(gen, k)`` over ``samples`` draws.
 
     Every chunk of :func:`_chunks` draws its values from its own generator
-    and reduces them to (count, sum, sum of squares); the mean and its
-    standard error come from the totals, so memory stays one chunk deep.
-    ``draw`` may return fewer than ``k`` values (rejection sampling).
+    and reduces them to (count, sum, sum of squares) on one of
+    ``parallelism`` threads; the totals are summed in chunk order, so the
+    mean and its standard error do not depend on ``parallelism``, and
+    memory stays a few chunks deep.  ``draw`` may return fewer than ``k``
+    values (rejection sampling).
     """
 
     def moments(sub: RandomSource, k: int):
@@ -366,7 +372,7 @@ def _mc_mean(source: RandomSource, samples: int, draw) -> MIEstimate:
         return v.size, float(v.sum()), float(np.square(v).sum())
 
     n, total, squares = 0, 0.0, 0.0
-    for c, s, ss in _chunks(source, samples, moments):
+    for c, s, ss in _chunks(source, samples, moments, parallelism):
         n += c
         total += s
         squares += ss
@@ -455,14 +461,15 @@ def mi_gg_uniform() -> MIEstimate:
 
 
 def mi_finite_settings_tb(
-    spec: SettingsSpec, mu_samples: int, source: RandomSource
+    spec: SettingsSpec, mu_samples: int, source: RandomSource, parallelism: int = 1
 ) -> MIEstimate:
     """I(x,y:lambda) of the one-bit-protocol model over finite settings.
 
     For each sampled shared pair mu = (lambda1, lambda2), the probability
     that the transmitted bit is +1 is the exact finite sum
     p(mu) = sum_x P(x) [sgn(x.lambda1) = sgn(x.lambda2)]; the estimate is
-    the Monte Carlo mean of h(p(mu)) = H(m|mu) = I(x,y:lambda).
+    the Monte Carlo mean of h(p(mu)) = H(m|mu) = I(x,y:lambda), the same
+    at any ``parallelism``.
     """
     if mu_samples < 1000:
         raise ConfigError(f"mu_samples must be >= 1000, got {mu_samples}")
@@ -475,7 +482,7 @@ def mi_finite_settings_tb(
         p = _kernels.agreement_probs(settings, p_x, l1, l2)
         return binary_entropy(np.clip(p, 0.0, 1.0))
 
-    return _mc_mean(source, mu_samples, draw)
+    return _mc_mean(source, mu_samples, draw, parallelism)
 
 
 def mi_exact_finite(

@@ -15,6 +15,7 @@ error, 3 internal inconsistency, 4 acceptance-rate floor breached.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -127,7 +128,8 @@ def cmd_mutual_info(args) -> int:
         _reject_set(args, ("--model-file", "--vars-a", "--vars-b"),
                     f"--target {target} reads no model file")
     if target != "tb-finite":
-        _reject_set(args, ("--samples", "--seed"), f"--target {target} draws no samples")
+        _reject_set(args, ("--samples", "--seed", "--parallelism"),
+                    f"--target {target} draws no samples")
     if target != "tb-uniform":
         _reject_set(args, ("--panels",), f"--target {target} takes no panel count")
     extra = {}
@@ -141,7 +143,8 @@ def cmd_mutual_info(args) -> int:
         spec = _build_spec(args)
         samples = 100_000 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
-        est = analysis.mi_finite_settings_tb(spec, samples, RandomSource(seed))
+        parallelism = 1 if args.parallelism is None else args.parallelism
+        est = analysis.mi_finite_settings_tb(spec, samples, RandomSource(seed), parallelism)
         bound, extra = 1.0, {"samples": samples, "seed": seed}
     elif target == "exact-model-file":
         if not args.model_file:
@@ -186,7 +189,8 @@ def cmd_transform(args) -> int:
         _reject_set(args, ("--floor",), f"--model {args.model} has no acceptance floor")
     source = RandomSource(args.seed)
     if args.model in ("brans", "input-broadcast"):
-        _reject_set(args, ("--rounds",), f"--model {args.model} runs no Monte Carlo report")
+        _reject_set(args, ("--rounds", "--parallelism"),
+                    f"--model {args.model} runs no Monte Carlo report")
         spec, corr = _resolve_corr_and_spec(args)
         if args.model == "brans":
             cs, report = transforms.brans_to_cs(corr, spec)
@@ -198,14 +202,17 @@ def cmd_transform(args) -> int:
                     f"--model {args.model} always reproduces the singlet")
         spec = _build_spec(args)
         rounds = transforms.REPORT_ROUNDS if args.rounds is None else args.rounds
+        parallelism = 1 if args.parallelism is None else args.parallelism
         if args.model == "tb":
             cs, report = transforms.comm_to_cs(
-                TonerBaconModel(), spec, source=source, rounds=rounds
+                TonerBaconModel(), spec, source=source, rounds=rounds,
+                parallelism=parallelism,
             )
         else:
             floor = transforms.DEFAULT_FLOOR if args.floor is None else args.floor
             cs, report = transforms.det_to_cs(
-                GisinGisinModel(), spec, source=source, rounds=rounds, floor=floor
+                GisinGisinModel(), spec, source=source, rounds=rounds, floor=floor,
+                parallelism=parallelism,
             )
         model_payload = serialize.sampler_payload(cs, seed=args.seed)
     _emit(serialize.json_text(model_payload), args.out_file)
@@ -255,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out-file", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("mutual-info", help="compute I(x,y:lambda) for a target")
     p.add_argument(
@@ -273,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tb-finite only (default: 100000)")
     p.add_argument("--panels", type=int, default=None, help="tb-uniform only (default: 1024)")
     p.add_argument("--seed", type=int, default=None, help="tb-finite only (default: 0)")
+    p.add_argument("--parallelism", type=int, default=None,
+                   help="tb-finite only: worker threads (default: 1)")
     p.add_argument("--out-file", default=None)
-    p.set_defaults(func=cmd_mutual_info)
 
     p = sub.add_parser("transform", help="build a correlated-settings model + report")
     p.add_argument(
@@ -288,25 +295,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=None,
                    help=f"tb/gg only: report rounds (default: {transforms.REPORT_ROUNDS})")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--parallelism", type=int, default=None,
+                   help="tb/gg only: report worker threads (default: 1)")
     p.add_argument("--floor", type=float, default=None,
                    help="gg only: abort when the double-click acceptance rate sits below this")
     p.add_argument("--out-file", default=None, help="model file destination (required)")
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("verify", help="check Bell locality of an exact model file")
     p.add_argument("model_file")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out-file", default=None)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use.  Parsing leaves a parser
+    as it was, and building one costs about a millisecond per call."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # read at each call, not kept in the parser, so a replaced cmd_* (a
+    # tracer's wrapper, a test's stand-in) is the function that runs
+    commands = {
+        "simulate": cmd_simulate,
+        "mutual-info": cmd_mutual_info,
+        "transform": cmd_transform,
+        "verify": cmd_verify,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except AcceptanceFloorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLOOR

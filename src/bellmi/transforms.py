@@ -171,13 +171,14 @@ def _sampled_cs(
     source: RandomSource,
     rounds: int,
     floor: float,
+    parallelism: int,
 ):
     """Sampled model of ``model`` plus its Monte Carlo report.
 
     The report is one :func:`analysis.estimate_correlations` run of
-    ``rounds`` rounds, which keeps the rounds whose batch ``kept`` mask is
-    set, and checks them against the singlet prediction on the spec's
-    cells.  Fewer than ``floor * rounds`` kept rounds raise
+    ``rounds`` rounds on ``parallelism`` threads, which keeps the rounds
+    whose batch ``kept`` mask is set, and checks them against the singlet
+    prediction on the spec's cells.  Fewer than ``floor * rounds`` kept rounds raise
     :class:`AcceptanceFloorError`; a floor outside (0, 1] raises
     :class:`ConfigError`.
     """
@@ -192,7 +193,9 @@ def _sampled_cs(
 
     # child 1, not ``source`` itself: another stream would change the bytes
     # of every seeded report
-    est = analysis.estimate_correlations(model, spec, rounds, source.child(1))
+    est = analysis.estimate_correlations(
+        model, spec, rounds, source.child(1), parallelism=parallelism
+    )
     kept = est.kept_per_cell.sum()
     if kept < floor * rounds:
         raise AcceptanceFloorError(
@@ -236,14 +239,16 @@ def comm_to_cs(
     *,
     source: Optional[RandomSource] = None,
     rounds: int = REPORT_ROUNDS,
+    parallelism: int = 1,
 ):
     """Absorb a communication model into a correlated-settings model.
 
     Finite models yield an :class:`ExactCSModel` with exact reproduction
     deviations, exact I(x,y:lambda) and the exact message entropy H(m).
     The one-bit singlet model yields a :class:`SampledCSModel`; its report
-    carries Monte Carlo deviations (``rounds`` rounds from ``source``) and
-    the one-bit bound H(m) = 1.
+    carries Monte Carlo deviations (``rounds`` rounds from ``source`` on
+    ``parallelism`` threads, the same at any count) and the one-bit bound
+    H(m) = 1.
 
     Returns ``(cs_model, report)``.
     """
@@ -252,7 +257,7 @@ def comm_to_cs(
     if isinstance(model, TonerBaconModel):
         if source is None:
             raise ConfigError("comm_to_cs needs a RandomSource for sampled models")
-        return _sampled_cs(model, spec, source, rounds, DEFAULT_FLOOR)
+        return _sampled_cs(model, spec, source, rounds, DEFAULT_FLOOR, parallelism)
     raise ConfigError(f"comm_to_cs cannot handle {type(model).__name__}")
 
 
@@ -263,6 +268,7 @@ def det_to_cs(
     source: RandomSource,
     rounds: int = REPORT_ROUNDS,
     floor: float = DEFAULT_FLOOR,
+    parallelism: int = 1,
 ):
     """Post-select a detection model on both detectors clicking.
 
@@ -271,8 +277,9 @@ def det_to_cs(
     the double-click event exactly.  If the acceptance rate over the
     ``rounds`` report rounds falls below ``floor``,
     :class:`AcceptanceFloorError` aborts the run with the rate in the
-    message.
+    message.  The report's rounds run on ``parallelism`` threads, with the
+    same result at any count.
 
     Returns ``(cs_model, report)``.
     """
-    return _sampled_cs(dmodel, spec, source, rounds, floor)
+    return _sampled_cs(dmodel, spec, source, rounds, floor, parallelism)

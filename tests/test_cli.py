@@ -50,6 +50,23 @@ def test_post_selected_csv_bytes_identical_across_parallelism():
     assert out1 == out2
 
 
+@pytest.mark.parametrize("model", ["tb", "gg"])
+def test_sampled_transform_bytes_identical_across_parallelism(tmp_path, model):
+    # four chunks of report rounds, so two threads run chunks side by side
+    base = ["transform", "--model", model, "--rounds", str(3 * CHUNK_ROUNDS + 7),
+            "--seed", "11"]
+    runs = []
+    for parallelism in ("1", "2"):
+        model_file = tmp_path / f"model-{parallelism}.json"
+        code, out, err = run_cli(
+            base + ["--parallelism", parallelism, "--out-file", str(model_file)]
+        )
+        assert code == 0, err
+        runs.append((out, model_file.read_bytes()))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["extras"]["check_rounds"] == 3 * CHUNK_ROUNDS + 7
+
+
 def test_repeated_commands_are_byte_identical():
     args = [
         "mutual-info", "--target", "tb-finite", "--samples", "5000", "--seed", "3",
@@ -499,9 +516,10 @@ PINNED_TB_FINITE = "b551fcbb5744b87bdbc5555e47efa401cb2768226214140d05589011c976
 def test_tb_finite_bytes_are_pinned(tmp_path):
     argv = ["mutual-info", "--target", "tb-finite", "--samples", "200000", "--seed", "19"]
     argv += _wide_spec_files(tmp_path)
-    code, out, err = run_cli(argv)
-    assert code == 0, err
-    assert hashlib.sha256(out).hexdigest() == PINNED_TB_FINITE
+    for parallelism in ("1", "2"):
+        code, out, err = run_cli(argv + ["--parallelism", parallelism])
+        assert code == 0, err
+        assert hashlib.sha256(out).hexdigest() == PINNED_TB_FINITE, parallelism
 
 
 # sha256 of the stdout of ``simulate --preset chsh --rounds 100000 --seed 23``
@@ -613,6 +631,16 @@ BAD_INPUTS = {
     "negative-seed": (SIMULATE + ["--seed", "-1"], None),
     # one chunk of rounds, so not even a missing cap could start many threads
     "parallelism-above-cap": (SIMULATE + ["--parallelism", "1000000"], None),
+    # the range check of simulate, on the other commands that take threads
+    **{
+        f"{name}-parallelism-{n}": (argv + ["--parallelism", str(n)], None)
+        for name, argv in (
+            ("mi-tb-finite", ["mutual-info", "--target", "tb-finite", "--samples", "1000"]),
+            ("tb", ["transform", "--model", "tb", "--rounds", "1000", "--out-file", "model.json"]),
+            ("gg", ["transform", "--model", "gg", "--rounds", "1000", "--out-file", "model.json"]),
+        )
+        for n in (0, 65)
+    },
     "verify-tol-nan": (["verify", SIGNALING, "--tol", "nan"], None),
     "verify-tol-negative": (["verify", SIGNALING, "--tol", "-1"], None),
     "verify-tol-inf": (["verify", SIGNALING, "--tol", "inf"], None),
@@ -778,12 +806,19 @@ BAD_INPUTS = {
     "mi-gg-uniform-panels": (
         ["mutual-info", "--target", "gg-uniform", "--panels", "64"], None
     ),
+    "mi-tb-uniform-parallelism": (
+        ["mutual-info", "--target", "tb-uniform", "--parallelism", "2"], None
+    ),
     "brans-rounds": (
         ["transform", "--model", "brans", "--rounds", "5", "--out-file", "model.json"],
         None,
     ),
     "brans-floor": (
         ["transform", "--model", "brans", "--floor", "0.5", "--out-file", "model.json"],
+        None,
+    ),
+    "brans-parallelism": (
+        ["transform", "--model", "brans", "--parallelism", "2", "--out-file", "model.json"],
         None,
     ),
     # 4 * 4000**8 cells overflow the int64 cell codes of the table
@@ -946,6 +981,10 @@ BAD_INPUTS = {
 }
 # case -> words its error line must hold, where the cause is easy to misname
 BAD_INPUT_WORDING = {
+    **{f"{cmd}-parallelism-{n}": f"parallelism must lie in [1, 64], got {n}"
+       for cmd in ("mi-tb-finite", "tb", "gg") for n in (0, 65)},
+    "mi-tb-uniform-parallelism": "--target tb-uniform draws no samples; --parallelism conflicts",
+    "brans-parallelism": "--model brans runs no Monte Carlo report; --parallelism conflicts",
     "corr-no-cells": "cells are missing",
     "model-top-level-array": "model file: must be a JSON object, got list",
     "settings-top-level-array": "settings file: must be a JSON object, got list",
@@ -1019,6 +1058,68 @@ def test_config_errors_exit_2(tmp_path):
     assert "exclusive" in err
     code, _, _ = run_cli(["simulate"])  # missing required --model
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+# ----------------------------------------------------------------------
+
+def _main_in_process(argv):
+    """(exit code, stdout) of ``cli.main(argv)``, with argparse's exits caught."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert _main_in_process(["mutual-info", "--target", "gg-uniform"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_reused_parser_applies_the_defaults_again():
+    argv = ["simulate", "--model", "tb", "--rounds", "100"]
+    code, out = _main_in_process(argv + ["--seed", "7"])
+    assert code == 0 and json.loads(out)["seed"] == 7
+    code, out = _main_in_process(argv)
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+def test_main_runs_the_current_command_function(monkeypatch):
+    assert _main_in_process(["verify", SIGNALING])[0] == cli.EXIT_VERIFY_FAILED
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.tol) or 42)
+    assert _main_in_process(["verify", SIGNALING, "--tol", "0.5"])[0] == 42
+    assert seen == [0.5]
+
+
+@pytest.mark.parametrize("command", [[], ["simulate"], ["mutual-info"], ["transform"],
+                                     ["verify"]])
+def test_reused_parser_help_matches_a_fresh_parser(command):
+    argv = command + ["--help"]
+    for _ in range(2):  # the second call reads the parser the first one left
+        code, text = _main_in_process(argv)
+        assert code == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert text == out.getvalue() != ""
 
 
 # flag -> (argv before it, small valid values); every valid run is one chunk
