@@ -9,8 +9,14 @@ a fixed chunk order, so results do not depend on the parallelism degree.
 Vector batches arrive column-major (see :mod:`bellmi.sphere`), so every
 component slice ``v[:, k]`` is one contiguous run.
 
-The per-round maps compute each dot product with the element formula
-``(s0*l0 + s1*l1) + s2*l2``, and an outcome is its sign, with sgn(0) = +1.
+The per-round maps read each round's settings through index arrays: round
+i measures Alice's setting ``alice[:, x_idx[i]]`` and Bob's
+``bob[:, y_idx[i]]``, where ``alice`` and ``bob`` hold a spec's settings as
+(3, n_settings) component rows.  A kernel gathers one setting component at
+a time, right before the product that uses it, so a batch of rounds never
+holds a per-round copy of its setting vectors.  Each dot product is the
+element formula ``(s0*l0 + s1*l1) + s2*l2``, accumulated in place in that
+order, and an outcome is its sign, with sgn(0) = +1.
 :func:`agreement_probs` instead takes its dots from matrix products over
 tiles of rounds, whose summation order BLAS chooses.  For unit vectors (norms
 checked by :func:`bellmi.sphere.require_unit`) any evaluation order, with or
@@ -27,36 +33,63 @@ from __future__ import annotations
 import numpy as np
 
 
-def tb_outcomes(xs, ys, l1, l2):
+def tb_outcomes(x_idx, y_idx, alice, bob, l1, l2):
     """One-bit communication round outcomes.
 
     a = -sgn(x.l1); message m = sgn(x.l1) * sgn(x.l2);
     b = sgn(y.(l1 + m*l2)).  ``bad`` marks rounds where l1 + m*l2 is the
-    exact zero vector (caller resamples those).
+    exact zero vector (caller resamples those).  Such a round has
+    y.(l1 + m*l2) = +-0, so only rounds with a zero dot are checked.
     """
-    d1 = xs[:, 0] * l1[:, 0] + xs[:, 1] * l1[:, 1] + xs[:, 2] * l1[:, 2]
-    d2 = xs[:, 0] * l2[:, 0] + xs[:, 1] * l2[:, 1] + xs[:, 2] * l2[:, 2]
-    alice_plus = d1 >= 0.0
-    agree = alice_plus == (d2 >= 0.0)
-    m = agree * 2.0 - 1.0  # exactly +-1.0
-    v0 = l1[:, 0] + m * l2[:, 0]
-    v1 = l1[:, 1] + m * l2[:, 1]
-    v2 = l1[:, 2] + m * l2[:, 2]
-    db = ys[:, 0] * v0 + ys[:, 1] * v1 + ys[:, 2] * v2
-    bad = (v0 == 0.0) & (v1 == 0.0) & (v2 == 0.0)
+    g = np.empty(x_idx.shape[0])
+    alice_plus = _dot(alice, x_idx, l1.T, g) >= 0.0
+    agree = alice_plus == (_dot(alice, x_idx, l2.T, g) >= 0.0)
+    m = agree * 2.0
+    m -= 1.0  # exactly +-1.0
+
+    def bob_direction():  # l1 + m*l2, one component at a time
+        v = np.empty_like(g)
+        for k in range(3):
+            np.multiply(m, l2[:, k], out=v)
+            v += l1[:, k]
+            yield v
+
+    db = _dot(bob, y_idx, bob_direction(), g)
+    zero = np.flatnonzero(db == 0.0)
+    bad = np.zeros(db.shape[0], dtype=bool)
+    bad[zero] = (l1[zero] + m[zero, None] * l2[zero] == 0.0).all(axis=1)
     return -_signs(alice_plus), _signs(db >= 0.0), _signs(agree), bad
 
 
-def gg_outcomes(xs, ys, lam, u):
+def gg_outcomes(x_idx, y_idx, alice, bob, lam, u):
     """Detection-model round outcomes.
 
     a = sgn(x.lam), detected with probability |x.lam| (u is the per-round
     uniform draw); b = -sgn(y.lam), always detected.
     """
-    da = xs[:, 0] * lam[:, 0] + xs[:, 1] * lam[:, 1] + xs[:, 2] * lam[:, 2]
-    db = ys[:, 0] * lam[:, 0] + ys[:, 1] * lam[:, 1] + ys[:, 2] * lam[:, 2]
-    click_a = u < np.abs(da)
-    return _signs(da >= 0.0), -_signs(db >= 0.0), click_a
+    g = np.empty(x_idx.shape[0])
+    da = _dot(alice, x_idx, lam.T, g)
+    a = _signs(da >= 0.0)
+    click_a = u < np.abs(da, out=da)
+    return a, -_signs(_dot(bob, y_idx, lam.T, g) >= 0.0), click_a
+
+
+def _dot(settings, idx, components, g):
+    """(s0*c0 + s1*c1) + s2*c2 per round, s = ``settings[:, idx]``.
+
+    ``components`` yields the rounds' c0, c1 and c2.  Component k of s is
+    gathered right before its product, into the scratch buffer ``g`` from
+    k = 1 on, and the sum accumulates in place.  Every index is in range;
+    mode "clip" keeps ``take`` from buffering a copy of its output.
+    """
+    c = iter(components)
+    d = settings[0].take(idx, mode="clip")
+    d *= next(c)
+    for k in (1, 2):
+        np.take(settings[k], idx, out=g, mode="clip")
+        g *= next(c)
+        d += g
+    return d
 
 
 def _signs(plus):

@@ -202,13 +202,15 @@ def estimate_correlations(
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     n_a, n_b = spec.n_alice, spec.n_bob
+    # the settings as (3, n) component rows, which the kernels gather from
+    alice = np.ascontiguousarray(spec.alice_settings.T)
+    bob = np.ascontiguousarray(spec.bob_settings.T)
 
     def run_chunk(sub: RandomSource, k: int):
         s_set, s_mod = sub.split(2)
         gen = s_set.generator()
         x_idx, y_idx = spec.sample_indices(gen, k)
-        xs, ys = spec.vectors_for(x_idx, y_idx)
-        batch = model.sample_rounds(xs, ys, s_mod)
+        batch = model.sample_rounds(x_idx, y_idx, alice, bob, s_mod)
         kept = batch.kept if model.post_selects else None
         return _kernels.tally(x_idx, y_idx, batch.a, batch.b, n_a, n_b, kept)
 

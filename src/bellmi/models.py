@@ -140,14 +140,6 @@ class SettingsSpec:
         x_idx = codes // self.n_bob
         return x_idx, codes - x_idx * self.n_bob
 
-    def vectors_for(self, x_idx, y_idx):
-        """Setting vectors for index arrays; returns (xs, ys) of shape (n, 3),
-        column-major like :func:`~bellmi.sphere.sample_uniform_sphere`."""
-        return (
-            np.ascontiguousarray(self.alice_settings.T).take(x_idx, axis=1).T,
-            np.ascontiguousarray(self.bob_settings.T).take(y_idx, axis=1).T,
-        )
-
 
 def preset_chsh() -> SettingsSpec:
     """CHSH preset: Alice at polar angles {0, pi/2}, Bob at {pi/4, 3pi/4},
@@ -199,6 +191,8 @@ class ConditionalTable:
             raise ConfigError(f"conditional table must have shape (nA, nB, 2, 2), got {p.shape}")
         if np.any(p < 0.0):
             raise ValidationError("negative probability in conditional table")
+        if np.any(p > 1.0 + CONDITIONAL_ATOL):  # before the sums, which it could overflow
+            raise ValidationError("probability above 1 in conditional table")
         sums = p.sum(axis=(2, 3))
         if not np.all(np.abs(sums - 1.0) <= CONDITIONAL_ATOL):  # NaN fails too
             worst = float(np.max(np.abs(sums - 1.0)))
@@ -291,14 +285,15 @@ class TonerBaconModel:
     )
     message_entropy_bound = 1.0  # H(m) for a single bit
 
-    def sample_rounds(self, xs, ys, source: RandomSource) -> TBRounds:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        n = xs.shape[0]
+    def sample_rounds(self, x_idx, y_idx, alice, bob, source: RandomSource) -> TBRounds:
+        """Rounds at Alice's settings ``alice[:, x_idx]`` and Bob's
+        ``bob[:, y_idx]``, ``alice`` and ``bob`` being (3, n_settings)
+        component rows."""
+        n = x_idx.shape[0]
         gen = source.generator()
         l1 = sample_uniform_sphere(gen, n)
         l2 = sample_uniform_sphere(gen, n)
-        a, b, m, bad = _kernels.tb_outcomes(xs, ys, l1, l2)
+        a, b, m, bad = _kernels.tb_outcomes(x_idx, y_idx, alice, bob, l1, l2)
         resampled = 0
         while bad.any():
             idx = np.flatnonzero(bad)
@@ -306,7 +301,9 @@ class TonerBaconModel:
             log.warning("toner-bacon: resampling %d degenerate rounds", idx.size)
             l1[idx] = sample_uniform_sphere(gen, idx.size)
             l2[idx] = sample_uniform_sphere(gen, idx.size)
-            ra, rb, rm, rbad = _kernels.tb_outcomes(xs[idx], ys[idx], l1[idx], l2[idx])
+            ra, rb, rm, rbad = _kernels.tb_outcomes(
+                x_idx[idx], y_idx[idx], alice, bob, l1[idx], l2[idx]
+            )
             a[idx], b[idx], m[idx] = ra, rb, rm
             bad = np.zeros(n, dtype=bool)
             bad[idx] = rbad
@@ -352,14 +349,13 @@ class GisinGisinModel:
         "double-click post-selection reweights lambda only"
     )
 
-    def sample_rounds(self, xs, ys, source: RandomSource) -> GGRounds:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        n = xs.shape[0]
+    def sample_rounds(self, x_idx, y_idx, alice, bob, source: RandomSource) -> GGRounds:
+        """Rounds at settings given as for :meth:`TonerBaconModel.sample_rounds`."""
+        n = x_idx.shape[0]
         gen = source.generator()
         lam = sample_uniform_sphere(gen, n)
         u = gen.random(n)
-        a, b, click_a = _kernels.gg_outcomes(xs, ys, lam, u)
+        a, b, click_a = _kernels.gg_outcomes(x_idx, y_idx, alice, bob, lam, u)
         return GGRounds(a=a, b=b, click_a=click_a, lam=lam)
 
 

@@ -142,9 +142,17 @@ def _json_array(value) -> list:
     return value
 
 
-def _numbers(value) -> np.ndarray:
-    """``value``, a JSON number or nested arrays of numbers, as float64."""
-    return np.asarray(_json_values([value], _NUMBERS)[0], dtype=np.float64)
+def _numbers(value, name: str) -> np.ndarray:
+    """``value``, a JSON number or nested arrays of numbers, as float64.
+
+    Arrays nested side by side must have one length, else
+    :class:`ValueError` names the array by ``name``.
+    """
+    value = _json_values([value], _NUMBERS)[0]
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except ValueError:  # numpy's message runs to several lines of shapes
+        raise ValueError(f"{name} is a ragged array") from None
 
 
 # ----------------------------------------------------------------------
@@ -231,11 +239,11 @@ def correlation_csv(payload: dict) -> str:
 
 def _settings_from_payload(payload: dict, *, where: str) -> SettingsSpec:
     try:
-        alice = _numbers(payload["alice_settings"])
-        bob = _numbers(payload["bob_settings"])
+        alice = _numbers(payload["alice_settings"], "alice_settings")
+        bob = _numbers(payload["bob_settings"], "bob_settings")
         p_xy = payload.get("p_xy")
         if p_xy is not None:
-            p_xy = _numbers(p_xy)
+            p_xy = _numbers(p_xy, "p_xy")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: bad or missing settings or p_xy ({exc})") from None
     return SettingsSpec(alice, bob, p_xy)
@@ -250,7 +258,7 @@ def load_input_dist(text: str) -> np.ndarray:
     """Input-distribution file: {"p_xy": [[...]]}."""
     payload = parse_json(text, "input-dist file")
     try:
-        return _numbers(payload["p_xy"])
+        return _numbers(payload["p_xy"], "p_xy")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"input-dist file: bad or missing p_xy ({exc})") from None
 
@@ -283,7 +291,10 @@ def load_correlation(text: str):
             if (x, y) in seen:
                 raise ValueError("cell listed twice")
             seen.add((x, y))
-            probs[x, y] = _numbers([[cell["pp"], cell["pm"]], [cell["mp"], cell["mm"]]])
+            block = [[cell["pp"], cell["pm"]], [cell["mp"], cell["mm"]]]
+            if not all(type(p) is int or type(p) is float for row in block for p in row):
+                raise TypeError("pp, pm, mp and mm must be JSON numbers")
+            probs[x, y] = block
         except (KeyError, TypeError, ValueError, OverflowError, IndexError) as exc:
             raise ConfigError(
                 f"correlation file: bad cell at position {i} ({type(exc).__name__}: {exc})"

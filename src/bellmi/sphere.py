@@ -78,7 +78,11 @@ def sample_uniform_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
     in draw order, and maps each to ``u * w``, ``v * w``, ``1 - 2s`` with
     w = 2 sqrt(1 - s).  A pair is kept with probability pi/4, so the first
     block almost always suffices; n = 0 draws nothing.  For s >= 1/2 the
-    difference 1 - s is exact.
+    difference 1 - s is exact.  The kept s values are gathered straight
+    into the z row of the output and mapped there in place, so a block
+    holds no copy of them.  The gathers use mode "clip", which, unlike the
+    default, writes into ``out`` without a buffered copy; every index is
+    in range.
     """
     out = np.empty((3, n), dtype=np.float64)
     filled = 0
@@ -91,26 +95,35 @@ def sample_uniform_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
         s = u * u
         s += v * v
         idx = np.flatnonzero(s < 1.0)[:missing]
-        s = s[idx]
-        w = np.subtract(1.0, s)
+        block = out[:, filled:filled + idx.size]
+        np.take(s, idx, out=block[2], mode="clip")  # the kept s, until z replaces it
+        del s
+        w = np.subtract(1.0, block[2])
         np.sqrt(w, out=w)
         w *= 2.0
-        block = out[:, filled:filled + idx.size]
-        np.take(u, idx, out=block[0])
+        np.take(u, idx, out=block[0], mode="clip")
         block[0] *= w
-        np.take(v, idx, out=block[1])
+        np.take(v, idx, out=block[1], mode="clip")
         block[1] *= w
-        np.multiply(s, -2.0, out=block[2])
+        block[2] *= -2.0
         block[2] += 1.0
         filled += idx.size
     return out.T
 
 
 def require_unit(v) -> np.ndarray:
-    """Validate unit norm (within UNIT_ATOL); returns the array as float64."""
+    """Validate unit norm (within UNIT_ATOL); returns the array as float64.
+
+    Components are checked to be finite and at most 2 in magnitude before
+    they are squared, so a huge one fails without an overflow warning.
+    """
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape[-1] != 3:
         raise ValidationError(f"expected 3-vectors, got shape {arr.shape}")
+    if not np.all(np.abs(arr) <= 2.0):  # NaN fails too
+        raise ValidationError(
+            "vector not on the unit sphere (a component is not finite or exceeds 2)"
+        )
     norms2 = (arr * arr).sum(axis=-1)
     if not np.all(np.abs(norms2 - 1.0) <= 3.0 * UNIT_ATOL):  # NaN fails too
         worst = float(np.max(np.abs(np.sqrt(norms2) - 1.0)))

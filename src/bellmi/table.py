@@ -62,9 +62,12 @@ CODE_SPACE_CAP = np.iinfo(np.int64).max
 
 def check_normalized(w: np.ndarray) -> None:
     """Raise :class:`ValidationError` unless the weights ``w`` are
-    nonnegative and sum to 1 within ``NORM_ATOL``; NaN fails."""
+    nonnegative and sum to 1 within ``NORM_ATOL``; NaN fails.  A weight
+    above 1 + ``NORM_ATOL`` fails before the sum, which it could overflow."""
     if np.any(w < 0.0):
         raise ValidationError("negative weight in distribution")
+    if np.any(w > 1.0 + NORM_ATOL):
+        raise ValidationError("weight above 1 in distribution")
     total = float(w.sum())
     if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails too
         raise ValidationError(

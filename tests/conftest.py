@@ -1,6 +1,7 @@
 """Shared helpers: a subprocess CLI runner, spread sphere points, the
-pair-by-pair sphere draw, a small valid model file, tables built from
-dense arrays, the oracles for reproduced conditional tables, the
+pair-by-pair sphere draw, settings arguments for the sampled models and
+each party's half of their rounds, a small valid model file, tables built
+from dense arrays, the oracles for reproduced conditional tables, the
 acceptance gate's oracles (the scalar singlet correlator, CHSH, the
 detection route's Monte Carlo price and the signaling counterexample's
 builder), the dense-table oracles for the information measures and the
@@ -78,6 +79,59 @@ def row_major_sphere(gen, n: int) -> np.ndarray:
                 if len(rows) == n:
                     break
     return np.array(rows, dtype=np.float64).reshape(n, 3)
+
+
+def per_round_settings(xs, ys):
+    """Settings arguments of ``sample_rounds`` that give round i Alice's
+    setting xs[i] and Bob's ys[i]: identity index arrays and component rows."""
+    n = np.arange(xs.shape[0])
+    return n, n, np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
+
+
+def fixed_settings(n: int):
+    """Settings arguments of ``sample_rounds`` for n rounds that all
+    measure Alice along z and Bob along x."""
+    zeros = np.zeros(n, dtype=np.intp)
+    return zeros, zeros, np.array([[0.0], [0.0], [1.0]]), np.array([[1.0], [0.0], [0.0]])
+
+
+def _dot(u, v):
+    """Row-wise dots of two (n, 3) batches by the element formula."""
+    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+
+
+def _signs(plus, minus=False):
+    """int8 +1 where ``plus`` is set and -1 elsewhere, negated if ``minus``."""
+    one = np.int8(-1 if minus else 1)
+    return np.where(plus, one, -one)
+
+
+def tb_alice_half(xs, l1, l2):
+    """Alice's half of one-bit rounds, from her settings ``xs`` and mu =
+    (l1, l2) alone: (a, m) with a = -sgn(x.l1) and the bit
+    m = sgn(x.l1) sgn(x.l2), sgn(0) = +1."""
+    plus = _dot(xs, l1) >= 0.0
+    return _signs(plus, minus=True), _signs(plus == (_dot(xs, l2) >= 0.0))
+
+
+def tb_bob_half(ys, l1, l2, m):
+    """Bob's half of one-bit rounds, from his settings ``ys``, mu and the
+    bit ``m`` alone: (b, bad) with b = sgn(y.(l1 + m l2)) and ``bad`` set
+    where l1 + m l2 is the zero vector."""
+    v = np.stack([l1[:, k] + m * l2[:, k] for k in range(3)], axis=1)
+    return _signs(_dot(ys, v) >= 0.0), (v == 0.0).all(axis=1)
+
+
+def gg_alice_half(xs, lam, u):
+    """Alice's half of detection rounds: (a, click) with a = sgn(x.lam),
+    clicking where the round's uniform ``u`` is below |x.lam|."""
+    d = _dot(xs, lam)
+    return _signs(d >= 0.0), u < np.abs(d)
+
+
+def gg_bob_half(ys, lam):
+    """Bob's half of detection rounds: b = -sgn(y.lam); he always clicks."""
+    return _signs(_dot(ys, lam) >= 0.0, minus=True)
 
 
 def comm_conditional(model, spec) -> ConditionalTable:

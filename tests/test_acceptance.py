@@ -41,6 +41,7 @@ from conftest import (
     dense_conditional_mutual_information,
     exact_conditional,
     fibonacci_sphere,
+    fixed_settings,
     mi_gg_montecarlo,
     run_cli,
     singlet_correlation,
@@ -203,11 +204,7 @@ def test_criterion_6_detection_efficiencies(capsys):
     # accepted hidden vectors against the post-selected density |lam.x| / 2pi:
     # along t = lam.x the accepted marginal is |t| on [-1, 1]
     n = 400_000
-    batch = GisinGisinModel().sample_rounds(
-        np.tile([[0.0, 0.0, 1.0]], (n, 1)),
-        np.tile([[1.0, 0.0, 0.0]], (n, 1)),
-        RandomSource(110),
-    )
+    batch = GisinGisinModel().sample_rounds(*fixed_settings(n), RandomSource(110))
     t = batch.lam[batch.click_a, 2]
     edges = np.linspace(-1.0, 1.0, 41)
     cdf = (edges * np.abs(edges) + 1.0) / 2.0

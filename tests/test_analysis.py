@@ -569,6 +569,23 @@ def test_mi_montecarlo_memory_stays_one_chunk_deep(estimate):
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
+@pytest.mark.parametrize("model, cap_mb", [(TonerBaconModel(), 8.0), (GisinGisinModel(), 6.5)],
+                         ids=["tb", "gg"])
+def test_estimate_chunk_memory_stays_under_its_cap(model, cap_mb):
+    # one chunk of rounds; per-round copies of the setting vectors, every
+    # dot kept alive at once and a copy of the kept sphere draws peaked at
+    # 11.1 MB (tb) and 8.9 MB (gg)
+    spec = preset("chsh")
+    estimate_correlations(model, spec, CHUNK_ROUNDS, RandomSource(1))  # caches built
+    tracemalloc.start()
+    try:
+        estimate_correlations(model, spec, CHUNK_ROUNDS, RandomSource(41))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cap_mb * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
 def test_mi_exact_finite_brans_default_vars():
     spec = preset("chsh")
     model = brans_build(exact_singlet_conditional(spec), spec)

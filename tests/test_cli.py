@@ -491,13 +491,13 @@ def test_exact_transform_bytes_are_pinned(tmp_path, model, p_xy):
     assert_same_table(serialize.load_model(text).table, oracle.table)
 
 
-def _wide_spec_files(tmp_path):
-    """Seeded 32x32 settings file and a non-product, non-uniform p_xy file."""
-    gen = np.random.default_rng(1919)
-    alice, bob = gen.standard_normal((32, 3)), gen.standard_normal((32, 3))
+def _spec_files(tmp_path, shape=(32, 32), seed=1919):
+    """Seeded n_a x n_b settings file and a non-product, non-uniform p_xy file."""
+    gen = np.random.default_rng(seed)
+    alice, bob = gen.standard_normal((shape[0], 3)), gen.standard_normal((shape[1], 3))
     alice /= np.sqrt((alice * alice).sum(axis=1))[:, None]
     bob /= np.sqrt((bob * bob).sum(axis=1))[:, None]
-    w = np.exp(0.7 * gen.standard_normal((32, 32)))
+    w = np.exp(0.7 * gen.standard_normal(shape))
     (tmp_path / "settings.json").write_text(
         json.dumps({"alice_settings": alice.tolist(), "bob_settings": bob.tolist()})
     )
@@ -515,7 +515,7 @@ PINNED_TB_FINITE = "b551fcbb5744b87bdbc5555e47efa401cb2768226214140d05589011c976
 
 def test_tb_finite_bytes_are_pinned(tmp_path):
     argv = ["mutual-info", "--target", "tb-finite", "--samples", "200000", "--seed", "19"]
-    argv += _wide_spec_files(tmp_path)
+    argv += _spec_files(tmp_path)
     for parallelism in ("1", "2"):
         code, out, err = run_cli(argv + ["--parallelism", parallelism])
         assert code == 0, err
@@ -539,6 +539,48 @@ def test_simulate_bytes_are_pinned(model):
         code, out, err = run_cli(argv + ["--parallelism", parallelism])
         assert code == 0, err
         assert hashlib.sha256(out).hexdigest() == PINNED_SIMULATE[model], parallelism
+
+
+# sha256 of (model file, stdout) of ``transform --model M --preset chsh
+# --rounds 200000 --seed 31``, and of the stdout of ``simulate --model M
+# --rounds 150000 --seed 31`` (three chunks) on the seeded 5x4 spec files,
+# taken before the outcome kernels read setting index arrays.
+PINNED_SAMPLED_TRANSFORM = {
+    "tb": (
+        "3f9deef65154965f2f4430f359170afe5bec873a29a441ccb14a8be6e20f2a4e",
+        "608463d1ea4c75eded5c1b5b282a537bad2c80faf5344de9050f9a656c3e0823",
+    ),
+    "gg": (
+        "62d625b8a42ed7d5cbb3aac828b589e32cd739eaecbf4f00ff84aefce2822378",
+        "05c73e2895e699744ce713a812fb825f6e9d4e715efaec24009fd5559f76177e",
+    ),
+}
+PINNED_SIMULATE_FILES = {
+    "tb": "0fef380ab297456b516f85302c7d4968e9bfc77ef4853c1e7761046194581b88",
+    "gg": "f28443ba750a84c5e0f0d2e1289916eb93c544e62fae4ee0e5d446eaffdbfec6",
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_SAMPLED_TRANSFORM))
+def test_sampled_transform_bytes_are_pinned(tmp_path, model):
+    argv = ["transform", "--model", model, "--preset", "chsh", "--rounds", "200000",
+            "--seed", "31", "--out-file", str(tmp_path / "model.json")]
+    for parallelism in ("1", "3"):
+        code, out, err = run_cli(argv + ["--parallelism", parallelism])
+        assert code == 0, err
+        got = (hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest(),
+               hashlib.sha256(out).hexdigest())
+        assert got == PINNED_SAMPLED_TRANSFORM[model], parallelism
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_SIMULATE_FILES))
+def test_simulate_on_spec_files_bytes_are_pinned(tmp_path, model):
+    argv = ["simulate", "--model", model, "--rounds", "150000", "--seed", "31"]
+    argv += _spec_files(tmp_path, (5, 4), 3131)
+    for parallelism in ("1", "3"):
+        code, out, err = run_cli(argv + ["--parallelism", parallelism])
+        assert code == 0, err
+        assert hashlib.sha256(out).hexdigest() == PINNED_SIMULATE_FILES[model], parallelism
 
 
 SIMULATE = ["simulate", "--model", "tb", "--rounds", "100"]
@@ -978,6 +1020,37 @@ BAD_INPUTS = {
         SIMULATE + ["--settings-file", "input.json"],
         {"alice_settings": [[[0.0, 0.0, 1.0]]], "bob_settings": [[0.0, 0.0, 1.0]]},
     ),
+    # squaring 1e300 would overflow, and under -W error turn into exit 1
+    "settings-overflowing-component": (
+        SIMULATE + ["--settings-file", "input.json"],
+        {"alice_settings": [[1e300, 0.0, 0.0]], "bob_settings": [[0.0, 0.0, 1.0]]},
+    ),
+    # summing these would overflow the same way
+    "p-xy-overflowing-sum": (
+        SIMULATE + ["--input-dist-file", "input.json"],
+        {"p_xy": [[1.7e308, 1.7e308], [0.25, 0.25]]},
+    ),
+    "corr-overflowing-sum": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {**ONE_CELL,
+         "cells": [{"x": 0, "y": 0, "pp": 1.7e308, "pm": 1.7e308, "mp": 0.25, "mm": 0.25}]},
+    ),
+    # arrays of different lengths, which numpy refuses in several lines
+    "settings-ragged": (
+        SIMULATE + ["--settings-file", "input.json"],
+        {"alice_settings": [[0.0, 1.0], [1.0, 0.0, 0.0]], "bob_settings": [[0.0, 0.0, 1.0]]},
+    ),
+    "p-xy-ragged": (
+        SIMULATE + ["--input-dist-file", "input.json"],
+        {"p_xy": [[0.5], [0.25, 0.25]]},
+    ),
+    "corr-list-probability": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        {**ONE_CELL,
+         "cells": [{"x": 0, "y": 0, "pp": [0.25, 0.1], "pm": 0.25, "mp": 0.25, "mm": 0.25}]},
+    ),
 }
 # case -> words its error line must hold, where the cause is easy to misname
 BAD_INPUT_WORDING = {
@@ -1006,6 +1079,12 @@ BAD_INPUT_WORDING = {
     "model-empty-labels": "variable 'lam' has an empty alphabet",
     "corr-negative-probability": "negative probability in conditional table",
     "settings-three-dimensional": "settings must be arrays of shape (n, 3)",
+    "settings-overflowing-component": "a component is not finite or exceeds 2",
+    "p-xy-overflowing-sum": "weight above 1 in distribution",
+    "corr-overflowing-sum": "probability above 1 in conditional table",
+    "settings-ragged": "settings file: bad or missing settings or p_xy (alice_settings is a ragged",
+    "p-xy-ragged": "input-dist file: bad or missing p_xy (p_xy is a ragged array)",
+    "corr-list-probability": "correlation file: bad cell at position 0 (TypeError: pp, pm, mp",
 }
 
 

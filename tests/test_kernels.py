@@ -1,7 +1,7 @@
 """Edge cases of the Monte Carlo outcome kernels (degenerate rounds and sign
-ties), the outcome maps against an ``np.where`` oracle, the tally against a
-per-round loop, and the tiled agreement kernel against its
-one-setting-at-a-time loop."""
+ties), the outcome maps against the composition of each party's half and
+their locality, the tally against a per-round loop, and the tiled agreement
+kernel against its one-setting-at-a-time loop."""
 
 import itertools
 import math
@@ -14,6 +14,13 @@ from bellmi import _kernels as K
 from bellmi.analysis import CHUNK_ROUNDS, estimate_correlations
 from bellmi.models import SettingsSpec
 from bellmi.sphere import RandomSource, sample_uniform_sphere
+from conftest import (
+    gg_alice_half,
+    gg_bob_half,
+    per_round_settings,
+    tb_alice_half,
+    tb_bob_half,
+)
 
 
 def test_tb_flags_vanishing_bob_direction():
@@ -23,7 +30,7 @@ def test_tb_flags_vanishing_bob_direction():
     ys = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     l1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     l2 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    _, _, m, bad = K.tb_outcomes(xs, ys, l1, l2)
+    _, _, m, bad = K.tb_outcomes(*per_round_settings(xs, ys), l1, l2)
     assert m[0] == 1
     assert bad[0]
     assert not bad[1]
@@ -36,39 +43,28 @@ def test_kernels_break_zero_dot_ties_to_plus():
     ez = np.array([[0.0, 0.0, 1.0]])
     # TB: x.l1 = x.l2 = 0 gives a = -sgn(0) = -1 and m = +1; then
     # y = e_x is orthogonal to l1 + m*l2 = (0, 1, 1), so b = sgn(0) = +1
-    a, b, m, bad = K.tb_outcomes(ex, ex, ez, ey)
+    a, b, m, bad = K.tb_outcomes(*per_round_settings(ex, ex), ez, ey)
     assert (a[0], b[0], m[0], bad[0]) == (-1, 1, 1, False)
     # GG: a = sgn(x.lam) = +1 and b = -sgn(y.lam) = -1 at x.lam = y.lam = 0
-    a, b, _ = K.gg_outcomes(ex, ey, ez, np.zeros(1))
+    a, b, _ = K.gg_outcomes(*per_round_settings(ex, ey), ez, np.zeros(1))
     assert (a[0], b[0]) == (1, -1)
 
 
 # ----------------------------------------------------------------------
-# outcome maps: against np.where on the same comparisons
+# outcome maps: against each party's half, and local in their settings
 # ----------------------------------------------------------------------
 
-def _dot(u, v):
-    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
-
-
 def tb_outcomes_where(xs, ys, l1, l2):
-    """Reference: the one-bit round with every sign picked by ``np.where``."""
-    alice_plus = _dot(xs, l1) >= 0.0
-    agree = alice_plus == (_dot(xs, l2) >= 0.0)
-    m = np.where(agree, 1.0, -1.0)
-    v = np.stack([l1[:, k] + m * l2[:, k] for k in range(3)], axis=1)
-    a = np.where(alice_plus, np.int8(-1), np.int8(1))
-    b = np.where(_dot(ys, v) >= 0.0, np.int8(1), np.int8(-1))
-    bad = (v[:, 0] == 0.0) & (v[:, 1] == 0.0) & (v[:, 2] == 0.0)
-    return a, b, np.where(agree, np.int8(1), np.int8(-1)), bad
+    """Reference: Alice's half of the round, then Bob's on the bit she sent."""
+    a, m = tb_alice_half(xs, l1, l2)
+    b, bad = tb_bob_half(ys, l1, l2, m)
+    return a, b, m, bad
 
 
 def gg_outcomes_where(xs, ys, lam, u):
-    """Reference: the detection round with every sign picked by ``np.where``."""
-    da = _dot(xs, lam)
-    a = np.where(da >= 0.0, np.int8(1), np.int8(-1))
-    b = np.where(_dot(ys, lam) >= 0.0, np.int8(-1), np.int8(1))
-    return a, b, u < np.abs(da)
+    """Reference: the two halves of the detection round side by side."""
+    a, click_a = gg_alice_half(xs, lam, u)
+    return a, gg_bob_half(ys, lam), click_a
 
 
 def _assert_same_outputs(got, want):
@@ -87,41 +83,103 @@ _AXES = np.array([
 ])
 
 
-def _tie_rows(k):
-    """k columns of (n, 3) rows running over every k-tuple of signed axes."""
+def _tie_indices(k):
+    """k index columns running over every k-tuple of signed axes."""
     idx = np.array(list(itertools.product(range(len(_AXES)), repeat=k)))
-    return [_AXES[idx[:, j]] for j in range(k)]
+    return [idx[:, j] for j in range(k)]
 
 
-def _seeded_rows(seed, n, k):
+def _seeded_rounds(seed, n, k):
+    """Seeded index arrays into 5 Alice and 4 Bob settings, the settings
+    as component rows, and k per-round sphere batches."""
     gen = np.random.default_rng(seed)
-    return [sample_uniform_sphere(gen, n) for _ in range(k)]
+    alice, bob = sample_uniform_sphere(gen, 5), sample_uniform_sphere(gen, 4)
+    x_idx, y_idx = gen.integers(0, 5, n), gen.integers(0, 4, n)
+    rows = [sample_uniform_sphere(gen, n) for _ in range(k)]
+    return (x_idx, y_idx, np.ascontiguousarray(alice.T), np.ascontiguousarray(bob.T)), rows
+
+
+def _vectors(settings):
+    """Per-round settings (xs, ys) of kernel settings arguments."""
+    x_idx, y_idx, alice, bob = settings
+    return alice.T[x_idx], bob.T[y_idx]
 
 
 def test_tb_outcomes_match_the_where_oracle():
-    xs, ys, l1, l2 = _tie_rows(4)
-    d1 = _dot(xs, l1)
+    x_idx, y_idx, i1, i2 = _tie_indices(4)
+    settings = (x_idx, y_idx, _AXES.T.copy(), _AXES.T.copy())
+    l1, l2 = _AXES[i1], _AXES[i2]
+    xs, ys = _vectors(settings)
+    d1 = xs[:, 0] * l1[:, 0] + xs[:, 1] * l1[:, 1] + xs[:, 2] * l1[:, 2]
     assert ((d1 == 0.0) & ~np.signbit(d1)).any() and ((d1 == 0.0) & np.signbit(d1)).any()
-    _assert_same_outputs(K.tb_outcomes(xs, ys, l1, l2), tb_outcomes_where(xs, ys, l1, l2))
-    assert K.tb_outcomes(xs, ys, l1, l2)[3].any()  # l1 + m*l2 = 0 occurs
+    got = K.tb_outcomes(*settings, l1, l2)
+    _assert_same_outputs(got, tb_outcomes_where(xs, ys, l1, l2))
+    assert got[3].any()  # l1 + m*l2 = 0 occurs
     for seed, n in ((2401, 1), (2402, 1000), (2403, CHUNK_ROUNDS)):
-        rows = _seeded_rows(seed, n, 4)
-        _assert_same_outputs(K.tb_outcomes(*rows), tb_outcomes_where(*rows))
+        settings, rows = _seeded_rounds(seed, n, 2)
+        want = tb_outcomes_where(*_vectors(settings), *rows)
+        _assert_same_outputs(K.tb_outcomes(*settings, *rows), want)
         rows = [np.ascontiguousarray(r) for r in rows]
-        _assert_same_outputs(K.tb_outcomes(*rows), tb_outcomes_where(*rows))
+        _assert_same_outputs(K.tb_outcomes(*settings, *rows), want)
 
 
 def test_gg_outcomes_match_the_where_oracle():
-    xs, ys, lam = _tie_rows(3)
-    da, db = _dot(xs, lam), _dot(ys, lam)
-    for d in (da, db):
+    x_idx, y_idx, i = _tie_indices(3)
+    settings = (x_idx, y_idx, _AXES.T.copy(), _AXES.T.copy())
+    lam = _AXES[i]
+    xs, ys = _vectors(settings)
+    for v in (xs, ys):
+        d = v[:, 0] * lam[:, 0] + v[:, 1] * lam[:, 1] + v[:, 2] * lam[:, 2]
         assert ((d == 0.0) & ~np.signbit(d)).any() and ((d == 0.0) & np.signbit(d)).any()
-    u = np.random.default_rng(2404).random(xs.shape[0])
-    _assert_same_outputs(K.gg_outcomes(xs, ys, lam, u), gg_outcomes_where(xs, ys, lam, u))
+    u = np.random.default_rng(2404).random(x_idx.shape[0])
+    _assert_same_outputs(K.gg_outcomes(*settings, lam, u), gg_outcomes_where(xs, ys, lam, u))
     for seed, n in ((2405, 1), (2406, 1000), (2407, CHUNK_ROUNDS)):
-        rows = _seeded_rows(seed, n, 3)
+        settings, (lam,) = _seeded_rounds(seed, n, 1)
         u = np.random.default_rng(seed).random(n)
-        _assert_same_outputs(K.gg_outcomes(*rows, u), gg_outcomes_where(*rows, u))
+        want = gg_outcomes_where(*_vectors(settings), lam, u)
+        _assert_same_outputs(K.gg_outcomes(*settings, lam, u), want)
+
+
+def _locality_rounds(seed, n, k):
+    """Seeded rounds whose settings and hidden vectors mix signed axes with
+    sphere points, so sgn(0) ties occur, plus redrawn x and y indices."""
+    gen = np.random.default_rng(seed)
+    alice = np.concatenate([_AXES, sample_uniform_sphere(gen, 3)])
+    bob = np.concatenate([_AXES, sample_uniform_sphere(gen, 2)])
+    settings = (gen.integers(0, 9, n), gen.integers(0, 8, n),
+                np.ascontiguousarray(alice.T), np.ascontiguousarray(bob.T))
+    hidden = [np.where(gen.random(n)[:, None] < 0.5, _AXES[gen.integers(0, 6, n)],
+                       sample_uniform_sphere(gen, n)) for _ in range(k)]
+    return settings, hidden, gen.integers(0, 9, n), gen.integers(0, 8, n)
+
+
+def test_tb_outcomes_are_local():
+    # a and m do not see y; b does not see x once mu and m are fixed
+    settings, (l1, l2), x_new, y_new = _locality_rounds(2410, 4000, 2)
+    x_idx, y_idx, alice, bob = settings
+    a, b, m, _ = K.tb_outcomes(*settings, l1, l2)
+    xs, _ = _vectors(settings)
+    d1 = xs[:, 0] * l1[:, 0] + xs[:, 1] * l1[:, 1] + xs[:, 2] * l1[:, 2]
+    assert (d1 == 0.0).any()  # ties are among the rounds
+    a2, _, m2, _ = K.tb_outcomes(x_idx, y_new, alice, bob, l1, l2)
+    np.testing.assert_array_equal(a2, a)
+    np.testing.assert_array_equal(m2, m)
+    _, b3, m3, _ = K.tb_outcomes(x_new, y_idx, alice, bob, l1, l2)
+    same_m = m3 == m
+    assert same_m.any() and not same_m.all()
+    np.testing.assert_array_equal(b3[same_m], b[same_m])
+
+
+def test_gg_outcomes_are_local():
+    settings, (lam,), x_new, y_new = _locality_rounds(2411, 4000, 1)
+    x_idx, y_idx, alice, bob = settings
+    u = np.random.default_rng(2412).random(x_idx.shape[0])
+    a, b, click_a = K.gg_outcomes(*settings, lam, u)
+    a2, _, click2 = K.gg_outcomes(x_idx, y_new, alice, bob, lam, u)
+    np.testing.assert_array_equal(a2, a)
+    np.testing.assert_array_equal(click2, click_a)
+    _, b3, _ = K.gg_outcomes(x_new, y_idx, alice, bob, lam, u)
+    np.testing.assert_array_equal(b3, b)
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +233,8 @@ def test_tally_matches_the_loop():
 
 class _CoinModel:
     """Post-selecting model with seeded coin outcomes that drops every round
-    of cell DROPPED and records each batch for the loop."""
+    of cell DROPPED, checks that it gets the spec's settings as component
+    rows and records each batch for the loop."""
 
     post_selects = True
 
@@ -183,13 +242,14 @@ class _CoinModel:
         self.spec = spec
         self.batches = []
 
-    def sample_rounds(self, xs, ys, source):
+    def sample_rounds(self, x_idx, y_idx, alice, bob, source):
+        for rows, settings in ((alice, self.spec.alice_settings), (bob, self.spec.bob_settings)):
+            assert rows.flags.c_contiguous
+            np.testing.assert_array_equal(rows, settings.T)
         gen = source.generator()
-        n = xs.shape[0]
+        n = x_idx.shape[0]
         a = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
         b = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
-        x_idx = (xs[:, None, :] == self.spec.alice_settings).all(axis=2).argmax(axis=1)
-        y_idx = (ys[:, None, :] == self.spec.bob_settings).all(axis=2).argmax(axis=1)
         kept = (gen.random(n) < 0.6) & ~((x_idx == DROPPED[0]) & (y_idx == DROPPED[1]))
         self.batches.append((x_idx, y_idx, a, b, kept))
         return SimpleNamespace(a=a, b=b, kept=kept)

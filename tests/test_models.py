@@ -24,7 +24,9 @@ from conftest import (
     comm_conditional,
     exact_conditional,
     fibonacci_sphere,
+    fixed_settings,
     max_deviation,
+    per_round_settings,
     table_entries,
 )
 
@@ -156,17 +158,6 @@ def test_sample_indices_on_cdf_values_and_bucket_edges(shape):
         assert p[want].min() > 0.0  # a zero-probability cell is never drawn
 
 
-def test_vectors_for_gathers_column_major():
-    spec = _weighted_spec((3, 5), 4)
-    x_idx, y_idx = spec.sample_indices(RandomSource(4).generator(), 1000)
-    xs, ys = spec.vectors_for(x_idx, y_idx)
-    # each component is one contiguous run; a row-major copy would show here
-    assert xs.shape == ys.shape == (1000, 3)
-    assert xs.T.flags.c_contiguous and ys.T.flags.c_contiguous
-    np.testing.assert_array_equal(xs, spec.alice_settings[x_idx])
-    np.testing.assert_array_equal(ys, spec.bob_settings[y_idx])
-
-
 # ----------------------------------------------------------------------
 # conditional tables
 # ----------------------------------------------------------------------
@@ -205,7 +196,7 @@ def test_tb_sample_rounds_match_replay():
 
     xs = sample_uniform_sphere(gen, 2000)
     ys = sample_uniform_sphere(gen, 2000)
-    batch = model.sample_rounds(xs, ys, RandomSource(22))
+    batch = model.sample_rounds(*per_round_settings(xs, ys), RandomSource(22))
     for i in range(0, 2000, 97):
         a, b, m = tb_replay(xs[i], ys[i], batch.l1[i], batch.l2[i])
         assert (a, b, m) == (batch.a[i], batch.b[i], batch.m[i])
@@ -214,9 +205,7 @@ def test_tb_sample_rounds_match_replay():
 def test_tb_alice_marginal_is_unbiased():
     # a = -sgn(x.l1) with l1 uniform: P(a=+1) = 1/2
     model = TonerBaconModel()
-    x = np.tile([[0.0, 0.0, 1.0]], (100_000, 1))
-    y = np.tile([[1.0, 0.0, 0.0]], (100_000, 1))
-    batch = model.sample_rounds(x, y, RandomSource(9))
+    batch = model.sample_rounds(*fixed_settings(100_000), RandomSource(9))
     p_plus = np.mean(batch.a == 1)
     assert abs(p_plus - 0.5) < 4 * math.sqrt(0.25 / 100_000)
 
@@ -232,7 +221,7 @@ def test_gg_outputs_follow_hidden_vector():
 
     xs = sample_uniform_sphere(gen, 3000)
     ys = sample_uniform_sphere(gen, 3000)
-    batch = model.sample_rounds(xs, ys, RandomSource(32))
+    batch = model.sample_rounds(*per_round_settings(xs, ys), RandomSource(32))
     assert batch.kept is batch.click_a  # Bob always clicks
     for i in range(0, 3000, 113):
         assert batch.b[i] == -sgn_dot(ys[i], batch.lam[i])
@@ -244,9 +233,7 @@ def test_gg_click_probability_tracks_overlap():
     # P(click | lam) = |x.lam|; overall P(D_A) = 1/2
     model = GisinGisinModel()
     n = 200_000
-    x = np.tile([[0.0, 0.0, 1.0]], (n, 1))
-    y = np.tile([[1.0, 0.0, 0.0]], (n, 1))
-    batch = model.sample_rounds(x, y, RandomSource(33))
+    batch = model.sample_rounds(*fixed_settings(n), RandomSource(33))
     rate = batch.click_a.mean()
     assert abs(rate - 0.5) < 4 * math.sqrt(0.25 / n)
     # clicks concentrate where |lam_z| is large
@@ -351,8 +338,7 @@ def test_tb_resample_logs_warning(caplog):
     try:
         with caplog.at_level(logging.WARNING, logger="bellmi.models"):
             batch = model.sample_rounds(
-                np.array([[1.0, 0.0, 0.0]]),
-                np.array([[0.0, 1.0, 0.0]]),
+                *per_round_settings(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])),
                 RandomSource(2),
             )
     finally:
