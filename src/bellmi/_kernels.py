@@ -167,8 +167,8 @@ def agreement_probs(settings, p_x, l1, l2):
 def _settle_ties(agree, mag, settings, l1, l2):
     """Element-formula agreement in each cell whose ``mag`` is not >= SIGN_MARGIN."""
     j, i = np.nonzero(~(mag >= SIGN_MARGIN))
-    s = settings[j]
-    d1, d2 = (s[:, 0] * v[i, 0] + s[:, 1] * v[i, 1] + s[:, 2] * v[i, 2] for v in (l1, l2))
+    g = np.empty(j.shape[0])
+    d1, d2 = (_dot(settings.T, j, v[i].T, g) for v in (l1, l2))
     agree[j, i] = (d1 >= 0.0) == (d2 >= 0.0)
 
 

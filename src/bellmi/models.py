@@ -368,11 +368,12 @@ class FiniteCommModel:
     """Finite-alphabet communication model with deterministic responses.
 
     All randomness lives in the shared variable mu (labels plus weights).
-    ``message[x, y, mu]`` is a code into the ``messages`` labels, and
-    ``alice[x, mu, m]`` / ``bob[y, mu, m]`` are outcome indices into
-    :data:`OUTCOME_LABELS`, m being a message code; wrong shapes and codes
-    out of range raise :class:`ConfigError`.  ``target`` is the P(a,b|x,y)
-    the protocol was built to reproduce; the exact report measures the
+    The protocol is one-way by its shapes: ``message[x, mu]`` is a code
+    into the ``messages`` labels and ``alice[x, mu]`` Alice's outcome, both
+    blind to y; ``bob[y, mu, m]`` is Bob's, m being a message code.
+    Outcomes index :data:`OUTCOME_LABELS`; wrong shapes and codes out of
+    range raise :class:`ConfigError`.  ``target`` is the P(a,b|x,y) the
+    protocol was built to reproduce; the exact report measures the
     reproduced table against it.
     """
 
@@ -392,8 +393,8 @@ class FiniteCommModel:
             raise ConfigError("mu_weights must be one weight per mu label")
         check_normalized(w)
         n_a, n_b = self.target.n_alice, self.target.n_bob
-        for attr, shape, codes in (("message", (n_a, n_b, n_mu), n_m),
-                                   ("alice", (n_a, n_mu, n_m), 2), ("bob", (n_b, n_mu, n_m), 2)):
+        for attr, shape, codes in (("message", (n_a, n_mu), n_m),
+                                   ("alice", (n_a, n_mu), 2), ("bob", (n_b, n_mu, n_m), 2)):
             arr = np.array(getattr(self, attr))  # a read-only copy
             if not (arr.shape == shape and arr.dtype.kind in "iu"
                     and np.all((arr >= 0) & (arr < codes))):
@@ -455,8 +456,8 @@ def input_broadcast_build(corr: ConditionalTable, spec: SettingsSpec) -> FiniteC
         mu_labels=tuple((tuple(s[:n_a]), tuple(s[n_a:])) for s in signs),
         mu_weights=weights,
         messages=tuple((x,) for x in range(n_a)),
-        message=np.broadcast_to(np.arange(n_a)[:, None, None], (n_a, n_b, n_mu)),
-        alice=np.broadcast_to(scripts[:, :n_a].T[:, :, None], (n_a, n_mu, n_a)),
+        message=np.broadcast_to(np.arange(n_a)[:, None], (n_a, n_mu)),
+        alice=scripts[:, :n_a].T,
         bob=scripts[:, n_a:].reshape(n_mu, n_a, n_b).transpose(2, 0, 1),
         target=corr,
         name="input-broadcast",

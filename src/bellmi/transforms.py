@@ -112,24 +112,22 @@ def _exact_report(
 
 
 def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
-    n_a, n_b = model.target.alphabets_of(spec)  # the shape of model.message[:, :, 0]
+    n_a, n_b = model.target.alphabets_of(spec)
     # one entry per (x, y, mu) with weight, in that row-major order
     w = spec.p_xy[:, :, None] * model.mu_weights
     x, y, mu = np.nonzero(w > 0.0)
-    sent = model.message[x, y, mu]
-    # the "m" alphabet holds the messages sent, in order of first use
-    codes, first, inverse = np.unique(sent, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    m = np.argsort(order)[inverse]  # each entry's message as a first-use rank
+    sent = model.message[x, mu]
+    # the "m" alphabet holds the messages sent, in code order
+    codes, m = np.unique(sent, return_inverse=True)
     variables = [
         ("a", OUTCOME_LABELS),
         ("b", OUTCOME_LABELS),
         ("x", tuple(range(n_a))),
         ("y", tuple(range(n_b))),
         ("mu", model.mu_labels),
-        ("m", tuple(model.messages[k] for k in codes[order].tolist())),
+        ("m", tuple(model.messages[k] for k in codes.tolist())),
     ]
-    responses = (model.alice[x, mu, sent], model.bob[y, mu, sent], x, y, mu, m)
+    responses = (model.alice[x, mu], model.bob[y, mu, sent], x, y, mu, m)
     cs = ExactCSModel(
         table=FiniteDistribution(variables, responses, w[x, y, mu]),
         hidden_vars=("mu", "m"),

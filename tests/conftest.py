@@ -145,8 +145,8 @@ def comm_conditional(model, spec) -> ConditionalTable:
     for x in range(n_a):
         for y in range(n_b):
             for mu, w in enumerate(model.mu_weights):
-                m = model.message[x, y, mu]
-                out[x, y, model.alice[x, mu, m], model.bob[y, mu, m]] += w
+                m = model.message[x, mu]
+                out[x, y, model.alice[x, mu], model.bob[y, mu, m]] += w
     return ConditionalTable(out)
 
 

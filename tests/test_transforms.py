@@ -110,6 +110,9 @@ def test_comm_to_cs_exact_singlet_table():
     cs, report = comm_to_cs(input_broadcast_build(corr, spec), spec)
     assert report.corr_deviation <= 1e-15
     assert report.mi_value <= report.mi_bound + 1e-12
+    # Bob's choice is free: y says nothing about (mu, m) beyond what x says
+    i_y = dense_conditional_mutual_information(cs.table, ("y",), ("mu", "m"), ("x",))
+    assert i_y == pytest.approx(0.0, abs=1e-12)
 
 
 @st.composite
@@ -170,13 +173,12 @@ def test_model_files_read_by_name_in_any_variable_order(target, rnd):
 
 @st.composite
 def deterministic_comm_models(draw):
-    """(model, spec): a random finite one-round protocol with up to 3x3
+    """(model, spec): a random finite one-way protocol with up to 3x3
     settings, 4 shared-randomness labels and 3 messages, whose target is
     its own P(a,b|x,y) by enumeration.
 
-    The message is a code table over (x, y, mu); Alice answers from
-    (x, mu, m) and Bob from (y, mu, m), both deterministically, with
-    outcome indices.
+    The message is a code table over (x, mu); Alice answers from (x, mu)
+    and Bob from (y, mu, m), both deterministically, with outcome indices.
     """
     n_a, n_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     n_mu, n_m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
@@ -191,8 +193,8 @@ def deterministic_comm_models(draw):
         size = int(np.prod(shape))
         return np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)
 
-    msg = table((n_a, n_b, n_mu), st.integers(0, n_m - 1))
-    out_a = table((n_a, n_mu, n_m), st.integers(0, 1))
+    msg = table((n_a, n_mu), st.integers(0, n_m - 1))
+    out_a = table((n_a, n_mu), st.integers(0, 1))
     out_b = table((n_b, n_mu, n_m), st.integers(0, 1))
     protocol = dict(
         mu_labels=tuple(range(n_mu)),
@@ -224,16 +226,19 @@ def test_comm_to_cs_chain_identity_on_random_protocols(case):
     assert report.inputs_deviation == pytest.approx(0.0, abs=1e-12)
     assert i_lam <= t.entropy(("m",)) + 1e-12
     assert verify_bell_local(cs).max_deviation == 0.0
+    # Bob's choice is free: y says nothing about (mu, m) beyond what x says
+    i_y = dense_conditional_mutual_information(t, ("y",), ("mu", "m"), ("x",))
+    assert i_y == pytest.approx(0.0, abs=1e-12)
     # the table is the loop over (x, y, mu), its "m" alphabet the messages
-    # sent in order of first use
-    sent, want = {}, {}
-    for x, y, mu in np.ndindex(model.message.shape):
-        k = model.message[x, y, mu]
-        m = model.messages[k]
-        sent[m] = None  # an insertion-ordered set
-        a, b = OUTCOME_LABELS[model.alice[x, mu, k]], OUTCOME_LABELS[model.bob[y, mu, k]]
-        want[a, b, x, y, model.mu_labels[mu], m] = spec.p_xy[x, y] * model.mu_weights[mu]
-    assert t.labels("m") == tuple(sent)
+    # sent in code order
+    want = {}
+    for x, y, mu in np.ndindex(spec.n_alice, spec.n_bob, len(model.mu_labels)):
+        k = model.message[x, mu]
+        a, b = OUTCOME_LABELS[model.alice[x, mu]], OUTCOME_LABELS[model.bob[y, mu, k]]
+        want[a, b, x, y, model.mu_labels[mu], model.messages[k]] = (
+            spec.p_xy[x, y] * model.mu_weights[mu]
+        )
+    assert t.labels("m") == tuple(model.messages[k] for k in np.unique(model.message))
     assert dict(table_entries(t)) == want
 
 
@@ -244,21 +249,21 @@ def test_finite_comm_model_rejects_bad_response_arrays():
         mu_labels=(0, 1),
         mu_weights=np.array([0.5, 0.5]),
         messages=((0,), (1,)),
-        message=np.zeros((2, 2, 2), dtype=np.int8),
-        alice=np.zeros((2, 2, 2), dtype=np.int8),
+        message=np.zeros((2, 2), dtype=np.int8),
+        alice=np.zeros((2, 2), dtype=np.int8),
         bob=np.ones((2, 2, 2), dtype=np.int8),
         target=pr_box_conditional(),
     )
     FiniteCommModel(**valid)
     bad = [
-        ("message", np.zeros((2, 3, 2), dtype=np.int8)),  # y axis longer than target
-        ("alice", np.zeros((2, 2), dtype=np.int8)),  # m axis missing
+        ("message", np.zeros((2, 2, 2), dtype=np.int8)),  # reads y: not one-way
+        ("alice", np.zeros((2, 2, 2), dtype=np.int8)),  # reads her own message
         ("bob", np.zeros((2, 2, 3), dtype=np.int8)),  # one m code too many
         ("mu_weights", np.array([1.0])),  # one weight for two labels
-        ("alice", np.full((2, 2, 2), 2)),  # outcome index outside {0, 1}
+        ("alice", np.full((2, 2), 2)),  # outcome index outside {0, 1}
         ("bob", np.full((2, 2, 2), -1)),
-        ("message", np.full((2, 2, 2), 2)),  # no third message
-        ("message", np.zeros((2, 2, 2))),  # floats are not codes
+        ("message", np.full((2, 2), 2)),  # no third message
+        ("message", np.zeros((2, 2))),  # floats are not codes
     ]
     for field, value in bad:
         with pytest.raises(ConfigError):
