@@ -62,9 +62,16 @@ MI_METHODS = ("exact", "quadrature", "monte-carlo", "closed-form")
 # ----------------------------------------------------------------------
 
 def exact_singlet_conditional(spec: SettingsSpec) -> ConditionalTable:
-    """Exact singlet conditional P(a,b|x,y) = (1 - ab x.y)/4 over a spec's settings."""
-    e = [[-float(np.dot(x, y)) for y in spec.bob_settings] for x in spec.alice_settings]
-    return ConditionalTable.from_correlators(e)
+    """Exact singlet conditional P(a,b|x,y) = (1 - ab x.y)/4 over a spec's settings.
+
+    The nA x nB dots are one batched matmul of 1x3 by 3x1 blocks, so each
+    cell's dot runs through numpy's vector dot kernel, as ``np.dot(x, y)``
+    of the two settings does; one ``alice @ bob.T`` rounds some dots
+    differently.
+    """
+    a, b = spec.alice_settings, spec.bob_settings
+    dots = np.matmul(a[:, None, None, :], b[None, :, :, None])[..., 0, 0]
+    return ConditionalTable.from_correlators(-dots)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,14 @@ produce identical bytes.  Payloads hold plain Python values only; an
 estimate that does not exist, such as one of a cell never drawn, is None
 where it is computed, and any non-finite float, like any value of another
 type, is refused with :class:`ConfigError`.  The readers refuse ``NaN``,
-``Infinity``, ``-Infinity`` and number literals past the float64 range too.
-Files written with the earlier ``%.17g`` spelling still load to the same values.
+``Infinity`` and ``-Infinity`` as :func:`parse_json` meets them.  A number
+literal past the float64 range loads as an infinity; each reader refuses
+one among the values it keeps, after the parse and without a per-literal
+hook: :func:`_json_values` scans each level of labels that holds floats, and
+every number a reader keeps is checked in its float64 array (settings,
+``p_xy``, model weights and correlation cells).  The error line is the one
+an unparsable file gets.  Files written with the earlier ``%.17g`` spelling
+still load to the same values.
 
 Schemas:
 
@@ -55,12 +61,16 @@ def json_text(obj) -> str:
     ``obj`` is made of dicts with string keys, lists, tuples, strings,
     ints, finite floats, bools and None.  A NaN or infinity, a numpy
     integer, bool or array, or any other value has no JSON form here and
-    raises :class:`ConfigError`.
+    raises :class:`ConfigError`.  Every payload is a fresh tree, so the
+    encoder skips its cycle check; a cycle or a value nested past the
+    interpreter's recursion limit raises :class:`ConfigError` too.
     """
     try:
-        return json.dumps(obj, allow_nan=False) + "\n"
+        return json.dumps(obj, allow_nan=False, check_circular=False) + "\n"
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot write JSON ({exc})") from None
+    except RecursionError:
+        raise ConfigError("cannot write JSON (nested too deeply)") from None
 
 
 def _refuse_constant(name: str):
@@ -68,19 +78,27 @@ def _refuse_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def _finite_float(literal: str) -> float:
-    """A float literal's value; one past float64 is refused without echoing it."""
-    value = float(literal)
-    if math.isinf(value):
-        raise ValueError("number literal overflows float64")
-    return value
+# A reader's error after its file kind, for a kept number that is infinite:
+# parse_json refuses the Infinity constants, so it was a literal past float64.
+_OVERFLOW = "invalid JSON: number literal overflows float64"
+
+
+class _LiteralOverflow(ValueError):
+    """A label or number a reader keeps is an overflowed literal."""
+
+
+def _finite(numbers: np.ndarray) -> np.ndarray:
+    """``numbers``, float64 values read from JSON, unless one is infinite."""
+    if np.isinf(numbers).any():
+        raise _LiteralOverflow(_OVERFLOW)
+    return numbers
 
 
 def parse_json(text: str, where: str) -> dict:
     """The top-level object of a JSON file; ``where`` names the file in errors."""
     try:
-        payload = json.loads(text, parse_float=_finite_float, parse_constant=_refuse_constant)
-    except ValueError as exc:  # JSONDecodeError, a refused number, or an over-long integer
+        payload = json.loads(text, parse_constant=_refuse_constant)
+    except ValueError as exc:  # JSONDecodeError, a refused constant, or an over-long integer
         raise ConfigError(f"{where}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{where}: invalid JSON: nested too deeply") from None
@@ -104,10 +122,14 @@ def _json_values(values: list, leaves: frozenset, depth: int = 0) -> list:
     Each value is a leaf (its type in ``leaves``) or an array of values,
     nested at most :data:`DEPTH_CAP` arrays deep.  The check runs a nesting
     level at a time: one type check per level, and the arrays of a level
-    are converted together by one call on their concatenated items.
-    Anything else raises :class:`ValueError`.
+    are converted together by one call on their concatenated items.  A
+    level of labels that holds floats is scanned for infinities, which raise
+    :class:`_LiteralOverflow`; numbers are checked later, as arrays, by
+    :func:`_finite`.  Anything else raises :class:`ValueError`.
     """
     kinds = set(map(type, values))
+    if float in kinds and leaves is _LABELS and (math.inf in values or -math.inf in values):
+        raise _LiteralOverflow(_OVERFLOW)
     if kinds <= leaves:
         return values
     if not kinds <= leaves | {list}:
@@ -150,9 +172,10 @@ def _numbers(value, name: str) -> np.ndarray:
     """
     value = _json_values([value], _NUMBERS)[0]
     try:
-        return np.asarray(value, dtype=np.float64)
+        numbers = np.asarray(value, dtype=np.float64)
     except ValueError:  # numpy's message runs to several lines of shapes
         raise ValueError(f"{name} is a ragged array") from None
+    return _finite(numbers)
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +267,8 @@ def _settings_from_payload(payload: dict, *, where: str) -> SettingsSpec:
         p_xy = payload.get("p_xy")
         if p_xy is not None:
             p_xy = _numbers(p_xy, "p_xy")
+    except _LiteralOverflow:
+        raise ConfigError(f"{where}: {_OVERFLOW}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: bad or missing settings or p_xy ({exc})") from None
     return SettingsSpec(alice, bob, p_xy)
@@ -259,6 +284,8 @@ def load_input_dist(text: str) -> np.ndarray:
     payload = parse_json(text, "input-dist file")
     try:
         return _numbers(payload["p_xy"], "p_xy")
+    except _LiteralOverflow:
+        raise ConfigError(f"input-dist file: {_OVERFLOW}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"input-dist file: bad or missing p_xy ({exc})") from None
 
@@ -299,6 +326,8 @@ def load_correlation(text: str):
             raise ConfigError(
                 f"correlation file: bad cell at position {i} ({type(exc).__name__}: {exc})"
             ) from None
+    if np.isinf(probs).any():
+        raise ConfigError(f"correlation file: {_OVERFLOW}")
     if np.any(np.isnan(probs)):
         raise ConfigError("correlation file: some (x, y) cells are missing")
     return spec, ConditionalTable(probs)
@@ -354,10 +383,14 @@ def load_model(text: str) -> ExactCSModel:
         probs = _json_array(payload["weights"])
         # fromiter takes scalars only: an array weight raises ValueError, and
         # an integer past the float64 range OverflowError
-        probs = np.fromiter(_json_values(probs, _NUMBERS), dtype=np.float64, count=len(probs))
+        probs = _finite(
+            np.fromiter(_json_values(probs, _NUMBERS), dtype=np.float64, count=len(probs))
+        )
         hidden = payload.get("hidden_variables")
         if hidden is not None:
             hidden = tuple(_as_name(h) for h in _json_array(hidden))
+    except _LiteralOverflow:
+        raise ConfigError(f"model file: {_OVERFLOW}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"model file: bad structure ({exc})") from None
     table = FiniteDistribution.from_entries(variables, columns, probs)

@@ -99,8 +99,14 @@ def group_sums(keys: np.ndarray, weights: np.ndarray):
 
     Returns ``(distinct, group, sums)``: the distinct keys in ascending
     order, each entry's position in ``distinct``, and the sum of each
-    group's weights, added in entry order.
+    group's weights, added in entry order.  Keys that are already strictly
+    increasing, as a table lists its row-major support, skip the sort: they
+    are their own distinct keys, possibly ``keys`` itself, and each float64
+    sum is ``weight + 0.0``, the value ``bincount`` gives (-0.0 included).
+    Callers only read the three arrays.
     """
+    if keys.size and (keys[1:] > keys[:-1]).all():
+        return keys, np.arange(keys.size), weights + 0.0
     distinct, group = np.unique(keys, return_inverse=True)
     return distinct, group, np.bincount(group, weights=weights, minlength=distinct.size)
 

@@ -133,7 +133,7 @@ def _comm_to_cs_exact(model: FiniteCommModel, spec: SettingsSpec):
         hidden_vars=("mu", "m"),
         certificate=(
             "deterministic communication replay: lambda = (mu, m) fixes "
-            "a through (x, mu, m) and b through (y, mu, m)"
+            "a through (x, mu) and b through (y, mu, m)"
         ),
     )
     report = _exact_report(

@@ -2,11 +2,12 @@
 pair-by-pair sphere draw, settings arguments for the sampled models and
 each party's half of their rounds, a small valid model file, tables built
 from dense arrays, the oracles for reproduced conditional tables, the
-acceptance gate's oracles (the scalar singlet correlator, CHSH, the
-detection route's Monte Carlo price and the signaling counterexample's
-builder), the dense-table oracles for the information measures and the
-verifier, the entry-at-a-time model-file writer, and the reader of the
-row layout that model files had before code columns."""
+acceptance gate's oracles (the scalar singlet correlator, the singlet
+table as a loop of dots, CHSH, the detection route's Monte Carlo price and
+the signaling counterexample's builder), the dense-table oracles for the
+information measures and the verifier, the entry-at-a-time model-file
+writer, and the reader of the row layout that model files had before code
+columns."""
 
 import math
 import os
@@ -162,6 +163,13 @@ def singlet_correlation(x, y) -> float:
     along unit vectors, the scalar twin of
     ``analysis.exact_singlet_conditional``."""
     return -float(np.dot(require_unit(x), require_unit(y)))
+
+
+def singlet_conditional_oracle(spec) -> ConditionalTable:
+    """``analysis.exact_singlet_conditional`` as a loop: one ``np.dot`` of
+    two settings per cell, negated, then the package's clamp and cell map."""
+    e = [[-float(np.dot(x, y)) for y in spec.bob_settings] for x in spec.alice_settings]
+    return ConditionalTable.from_correlators(e)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from conftest import (
     make_signaling_example,
     mi_gg_montecarlo,
     row_major_sphere,
+    singlet_conditional_oracle,
     singlet_correlation,
     table_entries,
 )
@@ -78,6 +79,54 @@ def test_exact_singlet_conditional_is_normalized():
     r = chsh(corr)
     assert abs(abs(r.s) - 2 * math.sqrt(2)) < 1e-12
     assert r.se == 0.0
+
+
+# the six signed axes, with signed zero components, so some dots are -0.0
+SIGNED_AXES = [tuple(sign * (i == k) for i in range(3)) for k in range(3) for sign in (1.0, -1.0)]
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.sqrt(v @ v)
+
+
+@st.composite
+def singlet_specs(draw):
+    """Specs whose Bob alphabet is drawn apart from Alice's, or is her
+    alphabet itself, its antipodes, or vectors orthogonal to hers, so dots
+    of exactly +-1 (and rounded past them) and of +-0.0 both occur."""
+    raw = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(c * c for c in v) > 0.01)
+    points = st.one_of(raw.map(_unit), st.sampled_from(SIGNED_AXES).map(np.array))
+    alice = np.array(draw(st.lists(points, min_size=1, max_size=8)))
+    mode = draw(st.sampled_from(("drawn", "identical", "antipodal", "orthogonal")))
+    if mode == "drawn":
+        bob = np.array(draw(st.lists(points, min_size=1, max_size=8)))
+    elif mode == "identical":
+        bob = alice.copy()
+    elif mode == "antipodal":
+        bob = -alice
+    else:  # crossed with the axis least along each vector
+        axes = np.eye(3)[np.argmin(np.abs(alice), axis=1)]
+        bob = np.array([_unit(v) for v in np.cross(alice, axes)])
+    return SettingsSpec(alice, bob)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(singlet_specs())
+def test_exact_singlet_conditional_matches_the_dot_loop_bitwise(spec):
+    got = exact_singlet_conditional(spec).probs
+    assert got.tobytes() == singlet_conditional_oracle(spec).probs.tobytes()
+
+
+def test_exact_singlet_conditional_on_signed_axes():
+    spec = SettingsSpec(np.array(SIGNED_AXES), np.array(SIGNED_AXES))
+    probs = exact_singlet_conditional(spec).probs
+    assert probs.tobytes() == singlet_conditional_oracle(spec).probs.tobytes()
+    # parallel settings anticorrelate, antipodal ones correlate, and
+    # orthogonal ones give the uniform block
+    assert (probs[0, 0] == [[0.0, 0.5], [0.5, 0.0]]).all()
+    assert (probs[0, 1] == [[0.5, 0.0], [0.0, 0.5]]).all()
+    assert (probs[0, 2] == 0.25).all()
 
 
 # ----------------------------------------------------------------------

@@ -450,17 +450,17 @@ def test_exact_transforms_skip_zero_mass_cells(tmp_path, model, mi):
 # log2 is exact, so no libm or BLAS rounding reaches the pinned bytes.
 PINNED_TRANSFORMS = {
     ("input-broadcast", None): (
-        "48bc35ab6202f6ce33afcc3f4ea4a9e34988c4ffdab65ee74b3fb511c3087641",
+        "f011f1285215ae3a7ce2864eac40b6901e350a1f34d49f71adefbd706bd1007b",
         "0dedf49da2e49100c65cc4cd683d34255e5161c4c6b0f894b624ffd6de035b21",
     ),
     ("input-broadcast", ((0.5, 0.0), (0.25, 0.25))): (
-        "adad36824db012a0628582a65dd0eb92ff05d707bf2f3c41bfe900172ce5ac2a",
+        "619e919377709f6f352c702f2ea9920c3d13d9eb9765b88d338b92bc7e6489b4",
         "0dedf49da2e49100c65cc4cd683d34255e5161c4c6b0f894b624ffd6de035b21",
     ),
     # the only weight sits on x = 1, so the "m" alphabet holds the one message
     # sent, [1], and H(m) of that point mass is written as 0.0, not -0.0
     ("input-broadcast", ((0.0, 0.0), (0.5, 0.5))): (
-        "17701ae91cd0c738e9739dfdbeb868239837d9258a01bfc49c9697dcd6ba801e",
+        "62fa868a9f1c1dc800feb90ac09164f4c8cc977132027e52b070a078eb499ddd",
         "32437800da6da701660a2a2f45bd8f99022b2557f2998374fa6802a610be794b",
     ),
     ("brans", None): (
@@ -982,6 +982,33 @@ BAD_INPUTS = {
         SIMULATE + ["--input-dist-file", "input.json"],
         '{"p_xy": [[' + "1" * 400 + '.0, 0], [0, 0]]}',
     ),
+    # the readers scan the values they keep, not each literal as it is
+    # parsed: a nested label, a weight, a settings vector, a settings file's
+    # p_xy and a correlation cell, each overflowing to +inf or -inf
+    "model-overflowing-nested-label": (
+        ["verify", "input.json"],
+        json.dumps(LOCAL_MODEL).replace(
+            '"lam", "labels": [1, -1]', '"lam", "labels": [[1, -1e999], -1]'
+        ),
+    ),
+    "model-overflowing-weight": (
+        ["verify", "input.json"],
+        json.dumps(LOCAL_MODEL).replace('"weights": [0.5, 0.5]', '"weights": [-1e999, 0.5]'),
+    ),
+    "settings-overflowing-literal": (
+        SIMULATE + ["--settings-file", "input.json"],
+        '{"alice_settings": [[-1e999, 0.0, 0.0]], "bob_settings": [[0.0, 0.0, 1.0]]}',
+    ),
+    "settings-p-xy-overflowing-literal": (
+        SIMULATE + ["--settings-file", "input.json"],
+        '{"alice_settings": [[1.0, 0.0, 0.0]], "bob_settings": [[0.0, 0.0, 1.0]], '
+        '"p_xy": [[1e999]]}',
+    ),
+    "corr-overflowing-literal": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        json.dumps(ONE_CELL).replace('"pp": 0.25', '"pp": -1e999'),
+    ),
     # a hidden name that is an outcome or a setting, or that repeats, would
     # price the model as I(x,y:a) or I(x,y:lam,b)
     "model-outcome-hidden": (
@@ -1072,6 +1099,13 @@ BAD_INPUT_WORDING = {
     "input-dist-malformed": "input-dist file: invalid JSON: Expecting property name",
     "model-overflowing-label": "model file: invalid JSON: number literal overflows float64",
     "p-xy-overflowing-float": "input-dist file: invalid JSON: number literal overflows float64",
+    "model-overflowing-nested-label": "model file: invalid JSON: number literal overflows float64",
+    "model-overflowing-weight": "model file: invalid JSON: number literal overflows float64",
+    "settings-overflowing-literal": "settings file: invalid JSON: number literal overflows float64",
+    "settings-p-xy-overflowing-literal": (
+        "settings file: invalid JSON: number literal overflows float64"
+    ),
+    "corr-overflowing-literal": "correlation file: invalid JSON: number literal overflows float64",
     "model-outcome-hidden": "hidden variables ['a'] must be distinct and none of a, b, x, y",
     "model-duplicate-hidden": "hidden variables ['lam', 'lam'] must be distinct and none of",
     "model-duplicate-variable": "duplicate variable names in ('a', 'b', 'x', 'y', 'a')",

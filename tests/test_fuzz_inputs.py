@@ -1,0 +1,34 @@
+"""The input contract under mutated input files: no traceback, no exit 3,
+and bad input exits 2 with one short error line.
+
+The generator and the checks live in ``tools/fuzz_inputs.py``, which runs
+longer campaigns of the same mutants outside this suite.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import fuzz_inputs  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("kind", sorted(fuzz_inputs.COMMANDS))
+def test_every_seed_file_passes_its_commands(work_dir, kind):
+    text = fuzz_inputs.render(fuzz_inputs.seed_payloads()[kind])
+    assert fuzz_inputs.check_mutant((kind, text), work_dir) == [0, 0]
+
+
+# a few milliseconds per example, so 200 examples take about a second
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_inputs.mutants())
+def test_mutated_input_files_keep_the_input_contract(work_dir, mutant):
+    fuzz_inputs.check_mutant(mutant, work_dir)

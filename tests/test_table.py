@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bellmi import analysis, serialize, table, transforms
 from bellmi.errors import ConfigError, ValidationError
-from bellmi.table import FiniteDistribution, binary_entropy
+from bellmi.models import input_broadcast_build, pr_box_conditional, preset
+from bellmi.table import FiniteDistribution, binary_entropy, group_sums
 from conftest import dense_conditional_mutual_information, dense_table, table_entries
 
 
@@ -194,3 +197,84 @@ def test_constructor_copies_the_callers_weights():
 def test_a_table_needs_a_variable():
     with pytest.raises(ConfigError, match="at least one variable"):
         FiniteDistribution([], (), [1.0])
+
+
+def _sorted_group_sums(keys, weights):
+    """``group_sums`` through ``np.unique``, whatever the order of the keys."""
+    distinct, group = np.unique(keys, return_inverse=True)
+    return distinct, group, np.bincount(group, weights=weights, minlength=distinct.size)
+
+
+def _assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+@pytest.mark.parametrize("keys, weights", [
+    ([0, 3, 7, 8], [0.25, -0.0, 0.5, 0.25]),  # strictly increasing
+    ([-4, -1, 9], [-0.0, 0.5, 0.5]),
+    ([5], [-0.0]),  # one key
+    ([], []),
+    ([3, 0, 7], [0.5, 0.25, 0.25]),  # unsorted
+    ([0, 3, 3, 7], [0.25, 0.125, 0.375, 0.25]),  # repeated
+    ([2, 2], [-0.0, -0.0]),  # 0.0 + -0.0 + -0.0 sums to 0.0
+])
+def test_group_sums_matches_the_sort_path(keys, weights):
+    keys, weights = np.array(keys, dtype=np.int64), np.array(weights)
+    got = group_sums(keys, weights)
+    _assert_bitwise_equal(got, _sorted_group_sums(keys, weights))
+    assert got[2] is not weights
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 40), st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(-2.0, 2.0)
+    ))),
+    st.booleans(),
+)
+def test_group_sums_matches_the_sort_path_on_random_keys(entries, increasing):
+    if increasing:  # the first entry of each key, in key order
+        entries = sorted(dict(reversed(entries)).items())
+    keys = np.array([k for k, _ in entries], dtype=np.int64)
+    weights = np.array([w for _, w in entries], dtype=np.float64)
+    _assert_bitwise_equal(group_sums(keys, weights), _sorted_group_sums(keys, weights))
+
+
+def test_group_sums_skips_the_sort_of_increasing_keys(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called on strictly increasing keys")
+
+    monkeypatch.setattr(table.np, "unique", refuse)
+    keys = np.array([1, 4, 6])
+    distinct, group, sums = group_sums(keys, np.array([0.5, -0.0, 0.5]))
+    assert distinct is keys
+    np.testing.assert_array_equal(group, [0, 1, 2])
+    assert sums.tobytes() == np.array([0.5, 0.0, 0.5]).tobytes()
+
+
+def test_no_caller_writes_into_the_group_sums_arrays(monkeypatch):
+    # the fast path hands back the caller's keys as the distinct keys, so
+    # every array in and out is frozen while the exact path runs
+    fast = []
+
+    def frozen(keys, weights):
+        out = group_sums(keys, weights)
+        for array in (keys, weights) + out:
+            array.setflags(write=False)
+        fast.append(out[0] is keys)
+        return out
+
+    monkeypatch.setattr(table, "group_sums", frozen)
+    monkeypatch.setattr(analysis, "group_sums", frozen)
+    spec = preset("chsh")
+    brans, _ = transforms.brans_to_cs(analysis.exact_singlet_conditional(spec), spec)
+    broadcast, _ = transforms.comm_to_cs(input_broadcast_build(pr_box_conditional(), spec), spec)
+    for model in (brans, broadcast):
+        loaded = serialize.load_model(serialize.json_text(serialize.model_payload(model)))
+        assert analysis.verify_bell_local(loaded).ok
+        analysis.mi_exact_finite(loaded)
+        loaded.table.marginal(("x", "y", "a", "b"))
+        loaded.table.mutual_information(("a", "x"), ("b", "y"))
+    assert any(fast) and not all(fast)
