@@ -16,7 +16,11 @@ i measures Alice's setting ``alice[:, x_idx[i]]`` and Bob's
 a time, right before the product that uses it, so a batch of rounds never
 holds a per-round copy of its setting vectors.  Each dot product is the
 element formula ``(s0*l0 + s1*l1) + s2*l2``, accumulated in place in that
-order, and an outcome is its sign, with sgn(0) = +1.
+order, and an outcome is its sign, with sgn(0) = +1.  The two outcome maps
+make their outputs once per call and fill them over tiles of
+:data:`ROUND_TILE` rounds, so their dots and Bob's direction are one tile
+long, whatever the batch; a round's outcome does not depend on the tile
+it falls in.
 :func:`agreement_probs` instead takes its dots from matrix products over
 tiles of rounds, whose summation order BLAS chooses.  For unit vectors (norms
 checked by :func:`bellmi.sphere.require_unit`) any evaluation order, with or
@@ -33,6 +37,13 @@ from __future__ import annotations
 import numpy as np
 
 
+# The outcome kernels compute over tiles of this many rounds: their outputs
+# are made once per call, and every float scratch array is one tile long.
+# Half a chunk: smaller tiles hold less but cost a round of numpy calls
+# each, which slows two threads sharing the interpreter most.
+ROUND_TILE = 2**15
+
+
 def tb_outcomes(x_idx, y_idx, alice, bob, l1, l2):
     """One-bit communication round outcomes.
 
@@ -41,24 +52,32 @@ def tb_outcomes(x_idx, y_idx, alice, bob, l1, l2):
     exact zero vector (caller resamples those).  Such a round has
     y.(l1 + m*l2) = +-0, so only rounds with a zero dot are checked.
     """
-    g = np.empty(x_idx.shape[0])
-    alice_plus = _dot(alice, x_idx, l1.T, g) >= 0.0
-    agree = alice_plus == (_dot(alice, x_idx, l2.T, g) >= 0.0)
-    m = agree * 2.0
-    m -= 1.0  # exactly +-1.0
+    n = x_idx.shape[0]
+    a, b, msg = (np.empty(n, dtype=np.int8) for _ in range(3))
+    bad = np.zeros(n, dtype=bool)
+    g, v = np.empty(min(ROUND_TILE, n)), np.empty(min(ROUND_TILE, n))
+    for lo in range(0, n, ROUND_TILE):
+        r = slice(lo, lo + ROUND_TILE)
+        x, y, u1, u2, m = x_idx[r], y_idx[r], l1[r], l2[r], msg[r]
+        gt, vt = g[:x.shape[0]], v[:x.shape[0]]
+        alice_plus = _dot(alice, x, u1.T, gt) >= 0.0
+        _signs(alice_plus == (_dot(alice, x, u2.T, gt) >= 0.0), m)
+        db = _dot(bob, y, _bob_direction(m, u1, u2, vt), gt)
+        zero = np.flatnonzero(db == 0.0)
+        if zero.size:
+            bad[r][zero] = (u1[zero] + m[zero, None] * u2[zero] == 0.0).all(axis=1)
+        _signs(~alice_plus, a[r])
+        _signs(db >= 0.0, b[r])
+    return a, b, msg, bad
 
-    def bob_direction():  # l1 + m*l2, one component at a time
-        v = np.empty_like(g)
-        for k in range(3):
-            np.multiply(m, l2[:, k], out=v)
-            v += l1[:, k]
-            yield v
 
-    db = _dot(bob, y_idx, bob_direction(), g)
-    zero = np.flatnonzero(db == 0.0)
-    bad = np.zeros(db.shape[0], dtype=bool)
-    bad[zero] = (l1[zero] + m[zero, None] * l2[zero] == 0.0).all(axis=1)
-    return -_signs(alice_plus), _signs(db >= 0.0), _signs(agree), bad
+def _bob_direction(m, l1, l2, v):
+    """l1 + m*l2 one component at a time, each written into the buffer ``v``;
+    the int8 message m = +-1 becomes exactly +-1.0 in the product."""
+    for k in range(3):
+        np.multiply(m, l2[:, k], out=v)
+        v += l1[:, k]
+        yield v
 
 
 def gg_outcomes(x_idx, y_idx, alice, bob, lam, u):
@@ -67,11 +86,19 @@ def gg_outcomes(x_idx, y_idx, alice, bob, lam, u):
     a = sgn(x.lam), detected with probability |x.lam| (u is the per-round
     uniform draw); b = -sgn(y.lam), always detected.
     """
-    g = np.empty(x_idx.shape[0])
-    da = _dot(alice, x_idx, lam.T, g)
-    a = _signs(da >= 0.0)
-    click_a = u < np.abs(da, out=da)
-    return a, -_signs(_dot(bob, y_idx, lam.T, g) >= 0.0), click_a
+    n = x_idx.shape[0]
+    a, b = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
+    click_a = np.empty(n, dtype=bool)
+    g = np.empty(min(ROUND_TILE, n))
+    for lo in range(0, n, ROUND_TILE):
+        r = slice(lo, lo + ROUND_TILE)
+        x, h = x_idx[r], lam[r].T
+        gt = g[:x.shape[0]]
+        da = _dot(alice, x, h, gt)
+        _signs(da >= 0.0, a[r])
+        np.less(u[r], np.abs(da, out=da), out=click_a[r])
+        _signs(~(_dot(bob, y_idx[r], h, gt) >= 0.0), b[r])
+    return a, b, click_a
 
 
 def _dot(settings, idx, components, g):
@@ -92,9 +119,10 @@ def _dot(settings, idx, components, g):
     return d
 
 
-def _signs(plus):
-    """int8 +1 where the boolean mask ``plus`` is set, -1 elsewhere."""
-    return plus.view(np.int8) * np.int8(2) - np.int8(1)
+def _signs(plus, out):
+    """int8 +1 where the boolean mask ``plus`` is set, -1 elsewhere, into ``out``."""
+    np.multiply(plus.view(np.int8), np.int8(2), out=out)
+    out -= np.int8(1)
 
 
 # A product d1*d2 of two dots of magnitude at least SIGN_MARGIN has factors

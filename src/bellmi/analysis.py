@@ -218,8 +218,10 @@ def estimate_correlations(
         gen = s_set.generator()
         x_idx, y_idx = spec.sample_indices(gen, k)
         batch = model.sample_rounds(x_idx, y_idx, alice, bob, s_mod)
+        a, b = batch.a, batch.b
         kept = batch.kept if model.post_selects else None
-        return _kernels.tally(x_idx, y_idx, batch.a, batch.b, n_a, n_b, kept)
+        del batch  # its hidden vectors, before tally allocates
+        return _kernels.tally(x_idx, y_idx, a, b, n_a, n_b, kept)
 
     counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
     attempts = np.zeros((n_a, n_b), dtype=np.int64)
@@ -489,6 +491,7 @@ def mi_finite_settings_tb(
         l1 = sample_uniform_sphere(gen, k)
         l2 = sample_uniform_sphere(gen, k)
         p = _kernels.agreement_probs(settings, p_x, l1, l2)
+        del l1, l2  # before binary_entropy's temporaries
         return binary_entropy(np.clip(p, 0.0, 1.0))
 
     return _mc_mean(source, mu_samples, draw, parallelism)

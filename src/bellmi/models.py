@@ -526,10 +526,11 @@ def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
     I(x,y:lambda) = H(x,y).  Reproduces any ``corr`` exactly.
     """
     n_a, n_b = corr.alphabets_of(spec)
-    # one lambda per (x, y, a, b) cell with weight, in that row-major order
-    w = (spec.p_xy[:, :, None, None] * corr.probs).ravel()
+    # one lambda per (x, y, a, b) cell with weight, labelled in that
+    # row-major order
+    w = spec.p_xy[:, :, None, None] * corr.probs
     cells = np.flatnonzero(w > 0.0)
-    x, y, i, j = np.unravel_index(cells, (n_a, n_b, 2, 2))
+    x, y, i, j = np.unravel_index(cells, w.shape)
     outcome = np.array(OUTCOME_LABELS)
     lam_labels = zip(x.tolist(), y.tolist(), outcome[i].tolist(), outcome[j].tolist())
     variables = [
@@ -539,7 +540,13 @@ def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:
         ("y", tuple(range(n_b))),
         ("lam", tuple(lam_labels)),
     ]
-    table = FiniteDistribution(variables, (i, j, x, y, np.arange(cells.size)), w[cells])
+    # the entries in the table's row-major (a, b, x, y) order, each with its
+    # lambda's code, so the table takes them without a sort
+    lam = np.zeros(w.shape, dtype=np.intp)
+    lam.flat[cells] = np.arange(cells.size)
+    w, lam = w.transpose(2, 3, 0, 1), lam.transpose(2, 3, 0, 1)
+    entries = np.nonzero(w > 0.0)
+    table = FiniteDistribution(variables, entries + (lam[entries],), w[entries])
     return ExactCSModel(
         table=table, hidden_vars=("lam",),
         certificate="deterministic: lambda = (x, y, a, b) fixes both outcomes",

@@ -11,7 +11,8 @@ produce identical bytes.  Payloads hold plain Python values only; an
 estimate that does not exist, such as one of a cell never drawn, is None
 where it is computed, and any non-finite float, like any value of another
 type, is refused with :class:`ConfigError`.  The readers refuse ``NaN``,
-``Infinity`` and ``-Infinity`` as :func:`parse_json` meets them.  A number
+``Infinity`` and ``-Infinity``, and a key listed twice in one object, as
+:func:`parse_json` meets them.  A number
 literal past the float64 range loads as an infinity; each reader refuses
 one among the values it keeps, after the parse and without a per-literal
 hook: :func:`_json_values` scans each level of labels that holds floats, and
@@ -94,10 +95,29 @@ def _finite(numbers: np.ndarray) -> np.ndarray:
     return numbers
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs, unless a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                shown = repr(key)
+                raise ValueError(f"duplicate key {shown[:57] + '...' if len(shown) > 60 else shown}")
+            seen.add(key)
+    return obj
+
+
 def parse_json(text: str, where: str) -> dict:
-    """The top-level object of a JSON file; ``where`` names the file in errors."""
+    """The top-level object of a JSON file; ``where`` names the file in errors.
+
+    A key listed twice in one object, at any depth, is refused: a reader
+    would otherwise keep the last value silently.
+    """
     try:
-        payload = json.loads(text, parse_constant=_refuse_constant)
+        payload = json.loads(
+            text, parse_constant=_refuse_constant, object_pairs_hook=_unique_keys
+        )
     except ValueError as exc:  # JSONDecodeError, a refused constant, or an over-long integer
         raise ConfigError(f"{where}: invalid JSON: {exc}") from None
     except RecursionError:

@@ -618,12 +618,14 @@ def test_mi_montecarlo_memory_stays_one_chunk_deep(estimate):
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
-@pytest.mark.parametrize("model, cap_mb", [(TonerBaconModel(), 8.0), (GisinGisinModel(), 6.5)],
+@pytest.mark.parametrize("model, cap_mb", [(TonerBaconModel(), 5.5), (GisinGisinModel(), 4.5)],
                          ids=["tb", "gg"])
 def test_estimate_chunk_memory_stays_under_its_cap(model, cap_mb):
     # one chunk of rounds; per-round copies of the setting vectors, every
     # dot kept alive at once and a copy of the kept sphere draws peaked at
-    # 11.1 MB (tb) and 8.9 MB (gg)
+    # 11.1 MB (tb) and 8.9 MB (gg); whole uniform blocks in the sphere
+    # draws, chunk-long kernel scratch and hidden vectors kept through the
+    # tally at 6.7 MB and 5.2 MB
     spec = preset("chsh")
     estimate_correlations(model, spec, CHUNK_ROUNDS, RandomSource(1))  # caches built
     tracemalloc.start()
@@ -633,6 +635,21 @@ def test_estimate_chunk_memory_stays_under_its_cap(model, cap_mb):
     finally:
         tracemalloc.stop()
     assert peak < cap_mb * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_tb_finite_chunk_memory_stays_under_its_cap():
+    # one chunk of 32 settings; whole uniform blocks in the two sphere draws
+    # and both hidden-vector batches kept through binary_entropy peaked at
+    # 7.0 MB
+    spec = SettingsSpec(fibonacci_sphere(64)[::2], fibonacci_sphere(64)[1::2])
+    mi_finite_settings_tb(spec, CHUNK_ROUNDS, RandomSource(1))
+    tracemalloc.start()
+    try:
+        mi_finite_settings_tb(spec, CHUNK_ROUNDS, RandomSource(77))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_mi_exact_finite_brans_default_vars():

@@ -1078,6 +1078,22 @@ BAD_INPUTS = {
         {**ONE_CELL,
          "cells": [{"x": 0, "y": 0, "pp": [0.25, 0.1], "pm": 0.25, "mp": 0.25, "mm": 0.25}]},
     ),
+    # a key listed twice would let its last value win silently, at the top
+    # level of a file or inside a nested object
+    "settings-duplicate-key": (
+        SIMULATE + ["--settings-file", "input.json"],
+        '{"alice_settings": [[0.0, 0.0, 1.0]], "bob_settings": [[0.0, 0.0, 1.0]], '
+        '"alice_settings": [[1.0, 0.0, 0.0]]}',
+    ),
+    "corr-duplicate-key": (
+        ["transform", "--model", "brans", "--corr-file", "input.json",
+         "--out-file", "model.json"],
+        json.dumps(ONE_CELL).replace('"pp": 0.25', '"pp": 0.25, "pp": 0.5'),
+    ),
+    "model-duplicate-key": (
+        ["verify", "input.json"],
+        json.dumps(LOCAL_MODEL).replace('"name": "lam"', '"name": "lam", "name": "x"'),
+    ),
 }
 # case -> words its error line must hold, where the cause is easy to misname
 BAD_INPUT_WORDING = {
@@ -1119,6 +1135,9 @@ BAD_INPUT_WORDING = {
     "settings-ragged": "settings file: bad or missing settings or p_xy (alice_settings is a ragged",
     "p-xy-ragged": "input-dist file: bad or missing p_xy (p_xy is a ragged array)",
     "corr-list-probability": "correlation file: bad cell at position 0 (TypeError: pp, pm, mp",
+    "settings-duplicate-key": "settings file: invalid JSON: duplicate key 'alice_settings'",
+    "corr-duplicate-key": "correlation file: invalid JSON: duplicate key 'pp'",
+    "model-duplicate-key": "model file: invalid JSON: duplicate key 'name'",
 }
 
 

@@ -22,8 +22,24 @@ def work_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", sorted(fuzz_inputs.COMMANDS))
 def test_every_seed_file_passes_its_commands(work_dir, kind):
-    text = fuzz_inputs.render(fuzz_inputs.seed_payloads()[kind])
-    assert fuzz_inputs.check_mutant((kind, text), work_dir) == [0, 0]
+    data = fuzz_inputs.render(fuzz_inputs.seed_payloads()[kind]).encode("utf-8")
+    assert fuzz_inputs.check_mutant((kind, data), work_dir) == [0, 0]
+
+
+@pytest.mark.parametrize("edit", ["duplicate-key", "bom", "non-utf8"])
+@pytest.mark.parametrize("kind", sorted(fuzz_inputs.COMMANDS))
+def test_text_edits_of_a_seed_file_exit_2(work_dir, kind, edit):
+    # a repeated top-level key, a byte order mark, or a stray 0xff byte in
+    # the middle: each refused with one error line by both commands
+    tree = fuzz_inputs.seed_payloads()[kind]
+    data = fuzz_inputs.render(tree).encode("utf-8")
+    if edit == "duplicate-key":
+        data = str(fuzz_inputs._duplicate_key(tree, next(iter(tree)))).encode("utf-8")
+    elif edit == "bom":
+        data = "\ufeff".encode("utf-8") + data
+    else:
+        data = data[:len(data) // 2] + b"\xff" + data[len(data) // 2:]
+    assert fuzz_inputs.check_mutant((kind, data), work_dir) == [2, 2]
 
 
 # a few milliseconds per example, so 200 examples take about a second

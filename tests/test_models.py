@@ -18,7 +18,8 @@ from bellmi.models import (
     pr_box_conditional,
     preset,
 )
-from bellmi.sphere import RandomSource
+from bellmi import table as table_module
+from bellmi.sphere import RandomSource, sample_uniform_sphere
 from bellmi.analysis import exact_singlet_conditional, verify_bell_local
 from conftest import (
     comm_conditional,
@@ -300,6 +301,41 @@ def test_brans_build_pins_settings_in_hidden_variable():
         assert weights[a, b, x, y, lam] > 0.0
     # conditional matches the target bitwise
     assert max_deviation(exact_conditional(model), corr) == 0.0
+
+
+def _seeded_spec_5x4():
+    gen = RandomSource(34).generator()
+    alice, bob = sample_uniform_sphere(gen, 5), sample_uniform_sphere(gen, 4)
+    p = gen.random((5, 4))
+    p[1, 2] = p[4, 0] = 0.0  # cells without mass have no lambda
+    return SettingsSpec(alice, bob, p / p.sum())
+
+
+@pytest.mark.parametrize("make_spec", [lambda: preset("chsh"), _seeded_spec_5x4],
+                         ids=["chsh", "seeded-5x4"])
+def test_brans_build_lists_its_entries_in_table_order(monkeypatch, make_spec):
+    # entries in the table's row-major (a, b, x, y) order reach the table's
+    # group_sums as strictly increasing cell codes, which it takes unsorted
+    spec = make_spec()
+    increasing = []
+    real = table_module.group_sums
+
+    def spy(keys, weights):
+        increasing.append(bool((keys[1:] > keys[:-1]).all()))
+        return real(keys, weights)
+
+    monkeypatch.setattr(table_module, "group_sums", spy)
+    corr = exact_singlet_conditional(spec)
+    model = brans_build(corr, spec)
+    assert increasing == [True]
+    # lambda's alphabet stays in (x, y, a, b) row-major order
+    w = spec.p_xy[:, :, None, None] * corr.probs
+    assert model.table.labels("lam") == tuple(
+        (x, y, a, b)
+        for x in range(spec.n_alice) for y in range(spec.n_bob)
+        for i, a in enumerate((1, -1)) for j, b in enumerate((1, -1))
+        if w[x, y, i, j] > 0.0
+    )
 
 
 def test_brans_mi_equals_input_entropy_property():

@@ -1,13 +1,16 @@
 """Seeded randomness, sphere sampling, and the small geometry helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from bellmi.errors import ValidationError
 from bellmi.sphere import (
+    DRAW_TILE,
     RandomSource,
     require_unit,
     sample_uniform_sphere,
@@ -55,18 +58,25 @@ def test_child_is_the_split_child():
 
 
 class _RejectingFirstBlock:
-    """A generator whose first ``random`` block keeps only its last pairs:
-    every earlier pair maps to u = v = 0.998, outside the unit disc, so the
-    draw must top up from a second block."""
+    """A generator whose first block of an n-point draw keeps only its last
+    ``kept`` pairs, so the draw must top up from a second block.
 
-    def __init__(self, gen, kept):
-        self.gen, self.kept, self.calls = gen, kept, 0
+    It hands out ``gen``'s uniforms through ``random`` and shares ``gen``'s
+    bit generator, so it serves both the oracle, which draws whole
+    ``(2, k)`` blocks, and the draw, whose u cursor it is.  The first
+    k - kept uniforms of the stream, the start of the first block's u row,
+    read 0.0: u = -1, so those pairs have s >= 1 whatever v is."""
 
-    def random(self, shape):
-        block = self.gen.random(shape)
+    def __init__(self, gen, n, kept):
+        self.gen, self.bit_generator = gen, gen.bit_generator
+        self.rejected = n * 4 // 3 + 64 - kept
+        self.handed, self.calls = 0, 0
+
+    def random(self, size=None, out=None):
+        block = self.gen.random(size, out=out)
+        block.reshape(-1)[:max(0, self.rejected - self.handed)] = 0.0  # row-major: u first
+        self.handed += block.size
         self.calls += 1
-        if self.calls == 1:
-            block[:, : shape[1] - self.kept] = 0.999
         return block
 
 
@@ -77,11 +87,46 @@ def test_sample_uniform_sphere_is_column_major_with_unchanged_values():
     # the same bits as the pair-by-pair oracle, on one block and with top-ups
     np.testing.assert_array_equal(pts, row_major_sphere(RandomSource(8).generator(), 1000))
     for n, kept in ((1000, 20), (5, 3), (1, 0)):
-        fakes = [_RejectingFirstBlock(RandomSource(9).generator(), kept) for _ in range(2)]
+        fakes = [_RejectingFirstBlock(RandomSource(9).generator(), n, kept) for _ in range(2)]
         got = sample_uniform_sphere(fakes[0], n)
         np.testing.assert_array_equal(got, row_major_sphere(fakes[1], n))
-        assert fakes[0].calls == fakes[1].calls >= 2
+        assert fakes[1].calls >= 2  # the oracle drew a second block
+        assert fakes[0].bit_generator.state == fakes[1].bit_generator.state
         assert got.T.flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.sampled_from([0, 1, DRAW_TILE - 1, DRAW_TILE, DRAW_TILE + 1, 65_536])
+    | st.integers(0, 4 * DRAW_TILE),
+    halves=st.integers(0, 2),
+)
+def test_sample_uniform_sphere_reads_the_stream_of_whole_blocks(seed, n, halves):
+    # the two cursors read the bits the oracle's whole (2, k) blocks hold and
+    # leave the stream where those blocks leave it; ``halves`` 32-bit draws
+    # first leave a buffered half (1) or a spent one with its value (2)
+    gens = [RandomSource(seed).generator() for _ in range(2)]
+    for gen in gens:
+        gen.integers(2**32, size=halves, dtype=np.uint32)
+    assert gens[0].bit_generator.state["has_uint32"] == halves % 2
+    got = sample_uniform_sphere(gens[0], n)
+    assert got.tobytes() == row_major_sphere(gens[1], n).tobytes()
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+
+def test_sphere_draw_memory_stays_under_its_cap():
+    # the whole (2, k) uniform block, s and the index of the kept pairs,
+    # live together, peaked at 4.2 MB beside the 1.5 MB of points
+    gen = RandomSource(42).generator()
+    sample_uniform_sphere(gen, 65_536)
+    tracemalloc.start()
+    try:
+        sample_uniform_sphere(gen, 65_536)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 65_536])

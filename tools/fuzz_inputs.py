@@ -16,7 +16,9 @@ picks one node and replaces it with a value from :data:`PALETTE`, deletes
 it, duplicates it inside its array, or wraps it in an array.  The palette
 holds literals past the float64 range, huge and negative integers, bools,
 null, strings, floats where integers belong, and ragged, empty and deeply
-nested arrays.
+nested arrays.  Three in ten mutants then get one edit of their text from
+:data:`TEXT_EDITS`: a key of one object listed twice, a UTF-8 byte order
+mark in front, or bytes that are not UTF-8 inserted anywhere.
 
 Run from the root of a checkout (2 000 examples took about 6 s on a 2-vCPU
 Xeon VM)::
@@ -80,6 +82,10 @@ PALETTE = (
     {}, {"x": 0}, Raw("[" * 3000 + "]" * 3000),
 )
 EDITS = ("replace", "delete", "duplicate", "wrap")
+# None leaves the text as the tree renders it; seven in ten mutants keep it
+TEXT_EDITS = (None,) * 7 + ("duplicate-key", "bom", "non-utf8")
+# each is invalid UTF-8 wherever it lands, since the rendered text is ASCII
+NON_UTF8 = (b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80")
 
 S = math.sqrt(0.5)
 CHSH_SETTINGS = {
@@ -161,11 +167,16 @@ def _nodes(tree, parent=None, key=None):
             yield from _nodes(v, tree, i)
 
 
+def _node(tree, parent, key):
+    """The node at ``parent[key]``, or the root if ``parent`` is None."""
+    return tree if parent is None else parent[key]
+
+
 def _edit(tree, parent, key, edit, value):
     """``tree`` after one edit of the node at ``parent[key]`` (the root if
     ``parent`` is None).  Deleting the root, or duplicating a node that is
     not in an array, wraps it instead."""
-    node = tree if parent is None else parent[key]
+    node = _node(tree, parent, key)
     if edit == "replace":
         new = copy.deepcopy(value)
     elif edit == "delete" and parent is not None:
@@ -182,9 +193,15 @@ def _edit(tree, parent, key, edit, value):
     return tree
 
 
+def _duplicate_key(obj: dict, key) -> Raw:
+    """``obj`` as JSON text with the pair of ``key`` listed again at its end."""
+    pairs = list(obj.items()) + [(key, obj[key])]
+    return Raw("{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in pairs) + "}")
+
+
 @st.composite
 def mutants(draw):
-    """(seed kind, JSON text) of one mutated seed file."""
+    """(seed kind, file bytes) of one mutated seed file."""
     kind = draw(st.sampled_from(sorted(COMMANDS)))
     tree = copy.deepcopy(seed_payloads()[kind])
     for _ in range(draw(st.integers(1, 3))):
@@ -193,7 +210,22 @@ def mutants(draw):
         edit = draw(st.sampled_from(EDITS))
         value = draw(st.sampled_from(PALETTE)) if edit == "replace" else None
         tree = _edit(tree, parent, key, edit, value)
-    return kind, render(tree)
+    text_edit = draw(st.sampled_from(TEXT_EDITS))
+    if text_edit == "duplicate-key":
+        objects = [(p, k) for p, k in _nodes(tree) if isinstance(_node(tree, p, k), dict)
+                   and _node(tree, p, k)]
+        if objects:
+            parent, key = objects[draw(st.integers(0, len(objects) - 1))]
+            obj = _node(tree, parent, key)
+            dup = _duplicate_key(obj, draw(st.sampled_from(list(obj))))
+            tree = _edit(tree, parent, key, "replace", dup)
+    data = render(tree).encode("utf-8")
+    if text_edit == "bom":
+        data = "\ufeff".encode("utf-8") + data
+    elif text_edit == "non-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NON_UTF8)) + data[at:]
+    return kind, data
 
 
 def contract_breach(code: int, out: str, err: str):
@@ -210,18 +242,18 @@ def contract_breach(code: int, out: str, err: str):
 
 
 def check_mutant(mutant, work_dir: Path) -> list:
-    """Run ``mutant`` through its kind's commands and return their exit
-    codes; a breach of the contract raises AssertionError, and an exception
-    out of ``cli.main`` propagates."""
-    kind, text = mutant
+    """Run ``mutant``, a seed kind and the file's bytes, through its kind's
+    commands and return their exit codes; a breach of the contract raises
+    AssertionError, and an exception out of ``cli.main`` propagates."""
+    kind, data = mutant
     path, out = work_dir / "input.json", work_dir / "model.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     codes = []
     for command in COMMANDS[kind]:
         argv = [str(path) if a == FILE else str(out) if a == OUT else a for a in command]
         code, stdout, stderr = run(argv)
         breach = contract_breach(code, stdout, stderr)
-        assert breach is None, f"{' '.join(command)} on a {kind} mutant: {breach}\n{text[:2000]}"
+        assert breach is None, f"{' '.join(command)} on a {kind} mutant: {breach}\n{data[:2000]!r}"
         codes.append(code)
     return codes
 
