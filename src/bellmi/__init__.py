@@ -43,7 +43,6 @@ from .models import (
     ExactCSModel,
     FiniteCommModel,
     GisinGisinModel,
-    SampledCSModel,
     SettingsSpec,
     TonerBaconModel,
     brans_build,
@@ -72,7 +71,6 @@ __all__ = [
     "LocalityReport",
     "MIEstimate",
     "RandomSource",
-    "SampledCSModel",
     "SettingsSpec",
     "TonerBaconModel",
     "TransformReport",

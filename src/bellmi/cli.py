@@ -45,27 +45,33 @@ EXIT_INTERNAL = 3
 EXIT_FLOOR = 4
 
 
-def _read(path: str) -> str:
+def _read(path: str, kind: str) -> str:
+    """The text at ``path``; errors name ``kind``, since a path can be long."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        raise ConfigError(f"{kind}: not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{kind}: {exc.strerror}") from None
 
 
 def _emit(text: str, out_file: Optional[str]) -> None:
     if out_file is None:
         sys.stdout.write(text)
     else:
-        with open(out_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_file, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out-file: {exc.strerror}") from None
 
 
 def _build_spec(args) -> SettingsSpec:
-    if args.settings_file and args.preset:
+    if args.settings_file is not None and args.preset is not None:
         raise ConfigError("--preset and --settings-file are mutually exclusive")
-    if args.settings_file:
-        spec = serialize.load_settings(_read(args.settings_file))
+    if args.settings_file is not None:
+        spec = serialize.load_settings(_read(args.settings_file, "settings file"))
     else:
         spec = preset(args.preset or "chsh")
     return _with_input_dist(spec, args)
@@ -73,9 +79,9 @@ def _build_spec(args) -> SettingsSpec:
 
 def _with_input_dist(spec: SettingsSpec, args) -> SettingsSpec:
     """``spec`` with its p_xy replaced by ``--input-dist-file``, if given."""
-    if not args.input_dist_file:
+    if args.input_dist_file is None:
         return spec
-    p_xy = serialize.load_input_dist(_read(args.input_dist_file))
+    p_xy = serialize.load_input_dist(_read(args.input_dist_file, "input-dist file"))
     return SettingsSpec(spec.alice_settings, spec.bob_settings, p_xy)
 
 
@@ -149,7 +155,7 @@ def cmd_mutual_info(args) -> int:
     elif target == "exact-model-file":
         if not args.model_file:
             raise ConfigError("--target exact-model-file needs --model-file")
-        model = serialize.load_model(_read(args.model_file))
+        model = serialize.load_model(_read(args.model_file, "model file"))
         vars_a = "x,y" if args.vars_a is None else args.vars_a
         a_vars = tuple(v for v in vars_a.split(",") if v)
         b_vars = (
@@ -171,10 +177,10 @@ def cmd_mutual_info(args) -> int:
 # ----------------------------------------------------------------------
 
 def _resolve_corr_and_spec(args):
-    if args.corr_file:
+    if args.corr_file is not None:
         _reject_set(args, ("--settings-file", "--preset", "--corr"),
                     "--corr-file carries its own settings and target")
-        spec, corr = serialize.load_correlation(_read(args.corr_file))
+        spec, corr = serialize.load_correlation(_read(args.corr_file, "correlation file"))
         return _with_input_dist(spec, args), corr
     spec = _build_spec(args)
     if args.corr == "pr-box":
@@ -204,17 +210,17 @@ def cmd_transform(args) -> int:
         rounds = transforms.REPORT_ROUNDS if args.rounds is None else args.rounds
         parallelism = 1 if args.parallelism is None else args.parallelism
         if args.model == "tb":
-            cs, report = transforms.comm_to_cs(
+            sampler, report = transforms.comm_to_cs(
                 TonerBaconModel(), spec, source=source, rounds=rounds,
                 parallelism=parallelism,
             )
         else:
             floor = transforms.DEFAULT_FLOOR if args.floor is None else args.floor
-            cs, report = transforms.det_to_cs(
+            sampler, report = transforms.det_to_cs(
                 GisinGisinModel(), spec, source=source, rounds=rounds, floor=floor,
                 parallelism=parallelism,
             )
-        model_payload = serialize.sampler_payload(cs, seed=args.seed)
+        model_payload = serialize.sampler_payload(sampler, spec, seed=args.seed)
     _emit(serialize.json_text(model_payload), args.out_file)
     _emit(serialize.json_text(asdict(report)), None)
     return EXIT_OK
@@ -225,7 +231,7 @@ def cmd_transform(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    model = serialize.load_model(_read(args.model_file))
+    model = serialize.load_model(_read(args.model_file, "model file"))
     report = analysis.verify_bell_local(model, tol=args.tol)
     _emit(serialize.json_text(asdict(report)), args.out_file)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED

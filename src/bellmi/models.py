@@ -275,7 +275,7 @@ class TonerBaconModel:
     """
 
     name = "tb"
-    kind = "tb-comm"  # the sampled correlated-settings model comm_to_cs builds
+    kind = "tb-comm"  # the "kind" that serialize.sampler_payload writes
     hidden_names = ("l1", "l2", "m")  # fields of TBRounds that form lambda
     post_selects = False  # every round counts; no detection step
     # model-file description of the responses that _kernels.tb_outcomes computes
@@ -339,7 +339,7 @@ class GisinGisinModel:
     """
 
     name = "gg"
-    kind = "gg-postselected"  # the sampled correlated-settings model det_to_cs builds
+    kind = "gg-postselected"  # the "kind" that serialize.sampler_payload writes
     hidden_names = ("lam",)  # fields of GGRounds that form lambda
     post_selects = True  # only the rounds in GGRounds.kept count
     message_entropy_bound = None  # no message: the detection route sends nothing
@@ -500,22 +500,6 @@ class ExactCSModel:
                 f"model table variables {sorted(have)} do not match "
                 f"outcome/setting/hidden names {sorted(want)}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class SampledCSModel:
-    """Correlated-settings model whose hidden variable is continuous.
-
-    It has no finite weight table: ``kind`` names the construction,
-    ``spec`` its input distribution and ``hidden_names`` the hidden
-    components.  ``certificate`` is the model class's description of its
-    responses, written to the descriptor file.
-    """
-
-    kind: str
-    spec: SettingsSpec
-    hidden_names: tuple[str, ...]
-    certificate: Optional[str] = None
 
 
 def brans_build(corr: ConditionalTable, spec: SettingsSpec) -> ExactCSModel:

@@ -419,17 +419,16 @@ def load_model(text: str) -> ExactCSModel:
     return ExactCSModel(table=table, hidden_vars=hidden)
 
 
-def sampler_payload(model, *, seed: int) -> dict:
-    """Descriptor for a sampled correlated-settings model.
+def sampler_payload(sampler, spec: SettingsSpec, *, seed: int) -> dict:
+    """Descriptor for the correlated-settings model of ``sampler`` on ``spec``.
 
     Sampled models have continuous hidden variables and no weight table, so
-    the file records the construction's kind, the seed and the settings.
+    the file records the sampler's kind, the seed and the settings.
     The package does not read these descriptors back; :func:`load_model`
     rejects them.
     """
-    spec = model.spec
     return {
-        "kind": model.kind,
+        "kind": sampler.kind,
         "sampled": True,
         "seed": seed,
         "settings": {
@@ -437,6 +436,6 @@ def sampler_payload(model, *, seed: int) -> dict:
             "bob_settings": spec.bob_settings.tolist(),
             "p_xy": spec.p_xy.tolist(),
         },
-        "hidden_variables": list(model.hidden_names),
-        "certificate": model.certificate,
+        "hidden_variables": list(sampler.hidden_names),
+        "certificate": sampler.certificate,
     }

@@ -5,9 +5,9 @@ Three conversions are supported:
 - :func:`comm_to_cs` absorbs a communication model's conversation into the
   hidden variable, lambda = (mu, m).  For finite models this is an exact
   table, gathered from the model's response arrays in one pass, with exact
-  mutual-information accounting; for the one-bit singlet model it yields a
-  sampled model plus Monte Carlo checks.  Either way I(x,y:lambda) is
-  bounded by the message entropy H(m).
+  mutual-information accounting; the one-bit singlet model comes back as
+  given, plus Monte Carlo checks.  Either way I(x,y:lambda) is bounded by
+  the message entropy H(m).
 - :func:`det_to_cs` post-selects a detection model on both detectors
   clicking; its Monte Carlo report keeps only the double-click rounds,
   which conditions on that event exactly (no density reweighting).
@@ -15,8 +15,9 @@ Three conversions are supported:
   whose hidden variable determines settings and outcomes (I = H(x,y)).
 
 The two sampled conversions share one Monte Carlo report (:func:`_sampled_cs`,
-one :func:`analysis.estimate_correlations` run); the two exact ones share one
-exact report (:func:`_exact_report`).  Each returns the model together with a
+one :func:`analysis.estimate_correlations` run) and return the sampler they
+were given; the two exact ones share one exact report (:func:`_exact_report`)
+and build an :class:`ExactCSModel`.  Each returns the model together with a
 :class:`TransformReport` recording reproduction deviations and the
 information bound where available, whose fields are its JSON keys in order.
 """
@@ -41,7 +42,6 @@ from .models import (
     ExactCSModel,
     FiniteCommModel,
     GisinGisinModel,
-    SampledCSModel,
     SettingsSpec,
     TonerBaconModel,
     brans_build,
@@ -171,7 +171,7 @@ def _sampled_cs(
     floor: float,
     parallelism: int,
 ):
-    """Sampled model of ``model`` plus its Monte Carlo report.
+    """``model`` itself plus its Monte Carlo report.
 
     The report is one :func:`analysis.estimate_correlations` run of
     ``rounds`` rounds on ``parallelism`` threads, which keeps the rounds
@@ -182,13 +182,6 @@ def _sampled_cs(
     """
     if not 0.0 < floor <= 1.0:  # NaN fails too
         raise ConfigError(f"acceptance floor must lie in (0, 1], got {floor!r}")
-    cs = SampledCSModel(
-        kind=model.kind,
-        spec=spec,
-        hidden_names=model.hidden_names,
-        certificate=model.certificate,
-    )
-
     # child 1, not ``source`` itself: another stream would change the bytes
     # of every seeded report
     est = analysis.estimate_correlations(
@@ -214,7 +207,7 @@ def _sampled_cs(
         mi_bound=model.message_entropy_bound,
         extras=extras,
     )
-    return cs, report
+    return model, report
 
 
 def _corr_deviation(probs: np.ndarray, target: ConditionalTable) -> float:
@@ -243,8 +236,8 @@ def comm_to_cs(
 
     Finite models yield an :class:`ExactCSModel` with exact reproduction
     deviations, exact I(x,y:lambda) and the exact message entropy H(m).
-    The one-bit singlet model yields a :class:`SampledCSModel`; its report
-    carries Monte Carlo deviations (``rounds`` rounds from ``source`` on
+    The one-bit singlet model is returned as given; its report carries
+    Monte Carlo deviations (``rounds`` rounds from ``source`` on
     ``parallelism`` threads, the same at any count) and the one-bit bound
     H(m) = 1.
 
@@ -278,6 +271,6 @@ def det_to_cs(
     message.  The report's rounds run on ``parallelism`` threads, with the
     same result at any count.
 
-    Returns ``(cs_model, report)``.
+    Returns ``(dmodel, report)``, the detection model as given.
     """
     return _sampled_cs(dmodel, spec, source, rounds, floor, parallelism)

@@ -489,6 +489,11 @@ def test_exact_transform_bytes_are_pinned(tmp_path, model, p_xy):
     # the file holds the table that the row-layout oracle reads from its rows
     oracle = oracle_load_model(json.dumps(row_payload(json.loads(text))))
     assert_same_table(serialize.load_model(text).table, oracle.table)
+    # the exact models draw nothing, yet accept --seed: perfbench's
+    # exact-sweep passes it to every transform it runs
+    code, seeded_out, err = run_cli(argv + ["--seed", "5"])
+    assert code == 0, err
+    assert ((tmp_path / "model.json").read_text(), seeded_out) == (text, out)
 
 
 def _spec_files(tmp_path, shape=(32, 32), seed=1919):
@@ -886,6 +891,13 @@ BAD_INPUTS = {
     # every file flag and verify's model file are read as UTF-8
     "settings-not-utf8": (SIMULATE + ["--settings-file", "input.json"], b"\xff\xfe{}"),
     "verify-not-utf8": (["verify", "input.json"], b"\xff\xfe{}"),
+    # an empty path is a path to read, not a flag left unset
+    "settings-file-empty-path": (SIMULATE + ["--settings-file", ""], None),
+    "input-dist-file-empty-path": (SIMULATE + ["--input-dist-file", ""], None),
+    "corr-file-empty-path": (
+        ["transform", "--model", "brans", "--corr-file", "", "--out-file", "model.json"],
+        None,
+    ),
     # no variables: no cell codes to build the table from
     "model-no-variables": (["verify", "input.json"], {"variables": [], "weights": [1.0]}),
     "mi-model-no-variables": (MI_MODEL_FILE, {"variables": [], "weights": [1.0]}),
@@ -1138,6 +1150,9 @@ BAD_INPUT_WORDING = {
     "settings-duplicate-key": "settings file: invalid JSON: duplicate key 'alice_settings'",
     "corr-duplicate-key": "correlation file: invalid JSON: duplicate key 'pp'",
     "model-duplicate-key": "model file: invalid JSON: duplicate key 'name'",
+    "settings-file-empty-path": "settings file: No such file or directory",
+    "input-dist-file-empty-path": "input-dist file: No such file or directory",
+    "corr-file-empty-path": "correlation file: No such file or directory",
 }
 
 
@@ -1190,6 +1205,29 @@ def test_config_errors_exit_2(tmp_path):
     assert "exclusive" in err
     code, _, _ = run_cli(["simulate"])  # missing required --model
     assert code == 2
+
+
+def test_file_errors_name_the_kind_under_a_long_path(tmp_path):
+    # the error line names the file kind, so a long path cannot stretch it
+    long_dir = tmp_path / ("d" * 150)
+    long_dir.mkdir()
+    (long_dir / "input.json").write_bytes(b"\xff\xfe{}")
+    cases = {
+        "input-dist file: not UTF-8 text": (
+            SIMULATE + ["--input-dist-file", str(long_dir / "input.json")]
+        ),
+        "model file: No such file or directory": ["verify", str(long_dir / "missing.json")],
+        "--out-file: No such file or directory": (
+            SIMULATE + ["--out-file", str(long_dir / "missing" / "out.json")]
+        ),
+        "model file: Is a directory": ["verify", str(long_dir)],
+    }
+    for wording, argv in cases.items():
+        code, out, err = run_cli(argv, cwd=long_dir)
+        assert (code, out) == (2, b""), err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert len(lines[0]) < 200 and wording in lines[0], err
 
 
 # ----------------------------------------------------------------------

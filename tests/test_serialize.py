@@ -482,7 +482,7 @@ def test_sampler_payload_records_regeneration_recipe():
 
     spec = preset("chsh")
     cs, _ = det_to_cs(GisinGisinModel(), spec, source=RandomSource(82), rounds=30_000)
-    payload = sampler_payload(cs, seed=82)
+    payload = sampler_payload(cs, spec, seed=82)
     assert payload["sampled"] is True
     assert payload["kind"].endswith("postselected")
     assert payload["seed"] == 82

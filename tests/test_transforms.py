@@ -19,14 +19,19 @@ from bellmi.models import (
     ExactCSModel,
     FiniteCommModel,
     GisinGisinModel,
-    SampledCSModel,
     SettingsSpec,
     TonerBaconModel,
     input_broadcast_build,
     pr_box_conditional,
     preset,
 )
-from bellmi.serialize import json_text, load_model, model_payload, parse_json
+from bellmi.serialize import (
+    json_text,
+    load_model,
+    model_payload,
+    parse_json,
+    sampler_payload,
+)
 from bellmi.sphere import RandomSource, vec_polar
 from bellmi.transforms import (
     TransformReport,
@@ -286,13 +291,13 @@ def test_comm_to_cs_rejects_unknown_models():
 
 def test_comm_to_cs_sampled_report_and_determinism():
     spec = preset("chsh")
-    cs1, rep1 = comm_to_cs(
-        TonerBaconModel(), spec, source=RandomSource(40), rounds=40_000
-    )
+    model = TonerBaconModel()
+    cs1, rep1 = comm_to_cs(model, spec, source=RandomSource(40), rounds=40_000)
     cs2, rep2 = comm_to_cs(
         TonerBaconModel(), spec, source=RandomSource(40), rounds=40_000
     )
-    assert isinstance(cs1, SampledCSModel)
+    # the sampler stands for the model: its hidden variable has no weight table
+    assert cs1 is model
     assert rep1.corr_deviation == rep2.corr_deviation
     assert rep1.inputs_deviation == rep2.inputs_deviation
     assert rep1.mi_bound == 1.0
@@ -319,8 +324,9 @@ def test_det_to_cs_report_fields():
     for eff in report.extras["alice_efficiency"]:
         assert abs(eff - 0.5) < 0.02
     assert report.corr_deviation < 0.05
-    assert cs.hidden_names == ("lam",)
-    assert cs.certificate == GisinGisinModel.certificate
+    descriptor = sampler_payload(cs, spec, seed=50)
+    assert descriptor["hidden_variables"] == ["lam"]
+    assert descriptor["certificate"] == GisinGisinModel.certificate
 
 
 def test_det_to_cs_floor_validation_and_breach():
