@@ -56,24 +56,22 @@ def _read(path: str, kind: str) -> str:
         raise ConfigError(f"{kind}: {exc.strerror}") from None
 
 
-def _emit(text: str, out_file: Optional[str]) -> None:
+def _emit(text: str, out_file: Optional[str], open_mode: str = "w") -> None:
     if out_file is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out_file, "w", encoding="utf-8", newline="\n") as fh:
+            with open(out_file, open_mode, encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"--out-file: {exc.strerror}") from None
 
 
 def _build_spec(args) -> SettingsSpec:
-    if args.settings_file is not None and args.preset is not None:
-        raise ConfigError("--preset and --settings-file are mutually exclusive")
     if args.settings_file is not None:
         spec = serialize.load_settings(_read(args.settings_file, "settings file"))
     else:
-        spec = preset(args.preset or "chsh")
+        spec = preset(args.preset)
     return _with_input_dist(spec, args)
 
 
@@ -83,13 +81,6 @@ def _with_input_dist(spec: SettingsSpec, args) -> SettingsSpec:
         return spec
     p_xy = serialize.load_input_dist(_read(args.input_dist_file, "input-dist file"))
     return SettingsSpec(spec.alice_settings, spec.bob_settings, p_xy)
-
-
-def _reject_set(args, flags, why: str) -> None:
-    """Raise :class:`ConfigError` naming the first of ``flags`` that is set."""
-    for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ConfigError(f"{why}; {flag} conflicts")
 
 
 # the models whose rounds ``simulate`` samples, by ``--model`` name
@@ -126,38 +117,20 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_mutual_info(args) -> int:
-    target = args.target
-    if target != "tb-finite":
-        _reject_set(args, ("--preset", "--settings-file", "--input-dist-file"),
-                    f"--target {target} reads no settings")
-    if target != "exact-model-file":
-        _reject_set(args, ("--model-file", "--vars-a", "--vars-b"),
-                    f"--target {target} reads no model file")
-    if target != "tb-finite":
-        _reject_set(args, ("--samples", "--seed", "--parallelism"),
-                    f"--target {target} draws no samples")
-    if target != "tb-uniform":
-        _reject_set(args, ("--panels",), f"--target {target} takes no panel count")
-    extra = {}
+    target, extra = args.target, {}
     if target == "tb-uniform":
-        panels = 1024 if args.panels is None else args.panels
-        est = analysis.mi_tb_quadrature(panels)
-        bound, extra = 1.0, {"panels": panels}
+        est = analysis.mi_tb_quadrature(args.panels)
+        bound, extra = 1.0, {"panels": args.panels}
     elif target == "gg-uniform":
         est, bound = analysis.mi_gg_uniform(), None
     elif target == "tb-finite":
-        spec = _build_spec(args)
-        samples = 100_000 if args.samples is None else args.samples
-        seed = 0 if args.seed is None else args.seed
-        parallelism = 1 if args.parallelism is None else args.parallelism
-        est = analysis.mi_finite_settings_tb(spec, samples, RandomSource(seed), parallelism)
-        bound, extra = 1.0, {"samples": samples, "seed": seed}
-    elif target == "exact-model-file":
-        if not args.model_file:
-            raise ConfigError("--target exact-model-file needs --model-file")
+        est = analysis.mi_finite_settings_tb(
+            _build_spec(args), args.samples, RandomSource(args.seed), args.parallelism
+        )
+        bound, extra = 1.0, {"samples": args.samples, "seed": args.seed}
+    else:
         model = serialize.load_model(_read(args.model_file, "model file"))
-        vars_a = "x,y" if args.vars_a is None else args.vars_a
-        a_vars = tuple(v for v in vars_a.split(",") if v)
+        a_vars = tuple(v for v in args.vars_a.split(",") if v)
         b_vars = (
             model.hidden_vars if args.vars_b is None
             else tuple(v for v in args.vars_b.split(",") if v)
@@ -165,8 +138,6 @@ def cmd_mutual_info(args) -> int:
         est = analysis.mi_exact_finite(model, a_vars, b_vars)
         bound = model.table.entropy(("m",)) if "m" in model.table.variables else None
         extra = {"vars_a": list(a_vars), "vars_b": list(b_vars)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown target {target!r}")
     payload = {"target": target, **asdict(est), "bound": bound, **extra}
     _emit(serialize.json_text(payload), args.out_file)
     return EXIT_OK
@@ -178,8 +149,6 @@ def cmd_mutual_info(args) -> int:
 
 def _resolve_corr_and_spec(args):
     if args.corr_file is not None:
-        _reject_set(args, ("--settings-file", "--preset", "--corr"),
-                    "--corr-file carries its own settings and target")
         spec, corr = serialize.load_correlation(_read(args.corr_file, "correlation file"))
         return _with_input_dist(spec, args), corr
     spec = _build_spec(args)
@@ -189,14 +158,8 @@ def _resolve_corr_and_spec(args):
 
 
 def cmd_transform(args) -> int:
-    if not args.out_file:
-        raise ConfigError("transform needs --out-file for the model file")
-    if args.model != "gg":
-        _reject_set(args, ("--floor",), f"--model {args.model} has no acceptance floor")
     source = RandomSource(args.seed)
     if args.model in ("brans", "input-broadcast"):
-        _reject_set(args, ("--rounds", "--parallelism"),
-                    f"--model {args.model} runs no Monte Carlo report")
         spec, corr = _resolve_corr_and_spec(args)
         if args.model == "brans":
             cs, report = transforms.brans_to_cs(corr, spec)
@@ -204,21 +167,16 @@ def cmd_transform(args) -> int:
             cs, report = transforms.comm_to_cs(input_broadcast_build(corr, spec), spec)
         model_payload = serialize.model_payload(cs)
     else:
-        _reject_set(args, ("--corr", "--corr-file"),
-                    f"--model {args.model} always reproduces the singlet")
         spec = _build_spec(args)
-        rounds = transforms.REPORT_ROUNDS if args.rounds is None else args.rounds
-        parallelism = 1 if args.parallelism is None else args.parallelism
         if args.model == "tb":
             sampler, report = transforms.comm_to_cs(
-                TonerBaconModel(), spec, source=source, rounds=rounds,
-                parallelism=parallelism,
+                TonerBaconModel(), spec, source=source, rounds=args.rounds,
+                parallelism=args.parallelism,
             )
         else:
-            floor = transforms.DEFAULT_FLOOR if args.floor is None else args.floor
             sampler, report = transforms.det_to_cs(
-                GisinGisinModel(), spec, source=source, rounds=rounds, floor=floor,
-                parallelism=parallelism,
+                GisinGisinModel(), spec, source=source, rounds=args.rounds,
+                floor=args.floor, parallelism=args.parallelism,
             )
         model_payload = serialize.sampler_payload(sampler, spec, seed=args.seed)
     _emit(serialize.json_text(model_payload), args.out_file)
@@ -242,11 +200,11 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def _add_settings_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named settings preset (default: chsh)")
-    p.add_argument("--settings-file", default=None,
+    p.add_argument("--settings-file",
                    help="JSON settings file (alice_settings, bob_settings, p_xy)")
-    p.add_argument("--input-dist-file", default=None,
+    p.add_argument("--input-dist-file",
                    help="JSON file overriding the joint input distribution p_xy")
 
 
@@ -263,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="estimate a correlation table by Monte Carlo")
     p.add_argument("--model", required=True, choices=tuple(SAMPLERS))
     _add_settings_flags(p)
-    p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--output", choices=("json", "csv"), default="json")
-    p.add_argument("--out-file", default=None)
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--parallelism", type=int)
+    p.add_argument("--output", choices=("json", "csv"))
+    p.add_argument("--out-file")
 
     p = sub.add_parser("mutual-info", help="compute I(x,y:lambda) for a target")
     p.add_argument(
@@ -276,41 +234,36 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tb-uniform", "gg-uniform", "tb-finite", "exact-model-file"),
     )
     _add_settings_flags(p)
-    p.add_argument("--model-file", default=None)
-    p.add_argument("--vars-a", default=None,
-                   help="comma-separated first variable set (default: x,y)")
-    p.add_argument("--vars-b", default=None,
-                   help="comma-separated second variable set (default: hidden vars)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="tb-finite only (default: 100000)")
-    p.add_argument("--panels", type=int, default=None, help="tb-uniform only (default: 1024)")
-    p.add_argument("--seed", type=int, default=None, help="tb-finite only (default: 0)")
-    p.add_argument("--parallelism", type=int, default=None,
-                   help="tb-finite only: worker threads (default: 1)")
-    p.add_argument("--out-file", default=None)
+    p.add_argument("--model-file")
+    p.add_argument("--vars-a", help="comma-separated first variable set (default: x,y)")
+    p.add_argument("--vars-b", help="comma-separated second variable set (default: hidden vars)")
+    p.add_argument("--samples", type=int, help="tb-finite only (default: 100000)")
+    p.add_argument("--panels", type=int, help="tb-uniform only (default: 1024)")
+    p.add_argument("--seed", type=int, help="tb-finite only (default: 0)")
+    p.add_argument("--parallelism", type=int, help="tb-finite only: worker threads (default: 1)")
+    p.add_argument("--out-file")
 
     p = sub.add_parser("transform", help="build a correlated-settings model + report")
     p.add_argument(
         "--model", required=True, choices=("tb", "gg", "brans", "input-broadcast")
     )
     _add_settings_flags(p)
-    p.add_argument("--corr", choices=("quantum", "pr-box"), default=None,
+    p.add_argument("--corr", choices=("quantum", "pr-box"),
                    help="target correlations for brans/input-broadcast (default: quantum)")
-    p.add_argument("--corr-file", default=None,
-                   help="correlation-table JSON fixing settings and target")
-    p.add_argument("--rounds", type=int, default=None,
+    p.add_argument("--corr-file", help="correlation-table JSON fixing settings and target")
+    p.add_argument("--rounds", type=int,
                    help=f"tb/gg only: report rounds (default: {transforms.REPORT_ROUNDS})")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallelism", type=int, default=None,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--parallelism", type=int,
                    help="tb/gg only: report worker threads (default: 1)")
-    p.add_argument("--floor", type=float, default=None,
+    p.add_argument("--floor", type=float,
                    help="gg only: abort when the double-click acceptance rate sits below this")
-    p.add_argument("--out-file", default=None, help="model file destination (required)")
+    p.add_argument("--out-file", help="model file destination (required)")
 
     p = sub.add_parser("verify", help="check Bell locality of an exact model file")
     p.add_argument("model_file")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out-file", default=None)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--out-file")
 
     return parser
 
@@ -320,6 +273,60 @@ def _parser() -> argparse.ArgumentParser:
     """The process's parser, built on first use.  Parsing leaves a parser
     as it was, and building one costs about a millisecond per call."""
     return build_parser()
+
+
+# a flag its mode cannot run without, in place of a default
+REQUIRED = object()
+_SETTINGS = {"preset": "chsh", "settings_file": None, "input_dist_file": None}
+_SIMULATE = {**_SETTINGS, "rounds": 100_000, "seed": 0, "parallelism": 1, "output": "json",
+             "out_file": None}
+_REPORT = {**_SETTINGS, "rounds": transforms.REPORT_ROUNDS, "seed": 0, "parallelism": 1,
+           "out_file": REQUIRED}
+# brans and input-broadcast draw nothing, but take --seed as tb and gg do
+_EXACT = {**_SETTINGS, "corr": "quantum", "corr_file": None, "seed": 0, "out_file": REQUIRED}
+# (command, --target or --model value) -> {dest: default} of the optional
+# flags that mode reads; verify has no mode, and its model file is positional
+READS = {
+    **{("simulate", model): _SIMULATE for model in SAMPLERS},
+    ("mutual-info", "tb-uniform"): {"panels": 1024, "out_file": None},
+    ("mutual-info", "gg-uniform"): {"out_file": None},
+    ("mutual-info", "tb-finite"): {**_SETTINGS, "samples": 100_000, "seed": 0,
+                                   "parallelism": 1, "out_file": None},
+    ("mutual-info", "exact-model-file"): {"model_file": REQUIRED, "vars_a": "x,y",
+                                          "vars_b": None, "out_file": None},
+    ("transform", "tb"): _REPORT,
+    ("transform", "gg"): {**_REPORT, "floor": transforms.DEFAULT_FLOOR},
+    ("transform", "brans"): _EXACT,
+    ("transform", "input-broadcast"): _EXACT,
+    ("verify", None): {"model_file": REQUIRED, "tol": 1e-9, "out_file": None},
+}
+# pairs of flags that name one input twice; a correlation file fixes both
+EXCLUSIVE = (("preset", "settings_file"), ("corr_file", "preset"),
+             ("corr_file", "settings_file"), ("corr_file", "corr"))
+
+
+def _check_flags(args) -> None:
+    """Refuse a flag set where its mode reads nothing, two flags that name
+    one input and a missing required flag, and give each flag left unset
+    its mode's default: the one place that asks whether a flag was given."""
+    def flag(dest):
+        return "--" + dest.replace("_", "-")
+    mode_dest = "target" if args.command == "mutual-info" else "model"
+    mode = getattr(args, mode_dest, None)
+    where, reads = f"{args.command} {flag(mode_dest)} {mode}", READS[args.command, mode]
+    given = [dest for dest, value in vars(args).items()
+             if value is not None and dest not in ("command", mode_dest)]
+    for dest in given:
+        if dest not in reads:
+            raise ConfigError(f"{where} does not read {flag(dest)}")
+    for first, second in EXCLUSIVE:
+        if first in given and second in given:
+            raise ConfigError(f"{flag(first)} and {flag(second)} are mutually exclusive")
+    for dest, default in reads.items():
+        if getattr(args, dest) is None:
+            if default is REQUIRED:
+                raise ConfigError(f"{where} needs {flag(dest)}")
+            setattr(args, dest, default)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -333,6 +340,8 @@ def main(argv: Optional[list] = None) -> int:
         "verify": cmd_verify,
     }
     try:
+        _check_flags(args)
+        _emit("", args.out_file, "a")  # a bad destination fails before the work
         return commands[args.command](args)
     except AcceptanceFloorError as exc:
         print(f"error: {exc}", file=sys.stderr)

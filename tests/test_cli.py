@@ -1,5 +1,5 @@
-"""End-to-end command-line behavior through real subprocesses, plus an
-in-process property test of flag values."""
+"""End-to-end command-line behavior through real subprocesses, plus
+in-process tests of flag values and of the flags each mode reads."""
 
 import contextlib
 import dataclasses
@@ -7,13 +7,15 @@ import hashlib
 import io
 import json
 import math
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellmi import analysis, cli, serialize
+from bellmi import analysis, cli, serialize, transforms
 from bellmi.analysis import CHUNK_ROUNDS
 from conftest import (
     LOCAL_MODEL,
@@ -24,6 +26,9 @@ from conftest import (
     row_payload,
     run_cli,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import fuzz_inputs  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +255,8 @@ def test_transform_sampled_models(tmp_path):
 
 
 def test_transform_floor_breach_exit_code(tmp_path):
+    # the run fails after its work, so an existing destination keeps its bytes
+    (tmp_path / "gg.json").write_bytes(b"earlier model\n")
     code, _, err = run_cli(
         [
             "transform", "--model", "gg", "--rounds", "30000", "--seed", "4",
@@ -258,6 +265,26 @@ def test_transform_floor_breach_exit_code(tmp_path):
     )
     assert code == 4
     assert "floor" in err
+    assert (tmp_path / "gg.json").read_bytes() == b"earlier model\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "tb"],
+    ["transform", "--model", "tb"],
+    ["transform", "--model", "gg"],
+    ["transform", "--model", "input-broadcast"],
+])
+def test_bad_out_file_exits_2_before_the_work(monkeypatch, tmp_path, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the destination was checked")
+
+    monkeypatch.setattr(transforms, "comm_to_cs", never)
+    monkeypatch.setattr(analysis, "estimate_correlations", never)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--out-file", str(tmp_path / "missing" / "x.json")])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == "error: --out-file: No such file or directory\n"
 
 
 def test_transform_corr_file_round_trip(tmp_path):
@@ -898,6 +925,10 @@ BAD_INPUTS = {
         ["transform", "--model", "brans", "--corr-file", "", "--out-file", "model.json"],
         None,
     ),
+    "model-file-empty-path": (
+        ["mutual-info", "--target", "exact-model-file", "--model-file", ""], None
+    ),
+    "out-file-empty-path": (["transform", "--model", "brans", "--out-file", ""], None),
     # no variables: no cell codes to build the table from
     "model-no-variables": (["verify", "input.json"], {"variables": [], "weights": [1.0]}),
     "mi-model-no-variables": (MI_MODEL_FILE, {"variables": [], "weights": [1.0]}),
@@ -1111,8 +1142,8 @@ BAD_INPUTS = {
 BAD_INPUT_WORDING = {
     **{f"{cmd}-parallelism-{n}": f"parallelism must lie in [1, 64], got {n}"
        for cmd in ("mi-tb-finite", "tb", "gg") for n in (0, 65)},
-    "mi-tb-uniform-parallelism": "--target tb-uniform draws no samples; --parallelism conflicts",
-    "brans-parallelism": "--model brans runs no Monte Carlo report; --parallelism conflicts",
+    "mi-tb-uniform-parallelism": "mutual-info --target tb-uniform does not read --parallelism",
+    "brans-parallelism": "transform --model brans does not read --parallelism",
     "corr-no-cells": "cells are missing",
     "model-top-level-array": "model file: must be a JSON object, got list",
     "settings-top-level-array": "settings file: must be a JSON object, got list",
@@ -1153,6 +1184,8 @@ BAD_INPUT_WORDING = {
     "settings-file-empty-path": "settings file: No such file or directory",
     "input-dist-file-empty-path": "input-dist file: No such file or directory",
     "corr-file-empty-path": "correlation file: No such file or directory",
+    "model-file-empty-path": "model file: No such file or directory",
+    "out-file-empty-path": "--out-file: No such file or directory",
 }
 
 
@@ -1228,6 +1261,56 @@ def test_file_errors_name_the_kind_under_a_long_path(tmp_path):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert len(lines[0]) < 200 and wording in lines[0], err
+
+
+# ----------------------------------------------------------------------
+# the table of the flags each mode reads
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def seed_paths(tmp_path_factory):
+    return fuzz_inputs.seed_paths(tmp_path_factory.mktemp("walk"))
+
+
+def test_every_flag_is_read_by_some_mode():
+    # a flag added to the parser with no row in cli.READS fails here
+    for command, flags in fuzz_inputs.command_flags().items():
+        read = {fuzz_inputs.flag(dest)
+                for (cmd, _), reads in cli.READS.items() if cmd == command for dest in reads}
+        assert set(flags) <= read & set(fuzz_inputs.FLAG_VALUES), (command, flags)
+
+
+@pytest.mark.parametrize("command, mode", list(cli.READS))
+def test_each_mode_reads_its_flags_and_refuses_the_rest(seed_paths, command, mode):
+    reads = {fuzz_inputs.flag(dest): default
+             for dest, default in cli.READS[command, mode].items()}
+    flags = fuzz_inputs.command_flags()[command]
+    required = [f for f in flags if reads.get(f) is cli.REQUIRED]
+    base = [command] + fuzz_inputs.mode_args(command, mode)
+    for name in required + [f for f in fuzz_inputs.COSTLY if f in reads]:
+        base += [name, fuzz_inputs.FLAG_VALUES[name][0]]
+
+    def run(argv):
+        code, out, err = fuzz_inputs.run([seed_paths.get(a, a) for a in argv])
+        assert code == 0 or (out == "" and len(err.splitlines()) == 1
+                             and err.startswith("error: ") and len(err) < 200), (argv, err)
+        return code, err
+
+    where = " ".join(base[:3])  # the command and its mode; verify refuses nothing
+    for name in flags:
+        code, err = run(base + [name, fuzz_inputs.FLAG_VALUES[name][0]])
+        if name in reads:
+            assert code == 0, (name, err)
+        else:
+            assert code == 2 and f"{where} does not read {name}" in err, (name, err)
+    for name in required:
+        without = base[:base.index(name)] + base[base.index(name) + 2:]
+        assert run(without) == (2, f"error: {where} needs {name}\n")
+    for first, second in cli.EXCLUSIVE:
+        pair = [fuzz_inputs.flag(first), fuzz_inputs.flag(second)]
+        if set(pair) <= reads.keys():
+            argv = base + [arg for f in pair for arg in (f, fuzz_inputs.FLAG_VALUES[f][0])]
+            assert run(argv) == (2, f"error: {pair[0]} and {pair[1]} are mutually exclusive\n")
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The input contract under mutated input files: no traceback, no exit 3,
-and bad input exits 2 with one short error line.
+"""The input contract under mutated input files and drawn flag values: no
+traceback, no exit 3, and bad input exits 2 with one short error line.
 
 The generator and the checks live in ``tools/fuzz_inputs.py``, which runs
 longer campaigns of the same mutants outside this suite.
@@ -48,3 +48,16 @@ def test_text_edits_of_a_seed_file_exit_2(work_dir, kind, edit):
 @given(fuzz_inputs.mutants())
 def test_mutated_input_files_keep_the_input_contract(work_dir, mutant):
     fuzz_inputs.check_mutant(mutant, work_dir)
+
+
+@pytest.fixture(scope="module")
+def seed_paths(tmp_path_factory):
+    return fuzz_inputs.seed_paths(tmp_path_factory.mktemp("flags"))
+
+
+# at most 2 000 rounds or samples on at most two threads per example
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_inputs.flag_runs())
+def test_drawn_flag_values_keep_the_input_contract(seed_paths, argv):
+    fuzz_inputs.check_flag_run(argv, seed_paths)

@@ -20,15 +20,24 @@ nested arrays.  Three in ten mutants then get one edit of their text from
 :data:`TEXT_EDITS`: a key of one object listed twice, a UTF-8 byte order
 mark in front, or bytes that are not UTF-8 inserted anywhere.
 
-Run from the root of a checkout (2 000 examples took about 6 s on a 2-vCPU
-Xeon VM)::
+A second generator draws whole command lines from ``cli.READS``: a
+command and mode, then flags of that command, read by the mode or not,
+each with a small valid value from :data:`FLAG_VALUES` or one of ``""``,
+``0``, ``-1`` and ``nan``.  ``--parallelism`` takes only 0, 1, 2 and 65,
+and ``--rounds`` and ``--samples`` are always set where the mode reads
+them, so no run starts many threads or runs long.  A value that argparse
+refuses exits 2 with argparse's usage text; every other run keeps the
+contract above.
+
+Each example is one mutant and one drawn command line.  Run from the root
+of a checkout (2 000 examples took about 14 s on a 2-vCPU Xeon VM)::
 
     python3 tools/fuzz_inputs.py --examples 2000 --seed 1
 
 It exits 0 when every example keeps the contract.  Otherwise hypothesis
 shrinks the first failing example and the script exits 1 with its command,
 its output and the mutant's text.  ``tests/test_fuzz_inputs.py`` runs the
-same generator on a bounded, derandomized set of examples.
+same generators on a bounded, derandomized set of examples.
 """
 
 from __future__ import annotations
@@ -123,6 +132,64 @@ COMMANDS = {
     "brans-model": MODEL_COMMANDS,
     "broadcast-model": MODEL_COMMANDS,
 }
+
+
+# flag -> small valid values, the first a typical one; "{kind}" is the seed
+# file of that kind, OUT a file a run may write and MISSING a path in a
+# directory that does not exist
+MISSING = "{missing}"
+FLAG_VALUES = {
+    "--preset": ("parallel", "chsh"),
+    "--settings-file": ("{settings}",),
+    "--input-dist-file": ("{input-dist}",),
+    "--corr": ("pr-box", "quantum"),
+    "--corr-file": ("{correlation}",),
+    "--model-file": ("{brans-model}",),
+    "--vars-a": ("x", "x,y"),
+    "--vars-b": ("lam",),
+    "--rounds": ("2000", "1"),
+    "--samples": ("2000", "1000"),
+    "--panels": ("16", "64"),
+    "--seed": ("3", "0"),
+    "--parallelism": ("2", "1"),
+    "--floor": ("0.25",),
+    "--output": ("csv", "json"),
+    "--tol": ("0.5", "1e-9"),
+    "--out-file": (OUT, MISSING),
+}
+# a bad value is any flag's; relative paths such as "0" are never written,
+# since --out-file takes only its own values and ""
+BAD_FLAG_VALUES = ("", "0", "-1", "nan")
+PARALLELISM = ("0", "1", "2", "65")
+# flags whose defaults run 100 000 rounds or more, always set where read
+COSTLY = ("--rounds", "--samples")
+
+
+def flag(dest: str) -> str:
+    """The command-line flag of an ``argparse`` destination."""
+    return "--" + dest.replace("_", "-")
+
+
+@functools.cache
+def command_flags() -> dict:
+    """Command -> its optional flags, as ``cli.build_parser()`` defines them,
+    without ``--help`` and the required flag that names the mode."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [a.option_strings[0] for a in parser._actions
+                  if a.option_strings and not a.required
+                  and not isinstance(a, argparse._HelpAction)]
+        for command, parser in sub.choices.items()
+    }
+
+
+def mode_args(command: str, mode) -> list:
+    """The arguments that name ``mode``: verify's model file, which it
+    takes in place of a mode, or the ``--target`` or ``--model`` flag."""
+    if command == "verify":
+        return ["{brans-model}"]
+    return ["--target" if command == "mutual-info" else "--model", mode]
 
 
 def run(argv) -> tuple:
@@ -258,23 +325,75 @@ def check_mutant(mutant, work_dir: Path) -> list:
     return codes
 
 
+def flag_value(name: str):
+    """A strategy of values for the flag ``name``."""
+    if name == "--parallelism":
+        return st.sampled_from(PARALLELISM)
+    bad = ("",) if name == "--out-file" else BAD_FLAG_VALUES
+    return st.sampled_from(FLAG_VALUES[name]) | st.sampled_from(bad)
+
+
+@st.composite
+def flag_runs(draw):
+    """One command line drawn from ``cli.READS``, with file values as
+    placeholders: a command and mode, its required and costly flags, and
+    up to four more flags of the command, read by the mode or not."""
+    command, mode = draw(st.sampled_from(list(cli.READS)))
+    flags = command_flags()[command]
+    forced = [flag(dest) for dest, default in cli.READS[command, mode].items()
+              if default is cli.REQUIRED or flag(dest) in COSTLY]
+    chosen = forced + draw(st.lists(st.sampled_from(flags), max_size=4, unique=True))
+    argv = [command] + mode_args(command, mode)
+    # verify's required model file is its positional argument, not a flag
+    for name in dict.fromkeys(name for name in chosen if name in flags):
+        argv += [name, draw(flag_value(name))]
+    return argv
+
+
+def seed_paths(work_dir: Path) -> dict:
+    """Placeholder -> path: each seed file, written to ``work_dir``, the
+    output file and a path under a missing directory."""
+    paths = {OUT: str(work_dir / "model.json"), MISSING: str(work_dir / "missing" / "x.json")}
+    for kind, payload in seed_payloads().items():
+        paths["{" + kind + "}"] = str(work_dir / f"{kind}.json")
+        (work_dir / f"{kind}.json").write_text(render(payload))
+    return paths
+
+
+def check_flag_run(argv, paths: dict) -> int:
+    """Run ``argv`` with its placeholders replaced from ``paths`` and return
+    its exit code; a breach of the contract raises AssertionError."""
+    argv = [paths.get(a, a) for a in argv]
+    try:
+        code, stdout, stderr = run(argv)
+    except SystemExit as exc:  # argparse refused a value and printed its usage
+        assert exc.code == 2, f"{' '.join(argv)}: argparse exit {exc.code}"
+        return exc.code
+    breach = contract_breach(code, stdout, stderr)
+    assert breach is None, f"{' '.join(argv)}: {breach}"
+    return code
+
+
 def campaign(examples: int, seed: int, work_dir: Path) -> None:
-    """Check ``examples`` mutants drawn from ``seed``; the first failure is
-    shrunk and raised."""
+    """Check ``examples`` mutants and as many flag command lines drawn from
+    ``seed``; the first failure is shrunk and raised."""
+    paths = seed_paths(work_dir)
 
     @hypothesis.seed(seed)
     @settings(max_examples=examples, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(mutants())
-    def check(mutant):
+    @given(mutants(), flag_runs())
+    def check(mutant, argv):
         check_mutant(mutant, work_dir)
+        check_flag_run(argv, paths)
 
     check()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--examples", type=int, default=2000, help="mutants to run")
+    parser.add_argument("--examples", type=int, default=2000,
+                        help="examples to run, each a mutant and a flag command line")
     parser.add_argument("--seed", type=int, default=0, help="seed of the mutant draws")
     args = parser.parse_args(argv)
     if args.examples < 1:
@@ -285,7 +404,8 @@ def main(argv=None) -> int:
         except AssertionError as exc:
             print(f"contract broken: {exc}", file=sys.stderr)
             return 1
-    print(f"{args.examples} mutants from seed {args.seed}: every run kept the input contract")
+    print(f"{args.examples} mutants and flag command lines from seed {args.seed}: "
+          "every run kept the input contract")
     return 0
 
 
