@@ -9,12 +9,16 @@ a fixed chunk order, so results do not depend on the parallelism degree.
 Vector batches arrive column-major (see :mod:`bellmi.sphere`), so every
 component slice ``v[:, k]`` is one contiguous run.
 
-The per-round maps read each round's settings through index arrays: round
-i measures Alice's setting ``alice[:, x_idx[i]]`` and Bob's
-``bob[:, y_idx[i]]``, where ``alice`` and ``bob`` hold a spec's settings as
-(3, n_settings) component rows.  A kernel gathers one setting component at
-a time, right before the product that uses it, so a batch of rounds never
-holds a per-round copy of its setting vectors.  Each dot product is the
+The per-round maps read each round's settings through one cell code per
+round: round i measures the cell ``cell[i]`` = x*n_b + y, as the settings
+draw returns it, and its settings are ``alice[:, cell[i]]`` and
+``bob[:, cell[i]]``, where ``alice`` and ``bob`` hold the settings of every
+cell as (3, n_a*n_b) component rows, Alice's setting x in column x*n_b + y
+of ``alice`` and Bob's setting y in that column of ``bob`` (see
+:func:`cell_rows`).  A kernel gathers one setting component at a time,
+right before the products that use it, so a batch of rounds never holds a
+per-round copy of its setting vectors; the one-bit map gathers each of
+Alice's components once for both of her dots.  Each dot product is the
 element formula ``(s0*l0 + s1*l1) + s2*l2``, accumulated in place in that
 order, and an outcome is its sign, with sgn(0) = +1.  The two outcome maps
 make their outputs once per call and fill them over tiles of
@@ -44,7 +48,17 @@ import numpy as np
 ROUND_TILE = 2**15
 
 
-def tb_outcomes(x_idx, y_idx, alice, bob, l1, l2):
+def cell_rows(alice_settings, bob_settings):
+    """Per-cell (3, n_a*n_b) component rows of two (n, 3) setting alphabets:
+    column x*n_b + y holds Alice's setting x in the first and Bob's setting y
+    in the second, so a gather by cell code reads the settings' own floats."""
+    n_b = bob_settings.shape[0]
+    cells = np.arange(alice_settings.shape[0] * n_b)
+    return (np.ascontiguousarray(alice_settings[cells // n_b].T),
+            np.ascontiguousarray(bob_settings[cells % n_b].T))
+
+
+def tb_outcomes(cell, alice, bob, l1, l2):
     """One-bit communication round outcomes.
 
     a = -sgn(x.l1); message m = sgn(x.l1) * sgn(x.l2);
@@ -52,23 +66,39 @@ def tb_outcomes(x_idx, y_idx, alice, bob, l1, l2):
     exact zero vector (caller resamples those).  Such a round has
     y.(l1 + m*l2) = +-0, so only rounds with a zero dot are checked.
     """
-    n = x_idx.shape[0]
+    n = cell.shape[0]
     a, b, msg = (np.empty(n, dtype=np.int8) for _ in range(3))
     bad = np.zeros(n, dtype=bool)
     g, v = np.empty(min(ROUND_TILE, n)), np.empty(min(ROUND_TILE, n))
     for lo in range(0, n, ROUND_TILE):
         r = slice(lo, lo + ROUND_TILE)
-        x, y, u1, u2, m = x_idx[r], y_idx[r], l1[r], l2[r], msg[r]
-        gt, vt = g[:x.shape[0]], v[:x.shape[0]]
-        alice_plus = _dot(alice, x, u1.T, gt) >= 0.0
-        _signs(alice_plus == (_dot(alice, x, u2.T, gt) >= 0.0), m)
-        db = _dot(bob, y, _bob_direction(m, u1, u2, vt), gt)
+        c, u1, u2, m = cell[r], l1[r], l2[r], msg[r]
+        gt, vt = g[:c.shape[0]], v[:c.shape[0]]
+        d1, d2 = _alice_dots(alice, c, u1, u2, gt, vt)
+        alice_plus = d1 >= 0.0
+        _signs(alice_plus == (d2 >= 0.0), m)
+        del d1, d2  # before Bob's dot allocates
+        db = _dot(bob, c, _bob_direction(m, u1, u2, vt), gt)
         zero = np.flatnonzero(db == 0.0)
         if zero.size:
             bad[r][zero] = (u1[zero] + m[zero, None] * u2[zero] == 0.0).all(axis=1)
         _signs(~alice_plus, a[r])
         _signs(db >= 0.0, b[r])
     return a, b, msg, bad
+
+
+def _alice_dots(alice, idx, l1, l2, g, t):
+    """Alice's dots with l1 and with l2, each by :func:`_dot`'s formula, with
+    each component of her setting gathered once, into ``g`` from k = 1 on,
+    for both products; ``t`` is scratch."""
+    d1 = alice[0].take(idx, mode="clip")
+    d2 = d1 * l2[:, 0]
+    d1 *= l1[:, 0]
+    for k in (1, 2):
+        np.take(alice[k], idx, out=g, mode="clip")
+        d1 += np.multiply(g, l1[:, k], out=t)
+        d2 += np.multiply(g, l2[:, k], out=g)
+    return d1, d2
 
 
 def _bob_direction(m, l1, l2, v):
@@ -80,24 +110,24 @@ def _bob_direction(m, l1, l2, v):
         yield v
 
 
-def gg_outcomes(x_idx, y_idx, alice, bob, lam, u):
+def gg_outcomes(cell, alice, bob, lam, u):
     """Detection-model round outcomes.
 
     a = sgn(x.lam), detected with probability |x.lam| (u is the per-round
     uniform draw); b = -sgn(y.lam), always detected.
     """
-    n = x_idx.shape[0]
+    n = cell.shape[0]
     a, b = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
     click_a = np.empty(n, dtype=bool)
     g = np.empty(min(ROUND_TILE, n))
     for lo in range(0, n, ROUND_TILE):
         r = slice(lo, lo + ROUND_TILE)
-        x, h = x_idx[r], lam[r].T
-        gt = g[:x.shape[0]]
-        da = _dot(alice, x, h, gt)
+        c, h = cell[r], lam[r].T
+        gt = g[:c.shape[0]]
+        da = _dot(alice, c, h, gt)
         _signs(da >= 0.0, a[r])
         np.less(u[r], np.abs(da, out=da), out=click_a[r])
-        _signs(~(_dot(bob, y_idx[r], h, gt) >= 0.0), b[r])
+        _signs(~(_dot(bob, c, h, gt) >= 0.0), b[r])
     return a, b, click_a
 
 
@@ -200,18 +230,18 @@ def _settle_ties(agree, mag, settings, l1, l2):
     agree[j, i] = (d1 >= 0.0) == (d2 >= 0.0)
 
 
-def tally(x_idx, y_idx, a, b, n_a, n_b, kept=None):
+def tally(cell, a, b, n_a, n_b, kept=None):
     """(counts, attempts) of one batch of rounds, from one ``bincount``.
 
     ``counts[x, y, a_bin, b_bin]`` counts the kept rounds, bin 0 = +1 and
     bin 1 = -1; ``attempts[x, y]`` counts every round, kept or not.  With
-    ``kept`` None every round is kept.  A round's code is ((x*n_b + y)*2 +
-    a_bin)*2 + b_bin, plus 4*n_a*n_b when it is dropped, so the counts are
-    the first half of the bins and the attempts both halves summed over the
-    outcome bins.
+    ``kept`` None every round is kept.  A round's bin is (cell*2 + a_bin)*2
+    + b_bin, cell = x*n_b + y being its cell code, plus 4*n_a*n_b when it
+    is dropped, so the counts are the first half of the bins and the
+    attempts both halves summed over the outcome bins.
     """
     cells = n_a * n_b
-    code = ((x_idx * n_b + y_idx) * 2 + (a < 0)) * 2 + (b < 0)
+    code = (cell * 2 + (a < 0)) * 2 + (b < 0)
     if kept is not None:
         code += (~kept) * (4 * cells)
     bins = np.bincount(code, minlength=8 * cells).reshape(2, n_a, n_b, 4)

@@ -209,19 +209,18 @@ def estimate_correlations(
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     n_a, n_b = spec.n_alice, spec.n_bob
-    # the settings as (3, n) component rows, which the kernels gather from
-    alice = np.ascontiguousarray(spec.alice_settings.T)
-    bob = np.ascontiguousarray(spec.bob_settings.T)
+    # every cell's settings as (3, n_a*n_b) component rows, which the
+    # kernels gather from by the drawn cell codes
+    alice, bob = _kernels.cell_rows(spec.alice_settings, spec.bob_settings)
 
     def run_chunk(sub: RandomSource, k: int):
         s_set, s_mod = sub.split(2)
-        gen = s_set.generator()
-        x_idx, y_idx = spec.sample_indices(gen, k)
-        batch = model.sample_rounds(x_idx, y_idx, alice, bob, s_mod)
+        cell = spec.sample_indices(s_set.generator(), k)
+        batch = model.sample_rounds(cell, alice, bob, s_mod)
         a, b = batch.a, batch.b
         kept = batch.kept if model.post_selects else None
         del batch  # its hidden vectors, before tally allocates
-        return _kernels.tally(x_idx, y_idx, a, b, n_a, n_b, kept)
+        return _kernels.tally(cell, a, b, n_a, n_b, kept)
 
     counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
     attempts = np.zeros((n_a, n_b), dtype=np.int64)
@@ -472,7 +471,7 @@ def mi_gg_uniform() -> MIEstimate:
 
 
 def mi_finite_settings_tb(
-    spec: SettingsSpec, mu_samples: int, source: RandomSource, parallelism: int = 1
+    spec: SettingsSpec, samples: int, source: RandomSource, parallelism: int = 1
 ) -> MIEstimate:
     """I(x,y:lambda) of the one-bit-protocol model over finite settings.
 
@@ -482,8 +481,8 @@ def mi_finite_settings_tb(
     the Monte Carlo mean of h(p(mu)) = H(m|mu) = I(x,y:lambda), the same
     at any ``parallelism``.
     """
-    if mu_samples < 1000:
-        raise ConfigError(f"mu_samples must be >= 1000, got {mu_samples}")
+    if samples < 1000:
+        raise ConfigError(f"samples must be >= 1000, got {samples}")
     settings = np.ascontiguousarray(spec.alice_settings)
     p_x = np.ascontiguousarray(spec.p_x)
 
@@ -494,7 +493,7 @@ def mi_finite_settings_tb(
         del l1, l2  # before binary_entropy's temporaries
         return binary_entropy(np.clip(p, 0.0, 1.0))
 
-    return _mc_mean(source, mu_samples, draw, parallelism)
+    return _mc_mean(source, samples, draw, parallelism)
 
 
 def mi_exact_finite(

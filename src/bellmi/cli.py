@@ -208,6 +208,14 @@ def _add_settings_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON file overriding the joint input distribution p_xy")
 
 
+def _refuse(message: str):
+    """The ``error`` of every parser in the tree: argparse's refusals (a value
+    it cannot convert, an unknown choice, a missing or unknown argument)
+    raise :class:`ConfigError`, which ``main`` prints as one ``error:`` line,
+    in place of a usage block."""
+    raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellmi",
@@ -265,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--out-file")
 
+    for p in (parser, *sub.choices.values()):
+        p.error = _refuse
     return parser
 
 
@@ -330,7 +340,6 @@ def _check_flags(args) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _parser().parse_args(argv)
     # read at each call, not kept in the parser, so a replaced cmd_* (a
     # tracer's wrapper, a test's stand-in) is the function that runs
     commands = {
@@ -340,6 +349,7 @@ def main(argv: Optional[list] = None) -> int:
         "verify": cmd_verify,
     }
     try:
+        args = _parser().parse_args(argv)
         _check_flags(args)
         _emit("", args.out_file, "a")  # a bad destination fails before the work
         return commands[args.command](args)

@@ -125,20 +125,20 @@ class SettingsSpec:
         return cdf, np.where(lo == hi, lo, -1)
 
     def sample_indices(self, gen: np.random.Generator, n: int):
-        """Draw n (x, y) index pairs from P(x,y).
+        """Draw n cell codes x*n_b + y from P(x,y).
 
-        Draw for draw the same cells as ``gen.choice(cells, size=n,
+        Draw for draw the same codes as ``gen.choice(cells, size=n,
         p=p_xy.ravel())``: the same uniforms searched in the same cdf, with
         most draws settled by a guide table (Chen & Asau 1974) instead of a
-        binary search.
+        binary search.  The codes are ``intp``; the outcome kernels and the
+        tally read them as they are.
         """
         cdf, guide = self._cell_sampler
         u = gen.random(n)
         codes = guide[(u * guide.size).astype(np.intp)]
         miss = np.flatnonzero(codes < 0)
         codes[miss] = cdf.searchsorted(u[miss], side="right")
-        x_idx = codes // self.n_bob
-        return x_idx, codes - x_idx * self.n_bob
+        return codes
 
 
 def preset_chsh() -> SettingsSpec:
@@ -285,15 +285,16 @@ class TonerBaconModel:
     )
     message_entropy_bound = 1.0  # H(m) for a single bit
 
-    def sample_rounds(self, x_idx, y_idx, alice, bob, source: RandomSource) -> TBRounds:
-        """Rounds at Alice's settings ``alice[:, x_idx]`` and Bob's
-        ``bob[:, y_idx]``, ``alice`` and ``bob`` being (3, n_settings)
-        component rows."""
-        n = x_idx.shape[0]
+    def sample_rounds(self, cell, alice, bob, source: RandomSource) -> TBRounds:
+        """Rounds at Alice's settings ``alice[:, cell]`` and Bob's
+        ``bob[:, cell]``, ``cell`` holding each round's cell code and
+        ``alice`` and ``bob`` the per-cell component rows of
+        :func:`bellmi._kernels.cell_rows`."""
+        n = cell.shape[0]
         gen = source.generator()
         l1 = sample_uniform_sphere(gen, n)
         l2 = sample_uniform_sphere(gen, n)
-        a, b, m, bad = _kernels.tb_outcomes(x_idx, y_idx, alice, bob, l1, l2)
+        a, b, m, bad = _kernels.tb_outcomes(cell, alice, bob, l1, l2)
         resampled = 0
         while bad.any():
             idx = np.flatnonzero(bad)
@@ -301,9 +302,7 @@ class TonerBaconModel:
             log.warning("toner-bacon: resampling %d degenerate rounds", idx.size)
             l1[idx] = sample_uniform_sphere(gen, idx.size)
             l2[idx] = sample_uniform_sphere(gen, idx.size)
-            ra, rb, rm, rbad = _kernels.tb_outcomes(
-                x_idx[idx], y_idx[idx], alice, bob, l1[idx], l2[idx]
-            )
+            ra, rb, rm, rbad = _kernels.tb_outcomes(cell[idx], alice, bob, l1[idx], l2[idx])
             a[idx], b[idx], m[idx] = ra, rb, rm
             bad = np.zeros(n, dtype=bool)
             bad[idx] = rbad
@@ -349,13 +348,13 @@ class GisinGisinModel:
         "double-click post-selection reweights lambda only"
     )
 
-    def sample_rounds(self, x_idx, y_idx, alice, bob, source: RandomSource) -> GGRounds:
+    def sample_rounds(self, cell, alice, bob, source: RandomSource) -> GGRounds:
         """Rounds at settings given as for :meth:`TonerBaconModel.sample_rounds`."""
-        n = x_idx.shape[0]
+        n = cell.shape[0]
         gen = source.generator()
         lam = sample_uniform_sphere(gen, n)
         u = gen.random(n)
-        a, b, click_a = _kernels.gg_outcomes(x_idx, y_idx, alice, bob, lam, u)
+        a, b, click_a = _kernels.gg_outcomes(cell, alice, bob, lam, u)
         return GGRounds(a=a, b=b, click_a=click_a, lam=lam)
 
 

@@ -84,16 +84,16 @@ def row_major_sphere(gen, n: int) -> np.ndarray:
 
 def per_round_settings(xs, ys):
     """Settings arguments of ``sample_rounds`` that give round i Alice's
-    setting xs[i] and Bob's ys[i]: identity index arrays and component rows."""
-    n = np.arange(xs.shape[0])
-    return n, n, np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
+    setting xs[i] and Bob's ys[i]: identity cell codes and per-cell
+    component rows."""
+    return np.arange(xs.shape[0]), np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
 
 
 def fixed_settings(n: int):
     """Settings arguments of ``sample_rounds`` for n rounds that all
     measure Alice along z and Bob along x."""
     zeros = np.zeros(n, dtype=np.intp)
-    return zeros, zeros, np.array([[0.0], [0.0], [1.0]]), np.array([[1.0], [0.0], [0.0]])
+    return zeros, np.array([[0.0], [0.0], [1.0]]), np.array([[1.0], [0.0], [0.0]])
 
 
 def _dot(u, v):

@@ -618,14 +618,15 @@ def test_mi_montecarlo_memory_stays_one_chunk_deep(estimate):
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
-@pytest.mark.parametrize("model, cap_mb", [(TonerBaconModel(), 5.5), (GisinGisinModel(), 4.5)],
+@pytest.mark.parametrize("model, cap_mb", [(TonerBaconModel(), 5.25), (GisinGisinModel(), 3.75)],
                          ids=["tb", "gg"])
 def test_estimate_chunk_memory_stays_under_its_cap(model, cap_mb):
     # one chunk of rounds; per-round copies of the setting vectors, every
     # dot kept alive at once and a copy of the kept sphere draws peaked at
     # 11.1 MB (tb) and 8.9 MB (gg); whole uniform blocks in the sphere
     # draws, chunk-long kernel scratch and hidden vectors kept through the
-    # tally at 6.7 MB and 5.2 MB
+    # tally at 6.7 MB and 5.2 MB; separate x and y index arrays in place of
+    # one cell code per round at 5.35 and 3.97 MiB
     spec = preset("chsh")
     estimate_correlations(model, spec, CHUNK_ROUNDS, RandomSource(1))  # caches built
     tracemalloc.start()

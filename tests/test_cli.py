@@ -1137,9 +1137,18 @@ BAD_INPUTS = {
         ["verify", "input.json"],
         json.dumps(LOCAL_MODEL).replace('"name": "lam"', '"name": "lam", "name": "x"'),
     ),
+    # refused by argparse itself: a value it cannot convert, a choice it
+    # does not know
+    "rounds-empty": (["simulate", "--model", "tb", "--rounds", ""], None),
+    "model-unknown": (["simulate", "--model", "tbx"], None),
+    # the error names the flag's word, not an internal parameter
+    "samples-below-floor": (["mutual-info", "--target", "tb-finite", "--samples", "5"], None),
 }
 # case -> words its error line must hold, where the cause is easy to misname
 BAD_INPUT_WORDING = {
+    "rounds-empty": "error: argument --rounds: invalid int value: ''",
+    "model-unknown": "error: argument --model: invalid choice: 'tbx'",
+    "samples-below-floor": "error: samples must be >= 1000, got 5",
     **{f"{cmd}-parallelism-{n}": f"parallelism must lie in [1, 64], got {n}"
        for cmd in ("mi-tb-finite", "tb", "gg") for n in (0, 65)},
     "mi-tb-uniform-parallelism": "mutual-info --target tb-uniform does not read --parallelism",
@@ -1414,9 +1423,6 @@ def test_flag_values_exit_0_or_2_without_traceback(flag_files, case):
     argv = [arg.format(**flag_files) for arg in base] + [flag, value]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the value
-            code = exc.code
+        code = cli.main(argv)
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

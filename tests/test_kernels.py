@@ -12,7 +12,7 @@ import pytest
 
 from bellmi import _kernels as K
 from bellmi.analysis import CHUNK_ROUNDS, estimate_correlations
-from bellmi.models import SettingsSpec
+from bellmi.models import GisinGisinModel, SettingsSpec, TonerBaconModel
 from bellmi.sphere import RandomSource, sample_uniform_sphere
 from conftest import (
     gg_alice_half,
@@ -89,27 +89,44 @@ def _tie_indices(k):
     return [idx[:, j] for j in range(k)]
 
 
+def _cell_settings(x_idx, y_idx, alice, bob):
+    """Kernel settings arguments for rounds at Alice's ``alice[x_idx]`` and
+    Bob's ``bob[y_idx]``: cell codes x*n_b + y and the per-cell rows."""
+    return (x_idx * bob.shape[0] + y_idx, *K.cell_rows(alice, bob))
+
+
 def _seeded_rounds(seed, n, k):
-    """Seeded index arrays into 5 Alice and 4 Bob settings, the settings
-    as component rows, and k per-round sphere batches."""
+    """Seeded rounds at 5 Alice and 4 Bob settings, as kernel settings
+    arguments, and k per-round sphere batches."""
     gen = np.random.default_rng(seed)
     alice, bob = sample_uniform_sphere(gen, 5), sample_uniform_sphere(gen, 4)
     x_idx, y_idx = gen.integers(0, 5, n), gen.integers(0, 4, n)
     rows = [sample_uniform_sphere(gen, n) for _ in range(k)]
-    return (x_idx, y_idx, np.ascontiguousarray(alice.T), np.ascontiguousarray(bob.T)), rows
+    return _cell_settings(x_idx, y_idx, alice, bob), rows
 
 
 def _vectors(settings):
     """Per-round settings (xs, ys) of kernel settings arguments."""
-    x_idx, y_idx, alice, bob = settings
-    return alice.T[x_idx], bob.T[y_idx]
+    cell, alice, bob = settings
+    return alice.T[cell], bob.T[cell]
+
+
+def test_cell_rows_hold_x_and_y_in_column_x_nb_plus_y():
+    gen = np.random.default_rng(2400)
+    alice, bob = sample_uniform_sphere(gen, 3), sample_uniform_sphere(gen, 5)
+    rows = K.cell_rows(alice, bob)
+    for r, want in zip(rows, (np.repeat(alice, 5, axis=0), np.tile(bob, (3, 1)))):
+        assert r.shape == (3, 15) and r.flags.c_contiguous
+        np.testing.assert_array_equal(r, want.T)
 
 
 def test_tb_outcomes_match_the_where_oracle():
     x_idx, y_idx, i1, i2 = _tie_indices(4)
-    settings = (x_idx, y_idx, _AXES.T.copy(), _AXES.T.copy())
+    settings = _cell_settings(x_idx, y_idx, _AXES, _AXES)
     l1, l2 = _AXES[i1], _AXES[i2]
     xs, ys = _vectors(settings)
+    np.testing.assert_array_equal(xs, _AXES[x_idx])
+    np.testing.assert_array_equal(ys, _AXES[y_idx])
     d1 = xs[:, 0] * l1[:, 0] + xs[:, 1] * l1[:, 1] + xs[:, 2] * l1[:, 2]
     assert ((d1 == 0.0) & ~np.signbit(d1)).any() and ((d1 == 0.0) & np.signbit(d1)).any()
     got = K.tb_outcomes(*settings, l1, l2)
@@ -125,7 +142,7 @@ def test_tb_outcomes_match_the_where_oracle():
 
 def test_gg_outcomes_match_the_where_oracle():
     x_idx, y_idx, i = _tie_indices(3)
-    settings = (x_idx, y_idx, _AXES.T.copy(), _AXES.T.copy())
+    settings = _cell_settings(x_idx, y_idx, _AXES, _AXES)
     lam = _AXES[i]
     xs, ys = _vectors(settings)
     for v in (xs, ys):
@@ -142,43 +159,45 @@ def test_gg_outcomes_match_the_where_oracle():
 
 def _locality_rounds(seed, n, k):
     """Seeded rounds whose settings and hidden vectors mix signed axes with
-    sphere points, so sgn(0) ties occur, plus redrawn x and y indices."""
+    sphere points, so sgn(0) ties occur: kernel settings arguments of the
+    drawn (x, y), of (x, redrawn y) and of (redrawn x, y), and the hidden
+    vectors."""
     gen = np.random.default_rng(seed)
     alice = np.concatenate([_AXES, sample_uniform_sphere(gen, 3)])
     bob = np.concatenate([_AXES, sample_uniform_sphere(gen, 2)])
-    settings = (gen.integers(0, 9, n), gen.integers(0, 8, n),
-                np.ascontiguousarray(alice.T), np.ascontiguousarray(bob.T))
+    x_idx, y_idx = gen.integers(0, 9, n), gen.integers(0, 8, n)
     hidden = [np.where(gen.random(n)[:, None] < 0.5, _AXES[gen.integers(0, 6, n)],
                        sample_uniform_sphere(gen, n)) for _ in range(k)]
-    return settings, hidden, gen.integers(0, 9, n), gen.integers(0, 8, n)
+    x_new, y_new = gen.integers(0, 9, n), gen.integers(0, 8, n)
+    settings = [_cell_settings(x, y, alice, bob)
+                for x, y in ((x_idx, y_idx), (x_idx, y_new), (x_new, y_idx))]
+    return settings, hidden
 
 
 def test_tb_outcomes_are_local():
     # a and m do not see y; b does not see x once mu and m are fixed
-    settings, (l1, l2), x_new, y_new = _locality_rounds(2410, 4000, 2)
-    x_idx, y_idx, alice, bob = settings
+    (settings, new_y, new_x), (l1, l2) = _locality_rounds(2410, 4000, 2)
     a, b, m, _ = K.tb_outcomes(*settings, l1, l2)
     xs, _ = _vectors(settings)
     d1 = xs[:, 0] * l1[:, 0] + xs[:, 1] * l1[:, 1] + xs[:, 2] * l1[:, 2]
     assert (d1 == 0.0).any()  # ties are among the rounds
-    a2, _, m2, _ = K.tb_outcomes(x_idx, y_new, alice, bob, l1, l2)
+    a2, _, m2, _ = K.tb_outcomes(*new_y, l1, l2)
     np.testing.assert_array_equal(a2, a)
     np.testing.assert_array_equal(m2, m)
-    _, b3, m3, _ = K.tb_outcomes(x_new, y_idx, alice, bob, l1, l2)
+    _, b3, m3, _ = K.tb_outcomes(*new_x, l1, l2)
     same_m = m3 == m
     assert same_m.any() and not same_m.all()
     np.testing.assert_array_equal(b3[same_m], b[same_m])
 
 
 def test_gg_outcomes_are_local():
-    settings, (lam,), x_new, y_new = _locality_rounds(2411, 4000, 1)
-    x_idx, y_idx, alice, bob = settings
-    u = np.random.default_rng(2412).random(x_idx.shape[0])
+    (settings, new_y, new_x), (lam,) = _locality_rounds(2411, 4000, 1)
+    u = np.random.default_rng(2412).random(settings[0].shape[0])
     a, b, click_a = K.gg_outcomes(*settings, lam, u)
-    a2, _, click2 = K.gg_outcomes(x_idx, y_new, alice, bob, lam, u)
+    a2, _, click2 = K.gg_outcomes(*new_y, lam, u)
     np.testing.assert_array_equal(a2, a)
     np.testing.assert_array_equal(click2, click_a)
-    _, b3, _ = K.gg_outcomes(x_new, y_idx, alice, bob, lam, u)
+    _, b3, _ = K.gg_outcomes(*new_x, lam, u)
     np.testing.assert_array_equal(b3, b)
 
 
@@ -221,20 +240,22 @@ def test_tally_matches_the_loop():
     b = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
     kept = gen.random(n) < 0.6
     kept[(x_idx == DROPPED[0]) & (y_idx == DROPPED[1])] = False
-    got = K.tally(x_idx, y_idx, a, b, N_A, N_B, kept)
+    cell = x_idx * N_B + y_idx
+    got = K.tally(cell, a, b, N_A, N_B, kept)
     want = tally_loop(x_idx, y_idx, a, b, kept, N_A, N_B)
     assert want[1][DROPPED] > 0 and not want[0][DROPPED].any()
     assert want[1][UNDRAWN] == 0
     _assert_tally(got, want)
     every = np.ones(n, dtype=bool)
-    _assert_tally(K.tally(x_idx, y_idx, a, b, N_A, N_B),
+    _assert_tally(K.tally(cell, a, b, N_A, N_B),
                   tally_loop(x_idx, y_idx, a, b, every, N_A, N_B))
 
 
 class _CoinModel:
     """Post-selecting model with seeded coin outcomes that drops every round
-    of cell DROPPED, checks that it gets the spec's settings as component
-    rows and records each batch for the loop."""
+    of cell DROPPED, checks that it gets the spec's settings as per-cell
+    component rows and records each batch for the loop, with x = cell // n_b
+    and y = cell % n_b."""
 
     post_selects = True
 
@@ -242,12 +263,15 @@ class _CoinModel:
         self.spec = spec
         self.batches = []
 
-    def sample_rounds(self, x_idx, y_idx, alice, bob, source):
-        for rows, settings in ((alice, self.spec.alice_settings), (bob, self.spec.bob_settings)):
+    def sample_rounds(self, cell, alice, bob, source):
+        spec = self.spec
+        for rows, settings in ((alice, np.repeat(spec.alice_settings, spec.n_bob, axis=0)),
+                               (bob, np.tile(spec.bob_settings, (spec.n_alice, 1)))):
             assert rows.flags.c_contiguous
             np.testing.assert_array_equal(rows, settings.T)
         gen = source.generator()
-        n = x_idx.shape[0]
+        n = cell.shape[0]
+        x_idx, y_idx = cell // spec.n_bob, cell % spec.n_bob
         a = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
         b = np.where(gen.random(n) < 0.5, np.int8(1), np.int8(-1))
         kept = (gen.random(n) < 0.6) & ~((x_idx == DROPPED[0]) & (y_idx == DROPPED[1]))
@@ -268,6 +292,72 @@ def test_estimate_tallies_like_the_loop(parallelism):
     assert attempts.sum() == rounds and attempts[DROPPED] > 0 and attempts[UNDRAWN] == 0
     assert not counts[DROPPED].any()
     _assert_tally((est.counts, est.attempts), (counts, attempts))
+
+
+def _dot3(s, v):
+    """The element formula (s0*v0 + s1*v1) + s2*v2 on Python floats."""
+    return (s[0] * v[0] + s[1] * v[1]) + s[2] * v[2]
+
+
+def _tb_round(xs, ys, l1, l2):
+    """(a, b, kept) of one one-bit round, every dot by the element formula."""
+    plus1, plus2 = _dot3(xs, l1) >= 0.0, _dot3(xs, l2) >= 0.0
+    m = 1 if plus1 == plus2 else -1
+    direction = [p + m * q for p, q in zip(l1, l2)]
+    assert any(direction)  # a zero direction would be resampled
+    return (-1 if plus1 else 1), (1 if _dot3(ys, direction) >= 0.0 else -1), True
+
+
+def _gg_round(xs, ys, lam, u):
+    """(a, b, kept) of one detection round, every dot by the element formula."""
+    da = _dot3(xs, lam)
+    return (1 if da >= 0.0 else -1), (-1 if _dot3(ys, lam) >= 0.0 else 1), u < abs(da)
+
+
+def replayed_estimate(model, spec, rounds, source):
+    """Reference: chunk by chunk, the cell codes of ``Generator.choice`` and
+    the model's hidden draws on the chunk's sub-streams, then one Python step
+    per round, at Alice's setting x = cell // n_b and Bob's y = cell % n_b."""
+    n_b = spec.n_bob
+    counts = np.zeros((spec.n_alice, n_b, 2, 2), dtype=np.int64)
+    attempts = np.zeros((spec.n_alice, n_b), dtype=np.int64)
+    alice, bob = spec.alice_settings.tolist(), spec.bob_settings.tolist()
+    for i in range(-(-rounds // CHUNK_ROUNDS)):
+        k = min(CHUNK_ROUNDS, rounds - i * CHUNK_ROUNDS)
+        s_set, s_mod = source.child(i).split(2)
+        cells = s_set.generator().choice(spec.p_xy.size, size=k, p=spec.p_xy.ravel())
+        gen = s_mod.generator()
+        if model.name == "tb":
+            step = _tb_round
+            hidden = (sample_uniform_sphere(gen, k).tolist(),
+                      sample_uniform_sphere(gen, k).tolist())
+        else:
+            step = _gg_round
+            hidden = (sample_uniform_sphere(gen, k).tolist(), gen.random(k).tolist())
+        for cell, *h in zip(cells.tolist(), *hidden):
+            x, y = cell // n_b, cell % n_b
+            a, b, kept = step(alice[x], bob[y], *h)
+            attempts[x, y] += 1
+            if kept:
+                counts[x, y, int(a < 0), int(b < 0)] += 1
+    return counts, attempts
+
+
+@pytest.mark.parametrize("model", [TonerBaconModel(), GisinGisinModel()], ids=["tb", "gg"])
+def test_estimate_matches_a_loop_over_rounds_on_a_3x5_spec(model):
+    # x and y swapped in the per-cell rows, or either side read at the other
+    # side's index, reads other settings or none
+    gen = np.random.default_rng(2413)
+    p_xy = np.exp(gen.standard_normal((3, 5)))
+    p_xy /= p_xy.sum()
+    assert not np.allclose(p_xy, np.outer(p_xy.sum(axis=1), p_xy.sum(axis=0)))
+    spec = SettingsSpec(sample_uniform_sphere(gen, 3), sample_uniform_sphere(gen, 5), p_xy)
+    rounds = CHUNK_ROUNDS + 4321
+    counts, attempts = replayed_estimate(model, spec, rounds, RandomSource(2414))
+    assert attempts.sum() == rounds and attempts.min() > 0
+    for parallelism in (1, 2):
+        est = estimate_correlations(model, spec, rounds, RandomSource(2414), parallelism)
+        _assert_tally((est.counts, est.attempts), (counts, attempts))
 
 
 # ----------------------------------------------------------------------

@@ -98,9 +98,9 @@ def test_preset_parallel_and_unknown():
 def test_sample_indices_follow_input_dist():
     p = np.array([[0.5, 0.0], [0.25, 0.25]])
     spec = SettingsSpec(np.eye(3)[:2], np.eye(3)[:2], p)
-    x_idx, y_idx = spec.sample_indices(RandomSource(0).generator(), 40_000)
-    counts = np.zeros((2, 2))
-    np.add.at(counts, (x_idx, y_idx), 1)
+    cell = spec.sample_indices(RandomSource(0).generator(), 40_000)
+    assert cell.dtype == np.intp
+    counts = np.bincount(cell, minlength=4).reshape(2, 2)
     assert counts[0, 1] == 0  # zero-probability cell never drawn
     live = p > 0
     chi2 = float(((counts[live] - 40_000 * p[live]) ** 2 / (40_000 * p[live])).sum())
@@ -120,14 +120,15 @@ def _weighted_spec(shape, seed) -> SettingsSpec:
 @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (2, 2), (3, 5), (32, 32)])
 @pytest.mark.parametrize("seed", range(5))
 def test_sample_indices_match_generator_choice(shape, seed):
-    # draw for draw the cells of Generator.choice on the same stream
+    # draw for draw the cell codes x*n_b + y of Generator.choice on the same stream
     for spec in (_weighted_spec(shape, seed), SettingsSpec(
             fibonacci_sphere(shape[0]), fibonacci_sphere(shape[1]))):
-        x_idx, y_idx = spec.sample_indices(RandomSource(seed).generator(), 20_000)
+        cell = spec.sample_indices(RandomSource(seed).generator(), 20_000)
         want = RandomSource(seed).generator().choice(
             spec.p_xy.size, size=20_000, p=spec.p_xy.ravel()
         )
-        np.testing.assert_array_equal(x_idx * spec.n_bob + y_idx, want)
+        assert cell.dtype == np.intp
+        np.testing.assert_array_equal(cell, want)
 
 
 class _FixedUniforms:
@@ -153,9 +154,9 @@ def test_sample_indices_on_cdf_values_and_bucket_edges(shape):
         points = np.concatenate([cdf[:-1], edges])
         u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
         u = u[(u >= 0.0) & (u < 1.0)]
-        x_idx, y_idx = spec.sample_indices(_FixedUniforms(u), u.size)
+        cell = spec.sample_indices(_FixedUniforms(u), u.size)
         want = cdf.searchsorted(u, side="right")
-        np.testing.assert_array_equal(x_idx * spec.n_bob + y_idx, want)
+        np.testing.assert_array_equal(cell, want)
         assert p[want].min() > 0.0  # a zero-probability cell is never drawn
 
 
