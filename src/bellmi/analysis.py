@@ -26,7 +26,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, InternalConsistencyError
 from .models import ConditionalTable, ExactCSModel, SettingsSpec, _frozen_array
-from .sphere import RandomSource, sample_uniform_sphere
+from .sphere import RandomSource, empty_batches, sample_uniform_sphere
 from .table import TABLE_CELL_CAP, InfoBits, binary_entropy, group_sums
 
 # Monte Carlo rounds are processed in fixed-size chunks, one split random
@@ -156,7 +156,7 @@ class CorrelationTable:
         }
 
 
-def _chunks(source: RandomSource, total: int, run, parallelism: int = 1):
+def _chunks(source: RandomSource, total: int, run, parallelism: int = 1, buffers=None):
     """Yield ``run(sub_source, k)`` over ``total`` items cut into chunks, in chunk order.
 
     Chunk i covers ``k = min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS)`` items
@@ -166,15 +166,33 @@ def _chunks(source: RandomSource, total: int, run, parallelism: int = 1):
     it arrives, which keeps memory a few chunks deep at any round count.
     A ``parallelism`` outside [1, :data:`MAX_PARALLELISM`] raises
     :class:`ConfigError` before the first chunk runs.
+
+    With ``buffers``, ``run`` takes a third argument, a buffer set: before
+    the first chunk, the calling thread makes one set per chunk that can run
+    at once, min(parallelism, chunks) calls of ``buffers(min(CHUNK_ROUNDS,
+    total))``.  Each chunk takes a set from a free list and hands it back
+    when ``run`` returns, before its result is reduced, so successive chunks
+    fill the same memory: the arrays of a chunk's batch may be views into a
+    set that the next chunk overwrites, and a result must not be one.
     """
     if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ConfigError(
             f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}"
         )
     n_chunks = (total + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
+    if buffers is not None:
+        # at most `parallelism` chunks run at once, so a set is always free
+        free = [buffers(min(CHUNK_ROUNDS, total)) for _ in range(min(parallelism, n_chunks))]
 
     def one(i: int):
-        return run(source.child(i), min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS))
+        sub, k = source.child(i), min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS)
+        if buffers is None:
+            return run(sub, k)
+        buf = free.pop()
+        try:
+            return run(sub, k, buf)
+        finally:
+            free.append(buf)
 
     if parallelism == 1:
         for i in range(n_chunks):
@@ -204,7 +222,11 @@ def estimate_correlations(
     mask marks.  Rounds are processed in :data:`CHUNK_ROUNDS`-sized chunks,
     each on its own split random sub-stream; chunk results are reduced in
     chunk order, so the outcome is bit-identical for a given seed at any
-    ``parallelism``.
+    ``parallelism``.  A chunk's cell codes and the model's
+    ``hidden_vectors`` sphere batches (``sample_rounds``'s ``out``) fill a
+    buffer set of :func:`_chunks`, so they and a batch's hidden vectors
+    are views into a set that the next chunk overwrites; only the tally
+    leaves a chunk.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -213,18 +235,20 @@ def estimate_correlations(
     # kernels gather from by the drawn cell codes
     alice, bob = _kernels.cell_rows(spec.alice_settings, spec.bob_settings)
 
-    def run_chunk(sub: RandomSource, k: int):
+    def buffers(k: int):
+        return empty_batches(model.hidden_vectors, k), np.empty(k, dtype=np.intp)
+
+    def run_chunk(sub: RandomSource, k: int, buffer_set):
+        hidden, codes = buffer_set
         s_set, s_mod = sub.split(2)
-        cell = spec.sample_indices(s_set.generator(), k)
-        batch = model.sample_rounds(cell, alice, bob, s_mod)
-        a, b = batch.a, batch.b
+        cell = spec.sample_indices(s_set.generator(), k, out=codes[:k])
+        batch = model.sample_rounds(cell, alice, bob, s_mod, out=hidden[:, :k])
         kept = batch.kept if model.post_selects else None
-        del batch  # its hidden vectors, before tally allocates
-        return _kernels.tally(cell, a, b, n_a, n_b, kept)
+        return _kernels.tally(cell, batch.a, batch.b, n_a, n_b, kept)
 
     counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
     attempts = np.zeros((n_a, n_b), dtype=np.int64)
-    for c, att in _chunks(source, rounds, run_chunk, parallelism):
+    for c, att in _chunks(source, rounds, run_chunk, parallelism, buffers):
         counts += c
         attempts += att
     return CorrelationTable(
@@ -365,7 +389,7 @@ def _quadrature(f, a: float, b: float, panels: int) -> MIEstimate:
 
 
 def _mc_mean(
-    source: RandomSource, samples: int, draw, parallelism: int = 1
+    source: RandomSource, samples: int, draw, parallelism: int = 1, buffers=None
 ) -> MIEstimate:
     """Monte Carlo mean of ``draw(gen, k)`` over ``samples`` draws.
 
@@ -373,16 +397,17 @@ def _mc_mean(
     and reduces them to (count, sum, sum of squares) on one of
     ``parallelism`` threads; the totals are summed in chunk order, so the
     mean and its standard error do not depend on ``parallelism``, and
-    memory stays a few chunks deep.  ``draw`` may return fewer than ``k``
-    values (rejection sampling).
+    memory stays a few chunks deep.  With ``buffers``, ``draw`` takes the
+    chunk's buffer set as a third argument (see :func:`_chunks`).  ``draw``
+    may return fewer than ``k`` values (rejection sampling).
     """
 
-    def moments(sub: RandomSource, k: int):
-        v = draw(sub.generator(), k)
+    def moments(sub: RandomSource, k: int, *buffer_set):
+        v = draw(sub.generator(), k, *buffer_set)
         return v.size, float(v.sum()), float(np.square(v).sum())
 
     n, total, squares = 0, 0.0, 0.0
-    for c, s, ss in _chunks(source, samples, moments, parallelism):
+    for c, s, ss in _chunks(source, samples, moments, parallelism, buffers):
         n += c
         total += s
         squares += ss
@@ -479,21 +504,21 @@ def mi_finite_settings_tb(
     that the transmitted bit is +1 is the exact finite sum
     p(mu) = sum_x P(x) [sgn(x.lambda1) = sgn(x.lambda2)]; the estimate is
     the Monte Carlo mean of h(p(mu)) = H(m|mu) = I(x,y:lambda), the same
-    at any ``parallelism``.
+    at any ``parallelism``.  Each chunk draws its pairs into a buffer set
+    of :func:`_chunks` and its entropies over its probabilities in place.
     """
     if samples < 1000:
         raise ConfigError(f"samples must be >= 1000, got {samples}")
     settings = np.ascontiguousarray(spec.alice_settings)
     p_x = np.ascontiguousarray(spec.p_x)
 
-    def draw(gen, k):
-        l1 = sample_uniform_sphere(gen, k)
-        l2 = sample_uniform_sphere(gen, k)
+    def draw(gen, k, hidden):
+        l1 = sample_uniform_sphere(gen, k, out=hidden[0, :k])
+        l2 = sample_uniform_sphere(gen, k, out=hidden[1, :k])
         p = _kernels.agreement_probs(settings, p_x, l1, l2)
-        del l1, l2  # before binary_entropy's temporaries
-        return binary_entropy(np.clip(p, 0.0, 1.0))
+        return binary_entropy(np.clip(p, 0.0, 1.0, out=p), out=p)
 
-    return _mc_mean(source, samples, draw, parallelism)
+    return _mc_mean(source, samples, draw, parallelism, partial(empty_batches, 2))
 
 
 def mi_exact_finite(

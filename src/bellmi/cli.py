@@ -224,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
             "simulation, transforms, and mutual-information accounting."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # not required here: main names the commands when none is given, where
+    # argparse would name the destination "command"
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate", help="estimate a correlation table by Monte Carlo")
     p.add_argument("--model", required=True, choices=tuple(SAMPLERS))
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-file", help="model file destination (required)")
 
     p = sub.add_parser("verify", help="check Bell locality of an exact model file")
-    p.add_argument("model_file")
+    p.add_argument("model_file", metavar="MODEL_FILE", help="exact model file to check")
     p.add_argument("--tol", type=float)
     p.add_argument("--out-file")
 
@@ -350,6 +352,8 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         args = _parser().parse_args(argv)
+        if args.command is None:
+            raise ConfigError(f"a command is required: one of {', '.join(commands)}")
         _check_flags(args)
         _emit("", args.out_file, "a")  # a bad destination fails before the work
         return commands[args.command](args)

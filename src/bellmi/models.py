@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, ValidationError
-from .sphere import RandomSource, require_unit, sample_uniform_sphere, vec_polar
+from .sphere import RandomSource, empty_batches, require_unit, sample_uniform_sphere, vec_polar
 from .table import FiniteDistribution, check_normalized
 
 log = logging.getLogger(__name__)
@@ -124,18 +124,23 @@ class SettingsSpec:
         hi = cdf.searchsorted(edges[1:], side="left")  # cells < bucket end
         return cdf, np.where(lo == hi, lo, -1)
 
-    def sample_indices(self, gen: np.random.Generator, n: int):
-        """Draw n cell codes x*n_b + y from P(x,y).
+    def sample_indices(self, gen: np.random.Generator, n: int, out=None):
+        """Draw n cell codes x*n_b + y from P(x,y), into ``out`` (an ``intp``
+        array of n) when given.
 
         Draw for draw the same codes as ``gen.choice(cells, size=n,
         p=p_xy.ravel())``: the same uniforms searched in the same cdf, with
         most draws settled by a guide table (Chen & Asau 1974) instead of a
         binary search.  The codes are ``intp``; the outcome kernels and the
-        tally read them as they are.
+        tally read them as they are.  Each draw's bucket index is written
+        straight into the returned array, truncated as ``astype`` does, and
+        replaced there by the guide's entry.
         """
         cdf, guide = self._cell_sampler
         u = gen.random(n)
-        codes = guide[(u * guide.size).astype(np.intp)]
+        codes = np.empty(n, dtype=np.intp) if out is None else out
+        np.multiply(u, guide.size, out=codes, casting="unsafe")
+        np.take(guide, codes, out=codes, mode="clip")  # every bucket is in range
         miss = np.flatnonzero(codes < 0)
         codes[miss] = cdf.searchsorted(u[miss], side="right")
         return codes
@@ -254,7 +259,11 @@ def pr_box_conditional() -> ConditionalTable:
 
 @dataclass(frozen=True, eq=False)
 class TBRounds:
-    """A batch of one-bit-communication rounds."""
+    """A batch of one-bit-communication rounds.
+
+    ``l1`` and ``l2`` may be views into the ``out`` array that
+    :meth:`TonerBaconModel.sample_rounds` was given, which the caller's next
+    chunk overwrites."""
 
     a: np.ndarray
     b: np.ndarray
@@ -278,6 +287,7 @@ class TonerBaconModel:
     kind = "tb-comm"  # the "kind" that serialize.sampler_payload writes
     hidden_names = ("l1", "l2", "m")  # fields of TBRounds that form lambda
     post_selects = False  # every round counts; no detection step
+    hidden_vectors = 2  # sphere batches a round draws: lambda1 and lambda2
     # model-file description of the responses that _kernels.tb_outcomes computes
     certificate = (
         "deterministic replay of the one-bit protocol with "
@@ -285,15 +295,19 @@ class TonerBaconModel:
     )
     message_entropy_bound = 1.0  # H(m) for a single bit
 
-    def sample_rounds(self, cell, alice, bob, source: RandomSource) -> TBRounds:
+    def sample_rounds(self, cell, alice, bob, source: RandomSource, out=None) -> TBRounds:
         """Rounds at Alice's settings ``alice[:, cell]`` and Bob's
         ``bob[:, cell]``, ``cell`` holding each round's cell code and
         ``alice`` and ``bob`` the per-cell component rows of
-        :func:`bellmi._kernels.cell_rows`."""
+        :func:`bellmi._kernels.cell_rows`.  lambda1 and lambda2 are drawn
+        into ``out``, a (2, n, 3) array such as
+        :func:`bellmi.sphere.empty_batches` makes, or into a new one."""
         n = cell.shape[0]
         gen = source.generator()
-        l1 = sample_uniform_sphere(gen, n)
-        l2 = sample_uniform_sphere(gen, n)
+        if out is None:
+            out = empty_batches(self.hidden_vectors, n)
+        l1 = sample_uniform_sphere(gen, n, out=out[0])
+        l2 = sample_uniform_sphere(gen, n, out=out[1])
         a, b, m, bad = _kernels.tb_outcomes(cell, alice, bob, l1, l2)
         resampled = 0
         while bad.any():
@@ -315,7 +329,11 @@ class TonerBaconModel:
 
 @dataclass(frozen=True, eq=False)
 class GGRounds:
-    """A batch of detection-model rounds."""
+    """A batch of detection-model rounds.
+
+    ``lam`` may be a view into the ``out`` array that
+    :meth:`GisinGisinModel.sample_rounds` was given, which the caller's next
+    chunk overwrites."""
 
     a: np.ndarray
     b: np.ndarray
@@ -341,6 +359,7 @@ class GisinGisinModel:
     kind = "gg-postselected"  # the "kind" that serialize.sampler_payload writes
     hidden_names = ("lam",)  # fields of GGRounds that form lambda
     post_selects = True  # only the rounds in GGRounds.kept count
+    hidden_vectors = 1  # sphere batches a round draws: lambda
     message_entropy_bound = None  # no message: the detection route sends nothing
     # model-file description of the responses that _kernels.gg_outcomes computes
     certificate = (
@@ -348,11 +367,14 @@ class GisinGisinModel:
         "double-click post-selection reweights lambda only"
     )
 
-    def sample_rounds(self, cell, alice, bob, source: RandomSource) -> GGRounds:
-        """Rounds at settings given as for :meth:`TonerBaconModel.sample_rounds`."""
+    def sample_rounds(self, cell, alice, bob, source: RandomSource, out=None) -> GGRounds:
+        """Rounds at settings given as for :meth:`TonerBaconModel.sample_rounds`;
+        lambda is drawn into ``out``, a (1, n, 3) array, or into a new one."""
         n = cell.shape[0]
         gen = source.generator()
-        lam = sample_uniform_sphere(gen, n)
+        if out is None:
+            out = empty_batches(self.hidden_vectors, n)
+        lam = sample_uniform_sphere(gen, n, out=out[0])
         u = gen.random(n)
         a, b, click_a = _kernels.gg_outcomes(cell, alice, bob, lam, u)
         return GGRounds(a=a, b=b, click_a=click_a, lam=lam)

@@ -80,11 +80,17 @@ class RandomSource:
 DRAW_TILE = 3 * 2**13
 
 
-def sample_uniform_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
+def sample_uniform_sphere(
+    gen: np.random.Generator, n: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """n uniform points on the unit sphere, as an (n, 3) batch.
 
-    The batch is the transpose of a C-ordered (3, n) buffer, filled in
-    blocks.  While r = n - filled points are missing, one block takes the
+    The batch is the transpose of a C-ordered (3, n) buffer, or ``out``
+    when given, an (n, 3) float64 array that is filled and returned; the
+    kernels read one whose components are contiguous rows, such as the
+    transpose of the first n columns of a C-ordered (3, m) buffer (see
+    :func:`empty_batches`).  It is filled in blocks.  While r = n - filled
+    points are missing, one block takes the
     next 2k uniforms of ``gen``'s stream, k = r * 4 // 3 + 64: the
     first k are its u row and the next k its v row, the rows of
     ``gen.random((2, k))``, each mapped to 2t - 1, which is exact.  It
@@ -106,26 +112,37 @@ def sample_uniform_sphere(gen: np.random.Generator, n: int) -> np.ndarray:
     use mode "clip", which, unlike the default, writes into ``out``
     without a buffered copy; every index is in range.
     """
-    out = np.empty((3, n), dtype=np.float64)
+    if out is None:
+        out = np.empty((3, n), dtype=np.float64).T
+    elif out.shape != (n, 3) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 ({n}, 3) array, got {out.dtype} {out.shape}")
+    rows = out.T
     bg = gen.bit_generator
     filled = 0
     while filled < n:
         k = (n - filled) * 4 // 3 + 64
         start = bg.state
         first = filled
-        filled, read = _keep_pairs(gen, _v_cursor(bg, start, k), k, out, filled)
+        filled, read = _keep_pairs(gen, _v_cursor(bg, start, k), k, rows, filled)
         bg.advance(2 * k - read)  # resets the buffered 32-bit half ...
         end = bg.state
         end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
         bg.state = end  # ... which comes back here
-        block = out[:, first:filled]
+        block = rows[:, first:filled]
         w = np.subtract(1.0, block[2])
         np.sqrt(w, out=w)
         w *= 2.0
         block[:2] *= w
         block[2] *= -2.0
         block[2] += 1.0
-    return out.T
+    return out
+
+
+def empty_batches(m: int, n: int) -> np.ndarray:
+    """m uninitialised (n, 3) batches as one (m, n, 3) array, each batch the
+    transpose of a C-ordered (3, n) block, as :func:`sample_uniform_sphere`
+    lays out its own; ``[:, :k]`` gives m batches of k points in that layout."""
+    return np.empty((m, 3, n), dtype=np.float64).transpose(0, 2, 1)
 
 
 # One spare generator per thread, which _v_cursor points into a draw's

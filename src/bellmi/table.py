@@ -76,22 +76,30 @@ def check_normalized(w: np.ndarray) -> None:
         )
 
 
-def binary_entropy(p):
+def binary_entropy(p, out=None):
     """Binary entropy h(p) in bits; accepts a scalar or an array.
 
     h(0) = h(1) = 0 by the 0*log0 convention.  Values outside [0, 1] raise
-    :class:`ValidationError`.
+    :class:`ValidationError`.  An array's entropies, -p*log2(p) - (1 -
+    p)*log2(1 - p) each, go into ``out`` when given, which may be ``p``
+    itself; the work takes two scratch arrays of p's size.
     """
     arr = np.asarray(p, dtype=np.float64)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValidationError(f"binary_entropy: p must lie in [0, 1], got {p!r}")
-    out = np.zeros_like(arr)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
     interior = (arr > 0.0) & (arr < 1.0)
-    q = arr[interior]
-    out[interior] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
-    if np.isscalar(p) or arr.ndim == 0:
-        return float(out)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0) at the ends
+        r = np.subtract(1.0, arr)
+        t = np.log2(r)
+        t *= r  # (1 - p)*log2(1 - p)
+        np.log2(arr, out=r)
+        r *= arr  # p*log2(p); negating it next gives -p*log2(p) bit for bit
+        out = np.negative(r, out=r if out is None else out)
+        out -= t
+    out[~interior] = 0.0
+    return float(out[0]) if scalar else out
 
 
 def group_sums(keys: np.ndarray, weights: np.ndarray):

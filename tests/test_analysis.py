@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from bellmi import analysis
+from bellmi import analysis, models
 from bellmi.analysis import (
     CHUNK_ROUNDS,
     GG_MI_CLOSED_FORM,
@@ -273,6 +273,35 @@ def test_chunks_keep_two_per_worker_in_flight(monkeypatch):
         assert len(submitted) - len(sizes) <= 2 * 3  # this result included
         sizes.append(k)
     assert sizes == [CHUNK_ROUNDS] * 40 + [7]
+
+
+@pytest.mark.parametrize("kind", ["tb", "gg"])
+def test_chunks_fill_the_buffer_sets_of_their_call(monkeypatch, kind):
+    # the calling thread makes one buffer set per chunk that can run at once,
+    # and every chunk draws its hidden vectors into one of them
+    owners = []
+    real = models.sample_uniform_sphere
+
+    def spy(gen, n, out=None):
+        assert out is not None
+        owners.append(out.base)  # the array that holds the set's memory
+        return real(gen, n, out=out)
+
+    monkeypatch.setattr(models, "sample_uniform_sphere", spy)
+    spec = _non_product_3x5()
+    rounds = 3 * CHUNK_ROUNDS + 77
+    counts, attempts, _ = _reference_estimate(kind, spec, rounds, 38)
+    model = TonerBaconModel() if kind == "tb" else GisinGisinModel()
+    for parallelism in (1, 2, 3):
+        owners.clear()
+        est = estimate_correlations(model, spec, rounds, RandomSource(38), parallelism)
+        assert len(owners) == 4 * model.hidden_vectors
+        distinct = {id(o) for o in owners}  # owners holds them, so no id is reused
+        assert len(distinct) <= parallelism
+        if parallelism == 1:
+            assert len(distinct) == 1
+        np.testing.assert_array_equal(est.counts, counts)
+        np.testing.assert_array_equal(est.attempts, attempts)
 
 
 def test_empty_cell_reports_config_error():

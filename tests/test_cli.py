@@ -1143,12 +1143,18 @@ BAD_INPUTS = {
     "model-unknown": (["simulate", "--model", "tbx"], None),
     # the error names the flag's word, not an internal parameter
     "samples-below-floor": (["mutual-info", "--target", "tb-finite", "--samples", "5"], None),
+    # a missing command or model file is named as --help names it, not by
+    # the parser's destination
+    "no-command": ([], None),
+    "verify-no-model-file": (["verify"], None),
 }
 # case -> words its error line must hold, where the cause is easy to misname
 BAD_INPUT_WORDING = {
     "rounds-empty": "error: argument --rounds: invalid int value: ''",
     "model-unknown": "error: argument --model: invalid choice: 'tbx'",
     "samples-below-floor": "error: samples must be >= 1000, got 5",
+    "no-command": "error: a command is required: one of simulate, mutual-info, transform, verify",
+    "verify-no-model-file": "error: the following arguments are required: MODEL_FILE",
     **{f"{cmd}-parallelism-{n}": f"parallelism must lie in [1, 64], got {n}"
        for cmd in ("mi-tb-finite", "tb", "gg") for n in (0, 65)},
     "mi-tb-uniform-parallelism": "mutual-info --target tb-uniform does not read --parallelism",

@@ -258,12 +258,13 @@ class _CoinModel:
     and y = cell % n_b."""
 
     post_selects = True
+    hidden_vectors = 0  # draws coins, not sphere batches
 
     def __init__(self, spec):
         self.spec = spec
         self.batches = []
 
-    def sample_rounds(self, cell, alice, bob, source):
+    def sample_rounds(self, cell, alice, bob, source, out=None):
         spec = self.spec
         for rows, settings in ((alice, np.repeat(spec.alice_settings, spec.n_bob, axis=0)),
                                (bob, np.tile(spec.bob_settings, (spec.n_alice, 1)))):
