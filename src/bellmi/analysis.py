@@ -50,6 +50,11 @@ MAX_PARALLELISM = 64
 # 85 MB (0.2 s on a 2-vCPU VM); the grid arrays grow linearly beyond it.
 MAX_PANELS = 2**20
 
+# The panels of mi_tb_quadrature and the tolerance of verify_bell_local
+# when none are given, here and on the command line.
+DEFAULT_PANELS = 1024
+DEFAULT_VERIFY_TOL = 1e-9
+
 # Panels for the internal quadrature cross-check of the closed form.
 GG_CHECK_PANELS = 65536
 GG_CHECK_TOL = 1e-8
@@ -156,8 +161,8 @@ class CorrelationTable:
         }
 
 
-def _chunks(source: RandomSource, total: int, run, parallelism: int = 1, buffers=None):
-    """Yield ``run(sub_source, k)`` over ``total`` items cut into chunks, in chunk order.
+def _chunks(source: RandomSource, total: int, run, parallelism: int, buffers):
+    """Yield ``run(sub, k, buffer_set)`` over ``total`` items in chunks, in chunk order.
 
     Chunk i covers ``k = min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS)`` items
     and draws only from ``source.child(i)``, so the results do not depend on
@@ -167,27 +172,23 @@ def _chunks(source: RandomSource, total: int, run, parallelism: int = 1, buffers
     A ``parallelism`` outside [1, :data:`MAX_PARALLELISM`] raises
     :class:`ConfigError` before the first chunk runs.
 
-    With ``buffers``, ``run`` takes a third argument, a buffer set: before
-    the first chunk, the calling thread makes one set per chunk that can run
-    at once, min(parallelism, chunks) calls of ``buffers(min(CHUNK_ROUNDS,
-    total))``.  Each chunk takes a set from a free list and hands it back
-    when ``run`` returns, before its result is reduced, so successive chunks
-    fill the same memory: the arrays of a chunk's batch may be views into a
-    set that the next chunk overwrites, and a result must not be one.
+    Before the first chunk, the calling thread makes one buffer set per
+    chunk that can run at once, min(parallelism, chunks) calls of
+    ``buffers(min(CHUNK_ROUNDS, total))``.  Each chunk takes a set from a
+    free list and hands it back when ``run`` returns, before its result is
+    reduced, so successive chunks fill the same memory: a result must not
+    be a view into its set, which the next chunk overwrites.
     """
     if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ConfigError(
             f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}"
         )
     n_chunks = (total + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
-    if buffers is not None:
-        # at most `parallelism` chunks run at once, so a set is always free
-        free = [buffers(min(CHUNK_ROUNDS, total)) for _ in range(min(parallelism, n_chunks))]
+    # at most `parallelism` chunks run at once, so a set is always free
+    free = [buffers(min(CHUNK_ROUNDS, total)) for _ in range(min(parallelism, n_chunks))]
 
     def one(i: int):
         sub, k = source.child(i), min(CHUNK_ROUNDS, total - i * CHUNK_ROUNDS)
-        if buffers is None:
-            return run(sub, k)
         buf = free.pop()
         try:
             return run(sub, k, buf)
@@ -217,16 +218,15 @@ def estimate_correlations(
 ) -> CorrelationTable:
     """Run ``rounds`` model rounds and tally per-cell outcome counts.
 
-    Settings are drawn from the spec's P(x,y).  A model whose
-    ``post_selects`` is set tallies only the rounds its batch's ``kept``
-    mask marks.  Rounds are processed in :data:`CHUNK_ROUNDS`-sized chunks,
-    each on its own split random sub-stream; chunk results are reduced in
-    chunk order, so the outcome is bit-identical for a given seed at any
+    Settings are drawn from the spec's P(x,y), and each batch's ``kept``
+    mask, None when every round counts, picks the rounds the tally counts.
+    Rounds are processed in :data:`CHUNK_ROUNDS`-sized chunks, each on its
+    own split random sub-stream; chunk results are reduced in chunk order,
+    so the outcome is bit-identical for a given seed at any
     ``parallelism``.  A chunk's cell codes and the model's
     ``hidden_vectors`` sphere batches (``sample_rounds``'s ``out``) fill a
-    buffer set of :func:`_chunks`, so they and a batch's hidden vectors
-    are views into a set that the next chunk overwrites; only the tally
-    leaves a chunk.
+    buffer set of :func:`_chunks`, which the next chunk overwrites; only
+    the tally leaves a chunk.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -243,8 +243,7 @@ def estimate_correlations(
         s_set, s_mod = sub.split(2)
         cell = spec.sample_indices(s_set.generator(), k, out=codes[:k])
         batch = model.sample_rounds(cell, alice, bob, s_mod, out=hidden[:, :k])
-        kept = batch.kept if model.post_selects else None
-        return _kernels.tally(cell, batch.a, batch.b, n_a, n_b, kept)
+        return _kernels.tally(cell, batch.a, batch.b, n_a, n_b, batch.kept)
 
     counts = np.zeros((n_a, n_b, 2, 2), dtype=np.int64)
     attempts = np.zeros((n_a, n_b), dtype=np.int64)
@@ -275,7 +274,7 @@ class LocalityReport:
     witness: Optional[dict] = None
 
 
-def verify_bell_local(model: ExactCSModel, tol: float = 1e-9) -> LocalityReport:
+def verify_bell_local(model: ExactCSModel, tol: float = DEFAULT_VERIFY_TOL) -> LocalityReport:
     """Check the locality factorization on an exact finite model.
 
     Reads the table's support over (a, b, x, y) followed by the model's
@@ -388,22 +387,19 @@ def _quadrature(f, a: float, b: float, panels: int) -> MIEstimate:
     return MIEstimate(value=value, method="quadrature", uncertainty=abs(value - coarse))
 
 
-def _mc_mean(
-    source: RandomSource, samples: int, draw, parallelism: int = 1, buffers=None
-) -> MIEstimate:
-    """Monte Carlo mean of ``draw(gen, k)`` over ``samples`` draws.
+def _mc_mean(source: RandomSource, samples: int, draw, parallelism: int, buffers) -> MIEstimate:
+    """Monte Carlo mean of ``draw(gen, k, buffer_set)`` over ``samples`` draws.
 
     Every chunk of :func:`_chunks` draws its values from its own generator
-    and reduces them to (count, sum, sum of squares) on one of
-    ``parallelism`` threads; the totals are summed in chunk order, so the
-    mean and its standard error do not depend on ``parallelism``, and
-    memory stays a few chunks deep.  With ``buffers``, ``draw`` takes the
-    chunk's buffer set as a third argument (see :func:`_chunks`).  ``draw``
-    may return fewer than ``k`` values (rejection sampling).
+    into a set that ``buffers`` made, and reduces them to (count, sum, sum
+    of squares) on one of ``parallelism`` threads; the totals are
+    summed in chunk order, so the mean and its standard error do not
+    depend on ``parallelism``, and memory stays a few chunks deep.
+    ``draw`` may return fewer than ``k`` values (rejection sampling).
     """
 
-    def moments(sub: RandomSource, k: int, *buffer_set):
-        v = draw(sub.generator(), k, *buffer_set)
+    def moments(sub: RandomSource, k: int, buffer_set):
+        v = draw(sub.generator(), k, buffer_set)
         return v.size, float(v.sum()), float(np.square(v).sum())
 
     n, total, squares = 0, 0.0, 0.0
@@ -428,7 +424,7 @@ def tb_mi_integrand(theta: np.ndarray) -> np.ndarray:
     return np.sin(theta) / 2.0 * binary_entropy(theta / np.pi)
 
 
-def mi_tb_quadrature(panels: int = 1024) -> MIEstimate:
+def mi_tb_quadrature(panels: int = DEFAULT_PANELS) -> MIEstimate:
     """I(x,y:lambda) of the one-bit-protocol model, uniform settings.
 
     Evaluates I = H(m|mu) = integral_0^pi (sin(theta)/2) h(theta/pi)
@@ -450,13 +446,13 @@ def mi_tb_montecarlo(samples: int, source: RandomSource) -> MIEstimate:
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
 
-    def draw(gen, k):
-        l1 = sample_uniform_sphere(gen, k)
-        l2 = sample_uniform_sphere(gen, k)
+    def draw(gen, k, hidden):
+        l1 = sample_uniform_sphere(gen, k, out=hidden[0, :k])
+        l2 = sample_uniform_sphere(gen, k, out=hidden[1, :k])
         cosang = np.clip(np.einsum("ij,ij->i", l1, l2), -1.0, 1.0)
         return binary_entropy(1.0 - np.arccos(cosang) / np.pi)
 
-    return _mc_mean(source, samples, draw)
+    return _mc_mean(source, samples, draw, 1, partial(empty_batches, 2))
 
 
 GG_MI_CLOSED_FORM = 1.0 - 1.0 / (2.0 * math.log(2.0))

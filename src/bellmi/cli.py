@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars-a", help="comma-separated first variable set (default: x,y)")
     p.add_argument("--vars-b", help="comma-separated second variable set (default: hidden vars)")
     p.add_argument("--samples", type=int, help="tb-finite only (default: 100000)")
-    p.add_argument("--panels", type=int, help="tb-uniform only (default: 1024)")
+    p.add_argument("--panels", type=int,
+                   help=f"tb-uniform only (default: {analysis.DEFAULT_PANELS})")
     p.add_argument("--seed", type=int, help="tb-finite only (default: 0)")
     p.add_argument("--parallelism", type=int, help="tb-finite only: worker threads (default: 1)")
     p.add_argument("--out-file")
@@ -300,7 +301,7 @@ _EXACT = {**_SETTINGS, "corr": "quantum", "corr_file": None, "seed": 0, "out_fil
 # flags that mode reads; verify has no mode, and its model file is positional
 READS = {
     **{("simulate", model): _SIMULATE for model in SAMPLERS},
-    ("mutual-info", "tb-uniform"): {"panels": 1024, "out_file": None},
+    ("mutual-info", "tb-uniform"): {"panels": analysis.DEFAULT_PANELS, "out_file": None},
     ("mutual-info", "gg-uniform"): {"out_file": None},
     ("mutual-info", "tb-finite"): {**_SETTINGS, "samples": 100_000, "seed": 0,
                                    "parallelism": 1, "out_file": None},
@@ -310,7 +311,8 @@ READS = {
     ("transform", "gg"): {**_REPORT, "floor": transforms.DEFAULT_FLOOR},
     ("transform", "brans"): _EXACT,
     ("transform", "input-broadcast"): _EXACT,
-    ("verify", None): {"model_file": REQUIRED, "tol": 1e-9, "out_file": None},
+    ("verify", None): {"model_file": REQUIRED, "tol": analysis.DEFAULT_VERIFY_TOL,
+                       "out_file": None},
 }
 # pairs of flags that name one input twice; a correlation file fixes both
 EXCLUSIVE = (("preset", "settings_file"), ("corr_file", "preset"),

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, ValidationError
-from .sphere import RandomSource, empty_batches, require_unit, sample_uniform_sphere, vec_polar
+from .sphere import RandomSource, require_unit, sample_uniform_sphere, vec_polar
 from .table import FiniteDistribution, check_normalized
 
 log = logging.getLogger(__name__)
@@ -124,26 +124,25 @@ class SettingsSpec:
         hi = cdf.searchsorted(edges[1:], side="left")  # cells < bucket end
         return cdf, np.where(lo == hi, lo, -1)
 
-    def sample_indices(self, gen: np.random.Generator, n: int, out=None):
-        """Draw n cell codes x*n_b + y from P(x,y), into ``out`` (an ``intp``
-        array of n) when given.
+    def sample_indices(self, gen: np.random.Generator, n: int, out: np.ndarray):
+        """Draw n cell codes x*n_b + y from P(x,y) into ``out``, an ``intp``
+        array of n, and return it.
 
         Draw for draw the same codes as ``gen.choice(cells, size=n,
         p=p_xy.ravel())``: the same uniforms searched in the same cdf, with
         most draws settled by a guide table (Chen & Asau 1974) instead of a
-        binary search.  The codes are ``intp``; the outcome kernels and the
-        tally read them as they are.  Each draw's bucket index is written
-        straight into the returned array, truncated as ``astype`` does, and
-        replaced there by the guide's entry.
+        binary search.  The outcome kernels and the tally read the codes as
+        they are.  Each draw's bucket index is written straight into
+        ``out``, truncated as ``astype`` does, and replaced there by the
+        guide's entry.
         """
         cdf, guide = self._cell_sampler
         u = gen.random(n)
-        codes = np.empty(n, dtype=np.intp) if out is None else out
-        np.multiply(u, guide.size, out=codes, casting="unsafe")
-        np.take(guide, codes, out=codes, mode="clip")  # every bucket is in range
-        miss = np.flatnonzero(codes < 0)
-        codes[miss] = cdf.searchsorted(u[miss], side="right")
-        return codes
+        np.multiply(u, guide.size, out=out, casting="unsafe")
+        np.take(guide, out, out=out, mode="clip")  # every bucket is in range
+        miss = np.flatnonzero(out < 0)
+        out[miss] = cdf.searchsorted(u[miss], side="right")
+        return out
 
 
 def preset_chsh() -> SettingsSpec:
@@ -258,19 +257,15 @@ def pr_box_conditional() -> ConditionalTable:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class TBRounds:
-    """A batch of one-bit-communication rounds.
-
-    ``l1`` and ``l2`` may be views into the ``out`` array that
-    :meth:`TonerBaconModel.sample_rounds` was given, which the caller's next
-    chunk overwrites."""
+class Rounds:
+    """A batch of model rounds: outcomes ``a`` and ``b``, the mask of the
+    rounds that count (None when every round counts) and the number of
+    degenerate rounds that were drawn again."""
 
     a: np.ndarray
     b: np.ndarray
-    m: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    resampled: int
+    kept: Optional[np.ndarray] = None
+    resampled: int = 0
 
 
 class TonerBaconModel:
@@ -285,7 +280,7 @@ class TonerBaconModel:
 
     name = "tb"
     kind = "tb-comm"  # the "kind" that serialize.sampler_payload writes
-    hidden_names = ("l1", "l2", "m")  # fields of TBRounds that form lambda
+    hidden_names = ("l1", "l2", "m")  # lambda's parts, as the model file lists them
     post_selects = False  # every round counts; no detection step
     hidden_vectors = 2  # sphere batches a round draws: lambda1 and lambda2
     # model-file description of the responses that _kernels.tb_outcomes computes
@@ -295,20 +290,19 @@ class TonerBaconModel:
     )
     message_entropy_bound = 1.0  # H(m) for a single bit
 
-    def sample_rounds(self, cell, alice, bob, source: RandomSource, out=None) -> TBRounds:
+    def sample_rounds(self, cell, alice, bob, source: RandomSource, out: np.ndarray) -> Rounds:
         """Rounds at Alice's settings ``alice[:, cell]`` and Bob's
         ``bob[:, cell]``, ``cell`` holding each round's cell code and
         ``alice`` and ``bob`` the per-cell component rows of
         :func:`bellmi._kernels.cell_rows`.  lambda1 and lambda2 are drawn
         into ``out``, a (2, n, 3) array such as
-        :func:`bellmi.sphere.empty_batches` makes, or into a new one."""
+        :func:`bellmi.sphere.empty_batches` makes, and stay there; a
+        degenerate round's pair is drawn again in place."""
         n = cell.shape[0]
         gen = source.generator()
-        if out is None:
-            out = empty_batches(self.hidden_vectors, n)
         l1 = sample_uniform_sphere(gen, n, out=out[0])
         l2 = sample_uniform_sphere(gen, n, out=out[1])
-        a, b, m, bad = _kernels.tb_outcomes(cell, alice, bob, l1, l2)
+        a, b, _, bad = _kernels.tb_outcomes(cell, alice, bob, l1, l2)
         resampled = 0
         while bad.any():
             idx = np.flatnonzero(bad)
@@ -316,34 +310,16 @@ class TonerBaconModel:
             log.warning("toner-bacon: resampling %d degenerate rounds", idx.size)
             l1[idx] = sample_uniform_sphere(gen, idx.size)
             l2[idx] = sample_uniform_sphere(gen, idx.size)
-            ra, rb, rm, rbad = _kernels.tb_outcomes(cell[idx], alice, bob, l1[idx], l2[idx])
-            a[idx], b[idx], m[idx] = ra, rb, rm
+            ra, rb, _, rbad = _kernels.tb_outcomes(cell[idx], alice, bob, l1[idx], l2[idx])
+            a[idx], b[idx] = ra, rb
             bad = np.zeros(n, dtype=bool)
             bad[idx] = rbad
-        return TBRounds(a=a, b=b, m=m, l1=l1, l2=l2, resampled=resampled)
+        return Rounds(a=a, b=b, resampled=resampled)
 
 
 # ----------------------------------------------------------------------
 # Gisin-Gisin detection model
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class GGRounds:
-    """A batch of detection-model rounds.
-
-    ``lam`` may be a view into the ``out`` array that
-    :meth:`GisinGisinModel.sample_rounds` was given, which the caller's next
-    chunk overwrites."""
-
-    a: np.ndarray
-    b: np.ndarray
-    click_a: np.ndarray
-    lam: np.ndarray
-
-    @property
-    def kept(self) -> np.ndarray:
-        return self.click_a  # Bob always clicks
-
 
 class GisinGisinModel:
     """Detection model reproducing post-selected singlet correlations.
@@ -357,8 +333,8 @@ class GisinGisinModel:
 
     name = "gg"
     kind = "gg-postselected"  # the "kind" that serialize.sampler_payload writes
-    hidden_names = ("lam",)  # fields of GGRounds that form lambda
-    post_selects = True  # only the rounds in GGRounds.kept count
+    hidden_names = ("lam",)  # lambda's parts, as the model file lists them
+    post_selects = True  # only the rounds in a batch's kept mask count
     hidden_vectors = 1  # sphere batches a round draws: lambda
     message_entropy_bound = None  # no message: the detection route sends nothing
     # model-file description of the responses that _kernels.gg_outcomes computes
@@ -367,17 +343,17 @@ class GisinGisinModel:
         "double-click post-selection reweights lambda only"
     )
 
-    def sample_rounds(self, cell, alice, bob, source: RandomSource, out=None) -> GGRounds:
+    def sample_rounds(self, cell, alice, bob, source: RandomSource, out: np.ndarray) -> Rounds:
         """Rounds at settings given as for :meth:`TonerBaconModel.sample_rounds`;
-        lambda is drawn into ``out``, a (1, n, 3) array, or into a new one."""
+        lambda is drawn into ``out``, a (1, n, 3) array, and stays there.
+        The batch keeps the rounds where Alice clicked, since Bob always
+        does."""
         n = cell.shape[0]
         gen = source.generator()
-        if out is None:
-            out = empty_batches(self.hidden_vectors, n)
         lam = sample_uniform_sphere(gen, n, out=out[0])
         u = gen.random(n)
         a, b, click_a = _kernels.gg_outcomes(cell, alice, bob, lam, u)
-        return GGRounds(a=a, b=b, click_a=click_a, lam=lam)
+        return Rounds(a=a, b=b, kept=click_a)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from bellmi import serialize
 from bellmi.analysis import MIEstimate, _mc_mean, cell_conditional
 from bellmi.errors import ConfigError
 from bellmi.models import OUTCOME_LABELS, ConditionalTable, ExactCSModel
-from bellmi.sphere import RandomSource, require_unit, sample_uniform_sphere
+from bellmi.sphere import RandomSource, empty_batches, require_unit, sample_uniform_sphere
 from bellmi.table import FiniteDistribution
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -203,13 +204,13 @@ def mi_gg_montecarlo(samples: int, source: RandomSource) -> MIEstimate:
     package's chunk loop.
     """
 
-    def draw(gen, k):
-        lam = sample_uniform_sphere(gen, k)
+    def draw(gen, k, hidden):
+        lam = sample_uniform_sphere(gen, k, out=hidden[0, :k])
         u = gen.random(k)
         d = np.abs(lam[:, 2])  # measurement axis fixed to z by symmetry
         return np.log2(2.0 * d[u < d])
 
-    return _mc_mean(source, samples, draw)
+    return _mc_mean(source, samples, draw, 1, partial(empty_batches, 1))
 
 
 def make_signaling_example() -> ExactCSModel:

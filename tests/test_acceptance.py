@@ -34,7 +34,7 @@ from bellmi.models import (
     pr_box_conditional,
     preset,
 )
-from bellmi.sphere import RandomSource, sample_uniform_sphere
+from bellmi.sphere import RandomSource, empty_batches, sample_uniform_sphere
 from bellmi.transforms import comm_to_cs
 from conftest import (
     chsh,
@@ -204,8 +204,9 @@ def test_criterion_6_detection_efficiencies(capsys):
     # accepted hidden vectors against the post-selected density |lam.x| / 2pi:
     # along t = lam.x the accepted marginal is |t| on [-1, 1]
     n = 400_000
-    batch = GisinGisinModel().sample_rounds(*fixed_settings(n), RandomSource(110))
-    t = batch.lam[batch.click_a, 2]
+    (lam,) = hidden = empty_batches(1, n)
+    batch = GisinGisinModel().sample_rounds(*fixed_settings(n), RandomSource(110), hidden)
+    t = lam[batch.kept, 2]
     edges = np.linspace(-1.0, 1.0, 41)
     cdf = (edges * np.abs(edges) + 1.0) / 2.0
     expected = t.size * np.diff(cdf)

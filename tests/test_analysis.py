@@ -252,7 +252,8 @@ def test_chunks_start_without_building_every_child(monkeypatch):
     source = RandomSource(5)
     first_child = source.child(0).generator().random(4)
     monkeypatch.setattr(RandomSource, "split", split_all)
-    chunks = _chunks(source, 10**13, lambda sub, k: (sub.generator().random(4), k))
+    chunks = _chunks(source, 10**13, lambda sub, k, _: (sub.generator().random(4), k), 1,
+                     lambda k: None)
     draws, k = next(chunks)
     chunks.close()
     assert k == CHUNK_ROUNDS
@@ -269,7 +270,8 @@ def test_chunks_keep_two_per_worker_in_flight(monkeypatch):
 
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", CountingExecutor)
     sizes = []
-    for k in _chunks(RandomSource(0), 40 * CHUNK_ROUNDS + 7, lambda sub, k: k, parallelism=3):
+    for k in _chunks(RandomSource(0), 40 * CHUNK_ROUNDS + 7, lambda sub, k, _: k,
+                     parallelism=3, buffers=lambda k: None):
         assert len(submitted) - len(sizes) <= 2 * 3  # this result included
         sizes.append(k)
     assert sizes == [CHUNK_ROUNDS] * 40 + [7]

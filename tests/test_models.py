@@ -20,7 +20,7 @@ from bellmi.models import (
     preset,
 )
 from bellmi import table as table_module
-from bellmi.sphere import RandomSource, sample_uniform_sphere
+from bellmi.sphere import RandomSource, empty_batches, sample_uniform_sphere
 from bellmi.analysis import exact_singlet_conditional, verify_bell_local
 from conftest import (
     comm_conditional,
@@ -99,7 +99,7 @@ def test_preset_parallel_and_unknown():
 def test_sample_indices_follow_input_dist():
     p = np.array([[0.5, 0.0], [0.25, 0.25]])
     spec = SettingsSpec(np.eye(3)[:2], np.eye(3)[:2], p)
-    cell = spec.sample_indices(RandomSource(0).generator(), 40_000)
+    cell = spec.sample_indices(RandomSource(0).generator(), 40_000, np.empty(40_000, np.intp))
     assert cell.dtype == np.intp
     counts = np.bincount(cell, minlength=4).reshape(2, 2)
     assert counts[0, 1] == 0  # zero-probability cell never drawn
@@ -124,7 +124,8 @@ def test_sample_indices_match_generator_choice(shape, seed):
     # draw for draw the cell codes x*n_b + y of Generator.choice on the same stream
     for spec in (_weighted_spec(shape, seed), SettingsSpec(
             fibonacci_sphere(shape[0]), fibonacci_sphere(shape[1]))):
-        cell = spec.sample_indices(RandomSource(seed).generator(), 20_000)
+        cell = spec.sample_indices(RandomSource(seed).generator(), 20_000,
+                                   np.empty(20_000, np.intp))
         want = RandomSource(seed).generator().choice(
             spec.p_xy.size, size=20_000, p=spec.p_xy.ravel()
         )
@@ -155,7 +156,7 @@ def test_sample_indices_on_cdf_values_and_bucket_edges(shape):
         points = np.concatenate([cdf[:-1], edges])
         u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
         u = u[(u >= 0.0) & (u < 1.0)]
-        cell = spec.sample_indices(_FixedUniforms(u), u.size)
+        cell = spec.sample_indices(_FixedUniforms(u), u.size, np.empty(u.size, np.intp))
         want = cdf.searchsorted(u, side="right")
         np.testing.assert_array_equal(cell, want)
         assert p[want].min() > 0.0  # a zero-probability cell is never drawn
@@ -165,10 +166,11 @@ def test_sample_indices_memory_stays_under_its_cap():
     # the uniforms, their product with the guide size and its astype(intp)
     # copy, alive at once, peaked at 1.50 MiB for 0.5 MiB of codes
     spec = preset("chsh")
-    spec.sample_indices(RandomSource(1).generator(), 65_536)  # guide table built
+    spec.sample_indices(RandomSource(1).generator(), 65_536,
+                        np.empty(65_536, np.intp))  # guide table built
     tracemalloc.start()
     try:
-        spec.sample_indices(RandomSource(2).generator(), 65_536)
+        spec.sample_indices(RandomSource(2).generator(), 65_536, np.empty(65_536, np.intp))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -213,16 +215,18 @@ def test_tb_sample_rounds_match_replay():
 
     xs = sample_uniform_sphere(gen, 2000)
     ys = sample_uniform_sphere(gen, 2000)
-    batch = model.sample_rounds(*per_round_settings(xs, ys), RandomSource(22))
+    l1, l2 = hidden = empty_batches(2, 2000)
+    batch = model.sample_rounds(*per_round_settings(xs, ys), RandomSource(22), hidden)
     for i in range(0, 2000, 97):
-        a, b, m = tb_replay(xs[i], ys[i], batch.l1[i], batch.l2[i])
-        assert (a, b, m) == (batch.a[i], batch.b[i], batch.m[i])
+        a, b, _ = tb_replay(xs[i], ys[i], l1[i], l2[i])
+        assert (a, b) == (batch.a[i], batch.b[i])
 
 
 def test_tb_alice_marginal_is_unbiased():
     # a = -sgn(x.l1) with l1 uniform: P(a=+1) = 1/2
     model = TonerBaconModel()
-    batch = model.sample_rounds(*fixed_settings(100_000), RandomSource(9))
+    batch = model.sample_rounds(*fixed_settings(100_000), RandomSource(9),
+                                empty_batches(2, 100_000))
     p_plus = np.mean(batch.a == 1)
     assert abs(p_plus - 0.5) < 4 * math.sqrt(0.25 / 100_000)
 
@@ -238,24 +242,26 @@ def test_gg_outputs_follow_hidden_vector():
 
     xs = sample_uniform_sphere(gen, 3000)
     ys = sample_uniform_sphere(gen, 3000)
-    batch = model.sample_rounds(*per_round_settings(xs, ys), RandomSource(32))
-    assert batch.kept is batch.click_a  # Bob always clicks
+    (lam,) = hidden = empty_batches(1, 3000)
+    batch = model.sample_rounds(*per_round_settings(xs, ys), RandomSource(32), hidden)
+    assert batch.kept.dtype == bool  # Alice's clicks; Bob always clicks
     for i in range(0, 3000, 113):
-        assert batch.b[i] == -sgn_dot(ys[i], batch.lam[i])
-        if batch.click_a[i]:
-            assert batch.a[i] == sgn_dot(xs[i], batch.lam[i])
+        assert batch.b[i] == -sgn_dot(ys[i], lam[i])
+        if batch.kept[i]:
+            assert batch.a[i] == sgn_dot(xs[i], lam[i])
 
 
 def test_gg_click_probability_tracks_overlap():
     # P(click | lam) = |x.lam|; overall P(D_A) = 1/2
     model = GisinGisinModel()
     n = 200_000
-    batch = model.sample_rounds(*fixed_settings(n), RandomSource(33))
-    rate = batch.click_a.mean()
+    (lam,) = hidden = empty_batches(1, n)
+    batch = model.sample_rounds(*fixed_settings(n), RandomSource(33), hidden)
+    rate = batch.kept.mean()
     assert abs(rate - 0.5) < 4 * math.sqrt(0.25 / n)
     # clicks concentrate where |lam_z| is large
-    overlap = np.abs(batch.lam[:, 2])
-    assert overlap[batch.click_a].mean() > overlap.mean() + 0.05
+    overlap = np.abs(lam[:, 2])
+    assert overlap[batch.kept].mean() > overlap.mean() + 0.05
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +397,7 @@ def test_tb_resample_logs_warning(caplog):
         with caplog.at_level(logging.WARNING, logger="bellmi.models"):
             batch = model.sample_rounds(
                 *per_round_settings(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])),
-                RandomSource(2),
+                RandomSource(2), empty_batches(2, 1),
             )
     finally:
         M.sample_uniform_sphere = real

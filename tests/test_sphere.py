@@ -12,6 +12,7 @@ from bellmi.errors import ValidationError
 from bellmi.sphere import (
     DRAW_TILE,
     RandomSource,
+    empty_batches,
     require_unit,
     sample_uniform_sphere,
     vec_polar,
@@ -127,6 +128,24 @@ def test_sphere_draw_memory_stays_under_its_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2.6 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+def test_sample_uniform_sphere_refuses_a_wrong_out_and_fills_a_right_one():
+    # the samplers draw into memory their callers hold, so this check is the
+    # only guard on a buffer; a refused out leaves the stream unread
+    gen = RandomSource(12).generator()
+    for bad in (empty_batches(1, 99)[0], np.empty((100, 2)), np.empty(300),
+                np.empty((3, 100), dtype=np.float32).T, np.empty((100, 3), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            sample_uniform_sphere(gen, 100, out=bad)
+    assert gen.bit_generator.state == RandomSource(12).generator().bit_generator.state
+    want = row_major_sphere(RandomSource(12).generator(), 100)
+    sets = np.full((2, 3, 100), np.nan).transpose(0, 2, 1)
+    for out in (sets[1], np.empty((100, 3))):  # a batch of a set, and row-major
+        got = sample_uniform_sphere(RandomSource(12).generator(), 100, out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(sets[0]).all()  # the other batch of the set is untouched
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 65_536])
