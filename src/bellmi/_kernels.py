@@ -15,16 +15,16 @@ draw returns it, and its settings are ``alice[:, cell[i]]`` and
 ``bob[:, cell[i]]``, where ``alice`` and ``bob`` hold the settings of every
 cell as (3, n_a*n_b) component rows, Alice's setting x in column x*n_b + y
 of ``alice`` and Bob's setting y in that column of ``bob`` (see
-:func:`cell_rows`).  A kernel gathers one setting component at a time,
-right before the products that use it, so a batch of rounds never holds a
-per-round copy of its setting vectors; the one-bit map gathers each of
-Alice's components once for both of her dots.  Each dot product is the
+:func:`cell_rows`).  The outcome maps take every dot product from the
 element formula ``(s0*l0 + s1*l1) + s2*l2``, accumulated in place in that
-order, and an outcome is its sign, with sgn(0) = +1.  The two outcome maps
-make their outputs once per call and fill them over tiles of
-:data:`ROUND_TILE` rounds, so their dots and Bob's direction are one tile
-long, whatever the batch; a round's outcome does not depend on the tile
-it falls in.
+order by the one routine :func:`_dots`, and an outcome is the sign of a
+dot, with sgn(0) = +1.  ``_dots`` gathers one setting component at a time,
+right before the products that use it, once for all batches that share
+the setting (Alice's two one-bit dots), so no per-round copy of the
+setting vectors exists.  The outcome maps make their outputs once per call and fill them over tiles of
+:data:`ROUND_TILE` rounds, so their dots, Bob's direction and the one-bit
+message are one tile long, whatever the batch; a round's outcome does not
+depend on the tile it falls in.
 :func:`agreement_probs` instead takes its dots from matrix products over
 tiles of rounds, whose summation order BLAS chooses.  For unit vectors (norms
 checked by :func:`bellmi.sphere.require_unit`) any evaluation order, with or
@@ -32,7 +32,7 @@ without fused multiply-adds, errs by at most gamma_3 = 3u/(1 - 3u), about
 3.3e-16.  The kernel reads whether two dots share a sign from their product:
 neither |d| exceeds 1 + gamma_3, so where |d1*d2| >= :data:`SIGN_MARGIN`
 both |d| are above about 1e-12 and both signs are the element formula's.
-The few cells below the margin take both dots from the element formula, so
+The few cells below the margin take both dots from :func:`_dots`, so
 every agreement, tie breaks included, is the one the element formula gives.
 """
 
@@ -59,46 +59,36 @@ def cell_rows(alice_settings, bob_settings):
 
 
 def tb_outcomes(cell, alice, bob, l1, l2):
-    """One-bit communication round outcomes.
+    """One-bit communication round outcomes (a, b, degenerate).
 
     a = -sgn(x.l1); message m = sgn(x.l1) * sgn(x.l2);
-    b = sgn(y.(l1 + m*l2)).  ``bad`` marks rounds where l1 + m*l2 is the
-    exact zero vector (caller resamples those).  Such a round has
-    y.(l1 + m*l2) = +-0, so only rounds with a zero dot are checked.
+    b = sgn(y.(l1 + m*l2)).  ``degenerate`` holds the ascending ``intp``
+    indices of the rounds where l1 + m*l2 is the exact zero vector (caller
+    resamples those).  Such a round has y.(l1 + m*l2) = +-0, so only rounds
+    with a zero dot are checked.  The message is held one tile at a time.
     """
     n = cell.shape[0]
-    a, b, msg = (np.empty(n, dtype=np.int8) for _ in range(3))
-    bad = np.zeros(n, dtype=bool)
-    g, v = np.empty(min(ROUND_TILE, n)), np.empty(min(ROUND_TILE, n))
+    a, b = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
+    tile = min(ROUND_TILE, n)
+    g, v, msg = np.empty(tile), np.empty(tile), np.empty(tile, dtype=np.int8)
+    degenerate = [np.empty(0, dtype=np.intp)]
     for lo in range(0, n, ROUND_TILE):
         r = slice(lo, lo + ROUND_TILE)
-        c, u1, u2, m = cell[r], l1[r], l2[r], msg[r]
-        gt, vt = g[:c.shape[0]], v[:c.shape[0]]
-        d1, d2 = _alice_dots(alice, c, u1, u2, gt, vt)
+        c, u1, u2 = cell[r], l1[r], l2[r]
+        gt, vt, m = g[:c.shape[0]], v[:c.shape[0]], msg[:c.shape[0]]
+        d1, d2 = _dots(alice, c, (u1.T, u2.T), gt, vt)
         alice_plus = d1 >= 0.0
         _signs(alice_plus == (d2 >= 0.0), m)
         del d1, d2  # before Bob's dot allocates
-        db = _dot(bob, c, _bob_direction(m, u1, u2, vt), gt)
+        (db,) = _dots(bob, c, (_bob_direction(m, u1, u2, vt),), gt, None)
         zero = np.flatnonzero(db == 0.0)
         if zero.size:
-            bad[r][zero] = (u1[zero] + m[zero, None] * u2[zero] == 0.0).all(axis=1)
+            zero = zero[(u1[zero] + m[zero, None] * u2[zero] == 0.0).all(axis=1)]
+            degenerate.append(zero + lo)
         _signs(~alice_plus, a[r])
         _signs(db >= 0.0, b[r])
-    return a, b, msg, bad
-
-
-def _alice_dots(alice, idx, l1, l2, g, t):
-    """Alice's dots with l1 and with l2, each by :func:`_dot`'s formula, with
-    each component of her setting gathered once, into ``g`` from k = 1 on,
-    for both products; ``t`` is scratch."""
-    d1 = alice[0].take(idx, mode="clip")
-    d2 = d1 * l2[:, 0]
-    d1 *= l1[:, 0]
-    for k in (1, 2):
-        np.take(alice[k], idx, out=g, mode="clip")
-        d1 += np.multiply(g, l1[:, k], out=t)
-        d2 += np.multiply(g, l2[:, k], out=g)
-    return d1, d2
+        del db  # before the next tile's dots allocate
+    return a, b, np.concatenate(degenerate)
 
 
 def _bob_direction(m, l1, l2, v):
@@ -124,29 +114,33 @@ def gg_outcomes(cell, alice, bob, lam, u):
         r = slice(lo, lo + ROUND_TILE)
         c, h = cell[r], lam[r].T
         gt = g[:c.shape[0]]
-        da = _dot(alice, c, h, gt)
+        (da,) = _dots(alice, c, (h,), gt, None)
         _signs(da >= 0.0, a[r])
         np.less(u[r], np.abs(da, out=da), out=click_a[r])
-        _signs(~(_dot(bob, c, h, gt) >= 0.0), b[r])
+        _signs(~(_dots(bob, c, (h,), gt, None)[0] >= 0.0), b[r])
     return a, b, click_a
 
 
-def _dot(settings, idx, components, g):
-    """(s0*c0 + s1*c1) + s2*c2 per round, s = ``settings[:, idx]``.
+def _dots(settings, idx, batches, g, t):
+    """(s0*c0 + s1*c1) + s2*c2 per round for each batch, s = ``settings[:, idx]``.
 
-    ``components`` yields the rounds' c0, c1 and c2.  Component k of s is
-    gathered right before its product, into the scratch buffer ``g`` from
-    k = 1 on, and the sum accumulates in place.  Every index is in range;
-    mode "clip" keeps ``take`` from buffering a copy of its output.
+    Each batch yields the rounds' c0, c1 and c2.  Component k of s is
+    gathered once for all batches, right before the products that use it,
+    into the scratch buffer ``g`` from k = 1 on, and each sum accumulates in
+    place.  ``t`` is scratch for the products of every batch but the last,
+    so one batch passes None.  Every index is in range; mode "clip" keeps
+    ``take`` from buffering a copy of its output.
     """
-    c = iter(components)
+    cs = [iter(c) for c in batches]
     d = settings[0].take(idx, mode="clip")
-    d *= next(c)
+    dots = [d, *(d * next(c) for c in cs[1:])]
+    d *= next(cs[0])
     for k in (1, 2):
         np.take(settings[k], idx, out=g, mode="clip")
-        g *= next(c)
-        d += g
-    return d
+        for dk, c in zip(dots[:-1], cs):
+            dk += np.multiply(g, next(c), out=t)
+        dots[-1] += np.multiply(g, next(cs[-1]), out=g)
+    return dots
 
 
 def _signs(plus, out):
@@ -225,8 +219,8 @@ def agreement_probs(settings, p_x, l1, l2):
 def _settle_ties(agree, mag, settings, l1, l2):
     """Element-formula agreement in each cell whose ``mag`` is not >= SIGN_MARGIN."""
     j, i = np.nonzero(~(mag >= SIGN_MARGIN))
-    g = np.empty(j.shape[0])
-    d1, d2 = (_dot(settings.T, j, v[i].T, g) for v in (l1, l2))
+    g, t = np.empty(j.shape[0]), np.empty(j.shape[0])
+    d1, d2 = _dots(settings.T, j, (l1[i].T, l2[i].T), g, t)
     agree[j, i] = (d1 >= 0.0) == (d2 >= 0.0)
 
 

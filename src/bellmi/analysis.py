@@ -35,7 +35,7 @@ from . import _kernels
 from .errors import ConfigError, InternalConsistencyError
 from .models import ConditionalTable, ExactCSModel, SettingsSpec, _frozen_array
 from .sphere import RandomSource, empty_batches, sample_uniform_sphere
-from .table import TABLE_CELL_CAP, InfoBits, binary_entropy, group_sums
+from .table import MI_CLAMP, TABLE_CELL_CAP, InfoBits, binary_entropy, group_sums
 
 # Monte Carlo rounds are processed in fixed-size chunks, one split random
 # sub-stream per chunk, so the parallelism degree cannot change results.
@@ -357,8 +357,8 @@ class MIEstimate:
     def __post_init__(self):
         if self.method not in MI_METHODS:
             raise ConfigError(f"method must be one of {MI_METHODS}, got {self.method!r}")
-        if self.value < -1e-10:
-            raise InternalConsistencyError(f"mutual information {self.value!r} < -1e-10")
+        if self.value < -MI_CLAMP:
+            raise InternalConsistencyError(f"mutual information {self.value!r} < -{MI_CLAMP}")
         if self.value < 0.0:
             object.__setattr__(self, "value", 0.0)
         if self.uncertainty < 0.0:
@@ -505,8 +505,7 @@ def mi_finite_settings_tb(
     """
     if samples < 1000:
         raise ConfigError(f"samples must be >= 1000, got {samples}")
-    settings = np.ascontiguousarray(spec.alice_settings)
-    p_x = np.ascontiguousarray(spec.p_x)
+    settings, p_x = spec.alice_settings, spec.p_x
 
     def draw(gen, k, hidden):
         l1 = sample_uniform_sphere(gen, k, out=hidden[0, :k])

@@ -136,7 +136,11 @@ def cmd_mutual_info(args) -> int:
             else tuple(v for v in args.vars_b.split(",") if v)
         )
         est = analysis.mi_exact_finite(model, a_vars, b_vars)
-        bound = model.table.entropy(("m",)) if "m" in model.table.variables else None
+        # H(m) bounds I(A:B) only for settings against hidden variables
+        bounded = "m" in model.table.variables and any(
+            {*s} <= {"x", "y"} and {*h} <= {*model.hidden_vars}
+            for s, h in ((a_vars, b_vars), (b_vars, a_vars)))
+        bound = model.table.entropy(("m",)) if bounded else None
         extra = {"vars_a": list(a_vars), "vars_b": list(b_vars)}
     payload = {"target": target, **asdict(est), "bound": bound, **extra}
     _emit(serialize.json_text(payload), args.out_file)

@@ -302,18 +302,15 @@ class TonerBaconModel:
         gen = source.generator()
         l1 = sample_uniform_sphere(gen, n, out=out[0])
         l2 = sample_uniform_sphere(gen, n, out=out[1])
-        a, b, _, bad = _kernels.tb_outcomes(cell, alice, bob, l1, l2)
+        a, b, bad = _kernels.tb_outcomes(cell, alice, bob, l1, l2)
         resampled = 0
-        while bad.any():
-            idx = np.flatnonzero(bad)
-            resampled += int(idx.size)
-            log.warning("toner-bacon: resampling %d degenerate rounds", idx.size)
-            l1[idx] = sample_uniform_sphere(gen, idx.size)
-            l2[idx] = sample_uniform_sphere(gen, idx.size)
-            ra, rb, _, rbad = _kernels.tb_outcomes(cell[idx], alice, bob, l1[idx], l2[idx])
-            a[idx], b[idx] = ra, rb
-            bad = np.zeros(n, dtype=bool)
-            bad[idx] = rbad
+        while bad.size:
+            resampled += int(bad.size)
+            log.warning("toner-bacon: resampling %d degenerate rounds", bad.size)
+            l1[bad] = sample_uniform_sphere(gen, bad.size)
+            l2[bad] = sample_uniform_sphere(gen, bad.size)
+            a[bad], b[bad], again = _kernels.tb_outcomes(cell[bad], alice, bob, l1[bad], l2[bad])
+            bad = bad[again]
         return Rounds(a=a, b=b, resampled=resampled)
 
 

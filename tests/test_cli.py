@@ -154,6 +154,29 @@ def test_mutual_info_targets(tmp_path):
     assert b'"method": "exact", "uncertainty": 0.0, ' in out
 
 
+def test_mutual_info_bound_only_for_settings_against_hidden_variables(tmp_path):
+    # H(m) bounds I(A:B) only when one side lies within {x, y} and the other
+    # within the hidden variables; a pair with an outcome in it can exceed it
+    model_file = str(tmp_path / "ib.json")
+    code, _, err = run_cli(["transform", "--model", "input-broadcast", "--out-file", model_file])
+    assert code == 0, err
+
+    def mi(vars_a, vars_b=None):
+        argv = ["mutual-info", "--target", "exact-model-file", "--model-file", model_file,
+                "--vars-a", vars_a] + ([] if vars_b is None else ["--vars-b", vars_b])
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        return json.loads(out)
+
+    for pair in (("x,y",), ("x", "m"), ("mu,m", "y")):
+        payload = mi(*pair)
+        assert payload["bound"] == 1.0 and payload["value"] <= 1.0 + 1e-12, pair
+    for pair in (("a,x", "mu,m"), ("x,y", "a,b")):
+        assert mi(*pair)["bound"] is None, pair
+    # with Alice's outcome on one side the value exceeds H(m) = 1
+    assert mi("a,x", "mu,m")["value"] == pytest.approx(2.0, abs=1e-12)
+
+
 def test_mutual_info_model_file_required():
     code, _, err = run_cli(["mutual-info", "--target", "exact-model-file"])
     assert code == 2

@@ -13,7 +13,7 @@ import pytest
 from bellmi import _kernels as K
 from bellmi.analysis import CHUNK_ROUNDS, estimate_correlations
 from bellmi.models import GisinGisinModel, SettingsSpec, TonerBaconModel
-from bellmi.sphere import RandomSource, sample_uniform_sphere
+from bellmi.sphere import RandomSource, empty_batches, sample_uniform_sphere
 from conftest import (
     gg_alice_half,
     gg_bob_half,
@@ -30,10 +30,10 @@ def test_tb_flags_vanishing_bob_direction():
     ys = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     l1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     l2 = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    _, _, m, bad = K.tb_outcomes(*per_round_settings(xs, ys), l1, l2)
-    assert m[0] == 1
-    assert bad[0]
-    assert not bad[1]
+    _, _, degenerate = K.tb_outcomes(*per_round_settings(xs, ys), l1, l2)
+    assert tb_alice_half(xs, l1, l2)[1][0] == 1
+    assert degenerate.dtype == np.intp
+    np.testing.assert_array_equal(degenerate, [0])
 
 
 def test_kernels_break_zero_dot_ties_to_plus():
@@ -43,8 +43,9 @@ def test_kernels_break_zero_dot_ties_to_plus():
     ez = np.array([[0.0, 0.0, 1.0]])
     # TB: x.l1 = x.l2 = 0 gives a = -sgn(0) = -1 and m = +1; then
     # y = e_x is orthogonal to l1 + m*l2 = (0, 1, 1), so b = sgn(0) = +1
-    a, b, m, bad = K.tb_outcomes(*per_round_settings(ex, ex), ez, ey)
-    assert (a[0], b[0], m[0], bad[0]) == (-1, 1, 1, False)
+    a, b, degenerate = K.tb_outcomes(*per_round_settings(ex, ex), ez, ey)
+    assert (a[0], b[0], degenerate.size) == (-1, 1, 0)
+    assert tb_alice_half(ex, ez, ey)[1][0] == 1
     # GG: a = sgn(x.lam) = +1 and b = -sgn(y.lam) = -1 at x.lam = y.lam = 0
     a, b, _ = K.gg_outcomes(*per_round_settings(ex, ey), ez, np.zeros(1))
     assert (a[0], b[0]) == (1, -1)
@@ -55,10 +56,11 @@ def test_kernels_break_zero_dot_ties_to_plus():
 # ----------------------------------------------------------------------
 
 def tb_outcomes_where(xs, ys, l1, l2):
-    """Reference: Alice's half of the round, then Bob's on the bit she sent."""
+    """Reference: Alice's half of the round, then Bob's on the bit she sent,
+    and the indices of the rounds whose Bob direction vanishes."""
     a, m = tb_alice_half(xs, l1, l2)
     b, bad = tb_bob_half(ys, l1, l2, m)
-    return a, b, m, bad
+    return a, b, np.flatnonzero(bad)
 
 
 def gg_outcomes_where(xs, ys, lam, u):
@@ -131,13 +133,72 @@ def test_tb_outcomes_match_the_where_oracle():
     assert ((d1 == 0.0) & ~np.signbit(d1)).any() and ((d1 == 0.0) & np.signbit(d1)).any()
     got = K.tb_outcomes(*settings, l1, l2)
     _assert_same_outputs(got, tb_outcomes_where(xs, ys, l1, l2))
-    assert got[3].any()  # l1 + m*l2 = 0 occurs
+    assert got[2].size  # l1 + m*l2 = 0 occurs
     for seed, n in ((2401, 1), (2402, 1000), (2403, CHUNK_ROUNDS)):
         settings, rows = _seeded_rounds(seed, n, 2)
         want = tb_outcomes_where(*_vectors(settings), *rows)
         _assert_same_outputs(K.tb_outcomes(*settings, *rows), want)
         rows = [np.ascontiguousarray(r) for r in rows]
         _assert_same_outputs(K.tb_outcomes(*settings, *rows), want)
+
+
+def _rigged_degenerate_rounds(n, rigged):
+    """Seeded rounds at 3 Alice settings, the first e_x, and 4 Bob
+    settings, with l1 = e_z and l2 = -e_z at Alice's e_x in the rounds
+    ``rigged``: there both of Alice's dots are +0, so m = +1 and l1 + m*l2
+    is the zero vector."""
+    gen = np.random.default_rng(2408)
+    alice = np.concatenate([[[1.0, 0.0, 0.0]], sample_uniform_sphere(gen, 2)])
+    bob = sample_uniform_sphere(gen, 4)
+    x_idx, y_idx = gen.integers(0, 3, n), gen.integers(0, 4, n)
+    l1, l2 = sample_uniform_sphere(gen, n), sample_uniform_sphere(gen, n)
+    x_idx[rigged] = 0
+    l1[rigged], l2[rigged] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+    return _cell_settings(x_idx, y_idx, alice, bob), l1, l2
+
+
+_RIGGED = [5, K.ROUND_TILE + 17]  # one round in each of two tiles
+
+
+def test_tb_outcomes_list_the_degenerate_rounds_of_every_tile():
+    n = K.ROUND_TILE + 1000
+    settings, l1, l2 = _rigged_degenerate_rounds(n, _RIGGED)
+    got = K.tb_outcomes(*settings, l1, l2)
+    assert got[2].dtype == np.intp
+    np.testing.assert_array_equal(got[2], _RIGGED)
+    _assert_same_outputs(got, tb_outcomes_where(*_vectors(settings), l1, l2))
+
+
+def test_tb_sample_rounds_redraw_only_the_degenerate_rounds(monkeypatch):
+    import bellmi.models as M
+
+    n = K.ROUND_TILE + 1000
+    settings, l1, l2 = _rigged_degenerate_rounds(n, _RIGGED)
+    real, rigged = M.sample_uniform_sphere, [l1, l2]
+
+    def draw(gen, size, out=None):
+        # the chunk's two draws get the rigged batches, the redraws real ones
+        v = real(gen, size, out=out)
+        if rigged:
+            v[...] = rigged.pop(0)
+        return v
+
+    monkeypatch.setattr(M, "sample_uniform_sphere", draw)
+    out = empty_batches(2, n)
+    batch = TonerBaconModel().sample_rounds(*settings, RandomSource(2409), out)
+    assert batch.resampled == 2
+    a, b, _ = K.tb_outcomes(*settings, l1, l2)
+    others = np.ones(n, dtype=bool)
+    others[_RIGGED] = False
+    np.testing.assert_array_equal(batch.a[others], a[others])
+    np.testing.assert_array_equal(batch.b[others], b[others])
+    np.testing.assert_array_equal(out[0][others], l1[others])
+    np.testing.assert_array_equal(out[1][others], l2[others])
+    assert not (out[0][_RIGGED] == l1[_RIGGED]).all(axis=1).any()
+    xs, ys = (v[_RIGGED] for v in _vectors(settings))
+    want = tb_outcomes_where(xs, ys, out[0][_RIGGED], out[1][_RIGGED])
+    np.testing.assert_array_equal(batch.a[_RIGGED], want[0])
+    np.testing.assert_array_equal(batch.b[_RIGGED], want[1])
 
 
 def test_gg_outcomes_match_the_where_oracle():
@@ -175,17 +236,20 @@ def _locality_rounds(seed, n, k):
 
 
 def test_tb_outcomes_are_local():
-    # a and m do not see y; b does not see x once mu and m are fixed
+    # a and m do not see y; b does not see x once mu and m are fixed.  The
+    # kernel keeps m to itself, so m comes from Alice's half, which
+    # test_tb_outcomes_match_the_where_oracle holds the kernel to
     (settings, new_y, new_x), (l1, l2) = _locality_rounds(2410, 4000, 2)
-    a, b, m, _ = K.tb_outcomes(*settings, l1, l2)
+    a, b, _ = K.tb_outcomes(*settings, l1, l2)
     xs, _ = _vectors(settings)
+    m = tb_alice_half(xs, l1, l2)[1]
     d1 = xs[:, 0] * l1[:, 0] + xs[:, 1] * l1[:, 1] + xs[:, 2] * l1[:, 2]
     assert (d1 == 0.0).any()  # ties are among the rounds
-    a2, _, m2, _ = K.tb_outcomes(*new_y, l1, l2)
+    a2, _, _ = K.tb_outcomes(*new_y, l1, l2)
     np.testing.assert_array_equal(a2, a)
-    np.testing.assert_array_equal(m2, m)
-    _, b3, m3, _ = K.tb_outcomes(*new_x, l1, l2)
-    same_m = m3 == m
+    np.testing.assert_array_equal(tb_alice_half(_vectors(new_y)[0], l1, l2)[1], m)
+    _, b3, _ = K.tb_outcomes(*new_x, l1, l2)
+    same_m = tb_alice_half(_vectors(new_x)[0], l1, l2)[1] == m
     assert same_m.any() and not same_m.all()
     np.testing.assert_array_equal(b3[same_m], b[same_m])
 
